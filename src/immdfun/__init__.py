@@ -1,9 +1,7 @@
 """immdfun: immanants of unitary matrices and submatrices as sums of SU(m)
 group functions, with tensor-power oracles and verification suites."""
 
-from ._backend import active_backend, set_backend
 from .errors import (
-    BranchCutError,
     DomainError,
     MatrixParseError,
     RankDeficiencyError,
@@ -48,7 +46,6 @@ from .sunrep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchCutError",
     "DomainError",
     "GTPattern",
     "LiftedRep",
@@ -61,7 +58,6 @@ __all__ = [
     "SubmatrixSelector",
     "UnitaryElement",
     "WeightVector",
-    "active_backend",
     "all_permutations",
     "chain_label",
     "character",
@@ -77,7 +73,6 @@ __all__ = [
     "partitions_of",
     "permanent_ryser",
     "permutation_matrix",
-    "set_backend",
     "su2_euler",
     "su2_irrep",
     "submatrix",

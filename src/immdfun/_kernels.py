@@ -1,40 +1,10 @@
-"""Numeric kernels with numba and pure-numpy implementations.
-
-Every public function dispatches on :func:`immdfun._backend.use_numba`; both
-paths produce the same values (the test suite compares them directly).
-"""
+"""Numeric hot loops in vectorized numpy."""
 
 import numpy as np
-
-from ._backend import HAVE_NUMBA, njit, use_numba
 
 # ---------------------------------------------------------------------------
 # character-weighted permutation sum:  sum_p w[p] * prod_k M[k, perms[p, k]]
 # ---------------------------------------------------------------------------
-
-
-def _imm_sum_numpy(mat, perms, weights):
-    rows = np.arange(mat.shape[0])
-    live = np.nonzero(weights)[0]
-    if live.size == 0:
-        return 0.0 + 0.0j
-    prods = np.prod(mat[rows[None, :], perms[live]], axis=1)
-    return complex(np.dot(weights[live], prods))
-
-
-@njit(cache=True)
-def _imm_sum_nb(mat, perms, weights):  # pragma: no cover - numba path
-    total = 0.0 + 0.0j
-    nperm, n = perms.shape
-    for p in range(nperm):
-        w = weights[p]
-        if w == 0.0:
-            continue
-        prod = 1.0 + 0.0j
-        for k in range(n):
-            prod *= mat[k, perms[p, k]]
-        total += w * prod
-    return total
 
 
 def imm_sum(mat, perms, weights):
@@ -44,17 +14,22 @@ def imm_sum(mat, perms, weights):
     ``weights`` the float64 character weight of each permutation.
     """
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    if use_numba():
-        return complex(_imm_sum_nb(mat, perms, weights))
-    return _imm_sum_numpy(mat, perms, weights)
+    rows = np.arange(mat.shape[0])
+    live = np.nonzero(weights)[0]
+    if live.size == 0:
+        return 0.0 + 0.0j
+    prods = np.prod(mat[rows[None, :], perms[live]], axis=1)
+    return complex(np.dot(weights[live], prods))
 
 
 # ---------------------------------------------------------------------------
-# Ryser permanent with Gray-code subset updates
+# Ryser permanent over blocks of column subsets
 # ---------------------------------------------------------------------------
 
 
-def _ryser_numpy(mat):
+def ryser_permanent(mat):
+    """Permanent via Ryser's inclusion-exclusion, subsets in binary order."""
+    mat = np.ascontiguousarray(mat, dtype=np.complex128)
     n = mat.shape[0]
     total = 0.0 + 0.0j
     chunk = 1 << min(n, 16)
@@ -70,42 +45,6 @@ def _ryser_numpy(mat):
     return complex(total)
 
 
-@njit(cache=True)
-def _ryser_nb(mat):  # pragma: no cover - numba path
-    n = mat.shape[0]
-    rowsums = np.zeros(n, dtype=np.complex128)
-    total = 0.0 + 0.0j
-    parity = 1.0
-    for k in range(1, 1 << n):
-        # Gray code: bit j of the subset flips, j = trailing zeros of k
-        j = 0
-        while (k >> j) & 1 == 0:
-            j += 1
-        gray = k ^ (k >> 1)
-        if (gray >> j) & 1:
-            for i in range(n):
-                rowsums[i] += mat[i, j]
-        else:
-            for i in range(n):
-                rowsums[i] -= mat[i, j]
-        parity = -parity
-        prod = 1.0 + 0.0j
-        for i in range(n):
-            prod *= rowsums[i]
-        total += parity * prod
-    if n % 2:
-        total = -total
-    return total
-
-
-def ryser_permanent(mat):
-    """Permanent via Ryser's inclusion-exclusion, Gray-code subset order."""
-    mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    if use_numba():
-        return complex(_ryser_nb(mat))
-    return _ryser_numpy(mat)
-
-
 # ---------------------------------------------------------------------------
 # projector action: out = sum_p w[p] * gather(amps, sigma_p)
 # ---------------------------------------------------------------------------
@@ -116,7 +55,9 @@ def ryser_permanent(mat):
 # ``i`` to the state whose factor j carries ``digits[i, sigmas[p, j]]``.
 
 
-def _projector_numpy(amps, digits, sigmas, weights, powers):
+def projector_apply(amps, digits, sigmas, weights, powers):
+    """Apply ``sum_p weights[p] P(sigma_p)`` to a tensor amplitude vector."""
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
     out = np.zeros_like(amps)
     for p in range(sigmas.shape[0]):
         w = weights[p]
@@ -127,28 +68,4 @@ def _projector_numpy(amps, digits, sigmas, weights, powers):
     return out
 
 
-@njit(cache=True)
-def _projector_nb(amps, digits, sigmas, weights, powers):  # pragma: no cover
-    size, n = digits.shape
-    out = np.zeros(size, dtype=np.complex128)
-    for p in range(sigmas.shape[0]):
-        w = weights[p]
-        if w == 0.0:
-            continue
-        for i in range(size):
-            idx = 0
-            for j in range(n):
-                idx += digits[i, sigmas[p, j]] * powers[j]
-            out[i] += w * amps[idx]
-    return out
-
-
-def projector_apply(amps, digits, sigmas, weights, powers):
-    """Apply ``sum_p weights[p] P(sigma_p)`` to a tensor amplitude vector."""
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    if use_numba():
-        return _projector_nb(amps, digits, sigmas, weights, powers)
-    return _projector_numpy(amps, digits, sigmas, weights, powers)
-
-
-__all__ = ["imm_sum", "ryser_permanent", "projector_apply", "HAVE_NUMBA"]
+__all__ = ["imm_sum", "ryser_permanent", "projector_apply"]

@@ -19,13 +19,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dualspace import immanant_via_duality
 from .errors import DomainError, MatrixParseError, ResourceLimitError
 from .linalgimm import (
+    DEFAULT_SEED,
     SubmatrixSelector,
     UnitaryElement,
     haar_random_unitary,
@@ -36,36 +36,12 @@ from .linalgimm import (
 from .reports import CSV_FIELDS, VerificationReport, to_csv_row
 from .symgroup import Partition
 from .sunrep import SUIrrepLabel, dfunction_records
-from .verification import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .verification import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    command: str
-    m: int | None = None
-    n: int | None = None
-    partition: Partition | None = None
-    selector: SubmatrixSelector | None = None
-    seed: int = DEFAULT_SEED
-    samples: int | None = None
-    tolerance: float | None = None
-    output_path: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
-        if self.samples is not None and self.samples < 1:
-            raise DomainError("samples must be >= 1")
-        if self.format not in ("json", "csv", "pretty"):
-            raise DomainError(f"unknown format {self.format!r}")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -261,6 +237,19 @@ def cmd_dump_dfunctions(args) -> int:
     return EXIT_OK
 
 
+def _check_shared_flags(args) -> None:
+    """Reject malformed shared flags before any subcommand runs, whether or
+    not that subcommand reads them."""
+    if getattr(args, "partition", None):
+        Partition(_parse_ints(args.partition))
+    if getattr(args, "rows", None) and getattr(args, "cols", None):
+        SubmatrixSelector(_parse_ints(args.rows), _parse_ints(args.cols))
+    if args.tol is not None and args.tol <= 0:
+        raise DomainError("tolerance must be positive")
+    if getattr(args, "samples", None) is not None and args.samples < 1:
+        raise DomainError("samples must be >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="immdfun",
@@ -293,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=SUITE_NAMES)
     p_ver.add_argument("--m", type=int)
-    p_ver.add_argument("--N", type=int, dest="n")
     p_ver.add_argument("--partition")
     p_ver.add_argument("--rows")
     p_ver.add_argument("--cols")
@@ -318,23 +306,7 @@ def main(argv=None) -> int:
     if args.tol is None and getattr(args, "tol_default", None) is not None:
         args.tol = args.tol_default
     try:
-        config = RunConfig(
-            command=args.command,
-            m=getattr(args, "m", None),
-            n=getattr(args, "n", None),
-            partition=Partition(_parse_ints(args.partition))
-            if getattr(args, "partition", None)
-            else None,
-            selector=SubmatrixSelector(_parse_ints(args.rows), _parse_ints(args.cols))
-            if getattr(args, "rows", None) and getattr(args, "cols", None)
-            else None,
-            seed=args.seed,
-            samples=getattr(args, "samples", None),
-            tolerance=args.tol,
-            output_path=args.out,
-            format=args.format,
-        )
-        args.config = config
+        _check_shared_flags(args)
         return args.func(args)
     except (DomainError, MatrixParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, ResourceLimitError
 from .linalgimm import (
+    DEFAULT_SEED,
     SubmatrixSelector,
     UnitaryElement,
     as_square,
@@ -33,7 +34,7 @@ from .linalgimm import (
     submatrix,
 )
 from .reports import VerificationReport
-from .symgroup import Partition, Permutation, all_permutations, character, dim_sym, partitions_of
+from .symgroup import Partition, Permutation, character_weights, dim_sym, sn_tables
 from .sunrep import (
     GTPattern,
     SUIrrepLabel,
@@ -41,6 +42,7 @@ from .sunrep import (
     chain_label,
     generator_matrix,
     gt_basis,
+    weight_block_trace,
     weight_of,
 )
 
@@ -145,25 +147,17 @@ def apply_tensor_power(umat, v: TensorState) -> TensorState:
     return TensorState(v.m, v.factors, tensor.reshape(-1))
 
 
-@cache
-def _sn_tables(n: int):
-    """One-line images (0-based) of S_n plus class index per permutation."""
-    perms = all_permutations(n)
-    classes = partitions_of(n)
-    class_of = {cls.parts: i for i, cls in enumerate(classes)}
-    sigmas = np.array([[im - 1 for im in s.images] for s in perms], dtype=np.int64)
-    class_idx = np.array([class_of[s.cycle_type().parts] for s in perms], dtype=np.int64)
-    return perms, sigmas, class_idx, classes
-
-
 def immanant_projector(p: Partition, v: TensorState) -> TensorState:
     """Apply sum_s chi^{p}(s) P(s); unnormalized (squares to (N!/dim p) itself)."""
     if p.n != v.factors:
         raise DomainError(f"partition {p} is not a partition of N = {v.factors}")
-    _, sigmas, class_idx, classes = _sn_tables(v.factors)
-    chi = np.array([character(p, c) for c in classes], dtype=np.float64)
+    sigmas, _, _ = sn_tables(v.factors)
     out = _kernels.projector_apply(
-        v.amplitudes, _digits(v.m, v.factors), sigmas, chi[class_idx], _powers(v.m, v.factors)
+        v.amplitudes,
+        _digits(v.m, v.factors),
+        sigmas,
+        character_weights(p),
+        _powers(v.m, v.factors),
     )
     return TensorState(v.m, v.factors, out)
 
@@ -232,7 +226,10 @@ class _TensorIrrep:
 
     # -- computational weight blocks -------------------------------------
     def _block(self, occ: tuple[int, ...]) -> np.ndarray:
-        return self._blocks.setdefault(occ, self._compute_block(occ))
+        block = self._blocks.get(occ)
+        if block is None:
+            block = self._blocks[occ] = self._compute_block(occ)
+        return block
 
     def _compute_block(self, occ) -> np.ndarray:
         digits = _digits(self.m, self.factors)
@@ -557,21 +554,13 @@ def verify_littlewood(element: UnitaryElement, tol: float = 1e-9, seed: int | No
         for pp in (p3, p1, p31, p4)
     }
 
-    def diag_sum(pp: Partition, occ):
-        rep = lifted[pp]
-        basis = gt_basis(rep.irrep)
-        total = 0.0 + 0.0j
-        for i, pat in enumerate(basis):
-            if weight_of(pat).occupation == tuple(occ):
-                total += rep.matrix[i, i]
-        return total
-
     lhs_d = 0.0 + 0.0j
     for keep3, keep1 in LITTLEWOOD_PAIRS:
         occ3 = state_weight(4, keep3).occupation
         occ1 = state_weight(4, keep1).occupation
-        lhs_d += diag_sum(p3, occ3) * diag_sum(p1, occ1)
-    rhs_d = diag_sum(p31, (1, 1, 1, 1)) + diag_sum(p4, (1, 1, 1, 1))
+        lhs_d += weight_block_trace(lifted[p3], occ3) * weight_block_trace(lifted[p1], occ1)
+    full = (1, 1, 1, 1)
+    rhs_d = weight_block_trace(lifted[p31], full) + weight_block_trace(lifted[p4], full)
     residual_d = abs(lhs_d - rhs_d)
     residual_forms = max(abs(lhs_d - lhs), abs(rhs_d - rhs))
 
@@ -597,7 +586,7 @@ def conjecture_scan(
     selectors=None,
     entry_tol: float = 1e-8,
     check_samples: int = 25,
-    seed: int = 1905,
+    seed: int = DEFAULT_SEED,
     cross_tol: float = 1e-9,
 ) -> list[VerificationReport]:
     """Scan submatrix selector pairs for the unit-coefficient pattern.

@@ -9,10 +9,6 @@ class ResourceLimitError(RuntimeError):
     """A request exceeds a configured cap (factorial sum size, irrep dimension, tensor size)."""
 
 
-class BranchCutError(RuntimeError):
-    """A group element has an eigenvalue too close to -1 for a principal logarithm."""
-
-
 class RankDeficiencyError(RuntimeError):
     """Candidate basis functions are numerically dependent; a least-squares fit is ill posed."""
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import permutations as _iter_permutations
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ResourceLimitError
-from .symgroup import Partition, character, partitions_of
+from .symgroup import Partition, character_weights, sn_tables
 
+DEFAULT_SEED = 1905  # documented seed of every Haar sample stream
 IMMANANT_CAP = 9  # n! * n cost; larger sizes go through the permanent/determinant paths
 RYSER_CAP = 24
 
@@ -145,29 +144,6 @@ def submatrix(mat, sel: SubmatrixSelector) -> np.ndarray:
     return arr[np.ix_([r - 1 for r in sel.rows], [c - 1 for c in sel.cols])]
 
 
-@cache
-def _perm_tables(n: int):
-    """All of S_n as index arrays plus the class index of each permutation."""
-    classes = partitions_of(n)
-    class_of = {cls.parts: k for k, cls in enumerate(classes)}
-    perms = np.array(list(_iter_permutations(range(n))), dtype=np.int64)
-    class_idx = np.empty(len(perms), dtype=np.int64)
-    for p, images in enumerate(perms):
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            ln, k = 0, start
-            while not seen[k]:
-                seen[k] = True
-                k = images[k]
-                ln += 1
-            lengths.append(ln)
-        class_idx[p] = class_of[tuple(sorted(lengths, reverse=True))]
-    return perms, class_idx, classes
-
-
 def immanant(p: Partition, mat, max_n: int = IMMANANT_CAP) -> complex:
     """Character-weighted permutation sum Imm^{p}(M).
 
@@ -191,13 +167,12 @@ def immanant(p: Partition, mat, max_n: int = IMMANANT_CAP) -> complex:
         raise ResourceLimitError(
             f"definitional immanant capped at n = {max_n} (requested n = {n})"
         )
-    perms, class_idx, classes = _perm_tables(n)
-    chi = np.array([character(p, cls) for cls in classes], dtype=np.float64)
-    return _kernels.imm_sum(arr, perms, chi[class_idx])
+    perms, _, _ = sn_tables(n)
+    return _kernels.imm_sum(arr, perms, character_weights(p))
 
 
 def permanent_ryser(mat) -> complex:
-    """Permanent via Ryser inclusion-exclusion with Gray-code subset order."""
+    """Permanent via Ryser inclusion-exclusion over column subsets."""
     arr = as_square(mat)
     if arr.shape[0] > RYSER_CAP:
         raise ResourceLimitError(f"Ryser permanent capped at n = {RYSER_CAP}")

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .linalgimm import haar_random_unitary, immanant, permanent_ryser
+from .linalgimm import DEFAULT_SEED, haar_random_unitary, immanant, permanent_ryser
 from .reports import VerificationReport
 from .symgroup import Partition, dim_sym
 from .sunrep import (
@@ -29,8 +29,6 @@ from .sunrep import (
     lift,
     weight_of,
 )
-
-DEFAULT_SEED = 1905
 
 
 @dataclass(frozen=True)
@@ -84,32 +82,22 @@ class DecompositionResult:
         return sum(v for c, v in self.coefficients if c.diagonal)
 
     def to_records(self) -> list[dict]:
-        out = []
-        for cand, val in self.coefficients:
-            out.append(
-                {
-                    "irrep": list(cand.irrep.row),
-                    "r": cand.r.as_lists(),
-                    "t": cand.t.as_lists(),
-                    "tag": cand.tag(),
-                    "value": [float(val.real), float(val.imag)],
-                    "rational": recognize_value(val.real) if abs(val.imag) < 1e-9 else None,
-                    "pruned": False,
-                }
-            )
-        for cand, val in self.pruned:
-            out.append(
-                {
-                    "irrep": list(cand.irrep.row),
-                    "r": cand.r.as_lists(),
-                    "t": cand.t.as_lists(),
-                    "tag": cand.tag(),
-                    "value": [float(val.real), float(val.imag)],
-                    "rational": None,
-                    "pruned": True,
-                }
-            )
-        return out
+        tagged = [(c, v, False) for c, v in self.coefficients]
+        tagged += [(c, v, True) for c, v in self.pruned]
+        return [
+            {
+                "irrep": list(cand.irrep.row),
+                "r": cand.r.as_lists(),
+                "t": cand.t.as_lists(),
+                "tag": cand.tag(),
+                "value": [float(val.real), float(val.imag)],
+                "rational": recognize_value(val.real)
+                if not pruned and abs(val.imag) < 1e-9
+                else None,
+                "pruned": pruned,
+            }
+            for cand, val, pruned in tagged
+        ]
 
 
 def _diagonal_product_weight(base: SUIrrepLabel) -> tuple[int, ...]:

@@ -20,12 +20,11 @@ from functools import cache
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchCutError, DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .linalgimm import UnitaryElement
 from .symgroup import Partition
 
 DEFAULT_MAX_LIFT_DIM = 512
-_BRANCH_SHIFT_SEED = 0x1D5EED  # fixed draw sequence for the branch-shift fallback
 
 
 def max_lift_dim() -> int:
@@ -374,21 +373,14 @@ class LiftedRep:
         return complex(self.matrix[index[r], index[t]])
 
 
-def _principal_log(umat: np.ndarray, branch_eps: float):
-    """Hermitian H with exp(iH) = U, eigenphases in (-pi, pi].
+def _principal_log(umat: np.ndarray) -> np.ndarray:
+    """Hermitian H with exp(iH) = U, eigenphases in [-pi, pi].
 
     Uses the complex Schur form, which is diagonal for a unitary matrix, so
-    the eigenvector matrix is itself numerically unitary.  Raises
-    BranchCutError if any eigenvalue sits within ``branch_eps`` of -1.
+    the eigenvector matrix is itself numerically unitary.
     """
     tmat, z = scipy.linalg.schur(umat, output="complex")
     theta = np.angle(np.diagonal(tmat))
-    gap = np.pi - np.abs(theta)
-    if gap.min() < branch_eps:
-        worst = theta[np.argmin(gap)]
-        raise BranchCutError(
-            f"eigenphase {worst:.9f} lies within {branch_eps:g} of the branch cut at pi"
-        )
     return (z * theta) @ z.conj().T
 
 
@@ -399,22 +391,14 @@ def _exp_hermitian_stack(irrep: SUIrrepLabel, hmat: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def lift(
-    irrep: SUIrrepLabel,
-    element: UnitaryElement,
-    branch_eps: float = 1e-6,
-    branch_shift: bool = False,
-) -> LiftedRep:
+def lift(irrep: SUIrrepLabel, element: UnitaryElement) -> LiftedRep:
     """Matrix of ``element`` in the given irrep.
 
     The element's principal logarithm iH is pushed through the generator map
-    and exponentiated, so the result is exactly unitary up to eigensolver
-    accuracy and independent of the logarithm's branch for integral weights.
-
-    With ``branch_shift`` enabled, an element with an eigenvalue at -1 is
-    handled by lifting a perturbed product and unlifting the perturbation:
-    T(U) = T(E)^dagger T(EU) for a small fixed-seed E.  This is approximate
-    at the level of accumulated floating error.
+    and exponentiated, so the result is unitary up to eigensolver accuracy.
+    It does not depend on the logarithm's branch: the weights are integral,
+    so a diagonal phase e^{i theta} lifts to e^{i n.theta} with integer
+    occupations n, and eigenvalues at -1 lift exactly.
     """
     if not isinstance(element, UnitaryElement):
         raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrix)")
@@ -425,35 +409,17 @@ def lift(
         raise ResourceLimitError(
             f"irrep dimension {d} exceeds the dense-lift cap {max_lift_dim()}"
         )
-    umat = element.matrix
-    try:
-        hmat = _principal_log(umat, branch_eps)
-    except BranchCutError:
-        if not branch_shift:
-            raise
-        return _lift_shifted(irrep, umat, branch_eps)
-    return LiftedRep(irrep, _exp_hermitian_stack(irrep, hmat))
+    return LiftedRep(irrep, _exp_hermitian_stack(irrep, _principal_log(element.matrix)))
 
 
-def _lift_shifted(irrep: SUIrrepLabel, umat: np.ndarray, branch_eps: float) -> LiftedRep:
-    m = irrep.m
-    rng = np.random.default_rng(_BRANCH_SHIFT_SEED)
-    for _ in range(16):
-        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        h = (g + g.conj().T) / 2.0
-        h -= np.trace(h).real / m * np.eye(m)
-        h *= 1e-3 / max(1.0, np.abs(h).max())
-        w, v = np.linalg.eigh(h)
-        emat = (v * np.exp(1j * w)) @ v.conj().T
-        try:
-            h_e = _principal_log(emat, branch_eps)
-            h_eu = _principal_log(emat @ umat, branch_eps)
-        except BranchCutError:
-            continue
-        t_e = _exp_hermitian_stack(irrep, h_e)
-        t_eu = _exp_hermitian_stack(irrep, h_eu)
-        return LiftedRep(irrep, t_e.conj().T @ t_eu)
-    raise BranchCutError("branch shift failed to move the spectrum off -1")
+def weight_block_trace(lifted: LiftedRep, occupation) -> complex:
+    """Sum of the diagonal group functions whose pattern has ``occupation``."""
+    target = tuple(occupation)
+    total = 0.0 + 0.0j
+    for i, pat in enumerate(gt_basis(lifted.irrep)):
+        if weight_of(pat).occupation == target:
+            total += lifted.matrix[i, i]
+    return total
 
 
 def dfunction(irrep: SUIrrepLabel, r: GTPattern, t: GTPattern, element: UnitaryElement) -> complex:

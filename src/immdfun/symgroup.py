@@ -116,19 +116,7 @@ class Permutation:
         return Permutation(inv)
 
     def cycle_type(self) -> Partition:
-        seen = [False] * self.n
-        lengths = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            k = start
-            while not seen[k - 1]:
-                seen[k - 1] = True
-                k = self.images[k - 1]
-                length += 1
-            lengths.append(length)
-        return Partition(sorted(lengths, reverse=True))
+        return Partition(_cycle_lengths([img - 1 for img in self.images]))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -140,11 +128,49 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
+def _cycle_lengths(images) -> tuple[int, ...]:
+    """Cycle lengths, longest first, of a permutation given by 0-based images."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length, k = 0, start
+        while not seen[k]:
+            seen[k] = True
+            k = images[k]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 def all_permutations(n: int):
     """All of S_n in the deterministic ``itertools.permutations`` order."""
     if n < 1:
         raise DomainError("n must be >= 1")
     return [Permutation(images) for images in _iter_permutations(range(1, n + 1))]
+
+
+@cache
+def sn_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[Partition, ...]]:
+    """All of S_n as arrays, in the :func:`all_permutations` order.
+
+    Returns the ``(n!, n)`` 0-based one-line images, the index into
+    :func:`partitions_of` of each permutation's cycle type, and that class
+    list.
+    """
+    classes = partitions_of(n)
+    class_of = {cls.parts: k for k, cls in enumerate(classes)}
+    rows = list(_iter_permutations(range(n)))
+    class_idx = np.array([class_of[_cycle_lengths(row)] for row in rows], dtype=np.int64)
+    return np.array(rows, dtype=np.int64), class_idx, classes
+
+
+@cache
+def character_weights(p: Partition) -> np.ndarray:
+    """chi^{p} of every permutation of S_n, in :func:`sn_tables` order."""
+    _, class_idx, classes = sn_tables(p.n)
+    chi = np.array([character(p, cls) for cls in classes], dtype=np.float64)
+    return chi[class_idx]
 
 
 @cache

@@ -19,7 +19,13 @@ from .dualspace import (
     verify_littlewood,
 )
 from .errors import DomainError
-from .linalgimm import SubmatrixSelector, haar_random_unitary, immanant, submatrix
+from .linalgimm import (
+    DEFAULT_SEED,
+    SubmatrixSelector,
+    haar_random_unitary,
+    immanant,
+    submatrix,
+)
 from .plethysm import (
     diagonal_sum_check,
     fit_decomposition,
@@ -28,9 +34,7 @@ from .plethysm import (
 )
 from .reports import VerificationReport
 from .symgroup import Partition, partitions_of
-from .sunrep import SUIrrepLabel, gt_basis, lift, weight_of
-
-DEFAULT_SEED = 1905
+from .sunrep import SUIrrepLabel, lift, weight_block_trace
 
 SUITE_NAMES = (
     "kostant",
@@ -40,16 +44,6 @@ SUITE_NAMES = (
     "plethysm-su2",
     "plethysm-su3",
 )
-
-
-def _zero_weight_trace(lifted, occupation) -> complex:
-    basis = gt_basis(lifted.irrep)
-    target = tuple(occupation)
-    total = 0.0 + 0.0j
-    for i, pat in enumerate(basis):
-        if weight_of(pat).occupation == target:
-            total += lifted.matrix[i, i]
-    return total
 
 
 def kostant_suite(
@@ -72,7 +66,7 @@ def kostant_suite(
             for i in range(samples):
                 u = haar_random_unitary(m, seed + i)
                 direct = immanant(p, u.matrix)
-                dsum = _zero_weight_trace(lift(label, u), (1,) * m)
+                dsum = weight_block_trace(lift(label, u), (1,) * m)
                 worst = max(worst, abs(direct - dsum))
                 if check_duality:
                     via = immanant_via_duality(m, p, full, full, u)
@@ -124,7 +118,7 @@ def corollary4_suite(
                     for u, lf in zip(elements, lifts):
                         sub = submatrix(u.matrix, SubmatrixSelector(keep, keep))
                         direct = immanant(p, sub)
-                        dsum = _zero_weight_trace(lf, occ)
+                        dsum = weight_block_trace(lf, occ)
                         worst = max(worst, abs(direct - dsum))
                         if check_duality:
                             via = immanant_via_duality(m, p, keep, keep, u)

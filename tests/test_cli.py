@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from immdfun.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
@@ -191,6 +192,50 @@ class TestDumpCommand:
         monkeypatch.setenv("IMMDFUN_MAX_DIM", "1000")
         code2, out, _ = run(capsys, "dump-dfunctions", "--row", "16,8,0", "--identity", "3")
         assert code2 == EXIT_OK
+
+
+class TestRejectedFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "kostant", "--samples", "0"), "samples must be >= 1"),
+            (("verify", "kostant", "--tol", "-1"), "tolerance must be positive"),
+            (
+                ("dump-dfunctions", "--row", "2,1,0", "--identity", "3", "--tol", "0"),
+                "tolerance must be positive",
+            ),
+            (
+                ("verify", "conjecture", "--rows", "3,2,1", "--cols", "1,2,3"),
+                "row indices must be strictly increasing",
+            ),
+            (("verify", "littlewood", "--partition", "x"), "expected comma-separated integers"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
+
+class TestMinusOneEigenvalues:
+    def test_dump_lifts_exactly(self, capsys, tmp_path):
+        path = tmp_path / "minus_one.json"
+        diag = [[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
+        path.write_text(
+            json.dumps([[diag[i] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)])
+        )
+        code, out, _ = run(capsys, "dump-dfunctions", "--row", "2,1,0", "--matrix-file", str(path))
+        assert code == EXIT_OK
+        values = [json.loads(line)["value"] for line in out.strip().splitlines()]
+        got = np.array([complex(re, im) for re, im in values]).reshape(8, 8)
+
+        from immdfun.linalgimm import UnitaryElement
+        from immdfun.sunrep import SUIrrepLabel, lift
+
+        root = UnitaryElement(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
+        cube = np.linalg.matrix_power(lift(SUIrrepLabel(3, (2, 1, 0)), root).matrix, 3)
+        assert np.abs(got - cube).max() < 1e-12
 
 
 class TestMatrixIO:

@@ -7,6 +7,7 @@ from immdfun.dualspace import (
     ChainSubspace,
     TensorState,
     _tensor_irrep,
+    _TensorIrrep,
     apply_permutation,
     apply_tensor_power,
     basis_state,
@@ -206,6 +207,17 @@ class TestChainSubspace:
                         want = lifted[index[r], index[s]] if alpha == beta else 0.0
                         assert abs(got - want) < 1e-10
 
+    def test_weight_block_computed_once(self):
+        rep = _TensorIrrep(3, 3, SUIrrepLabel(3, (2, 1, 0)))
+        rep._blocks.clear()
+        calls = []
+        compute = rep._compute_block
+        rep._compute_block = lambda occ: calls.append(occ) or compute(occ)
+        first = rep._block((1, 1, 1))
+        for _ in range(3):
+            assert rep._block((1, 1, 1)) is first
+        assert calls == [(1, 1, 1)]
+
     def test_tensor_power_row(self):
         assert tensor_power_row(SUIrrepLabel(3, (0, 0, 0)), 3) == (1, 1, 1)
         assert tensor_power_row(SUIrrepLabel(3, (2, 1, 0)), 3) == (2, 1, 0)
@@ -348,7 +360,7 @@ class TestTheorem3AndNormalization:
         zero_idx = [a for a, pat in enumerate(pats) if weight_of(pat).occupation == (1, 1, 1)]
         for s in all_permutations(m):
             pm = UnitaryElement.from_matrix(permutation_matrix(s), tol=1e-10)
-            gamma = lift(label, pm, branch_shift=True).matrix[np.ix_(zero_idx, zero_idx)]
+            gamma = lift(label, pm).matrix[np.ix_(zero_idx, zero_idx)]
             assert np.abs(gamma @ w @ gamma.conj().T - w).max() < 1e-9
         assert np.abs(w - np.eye(len(zero_idx))).max() < 1e-10
 
@@ -362,7 +374,7 @@ class TestTheorem3AndNormalization:
         zero_idx = [a for a, pat in enumerate(pats) if weight_of(pat).occupation == (1, 1, 1)]
         for s in all_permutations(m):
             pm = UnitaryElement.from_matrix(permutation_matrix(s), tol=1e-10)
-            gamma = lift(label, pm, branch_shift=True).matrix[np.ix_(zero_idx, zero_idx)]
+            gamma = lift(label, pm).matrix[np.ix_(zero_idx, zero_idx)]
             assert abs(np.trace(gamma) - character(p, s.cycle_type())) < 1e-8
 
 

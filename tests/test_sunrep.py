@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from immdfun.errors import BranchCutError, DomainError, ResourceLimitError
-from immdfun.linalgimm import UnitaryElement, haar_random_unitary, su2_euler
-from immdfun.symgroup import Partition
+from immdfun.errors import DomainError, ResourceLimitError
+from immdfun.linalgimm import (
+    UnitaryElement,
+    haar_random_unitary,
+    permutation_matrix,
+    su2_euler,
+)
+from immdfun.symgroup import Partition, all_permutations
 from immdfun.sunrep import (
     GTPattern,
     SUIrrepLabel,
@@ -196,17 +201,39 @@ class TestLift:
         assert np.abs(lifted.matrix - expect).max() < 1e-10
 
     def test_branch_cut_refusal(self):
-        u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
-        with pytest.raises(BranchCutError):
-            lift(SUIrrepLabel(3, (2, 1, 0)), u)
-
-    def test_branch_shift(self):
+        # eigenvalue -1 sits on the logarithm's branch cut, but the lift is
+        # not refused: diag(-1,-1,1) is an involution, so its lift is one too
         ir = SUIrrepLabel(3, (2, 1, 0))
         u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
-        shifted = lift(ir, u, branch_shift=True)
+        t = lift(ir, u).matrix
+        eye = np.eye(dim_weyl(ir))
+        assert np.abs(t @ t - eye).max() < 1e-12
+        assert np.abs(t.conj().T @ t - eye).max() < 1e-12
+
+    def test_branch_shift(self):
+        # the lift does not depend on the logarithm's branch: the plain lift
+        # of diag(-1,-1,1) is the cube of its cube root's lift
+        ir = SUIrrepLabel(3, (2, 1, 0))
+        u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
         root = UnitaryElement(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
         cube = np.linalg.matrix_power(lift(ir, root).matrix, 3)
-        assert np.abs(shifted.matrix - cube).max() < 1e-9
+        assert np.abs(lift(ir, u).matrix - cube).max() < 1e-12
+
+    @pytest.mark.parametrize("row", [(2, 1, 0), (3, 0, 0), (2, 1, 1, 0), (2, 2, 0, 0)])
+    def test_homomorphism_on_permutation_matrices(self, row):
+        # S_3 and S_4 mode permutations, phase-normalized to det 1; the double
+        # transpositions of S_4 have eigenvalues exactly -1
+        ir = SUIrrepLabel(len(row), row)
+        m = ir.m
+        v = haar_random_unitary(m, 31)
+        t_v = lift(ir, v).matrix
+        for s in all_permutations(m):
+            p = UnitaryElement.from_matrix(permutation_matrix(s))
+            t_p = lift(ir, p).matrix
+            pv = UnitaryElement.from_matrix(p.matrix @ v.matrix)
+            vp = UnitaryElement.from_matrix(v.matrix @ p.matrix)
+            assert np.abs(lift(ir, pv).matrix - t_p @ t_v).max() < 1e-12
+            assert np.abs(lift(ir, vp).matrix - t_v @ t_p).max() < 1e-12
 
     def test_dimension_cap(self, monkeypatch):
         big = SUIrrepLabel(3, (40, 20, 0))
