@@ -36,7 +36,7 @@ from .linalgimm import (
 from .reports import CSV_FIELDS, VerificationReport, to_csv_row
 from .symgroup import Partition
 from .sunrep import SUIrrepLabel, dfunction_records
-from .verification import SUITE_NAMES, run_suite
+from .verification import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -60,8 +60,13 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def load_matrix_file(path: str) -> np.ndarray:
     """Read a row-major JSON matrix of [re, im] entry pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise MatrixParseError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: not UTF-8 text") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -105,11 +110,26 @@ def _resolve_element(args) -> np.ndarray:
 
 
 class _Output:
+    """Report and record writer: stdout, or the ``--out`` file, which is
+    opened on entering the ``with`` block and closed on leaving it."""
+
     def __init__(self, path: str | None, fmt: str):
-        self.fmt = fmt
-        self._own = path is not None
-        self.fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+        self.path, self.fmt = path, fmt
         self._csv = None
+
+    def __enter__(self):
+        if self.path is None:
+            self.fh = sys.stdout
+            return self
+        try:
+            self.fh = open(self.path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot write {self.path}: {exc.strerror}") from exc
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.path is not None:
+            self.fh.close()
 
     def emit_report(self, report: VerificationReport):
         if self.fmt == "json":
@@ -125,10 +145,6 @@ class _Output:
     def emit_json(self, obj):
         self.fh.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
 
-    def close(self):
-        if self._own:
-            self.fh.close()
-
 
 def cmd_immanant(args) -> int:
     partition = Partition(_parse_ints(args.partition))
@@ -143,7 +159,6 @@ def cmd_immanant(args) -> int:
         selector = SubmatrixSelector(rows, cols)
         target = submatrix(mat, selector)
     value = immanant(partition, target)
-    out = _Output(args.out, args.format)
     record = {
         "command": "immanant",
         "partition": list(partition.parts),
@@ -163,33 +178,26 @@ def cmd_immanant(args) -> int:
         record["pass"] = record["duality_residual"] < args.tol
         if not record["pass"]:
             exit_code = EXIT_FAIL
-    if args.format == "pretty":
-        out.fh.write(f"Imm^{partition}: {value.real:+.15g}{value.imag:+.15g}j\n")
-        if args.check_duality:
-            out.fh.write(f"duality residual: {record['duality_residual']:.3e}\n")
-    else:
-        out.emit_json(record)
-    out.close()
+    with _Output(args.out, args.format) as out:
+        if args.format == "pretty":
+            out.fh.write(f"Imm^{partition}: {value.real:+.15g}{value.imag:+.15g}j\n")
+            if args.check_duality:
+                out.fh.write(f"duality residual: {record['duality_residual']:.3e}\n")
+        else:
+            out.emit_json(record)
     return exit_code
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("kostant", "corollary4"):
-        if args.m is not None:
-            kwargs["m_values"] = (args.m,)
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        kwargs["seed"] = args.seed
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-    elif args.suite == "littlewood":
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        kwargs["seed"] = args.seed
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-    elif args.suite == "conjecture":
+    # Every suite reads --seed, --samples and --tol; the rest are suite specific.
+    kwargs = {"seed": args.seed}
+    if args.samples is not None:
+        kwargs["samples"] = args.samples
+    if args.tol is not None:
+        kwargs["entry_tol" if args.suite == "conjecture" else "tol"] = args.tol
+    if args.m is not None and args.suite in ("kostant", "corollary4"):
+        kwargs["m_values"] = (args.m,)
+    if args.suite == "conjecture":
         if args.m is not None:
             kwargs["m"] = args.m
         if args.partition is not None:
@@ -197,25 +205,11 @@ def cmd_verify(args) -> int:
         if args.rows and args.cols:
             kwargs["selectors"] = [(_parse_ints(args.rows), _parse_ints(args.cols))]
             kwargs["include_named_su5"] = False
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        kwargs["seed"] = args.seed
-        if args.tol is not None:
-            kwargs["entry_tol"] = args.tol
-    else:  # plethysm suites
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        kwargs["seed"] = args.seed
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
     reports = run_suite(args.suite, **kwargs)
-    out = _Output(args.out, args.format)
-    all_pass = True
-    for report in reports:
-        out.emit_report(report)
-        all_pass = all_pass and report.passed
-    out.close()
-    return EXIT_OK if all_pass else EXIT_FAIL
+    with _Output(args.out, args.format) as out:
+        for report in reports:
+            out.emit_report(report)
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_FAIL
 
 
 def cmd_dump_dfunctions(args) -> int:
@@ -230,10 +224,10 @@ def cmd_dump_dfunctions(args) -> int:
     if mat.shape[0] != irrep.m:
         raise DomainError(f"matrix side {mat.shape[0]} != m = {irrep.m}")
     element = UnitaryElement.from_matrix(mat, tol=args.tol)
-    out = _Output(args.out, args.format)
-    for record in dfunction_records(irrep, element):
-        out.emit_json(record)
-    out.close()
+    records = dfunction_records(irrep, element)
+    with _Output(args.out, args.format) as out:
+        for record in records:
+            out.emit_json(record)
     return EXIT_OK
 
 
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_imm.set_defaults(func=cmd_immanant, tol_default=1e-10)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=SUITE_NAMES)
+    p_ver.add_argument("suite", choices=tuple(SUITES))
     p_ver.add_argument("--m", type=int)
     p_ver.add_argument("--partition")
     p_ver.add_argument("--rows")

@@ -37,13 +37,17 @@ from .reports import VerificationReport
 from .symgroup import Partition, Permutation, character_weights, dim_sym, sn_tables
 from .sunrep import (
     GTPattern,
+    LiftedRep,
     SUIrrepLabel,
     WeightVector,
     chain_label,
     generator_matrix,
     gt_basis,
+    lift,
+    occupations,
+    pattern_index,
     weight_block_trace,
-    weight_of,
+    weight_subspace,
 )
 
 TENSOR_SIZE_CAP = 10**6
@@ -221,7 +225,7 @@ class _TensorIrrep:
     def __init__(self, m: int, factors: int, label: SUIrrepLabel):
         self.m, self.factors, self.label = m, factors, label
         self.patterns = gt_basis(label)
-        self.occupations = [weight_of(p).occupation for p in self.patterns]
+        self.occupations = occupations(label)
         self._build()
 
     # -- computational weight blocks -------------------------------------
@@ -289,7 +293,7 @@ class _TensorIrrep:
             rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
             null = vh[rank:].conj().T
         self.n_copies = null.shape[1]
-        order = {p: a for a, p in enumerate(self.patterns)}
+        order = pattern_index(label)
         hw_pattern = self.patterns[0]  # canonical order puts the top pattern first
         table: dict[GTPattern, np.ndarray] = {hw_pattern: null.astype(np.complex128)}
 
@@ -341,14 +345,14 @@ class _TensorIrrep:
     # -- accessors ----------------------------------------------------------
     def amplitude(self, pattern: GTPattern, global_idx: int) -> np.ndarray:
         """Per-copy amplitudes <basis idx | psi^alpha_pattern>, shape (n_copies,)."""
-        occ = self.occupations[self.patterns.index(pattern)]
+        occ = self.occupations[pattern_index(self.label)[pattern]]
         pos = self._block_pos(occ).get(global_idx)
         if pos is None:
             return np.zeros(self.n_copies, dtype=np.complex128)
         return self.table[pattern][pos]
 
     def dense_vector(self, pattern: GTPattern, alpha: int) -> np.ndarray:
-        occ = weight_of(pattern).occupation
+        occ = self.occupations[pattern_index(self.label)[pattern]]
         out = np.zeros(self.m**self.factors, dtype=np.complex128)
         out[self._block(occ)] = self.table[pattern][:, alpha]
         return out
@@ -382,9 +386,7 @@ def chain_subspace(m: int, factors: int, irrep: SUIrrepLabel, weight) -> ChainSu
         return ChainSubspace(irrep, weight, [], [])
     rep = _tensor_irrep(m, factors, row)
     vectors, tags = [], []
-    for p, occ in zip(rep.patterns, rep.occupations):
-        if WeightVector(occ).cartan != weight.cartan:
-            continue
+    for p in weight_subspace(rep.label, weight):
         for alpha in range(rep.n_copies):
             vectors.append(TensorState(m, factors, rep.dense_vector(p, alpha)))
             tags.append((p, alpha))
@@ -514,12 +516,12 @@ def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) ->
     return complex(evolved.amplitudes[_mode_index(m, k)])
 
 
-def coefficient_matrix_value(cm: CoefficientMatrix, lifted_matrix: np.ndarray, patterns) -> complex:
+def coefficient_matrix_value(cm: CoefficientMatrix, lifted: LiftedRep) -> complex:
     """Contract a coefficient matrix against a lifted irrep matrix."""
-    index = {pat: i for i, pat in enumerate(patterns)}
+    index = pattern_index(lifted.irrep)
     ridx = [index[p] for p in cm.row_patterns]
     cidx = [index[p] for p in cm.col_patterns]
-    return complex(np.sum(cm.entries * lifted_matrix[np.ix_(ridx, cidx)]))
+    return complex(np.sum(cm.entries * lifted.matrix[np.ix_(ridx, cidx)]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +538,6 @@ def verify_littlewood(element: UnitaryElement, tol: float = 1e-9, seed: int | No
     pairs must equal Imm^{3,1} + Imm^{4}; the same identity is re-evaluated
     through diagonal group-function sums and both residuals are reported.
     """
-    from .sunrep import lift  # local import to keep module load light
-
     if element.m != 4:
         raise DomainError("the coaxial product identity is stated for 4x4 matrices")
     umat = element.matrix
@@ -599,8 +599,6 @@ def conjecture_scan(
     evidence reporting: a report passes when its own pair shows exactly
     dim{p} unit entries and zeros elsewhere.
     """
-    from .sunrep import lift
-
     n = p.n
     if selectors is None:
         index_sets = list(combinations(range(1, m + 1), n))
@@ -611,14 +609,13 @@ def conjecture_scan(
     label = SUIrrepLabel(m, row)
     samples = [haar_random_unitary(m, seed + 1000 * i) for i in range(check_samples)]
     lifts = [lift(label, u) for u in samples]
-    pattern_order = gt_basis(label)
     for k, q in selectors:
         cm = coefficient_matrix(m, p, k, q)
         info = cm.classify(entry_tol)
         worst = 0.0
         for u, lf in zip(samples, lifts):
             direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
-            via = coefficient_matrix_value(cm, lf.matrix, pattern_order)
+            via = coefficient_matrix_value(cm, lf)
             worst = max(worst, abs(direct - via))
         total = cm.entries.size
         ok = (

@@ -14,4 +14,4 @@ class RankDeficiencyError(RuntimeError):
 
 
 class MatrixParseError(ValueError):
-    """A matrix file could not be decoded."""
+    """A matrix file could not be read or decoded."""

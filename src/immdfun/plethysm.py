@@ -25,9 +25,10 @@ from .sunrep import (
     SUIrrepLabel,
     chain_label,
     dim_weyl,
-    gt_basis,
     lift,
-    weight_of,
+    occupations,
+    pattern_index,
+    weight_subspace,
 )
 
 
@@ -102,10 +103,7 @@ class DecompositionResult:
 
 def _diagonal_product_weight(base: SUIrrepLabel) -> tuple[int, ...]:
     """Occupation of the product-over-all-basis-states tensor state."""
-    occ = np.zeros(base.m, dtype=int)
-    for p in gt_basis(base):
-        occ += np.array(weight_of(p).occupation)
-    return tuple(int(x) for x in occ)
+    return tuple(sum(mode) for mode in zip(*occupations(base)))
 
 
 def torus_candidates(base: SUIrrepLabel, irreps: list[SUIrrepLabel]) -> list[DCandidate]:
@@ -115,12 +113,10 @@ def torus_candidates(base: SUIrrepLabel, irreps: list[SUIrrepLabel]) -> list[DCa
     the weight of the diagonal product state on both sides, so only pattern
     pairs at that Cartan weight can carry nonzero coefficients.
     """
-    from .sunrep import WeightVector
-
-    target = WeightVector(_diagonal_product_weight(base)).cartan
+    target = _diagonal_product_weight(base)
     cands = []
     for ir in irreps:
-        pats = [p for p in gt_basis(ir) if weight_of(p).cartan == target]
+        pats = weight_subspace(ir, target)
         for r in pats:
             for t in pats:
                 cands.append(DCandidate(ir, r, t))
@@ -190,9 +186,6 @@ def fit_decomposition(
 
     cache: dict[int, tuple[complex, dict]] = {}
     irreps = sorted({c.irrep for c in cands}, key=lambda ir: ir.row)
-    indices = {
-        ir: {p: i for i, p in enumerate(gt_basis(ir))} for ir in irreps
-    }
 
     def sample_row(i: int):
         if i not in cache:
@@ -209,7 +202,7 @@ def fit_decomposition(
             target, lifts = sample_row(i)
             y[i] = target
             for c, cand in enumerate(subset):
-                idx = indices[cand.irrep]
+                idx = pattern_index(cand.irrep)
                 X[i, c] = lifts[cand.irrep][idx[cand.r], idx[cand.t]]
         return X, y
 

@@ -128,6 +128,11 @@ class GTPattern:
     def as_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
+    @property
+    def two_j(self) -> int:
+        """Twice the su(2) angular momentum: the spread of the two-entry row."""
+        return self.rows[-2][0] - self.rows[-2][1]
+
     def __repr__(self):
         return "GT" + str(self.as_lists())
 
@@ -207,6 +212,21 @@ def gt_basis(irrep: SUIrrepLabel) -> tuple[GTPattern, ...]:
     return tuple(pats)
 
 
+@cache
+def occupations(irrep: SUIrrepLabel) -> tuple[tuple[int, ...], ...]:
+    """Occupation tuple of every basis pattern, in :func:`gt_basis` order."""
+    return tuple(weight_of(p).occupation for p in gt_basis(irrep))
+
+
+@cache
+def pattern_index(irrep: SUIrrepLabel) -> dict[GTPattern, int]:
+    """Position of each pattern in :func:`gt_basis` order.
+
+    The dict is shared by every caller and must not be mutated.
+    """
+    return {p: i for i, p in enumerate(gt_basis(irrep))}
+
+
 def weight_subspace(irrep: SUIrrepLabel, w) -> tuple[GTPattern, ...]:
     """Basis patterns whose Cartan weight matches ``w``, in canonical order.
 
@@ -217,7 +237,11 @@ def weight_subspace(irrep: SUIrrepLabel, w) -> tuple[GTPattern, ...]:
     if not isinstance(w, WeightVector):
         w = WeightVector(tuple(w))
     target = w.cartan
-    return tuple(p for p in gt_basis(irrep) if weight_of(p).cartan == target)
+    return tuple(
+        p
+        for p, occ in zip(gt_basis(irrep), occupations(irrep))
+        if tuple(a - b for a, b in zip(occ, occ[1:])) == target
+    )
 
 
 def chain_label(pattern: GTPattern) -> str:
@@ -226,7 +250,8 @@ def chain_label(pattern: GTPattern) -> str:
     Each chain entry is the round label of one pattern row (trailing zeros
     dropped); the final su(2) entry is written as the half-integer J.
     """
-    occ = weight_of(pattern).occupation
+    irrep = SUIrrepLabel(pattern.m, pattern.top)
+    occ = occupations(irrep)[pattern_index(irrep)[pattern]]
     occ_str = (
         "".join(str(x) for x in occ)
         if all(x < 10 for x in occ)
@@ -241,9 +266,7 @@ def chain_label(pattern: GTPattern) -> str:
             diffs.pop()
         parts.append("(" + ",".join(str(d) for d in diffs) + ")")
     if pattern.m >= 2:
-        two_j = pattern.rows[-2][0] - pattern.rows[-2][1]
-        j = Fraction(two_j, 2)
-        parts.append(f"({j})")
+        parts.append(f"({Fraction(pattern.two_j, 2)})")
     return occ_str + "".join(parts)
 
 
@@ -293,7 +316,7 @@ def _increment(pattern: GTPattern, k: int, j: int, delta: int) -> GTPattern | No
 def _simple_raising(irrep: SUIrrepLabel, k: int) -> np.ndarray:
     """Matrix of C_{k,k+1} in the GT basis (real, nonnegative entries)."""
     basis = gt_basis(irrep)
-    index = {p: i for i, p in enumerate(basis)}
+    index = pattern_index(irrep)
     d = len(basis)
     mat = np.zeros((d, d))
     for col, pat in enumerate(basis):
@@ -319,8 +342,7 @@ def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
     if not (1 <= i <= m and 1 <= j <= m):
         raise DomainError(f"generator indices must lie in 1..{m}")
     if i == j:
-        occ = np.array([weight_of(p).occupation[i - 1] for p in gt_basis(irrep)], float)
-        return np.diag(occ)
+        return np.diag([float(occ[i - 1]) for occ in occupations(irrep)])
     if j == i + 1:
         return _simple_raising(irrep, i)
     if i == j + 1:
@@ -366,8 +388,7 @@ class LiftedRep:
         return gt_basis(self.irrep)
 
     def entry(self, r: GTPattern, t: GTPattern) -> complex:
-        basis = gt_basis(self.irrep)
-        index = {p: i for i, p in enumerate(basis)}
+        index = pattern_index(self.irrep)
         if r not in index or t not in index:
             raise DomainError("patterns do not belong to this irrep")
         return complex(self.matrix[index[r], index[t]])
@@ -416,8 +437,8 @@ def weight_block_trace(lifted: LiftedRep, occupation) -> complex:
     """Sum of the diagonal group functions whose pattern has ``occupation``."""
     target = tuple(occupation)
     total = 0.0 + 0.0j
-    for i, pat in enumerate(gt_basis(lifted.irrep)):
-        if weight_of(pat).occupation == target:
+    for i, occ in enumerate(occupations(lifted.irrep)):
+        if occ == target:
             total += lifted.matrix[i, i]
     return total
 
@@ -428,19 +449,15 @@ def dfunction(irrep: SUIrrepLabel, r: GTPattern, t: GTPattern, element: UnitaryE
 
 
 def dfunction_records(irrep: SUIrrepLabel, element: UnitaryElement) -> list[dict]:
-    """One record per (irrep, r, t) with GT tags and an (re, im) value pair."""
-    lifted = lift(irrep, element)
-    basis = gt_basis(irrep)
-    records = []
-    for a, r in enumerate(basis):
-        for b, t in enumerate(basis):
-            val = lifted.matrix[a, b]
-            records.append(
-                {
-                    "irrep": list(irrep.row),
-                    "r": r.as_lists(),
-                    "t": t.as_lists(),
-                    "value": [float(val.real), float(val.imag)],
-                }
-            )
-    return records
+    """One record per (irrep, r, t) with GT tags and an (re, im) value pair.
+
+    Records share their ``irrep`` list and their pattern lists.
+    """
+    values = lift(irrep, element).matrix.tolist()
+    row = list(irrep.row)
+    tags = [p.as_lists() for p in gt_basis(irrep)]
+    return [
+        {"irrep": row, "r": tags[a], "t": tags[b], "value": [val.real, val.imag]}
+        for a, vals in enumerate(values)
+        for b, val in enumerate(vals)
+    ]

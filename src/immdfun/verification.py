@@ -16,6 +16,7 @@ import numpy as np
 from .dualspace import (
     conjecture_scan,
     immanant_via_duality,
+    state_weight,
     verify_littlewood,
 )
 from .errors import DomainError
@@ -35,16 +36,6 @@ from .plethysm import (
 from .reports import VerificationReport
 from .symgroup import Partition, partitions_of
 from .sunrep import SUIrrepLabel, lift, weight_block_trace
-
-SUITE_NAMES = (
-    "kostant",
-    "corollary4",
-    "littlewood",
-    "conjecture",
-    "plethysm-su2",
-    "plethysm-su3",
-)
-
 
 def kostant_suite(
     m_values=(2, 3, 4),
@@ -110,9 +101,7 @@ def corollary4_suite(
                 label = SUIrrepLabel.from_partition(p, m, normalize=False)
                 lifts = [lift(label, u) for u in elements]
                 for keep in combinations(range(1, m + 1), size):
-                    occ = [0] * m
-                    for k in keep:
-                        occ[k - 1] = 1
+                    occ = state_weight(m, keep).occupation
                     worst = 0.0
                     worst_dual = 0.0
                     for u, lf in zip(elements, lifts):
@@ -220,10 +209,6 @@ SU3_EXPECTED = {
 }
 
 
-def _two_j(pattern) -> int:
-    return pattern.rows[-2][0] - pattern.rows[-2][1]
-
-
 def plethysm_su2_suite(
     samples: int = 60, seed: int = DEFAULT_SEED, tol: float = 1e-8, zero_tol: float = 1e-9
 ) -> list[VerificationReport]:
@@ -268,7 +253,7 @@ def plethysm_su3_suite(
     problem = su3_sextic_permanent_problem()
     result = fit_decomposition(problem, samples=samples, seed=seed)
     fitted = {
-        (cand.irrep.row, _two_j(cand.r), _two_j(cand.t)): val
+        (cand.irrep.row, cand.r.two_j, cand.t.two_j): val
         for cand, val in result.coefficients
     }
     worst = 0.0
@@ -308,17 +293,17 @@ def plethysm_su3_suite(
     ]
 
 
+SUITES = {
+    "kostant": kostant_suite,
+    "corollary4": corollary4_suite,
+    "littlewood": littlewood_suite,
+    "conjecture": conjecture_suite,
+    "plethysm-su2": plethysm_su2_suite,
+    "plethysm-su3": plethysm_su3_suite,
+}
+
+
 def run_suite(name: str, **kwargs) -> list[VerificationReport]:
-    if name == "kostant":
-        return kostant_suite(**kwargs)
-    if name == "corollary4":
-        return corollary4_suite(**kwargs)
-    if name == "littlewood":
-        return littlewood_suite(**kwargs)
-    if name == "conjecture":
-        return conjecture_suite(**kwargs)
-    if name == "plethysm-su2":
-        return plethysm_su2_suite(**kwargs)
-    if name == "plethysm-su3":
-        return plethysm_su3_suite(**kwargs)
-    raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    return SUITES[name](**kwargs)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from immdfun import verification
 from immdfun.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
 from immdfun.errors import MatrixParseError
+from immdfun.symgroup import Partition
 
 
 def run(capsys, *argv):
@@ -82,6 +84,17 @@ class TestImmanantCommand:
         assert code == EXIT_USAGE
         assert "partition" in err
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["missing", "binary"])
+    def test_unreadable_matrix_file(self, capsys, tmp_path, content):
+        path = tmp_path / "m.json"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run(capsys, "immanant", "--partition", "2", "--matrix-file", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
     def test_resource_cap(self, capsys):
         code, _, err = run(capsys, "immanant", "--partition", "10", "--identity", "10")
         assert code == EXIT_RESOURCE
@@ -152,6 +165,74 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
 
+    def test_unwritable_output_file(self, capsys, tmp_path):
+        path = tmp_path / "no" / "x.jsonl"
+        code, out, err = run(capsys, "verify", "plethysm-su2", "--out", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    # Each suite with every flag it reads, and the same run as a direct call.
+    @pytest.mark.parametrize(
+        "flags, suite, kwargs",
+        [
+            pytest.param(
+                ("--m", "2", "--samples", "2", "--seed", "3", "--tol", "1e-8"),
+                verification.kostant_suite,
+                dict(m_values=(2,), samples=2, seed=3, tol=1e-8),
+                id="kostant",
+            ),
+            pytest.param(
+                ("--m", "4", "--samples", "2", "--seed", "3", "--tol", "1e-8"),
+                verification.corollary4_suite,
+                dict(m_values=(4,), samples=2, seed=3, tol=1e-8),
+                id="corollary4",
+            ),
+            pytest.param(
+                ("--samples", "2", "--seed", "3", "--tol", "1e-8"),
+                verification.littlewood_suite,
+                dict(samples=2, seed=3, tol=1e-8),
+                id="littlewood",
+            ),
+            pytest.param(
+                (
+                    "--m", "4", "--partition", "2,1", "--rows", "2,3,4", "--cols", "1,3,4",
+                    "--samples", "2", "--seed", "3", "--tol", "1e-7",
+                ),
+                verification.conjecture_suite,
+                dict(
+                    m=4,
+                    partition=Partition(2, 1),
+                    selectors=[((2, 3, 4), (1, 3, 4))],
+                    include_named_su5=False,
+                    samples=2,
+                    seed=3,
+                    entry_tol=1e-7,
+                ),
+                id="conjecture",
+            ),
+            pytest.param(
+                ("--samples", "40", "--seed", "3", "--tol", "1e-7"),
+                verification.plethysm_su2_suite,
+                dict(samples=40, seed=3, tol=1e-7),
+                id="plethysm-su2",
+            ),
+            pytest.param(
+                ("--samples", "55", "--seed", "3", "--tol", "1e-6"),
+                verification.plethysm_su3_suite,
+                dict(samples=55, seed=3, tol=1e-6),
+                id="plethysm-su3",
+            ),
+        ],
+    )
+    def test_flags_map_to_suite_kwargs(self, request, capsys, flags, suite, kwargs):
+        name = request.node.callspec.id
+        assert verification.SUITES[name] is suite
+        _, out, _ = run(capsys, "verify", name, *flags)
+        expected = "".join(report.to_json_line() + "\n" for report in suite(**kwargs))
+        assert out == expected
+
 
 class TestDumpCommand:
     def test_identity_diagonal(self, capsys):
@@ -184,6 +265,15 @@ class TestDumpCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         middle = [r for r in records if r["r"] == r["t"] == [[2, 0], [1]]]
         assert middle[0]["value"][0] == pytest.approx(math.cos(beta), abs=1e-12)
+
+    def test_capped_dump_writes_no_output_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("IMMDFUN_MAX_DIM", raising=False)
+        path = tmp_path / "dump.jsonl"
+        code, _, _ = run(
+            capsys, "dump-dfunctions", "--row", "40,20,0", "--identity", "3", "--out", str(path)
+        )
+        assert code == EXIT_RESOURCE
+        assert not path.exists()
 
     def test_dimension_cap_resource_error(self, capsys, monkeypatch):
         monkeypatch.delenv("IMMDFUN_MAX_DIM", raising=False)

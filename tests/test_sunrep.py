@@ -22,6 +22,8 @@ from immdfun.sunrep import (
     generator_matrix,
     gt_basis,
     lift,
+    occupations,
+    pattern_index,
     su2_irrep,
     weight_of,
     weight_subspace,
@@ -106,6 +108,17 @@ class TestWeights:
         ir = SUIrrepLabel(3, (2, 1, 0))
         labels = [chain_label(p) for p in weight_subspace(ir, (1, 1, 1))]
         assert labels == ["111(1)", "111(0)"]
+
+    @pytest.mark.parametrize(
+        "row", [(3, 0), (2, 1, 0), (2, 1, 0, 0), (3, 2, 1)], ids=str
+    )
+    def test_tables_follow_basis_order(self, row):
+        ir = SUIrrepLabel(len(row), row)
+        basis = gt_basis(ir)
+        assert len(occupations(ir)) == len(pattern_index(ir)) == len(basis)
+        for i, p in enumerate(basis):
+            assert occupations(ir)[i] == weight_of(p).occupation
+            assert pattern_index(ir)[p] == i
 
 
 class TestGenerators:
