@@ -16,6 +16,7 @@ the documented constant 1905.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -33,9 +34,9 @@ from .linalgimm import (
     su2_euler,
     submatrix,
 )
-from .reports import CSV_FIELDS, VerificationReport, to_csv_row
+from .reports import CSV_FIELDS, to_csv_row
 from .symgroup import Partition
-from .sunrep import SUIrrepLabel, dfunction_records
+from .sunrep import SUIrrepLabel, gt_basis, lift
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -109,41 +110,37 @@ def _resolve_element(args) -> np.ndarray:
     return haar_random_unitary(args.haar, args.seed).matrix
 
 
-class _Output:
-    """Report and record writer: stdout, or the ``--out`` file, which is
-    opened on entering the ``with`` block and closed on leaving it."""
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
-    def __init__(self, path: str | None, fmt: str):
-        self.path, self.fmt = path, fmt
-        self._csv = None
+
+class _Output:
+    """Stdout, or the ``--out`` file, which is opened on entering the
+    ``with`` block and closed on leaving it.  Failing to open, write or
+    close the file is a DomainError."""
+
+    def __init__(self, path: str | None):
+        self.path = path
 
     def __enter__(self):
         if self.path is None:
             self.fh = sys.stdout
-            return self
+            return self.fh
         try:
             self.fh = open(self.path, "w", encoding="utf-8")
         except OSError as exc:
             raise DomainError(f"cannot write {self.path}: {exc.strerror}") from exc
-        return self
+        return self.fh
 
-    def __exit__(self, *exc_info):
-        if self.path is not None:
+    def __exit__(self, exc_type, exc, tb):
+        if self.path is None:
+            return
+        try:
             self.fh.close()
-
-    def emit_report(self, report: VerificationReport):
-        if self.fmt == "json":
-            self.fh.write(report.to_json_line() + "\n")
-        elif self.fmt == "csv":
-            if self._csv is None:
-                self._csv = csv.writer(self.fh, lineterminator="\n")
-                self._csv.writerow(CSV_FIELDS)
-            self._csv.writerow(to_csv_row(report))
-        else:
-            self.fh.write(report.to_pretty() + "\n")
-
-    def emit_json(self, obj):
-        self.fh.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
+        except OSError as close_exc:
+            exc = exc or close_exc
+        if isinstance(exc, OSError):
+            raise DomainError(f"cannot write {self.path}: {exc.strerror}") from exc
 
 
 def cmd_immanant(args) -> int:
@@ -158,7 +155,10 @@ def cmd_immanant(args) -> int:
     if rows is not None:
         selector = SubmatrixSelector(rows, cols)
         target = submatrix(mat, selector)
-    value = immanant(partition, target)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as one error below
+        value = immanant(partition, target)
+    if not cmath.isfinite(value):
+        raise DomainError(f"Imm^{partition} is not finite: {value}")
     record = {
         "command": "immanant",
         "partition": list(partition.parts),
@@ -167,7 +167,7 @@ def cmd_immanant(args) -> int:
         "value": [value.real, value.imag],
     }
     exit_code = EXIT_OK
-    if args.check_duality:
+    if args.duality:
         m = mat.shape[0]
         element = UnitaryElement.from_matrix(mat, tol=args.tol)
         k = rows if rows is not None else tuple(range(1, m + 1))
@@ -178,37 +178,49 @@ def cmd_immanant(args) -> int:
         record["pass"] = record["duality_residual"] < args.tol
         if not record["pass"]:
             exit_code = EXIT_FAIL
-    with _Output(args.out, args.format) as out:
+    with _Output(args.out) as fh:
         if args.format == "pretty":
-            out.fh.write(f"Imm^{partition}: {value.real:+.15g}{value.imag:+.15g}j\n")
-            if args.check_duality:
-                out.fh.write(f"duality residual: {record['duality_residual']:.3e}\n")
+            fh.write(f"Imm^{partition}: {value.real:+.15g}{value.imag:+.15g}j\n")
+            if args.duality:
+                fh.write(f"duality residual: {record['duality_residual']:.3e}\n")
         else:
-            out.emit_json(record)
+            fh.write(_json(record) + "\n")
     return exit_code
 
 
 def cmd_verify(args) -> int:
     # Every suite reads --seed, --samples and --tol; the rest are suite specific.
+    if args.m is not None and args.suite not in ("kostant", "corollary4", "conjecture"):
+        raise DomainError(f"--m does not apply to verify {args.suite}")
+    for flag in ("partition", "rows", "cols"):
+        if getattr(args, flag) is not None and args.suite != "conjecture":
+            raise DomainError(f"--{flag} applies only to verify conjecture")
+    if (args.rows is None) != (args.cols is None):
+        raise DomainError("--rows and --cols must be supplied together")
     kwargs = {"seed": args.seed}
     if args.samples is not None:
         kwargs["samples"] = args.samples
     if args.tol is not None:
         kwargs["entry_tol" if args.suite == "conjecture" else "tol"] = args.tol
-    if args.m is not None and args.suite in ("kostant", "corollary4"):
+    if args.m is not None and args.suite == "conjecture":
+        kwargs["m"] = args.m
+    elif args.m is not None:
         kwargs["m_values"] = (args.m,)
-    if args.suite == "conjecture":
-        if args.m is not None:
-            kwargs["m"] = args.m
-        if args.partition is not None:
-            kwargs["partition"] = Partition(_parse_ints(args.partition))
-        if args.rows and args.cols:
-            kwargs["selectors"] = [(_parse_ints(args.rows), _parse_ints(args.cols))]
-            kwargs["include_named_su5"] = False
+    if args.partition is not None:
+        kwargs["partition"] = Partition(_parse_ints(args.partition))
+    if args.rows is not None:
+        kwargs["selectors"] = [(_parse_ints(args.rows), _parse_ints(args.cols))]
     reports = run_suite(args.suite, **kwargs)
-    with _Output(args.out, args.format) as out:
-        for report in reports:
-            out.emit_report(report)
+    with _Output(args.out) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            if reports:
+                writer.writerow(CSV_FIELDS)
+            writer.writerows(to_csv_row(report) for report in reports)
+        else:
+            for report in reports:
+                line = report.to_json_line() if args.format == "json" else report.to_pretty()
+                fh.write(line + "\n")
     return EXIT_OK if all(report.passed for report in reports) else EXIT_FAIL
 
 
@@ -223,11 +235,20 @@ def cmd_dump_dfunctions(args) -> int:
     mat = _resolve_element(args)
     if mat.shape[0] != irrep.m:
         raise DomainError(f"matrix side {mat.shape[0]} != m = {irrep.m}")
-    element = UnitaryElement.from_matrix(mat, tol=args.tol)
-    records = dfunction_records(irrep, element)
-    with _Output(args.out, args.format) as out:
-        for record in records:
-            out.emit_json(record)
+    lifted = lift(irrep, UnitaryElement.from_matrix(mat, tol=args.tol)).matrix
+    if not np.all(np.isfinite(lifted)):
+        raise DomainError(f"the lift into {irrep} has non-finite entries")
+    # One JSON record per (r, t): {"irrep": row, "r": tag, "t": tag, "value": [re, im]},
+    # written from tags encoded once; repr of a finite float is its JSON form.
+    tags = [_json(p.as_lists()) for p in gt_basis(irrep)]
+    head = '{"irrep":' + _json(list(irrep.row)) + ',"r":'
+    with _Output(args.out) as fh:
+        for r_tag, values in zip(tags, lifted):
+            prefix = head + r_tag + ',"t":'
+            fh.writelines(
+                f'{prefix}{t_tag},"value":[{val.real!r},{val.imag!r}]}}\n'
+                for t_tag, val in zip(tags, values.tolist())
+            )
     return EXIT_OK
 
 
@@ -258,20 +279,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--identity", type=int, help="identity matrix of the given size")
         p.add_argument("--haar", type=int, metavar="M", help="Haar sample of U(M)")
 
-    def add_common(p):
+    def add_common(p, tol):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
 
     p_imm = sub.add_parser("immanant", help="evaluate one immanant")
     p_imm.add_argument("--partition", required=True, help="e.g. 2,1")
     p_imm.add_argument("--rows", help="kept rows (1-based, increasing)")
     p_imm.add_argument("--cols", help="kept columns (1-based, distinct)")
-    p_imm.add_argument("--check-duality", action="store_true")
+    p_imm.add_argument("--check-duality", action="store_true", dest="duality")
     add_element_args(p_imm)
-    add_common(p_imm)
-    p_imm.set_defaults(func=cmd_immanant, tol_default=1e-10)
+    add_common(p_imm, tol=1e-10)
+    p_imm.add_argument("--format", choices=("json", "pretty"), default="json")
+    p_imm.set_defaults(func=cmd_immanant)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=tuple(SUITES))
@@ -280,16 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--rows")
     p_ver.add_argument("--cols")
     p_ver.add_argument("--samples", type=int)
-    add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify, tol_default=None)
+    add_common(p_ver, tol=None)
+    p_ver.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    p_ver.set_defaults(func=cmd_verify)
 
     p_dump = sub.add_parser("dump-dfunctions", help="tabulate group functions")
     p_dump.add_argument("--row", help="irrep row, e.g. 2,1,0")
     p_dump.add_argument("--partition", help="partition labelling the irrep")
     p_dump.add_argument("--m", type=int)
     add_element_args(p_dump)
-    add_common(p_dump)
-    p_dump.set_defaults(func=cmd_dump_dfunctions, tol_default=1e-10)
+    add_common(p_dump, tol=1e-10)
+    p_dump.set_defaults(func=cmd_dump_dfunctions)
 
     return parser
 
@@ -297,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None and getattr(args, "tol_default", None) is not None:
-        args.tol = args.tol_default
     try:
         _check_shared_flags(args)
         return args.func(args)

@@ -192,10 +192,6 @@ class CollectiveOperator:
         return TensorState(self.m, self.factors, out.reshape(-1))
 
 
-def collective_operator(m: int, factors: int, i: int, j: int) -> CollectiveOperator:
-    return CollectiveOperator(m, factors, i, j)
-
-
 # ---------------------------------------------------------------------------
 # chain-adapted irrep copies inside the tensor power
 # ---------------------------------------------------------------------------
@@ -587,7 +583,6 @@ def conjecture_scan(
     entry_tol: float = 1e-8,
     check_samples: int = 25,
     seed: int = DEFAULT_SEED,
-    cross_tol: float = 1e-9,
 ) -> list[VerificationReport]:
     """Scan submatrix selector pairs for the unit-coefficient pattern.
 
@@ -597,7 +592,7 @@ def conjecture_scan(
     report also carries the worst residual of the reconstructed immanant
     against the character sum over ``check_samples`` Haar samples.  This is
     evidence reporting: a report passes when its own pair shows exactly
-    dim{p} unit entries and zeros elsewhere.
+    dim{p} unit entries and zeros elsewhere, and that residual is below 1e-9.
     """
     n = p.n
     if selectors is None:
@@ -622,7 +617,7 @@ def conjecture_scan(
             info["unit_entries"] == expected_units
             and info["zero_entries"] == total - expected_units
             and not info["violations"]
-            and worst < cross_tol
+            and worst < 1e-9
         )
         info["max_cross_residual"] = float(worst)
         info["expected_units"] = expected_units

@@ -58,18 +58,18 @@ class UnitaryElement:
             )
 
     @classmethod
-    def from_matrix(cls, mat, tol: float = 1e-10, normalize_phase: bool = True):
+    def from_matrix(cls, mat, tol: float = 1e-10):
         """Wrap a unitary matrix, fixing a global phase so that det = 1.
 
         Inputs with |det| = 1 but det != 1 are multiplied by an m-th root
-        phase when ``normalize_phase`` is set; the result carries a flag.
+        phase; the result carries a flag.
         """
         mat = as_square(mat)
         m = mat.shape[0]
         det = np.linalg.det(mat)
         normalized = False
         if abs(det - 1.0) >= tol:
-            if not normalize_phase or abs(abs(det) - 1.0) >= tol:
+            if abs(abs(det) - 1.0) >= tol:
                 raise DomainError(f"det = {det:.6g} cannot be phase-normalized to 1")
             mat = mat * cmath.exp(-1j * cmath.phase(det) / m)
             normalized = True
@@ -144,7 +144,7 @@ def submatrix(mat, sel: SubmatrixSelector) -> np.ndarray:
     return arr[np.ix_([r - 1 for r in sel.rows], [c - 1 for c in sel.cols])]
 
 
-def immanant(p: Partition, mat, max_n: int = IMMANANT_CAP) -> complex:
+def immanant(p: Partition, mat) -> complex:
     """Character-weighted permutation sum Imm^{p}(M).
 
     Parameters
@@ -152,9 +152,8 @@ def immanant(p: Partition, mat, max_n: int = IMMANANT_CAP) -> complex:
     p : Partition
         Partition of n labelling the S_n character.
     mat : array_like or UnitaryElement
-        Square n x n complex matrix.
-    max_n : int
-        Cap on n (the sum has n! terms).
+        Square n x n complex matrix, n <= ``IMMANANT_CAP`` (the sum has n!
+        terms).
 
     Deterministic for fixed input: terms are accumulated in the fixed
     ``itertools.permutations`` order.
@@ -163,9 +162,9 @@ def immanant(p: Partition, mat, max_n: int = IMMANANT_CAP) -> complex:
     n = arr.shape[0]
     if p.n != n:
         raise DomainError(f"partition {p} is not a partition of the matrix side {n}")
-    if n > max_n:
+    if n > IMMANANT_CAP:
         raise ResourceLimitError(
-            f"definitional immanant capped at n = {max_n} (requested n = {n})"
+            f"definitional immanant capped at n = {IMMANANT_CAP} (requested n = {n})"
         )
     perms, _, _ = sn_tables(n)
     return _kernels.imm_sum(arr, perms, character_weights(p))

@@ -55,7 +55,6 @@ class PlethysmProblem:
     base_irrep: SUIrrepLabel
     partition: Partition
     candidates: list[DCandidate]
-    label: str = ""
 
     def __post_init__(self):
         if self.partition.n != dim_weyl(self.base_irrep):
@@ -72,12 +71,6 @@ class DecompositionResult:
     sample_count: int
     gram_condition: float
     pruned: list[tuple[DCandidate, complex]] = field(default_factory=list)
-
-    def coefficient(self, cand: DCandidate) -> complex:
-        for c, val in self.coefficients + self.pruned:
-            if c == cand:
-                return val
-        raise KeyError(cand)
 
     def diagonal_sum(self) -> complex:
         return sum(v for c, v in self.coefficients if c.diagonal)
@@ -133,7 +126,7 @@ def su2_power_problem(two_j: int, partition: Partition) -> PlethysmProblem:
     top = n * two_j // 2
     irreps = [SUIrrepLabel(2, (2 * jp, 0)) for jp in range(top + 1)]
     cands = torus_candidates(base, irreps)
-    return PlethysmProblem(base, partition, cands, label=f"su2:J={Fraction(two_j, 2)}")
+    return PlethysmProblem(base, partition, cands)
 
 
 # SU(3) irreps occurring in the symmetric sixth power of the two-box irrep,
@@ -154,7 +147,7 @@ def su3_sextic_permanent_problem() -> PlethysmProblem:
     base = SUIrrepLabel(3, (2, 0, 0))
     irreps = [SUIrrepLabel(3, row) for row in SU3_SEXTIC_ROWS]
     cands = torus_candidates(base, irreps)
-    return PlethysmProblem(base, Partition(6), cands, label="su3:(2,0) permanent")
+    return PlethysmProblem(base, Partition(6), cands)
 
 
 def _target_value(problem: PlethysmProblem, lifted: np.ndarray) -> complex:
@@ -164,17 +157,17 @@ def _target_value(problem: PlethysmProblem, lifted: np.ndarray) -> complex:
     return immanant(p, lifted)
 
 
+PRUNE_BELOW = 1e-9  # preliminary coefficients smaller than this are dropped
+MAX_CONDITION = 1e8  # a design matrix worse conditioned than this is rank deficient
+
+
 def fit_decomposition(
-    problem: PlethysmProblem,
-    samples: int = 60,
-    seed: int = DEFAULT_SEED,
-    prune_tol: float = 1e-9,
-    cond_cap: float = 1e8,
+    problem: PlethysmProblem, samples: int = 60, seed: int = DEFAULT_SEED
 ) -> DecompositionResult:
     """Least-squares coefficients of the immanant over the candidate set.
 
     A preliminary fit over all candidates (with at least 3x as many samples
-    as unknowns) locates the support; candidates below ``prune_tol`` are
+    as unknowns) locates the support; candidates below ``PRUNE_BELOW`` are
     dropped and the survivors are refit at the requested sample count.
     Deterministic for a fixed seed.
     """
@@ -209,7 +202,7 @@ def fit_decomposition(
     def solve(X, y, subset):
         svals = np.linalg.svd(X, compute_uv=False)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-        if cond > cond_cap:
+        if cond > MAX_CONDITION:
             gram = np.abs(X.conj().T @ X)
             norms = np.sqrt(np.diagonal(gram).real)
             overlap = gram / np.outer(norms, norms)
@@ -225,8 +218,8 @@ def fit_decomposition(
 
     X0, y0 = design(prelim_samples, cands)
     coef0, _, _ = solve(X0, y0, cands)
-    survivors = [c for c, v in zip(cands, coef0) if abs(v) >= prune_tol]
-    pruned = [(c, complex(v)) for c, v in zip(cands, coef0) if abs(v) < prune_tol]
+    survivors = [c for c, v in zip(cands, coef0) if abs(v) >= PRUNE_BELOW]
+    pruned = [(c, complex(v)) for c, v in zip(cands, coef0) if abs(v) < PRUNE_BELOW]
     if not survivors:
         return DecompositionResult([], float(np.abs(y0).max()), prelim_samples, 1.0, pruned)
     if samples < 3 * len(survivors):
@@ -257,9 +250,7 @@ def candidate_irreps_su2(two_j: int, partition: Partition, samples: int = 60, se
     return out
 
 
-def diagonal_sum_check(
-    result: DecompositionResult, partition: Partition, tol: float = 1e-8
-) -> VerificationReport:
+def diagonal_sum_check(result: DecompositionResult, partition: Partition) -> VerificationReport:
     """Diagonal coefficients must sum to the S_N irrep dimension."""
     total = result.diagonal_sum()
     expected = dim_sym(partition)
@@ -268,7 +259,7 @@ def diagonal_sum_check(
         suite="plethysm-diagonal-sum",
         partition=partition.parts,
         residual=float(residual),
-        passed=bool(residual < tol),
+        passed=bool(residual < 1e-8),
         details={
             "diagonal_sum": [float(total.real), float(total.imag)],
             "expected": expected,
@@ -291,8 +282,13 @@ def _square_split(n: int) -> tuple[int, int]:
     return a, c * n
 
 
-def recognize_value(x: float, tol: float = 1e-7, max_den: int = 1000) -> str | None:
-    """Match a float against small rationals p/q or surds (a/b)*sqrt(c/d).
+RECOGNIZE_TOL = 1e-7
+MAX_DENOMINATOR = 1000
+
+
+def recognize_value(x: float) -> str | None:
+    """Match a float against small rationals p/q or surds (a/b)*sqrt(c/d)
+    to within ``RECOGNIZE_TOL``, with denominators up to ``MAX_DENOMINATOR``.
 
     A surd is accepted only when the squarefree parts c, d stay small, which
     keeps generic floats unmatched; unmatched values are reported as floats
@@ -300,15 +296,16 @@ def recognize_value(x: float, tol: float = 1e-7, max_den: int = 1000) -> str | N
     """
     if x == 0.0:
         return "0"
-    frac = Fraction(x).limit_denominator(max_den)
-    if frac != 0 and abs(x - float(frac)) < tol:
+    frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+    if frac != 0 and abs(x - float(frac)) < RECOGNIZE_TOL:
         return str(frac)
-    sq = Fraction(x * x).limit_denominator(max_den**4)
+    sq = Fraction(x * x).limit_denominator(MAX_DENOMINATOR**4)
     if sq > 0:
         a, c = _square_split(sq.numerator)
         b, d = _square_split(sq.denominator)
         value = (a / b) * math.sqrt(c / d)
-        if c <= max_den and d <= max_den and b <= max_den**2 and abs(abs(x) - value) < tol:
+        small = max(c, d) <= MAX_DENOMINATOR and b <= MAX_DENOMINATOR**2
+        if small and abs(abs(x) - value) < RECOGNIZE_TOL:
             sign = "-" if x < 0 else ""
             radicand = str(c) if d == 1 else f"{c}/{d}"
             if a == b:

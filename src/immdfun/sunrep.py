@@ -28,9 +28,13 @@ DEFAULT_MAX_LIFT_DIM = 512
 
 
 def max_lift_dim() -> int:
-    """Dense-lift dimension cap; overridable via IMMDFUN_MAX_DIM."""
+    """Dense-lift dimension cap: IMMDFUN_MAX_DIM, a positive integer, if set."""
     env = os.environ.get("IMMDFUN_MAX_DIM", "")
-    return int(env) if env else DEFAULT_MAX_LIFT_DIM
+    if not env:
+        return DEFAULT_MAX_LIFT_DIM
+    if not (env.isdecimal() and int(env) > 0):
+        raise DomainError(f"IMMDFUN_MAX_DIM must be a positive integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,6 @@ class SUIrrepLabel:
     def round_label(self) -> tuple[int, ...]:
         """Consecutive differences (lambda_1 - lambda_2, ...), m-1 entries."""
         return tuple(self.row[i] - self.row[i + 1] for i in range(self.m - 1))
-
-    def shifted(self, c: int) -> "SUIrrepLabel":
-        return SUIrrepLabel(self.m, tuple(x + c for x in self.row))
 
     @property
     def boxes(self) -> int:
@@ -121,9 +122,6 @@ class GTPattern:
 
     def flattened(self) -> tuple[int, ...]:
         return tuple(x for r in self.rows for x in r)
-
-    def shifted(self, c: int) -> "GTPattern":
-        return GTPattern(tuple(tuple(x + c for x in r) for r in self.rows))
 
     def as_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -425,11 +423,9 @@ def lift(irrep: SUIrrepLabel, element: UnitaryElement) -> LiftedRep:
         raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrix)")
     if element.m != irrep.m:
         raise DomainError(f"element acts on {element.m} modes, irrep has m = {irrep.m}")
-    d = dim_weyl(irrep)
-    if d > max_lift_dim():
-        raise ResourceLimitError(
-            f"irrep dimension {d} exceeds the dense-lift cap {max_lift_dim()}"
-        )
+    d, cap = dim_weyl(irrep), max_lift_dim()
+    if d > cap:
+        raise ResourceLimitError(f"irrep dimension {d} exceeds the dense-lift cap {cap}")
     return LiftedRep(irrep, _exp_hermitian_stack(irrep, _principal_log(element.matrix)))
 
 
@@ -447,17 +443,3 @@ def dfunction(irrep: SUIrrepLabel, r: GTPattern, t: GTPattern, element: UnitaryE
     """Group function D^{(irrep)}_{rt}: the (r, t) entry of the lifted matrix."""
     return lift(irrep, element).entry(r, t)
 
-
-def dfunction_records(irrep: SUIrrepLabel, element: UnitaryElement) -> list[dict]:
-    """One record per (irrep, r, t) with GT tags and an (re, im) value pair.
-
-    Records share their ``irrep`` list and their pattern lists.
-    """
-    values = lift(irrep, element).matrix.tolist()
-    row = list(irrep.row)
-    tags = [p.as_lists() for p in gt_basis(irrep)]
-    return [
-        {"irrep": row, "r": tags[a], "t": tags[b], "value": [val.real, val.imag]}
-        for a, vals in enumerate(values)
-        for b, val in enumerate(vals)
-    ]

@@ -37,44 +37,50 @@ from .reports import VerificationReport
 from .symgroup import Partition, partitions_of
 from .sunrep import SUIrrepLabel, lift, weight_block_trace
 
+DUALITY_TOL = 1e-10
+
+
+def _principal_residuals(m, p, keep, elements, lifts) -> tuple[float, float]:
+    """Worst |Imm^{p} - diagonal D-sum| and worst |Imm^{p} - duality route|
+    of the principal submatrix on ``keep`` over the sampled elements, whose
+    lifts into the irrep dual to ``p`` are ``lifts``."""
+    occ = state_weight(m, keep).occupation
+    selector = SubmatrixSelector(keep, keep)
+    worst = 0.0
+    worst_dual = 0.0
+    for u, lf in zip(elements, lifts):
+        direct = immanant(p, submatrix(u.matrix, selector))
+        worst = max(worst, abs(direct - weight_block_trace(lf, occ)))
+        via = immanant_via_duality(m, p, keep, keep, u)
+        worst_dual = max(worst_dual, abs(direct - via))
+    return float(worst), float(worst_dual)
+
+
 def kostant_suite(
     m_values=(2, 3, 4),
     samples: int = 25,
     seed: int = DEFAULT_SEED,
     tol: float = 1e-9,
-    check_duality: bool = True,
-    duality_tol: float = 1e-10,
 ) -> list[VerificationReport]:
     """Immanant of the defining matrix = trace over zero-weight diagonal
     group functions, for every partition of m."""
     reports = []
     for m in m_values:
         full = tuple(range(1, m + 1))
+        elements = [haar_random_unitary(m, seed + i) for i in range(samples)]
         for p in partitions_of(m):
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
-            worst = 0.0
-            worst_dual = 0.0
-            for i in range(samples):
-                u = haar_random_unitary(m, seed + i)
-                direct = immanant(p, u.matrix)
-                dsum = weight_block_trace(lift(label, u), (1,) * m)
-                worst = max(worst, abs(direct - dsum))
-                if check_duality:
-                    via = immanant_via_duality(m, p, full, full, u)
-                    worst_dual = max(worst_dual, abs(direct - via))
-            passed = worst < tol and (not check_duality or worst_dual < duality_tol)
+            lifts = [lift(label, u) for u in elements]
+            worst, worst_dual = _principal_residuals(m, p, full, elements, lifts)
             reports.append(
                 VerificationReport(
                     suite="kostant",
                     m=m,
                     partition=p.parts,
                     seed=seed,
-                    residual=float(worst),
-                    passed=bool(passed),
-                    details={
-                        "samples": samples,
-                        "duality_residual": float(worst_dual) if check_duality else None,
-                    },
+                    residual=worst,
+                    passed=worst < tol and worst_dual < DUALITY_TOL,
+                    details={"samples": samples, "duality_residual": worst_dual},
                 )
             )
     return reports
@@ -86,8 +92,6 @@ def corollary4_suite(
     samples: int = 10,
     seed: int = DEFAULT_SEED,
     tol: float = 1e-9,
-    check_duality: bool = True,
-    duality_tol: float = 1e-10,
 ) -> list[VerificationReport]:
     """Principal submatrix immanants = diagonal D-sums over the selector's
     weight subspace, for every principal selector and partition."""
@@ -101,18 +105,7 @@ def corollary4_suite(
                 label = SUIrrepLabel.from_partition(p, m, normalize=False)
                 lifts = [lift(label, u) for u in elements]
                 for keep in combinations(range(1, m + 1), size):
-                    occ = state_weight(m, keep).occupation
-                    worst = 0.0
-                    worst_dual = 0.0
-                    for u, lf in zip(elements, lifts):
-                        sub = submatrix(u.matrix, SubmatrixSelector(keep, keep))
-                        direct = immanant(p, sub)
-                        dsum = weight_block_trace(lf, occ)
-                        worst = max(worst, abs(direct - dsum))
-                        if check_duality:
-                            via = immanant_via_duality(m, p, keep, keep, u)
-                            worst_dual = max(worst_dual, abs(direct - via))
-                    passed = worst < tol and (not check_duality or worst_dual < duality_tol)
+                    worst, worst_dual = _principal_residuals(m, p, keep, elements, lifts)
                     reports.append(
                         VerificationReport(
                             suite="corollary4",
@@ -121,14 +114,12 @@ def corollary4_suite(
                             selector_rows=keep,
                             selector_cols=keep,
                             seed=seed,
-                            residual=float(worst),
-                            passed=bool(passed),
+                            residual=worst,
+                            passed=worst < tol and worst_dual < DUALITY_TOL,
                             details={
                                 "samples": samples,
-                                "weight": list(occ),
-                                "duality_residual": float(worst_dual)
-                                if check_duality
-                                else None,
+                                "weight": list(state_weight(m, keep).occupation),
+                                "duality_residual": worst_dual,
                             },
                         )
                     )
@@ -152,15 +143,15 @@ def conjecture_suite(
     entry_tol: float = 1e-8,
     samples: int = 25,
     seed: int = DEFAULT_SEED,
-    include_named_su5: bool = True,
 ) -> list[VerificationReport]:
     """Unit-coefficient evidence scan; by default the full 3x3 selector grid
-    of SU(4) for {2,1} plus the two named SU(5) pairs."""
+    of SU(4) for {2,1} plus the two named SU(5) pairs, which are left out
+    when ``selectors`` is given."""
     p = partition if partition is not None else Partition(2, 1)
     reports = conjecture_scan(
         m, p, selectors=selectors, entry_tol=entry_tol, check_samples=samples, seed=seed
     )
-    if include_named_su5 and m == 4 and selectors is None:
+    if m == 4 and selectors is None:
         named = [
             (Partition(2, 1), (2, 3, 5), (1, 3, 4)),
             (Partition(3, 1), (1, 3, 4, 5), (1, 2, 3, 5)),
@@ -210,7 +201,7 @@ SU3_EXPECTED = {
 
 
 def plethysm_su2_suite(
-    samples: int = 60, seed: int = DEFAULT_SEED, tol: float = 1e-8, zero_tol: float = 1e-9
+    samples: int = 60, seed: int = DEFAULT_SEED, tol: float = 1e-8
 ) -> list[VerificationReport]:
     problem = su2_power_problem(3, Partition(2, 2))
     result = fit_decomposition(problem, samples=samples, seed=seed)
@@ -227,7 +218,7 @@ def plethysm_su2_suite(
         max((abs(v) for c, v in result.coefficients if c.irrep.row[0] not in SU2_EXPECTED), default=0.0),
     )
     diag = diagonal_sum_check(result, Partition(2, 2))
-    passed = worst < tol and stray < zero_tol and diag.passed and result.residual < 1e-8
+    passed = worst < tol and stray < 1e-9 and diag.passed and result.residual < 1e-8
     return [
         VerificationReport(
             suite="plethysm-su2",

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ class TestImmanantCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_value_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([[[1e200, 0.0]] * 2] * 2))
+        out_path = tmp_path / "imm.json"
+        code, out, err = run(
+            capsys, "immanant", "--partition", "2", "--matrix-file", str(path),
+            "--out", str(out_path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_resource_cap(self, capsys):
         code, _, err = run(capsys, "immanant", "--partition", "10", "--identity", "10")
         assert code == EXIT_RESOURCE
@@ -173,6 +188,15 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "kostant", "--m", "2", "--samples", "2", "--out", "/dev/full"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write /dev/full") and err.count("\n") == 1
+
     # Each suite with every flag it reads, and the same run as a direct call.
     @pytest.mark.parametrize(
         "flags, suite, kwargs",
@@ -205,7 +229,6 @@ class TestVerifyCommand:
                     m=4,
                     partition=Partition(2, 1),
                     selectors=[((2, 3, 4), (1, 3, 4))],
-                    include_named_su5=False,
                     samples=2,
                     seed=3,
                     entry_tol=1e-7,
@@ -275,6 +298,14 @@ class TestDumpCommand:
         assert code == EXIT_RESOURCE
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_invalid_max_dim(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("IMMDFUN_MAX_DIM", value)
+        code, out, err = run(capsys, "dump-dfunctions", "--row", "2,1,0", "--identity", "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: IMMDFUN_MAX_DIM must be a positive integer, got {value!r}\n"
+
     def test_dimension_cap_resource_error(self, capsys, monkeypatch):
         monkeypatch.delenv("IMMDFUN_MAX_DIM", raising=False)
         code, _, err = run(capsys, "dump-dfunctions", "--row", "40,20,0", "--identity", "3")
@@ -299,6 +330,12 @@ class TestRejectedFlags:
                 "row indices must be strictly increasing",
             ),
             (("verify", "littlewood", "--partition", "x"), "expected comma-separated integers"),
+            (("verify", "littlewood", "--m", "7"), "--m does not apply to verify littlewood"),
+            (("verify", "plethysm-su2", "--m", "3"), "--m does not apply"),
+            (("verify", "littlewood", "--partition", "5"), "--partition applies only to"),
+            (("verify", "kostant", "--rows", "1,2", "--cols", "1,2"), "--rows applies only to"),
+            (("verify", "corollary4", "--cols", "1,2"), "--cols applies only to"),
+            (("verify", "conjecture", "--rows", "1,2,3"), "--rows and --cols must be supplied"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):

@@ -5,6 +5,7 @@ import pytest
 
 from immdfun.dualspace import (
     ChainSubspace,
+    CollectiveOperator,
     TensorState,
     _tensor_irrep,
     _TensorIrrep,
@@ -14,7 +15,6 @@ from immdfun.dualspace import (
     chain_subspace,
     coefficient_matrix,
     coefficient_matrix_value,
-    collective_operator,
     conjecture_scan,
     immanant_projector,
     immanant_via_duality,
@@ -126,27 +126,27 @@ class TestCollectiveOperators:
     def test_diagonal_counts(self):
         v = basis_state(3, (1, 1, 3))
         for i, count in ((1, 2), (2, 0), (3, 1)):
-            out = collective_operator(3, 3, i, i)(v)
+            out = CollectiveOperator(3, 3, i, i)(v)
             assert np.abs(out.amplitudes - count * v.amplitudes).max() == 0.0
 
     def test_cartan_annihilates_uniform_state(self):
         psi = basis_state(4, (1, 2, 3, 4))
         for i in range(1, 4):
-            upper = collective_operator(4, 4, i, i)(psi)
-            lower = collective_operator(4, 4, i + 1, i + 1)(psi)
+            upper = CollectiveOperator(4, 4, i, i)(psi)
+            lower = CollectiveOperator(4, 4, i + 1, i + 1)(psi)
             assert np.abs(upper.amplitudes - lower.amplitudes).max() == 0.0
 
     def test_commutation_relations_on_random_states(self):
         m, n = 3, 3
         v = random_state(m, n, 11)
         for (i, j, k, l) in [(1, 2, 2, 1), (1, 2, 2, 3), (2, 3, 3, 2), (1, 3, 2, 1)]:
-            cij, ckl = collective_operator(m, n, i, j), collective_operator(m, n, k, l)
+            cij, ckl = CollectiveOperator(m, n, i, j), CollectiveOperator(m, n, k, l)
             lhs = cij(ckl(v)).amplitudes - ckl(cij(v)).amplitudes
             rhs = np.zeros_like(lhs)
             if j == k:
-                rhs = rhs + collective_operator(m, n, i, l)(v).amplitudes
+                rhs = rhs + CollectiveOperator(m, n, i, l)(v).amplitudes
             if l == i:
-                rhs = rhs - collective_operator(m, n, k, j)(v).amplitudes
+                rhs = rhs - CollectiveOperator(m, n, k, j)(v).amplitudes
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -185,7 +185,7 @@ class TestChainSubspace:
         for vec, (pat, _) in zip(cs.vectors, cs.tags):
             occ = weight_of(pat).occupation
             for i in range(1, 4):
-                out = collective_operator(3, 3, i, i)(vec)
+                out = CollectiveOperator(3, 3, i, i)(vec)
                 assert np.abs(out.amplitudes - occ[i - 1] * vec.amplitudes).max() < 1e-10
 
     def test_dblock_matches_lifted_matrix(self):

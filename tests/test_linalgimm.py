@@ -63,7 +63,7 @@ class TestImmanant:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            immanant(P((4, 3, 2, 1)), np.eye(10), max_n=9)
+            immanant(P((4, 3, 2, 1)), np.eye(10))
 
     def test_determinant_and_permanent_agreement(self):
         # 100 random matrices spread over n = 2..7

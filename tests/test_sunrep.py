@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from immdfun.cli import main
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     UnitaryElement,
@@ -17,7 +19,6 @@ from immdfun.sunrep import (
     WeightVector,
     chain_label,
     dfunction,
-    dfunction_records,
     dim_weyl,
     generator_matrix,
     gt_basis,
@@ -312,8 +313,9 @@ class TestDFunction:
         with pytest.raises(DomainError):
             dfunction(ir, other, other, UnitaryElement(np.eye(3)))
 
-    def test_records_identity(self):
-        recs = dfunction_records(SUIrrepLabel(3, (2, 1, 0)), UnitaryElement(np.eye(3)))
+    def test_records_identity(self, capsys):
+        assert main(["dump-dfunctions", "--row", "2,1,0", "--identity", "3"]) == 0
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(recs) == 64
         diag = [r for r in recs if r["r"] == r["t"]]
         assert len(diag) == 8
