@@ -45,27 +45,4 @@ def ryser_permanent(mat):
     return complex(total)
 
 
-# ---------------------------------------------------------------------------
-# projector action: out = sum_p w[p] * gather(amps, sigma_p)
-# ---------------------------------------------------------------------------
-#
-# ``digits[i, j]`` is the mode (0-based) of tensor factor j in basis state i;
-# ``powers[j]`` the mixed-radix weight of factor j, so
-# ``i = sum_j digits[i, j] * powers[j]``.  Permutation p sends basis state
-# ``i`` to the state whose factor j carries ``digits[i, sigmas[p, j]]``.
-
-
-def projector_apply(amps, digits, sigmas, weights, powers):
-    """Apply ``sum_p weights[p] P(sigma_p)`` to a tensor amplitude vector."""
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    out = np.zeros_like(amps)
-    for p in range(sigmas.shape[0]):
-        w = weights[p]
-        if w == 0.0:
-            continue
-        gather = digits[:, sigmas[p]] @ powers
-        out += w * amps[gather]
-    return out
-
-
-__all__ = ["imm_sum", "ryser_permanent", "projector_apply"]
+__all__ = ["imm_sum", "ryser_permanent"]

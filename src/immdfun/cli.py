@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -116,8 +119,8 @@ def _json(obj) -> str:
 
 class _Output:
     """Stdout, or the ``--out`` file, which is opened on entering the
-    ``with`` block and closed on leaving it.  Failing to open, write or
-    close the file is a DomainError."""
+    ``with`` block and closed on leaving it; stdout is flushed instead.
+    Failing to open, write, flush or close either is a DomainError."""
 
     def __init__(self, path: str | None):
         self.path = path
@@ -133,14 +136,26 @@ class _Output:
         return self.fh
 
     def __exit__(self, exc_type, exc, tb):
-        if self.path is None:
-            return
         try:
-            self.fh.close()
+            if self.path is None:
+                self.fh.flush()
+            else:
+                self.fh.close()
         except OSError as close_exc:
             exc = exc or close_exc
         if isinstance(exc, OSError):
-            raise DomainError(f"cannot write {self.path}: {exc.strerror}") from exc
+            if self.path is None:
+                _discard_stdout()
+            raise DomainError(f"cannot write {self.path or 'stdout'}: {exc.strerror}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the output
+    still buffered in sys.stdout cannot fail again at interpreter exit."""
+    with contextlib.suppress(OSError, ValueError):  # no descriptor: nothing left to fail
+        fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
 
 
 def cmd_immanant(args) -> int:
@@ -259,8 +274,8 @@ def _check_shared_flags(args) -> None:
         Partition(_parse_ints(args.partition))
     if getattr(args, "rows", None) and getattr(args, "cols", None):
         SubmatrixSelector(_parse_ints(args.rows), _parse_ints(args.cols))
-    if args.tol is not None and args.tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise DomainError("tolerance must be positive and finite")
     if getattr(args, "samples", None) is not None and args.samples < 1:
         raise DomainError("samples must be >= 1")
 

@@ -22,7 +22,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, ResourceLimitError
 from .linalgimm import (
     DEFAULT_SEED,
@@ -85,7 +84,8 @@ class TensorState:
 
 @cache
 def _digits(m: int, n: int) -> np.ndarray:
-    """(m^n, n) table of 0-based modes per factor for every basis index."""
+    """Read-only (m^n, n) table of the 0-based mode of each factor in every
+    basis state i; ``i = _digits(m, n)[i] @ _powers(m, n)``."""
     if m**n > TENSOR_SIZE_CAP:
         raise ResourceLimitError(f"tensor space m^N = {m ** n} exceeds cap {TENSOR_SIZE_CAP}")
     idx = np.arange(m**n, dtype=np.int64)
@@ -93,12 +93,56 @@ def _digits(m: int, n: int) -> np.ndarray:
     for j in range(n - 1, -1, -1):
         out[:, j] = idx % m
         idx //= m
+    out.flags.writeable = False
     return out
 
 
 @cache
 def _powers(m: int, n: int) -> np.ndarray:
-    return np.array([m ** (n - 1 - j) for j in range(n)], dtype=np.int64)
+    out = np.array([m ** (n - 1 - j) for j in range(n)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _weight_blocks(m: int, n: int) -> tuple[dict[tuple[int, ...], np.ndarray], np.ndarray]:
+    """Computational weight blocks of (C^m)^(x n).
+
+    Returns ``blocks``, mapping each occupation tuple to the ascending basis
+    indices with those mode counts, and ``pos``, the position of every basis
+    index within its block.  The arrays are read-only; the dict is shared
+    and must not be mutated.
+    """
+    digits = _digits(m, n)
+    counts = np.stack([(digits == mode).sum(axis=1) for mode in range(m)], axis=1)
+    occs, label = np.unique(counts, axis=0, return_inverse=True)
+    label = label.reshape(-1)
+    by_block = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+    pos = np.empty(m**n, dtype=np.int64)
+    blocks = {}
+    for occ, block in zip(occs.tolist(), by_block):
+        block.flags.writeable = False
+        pos[block] = np.arange(block.size)
+        blocks[tuple(occ)] = block
+    pos.flags.writeable = False
+    return blocks, pos
+
+
+def _hops(m: int, n: int, src: np.ndarray, i_from: int, i_to: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moves of one excitation from mode ``i_from`` to mode ``i_to`` (1-based).
+
+    For every factor of basis state ``src[b]`` in mode ``i_from``, returns
+    ``b`` and the index of the state with that factor in mode ``i_to``,
+    factor by factor.
+    """
+    factor, b = np.nonzero(_digits(m, n)[src].T == i_from - 1)
+    return b, src[b] + (i_to - i_from) * _powers(m, n)[factor]
+
+
+def _permuted(amps: np.ndarray, digits: np.ndarray, powers: np.ndarray, images) -> np.ndarray:
+    """Amplitudes after the factor permutation with 0-based one-line ``images``:
+    factor j of each basis state takes the mode of factor ``images[j]``."""
+    return amps[digits[:, images] @ powers]
 
 
 def _mode_index(m: int, modes: tuple[int, ...]) -> int:
@@ -134,10 +178,9 @@ def apply_permutation(s: Permutation, v: TensorState) -> TensorState:
     """
     if s.n != v.factors:
         raise DomainError(f"permutation degree {s.n} != factor count {v.factors}")
-    digits = _digits(v.m, v.factors)
-    cols = np.array([img - 1 for img in s.images], dtype=np.int64)
-    gather = digits[:, cols] @ _powers(v.m, v.factors)
-    return TensorState(v.m, v.factors, v.amplitudes[gather])
+    images = np.array([img - 1 for img in s.images], dtype=np.int64)
+    amps = _permuted(v.amplitudes, _digits(v.m, v.factors), _powers(v.m, v.factors), images)
+    return TensorState(v.m, v.factors, amps)
 
 
 def apply_tensor_power(umat, v: TensorState) -> TensorState:
@@ -156,20 +199,18 @@ def immanant_projector(p: Partition, v: TensorState) -> TensorState:
     if p.n != v.factors:
         raise DomainError(f"partition {p} is not a partition of N = {v.factors}")
     sigmas, _, _ = sn_tables(v.factors)
-    out = _kernels.projector_apply(
-        v.amplitudes,
-        _digits(v.m, v.factors),
-        sigmas,
-        character_weights(p),
-        _powers(v.m, v.factors),
-    )
+    digits, powers = _digits(v.m, v.factors), _powers(v.m, v.factors)
+    out = np.zeros_like(v.amplitudes)
+    for images, w in zip(sigmas, character_weights(p)):
+        if w != 0.0:
+            out += w * _permuted(v.amplitudes, digits, powers, images)
     return TensorState(v.m, v.factors, out)
 
 
 class CollectiveOperator:
     """Sum over tensor factors of the one-body matrix unit E_{ij}.
 
-    Acts as a sparse slice-update on the reshaped amplitude tensor; the
+    Acts as a scatter of the :func:`_hops` from mode j to mode i; the
     m^N x m^N matrix is never formed.
     """
 
@@ -181,15 +222,10 @@ class CollectiveOperator:
     def __call__(self, v: TensorState) -> TensorState:
         if v.m != self.m or v.factors != self.factors:
             raise DomainError("operator and state shapes differ")
-        tensor = v.amplitudes.reshape((self.m,) * self.factors)
-        out = np.zeros_like(tensor)
-        for axis in range(self.factors):
-            sel_out = [slice(None)] * self.factors
-            sel_in = [slice(None)] * self.factors
-            sel_out[axis] = self.i - 1
-            sel_in[axis] = self.j - 1
-            out[tuple(sel_out)] += tensor[tuple(sel_in)]
-        return TensorState(self.m, self.factors, out.reshape(-1))
+        b, dst = _hops(self.m, self.factors, np.arange(self.m**self.factors), self.j, self.i)
+        out = np.zeros_like(v.amplitudes)
+        np.add.at(out, dst, v.amplitudes[b])
+        return TensorState(self.m, self.factors, out)
 
 
 # ---------------------------------------------------------------------------
@@ -214,35 +250,17 @@ class _TensorIrrep:
     """All copies of one u(m) irrep inside (C^m)^(x N), compressed by weight.
 
     ``blocks[occ]`` lists the global basis indices of a computational weight
-    block; ``table[pattern]`` holds a (blocksize, n_copies) array whose
-    column alpha is copy alpha's chain vector supported on that block.
+    block (see :func:`_weight_blocks`); ``table[pattern]`` holds a
+    (blocksize, n_copies) array whose column alpha is copy alpha's chain
+    vector supported on that block.
     """
 
     def __init__(self, m: int, factors: int, label: SUIrrepLabel):
         self.m, self.factors, self.label = m, factors, label
         self.patterns = gt_basis(label)
         self.occupations = occupations(label)
+        self.blocks, self._pos = _weight_blocks(m, factors)
         self._build()
-
-    # -- computational weight blocks -------------------------------------
-    def _block(self, occ: tuple[int, ...]) -> np.ndarray:
-        block = self._blocks.get(occ)
-        if block is None:
-            block = self._blocks[occ] = self._compute_block(occ)
-        return block
-
-    def _compute_block(self, occ) -> np.ndarray:
-        digits = _digits(self.m, self.factors)
-        mask = np.ones(len(digits), dtype=bool)
-        for mode in range(self.m):
-            mask &= (digits == mode).sum(axis=1) == occ[mode]
-        return np.nonzero(mask)[0]
-
-    def _block_pos(self, occ) -> dict[int, int]:
-        key = ("pos", occ)
-        if key not in self._blocks:
-            self._blocks[key] = {int(g): i for i, g in enumerate(self._block(occ))}
-        return self._blocks[key]
 
     def _hop(self, occ_src, i_from: int, i_to: int) -> tuple[np.ndarray, tuple[int, ...]]:
         """Matrix of sum_t |..i_to..><..i_from..| from block occ_src to its image."""
@@ -250,26 +268,18 @@ class _TensorIrrep:
         occ_dst[i_from - 1] -= 1
         occ_dst[i_to - 1] += 1
         occ_dst = tuple(occ_dst)
-        src = self._block(occ_src)
-        dst_pos = self._block_pos(occ_dst)
-        digits = _digits(self.m, self.factors)
-        powers = _powers(self.m, self.factors)
-        mat = np.zeros((len(dst_pos), len(src)))
-        for b, g in enumerate(src):
-            row = digits[g]
-            for t in range(self.factors):
-                if row[t] == i_from - 1:
-                    target = g + (i_to - i_from) * powers[t]
-                    mat[dst_pos[int(target)], b] += 1.0
+        src = self.blocks[occ_src]
+        b, dst = _hops(self.m, self.factors, src, i_from, i_to)
+        mat = np.zeros((len(self.blocks[occ_dst]), len(src)))
+        np.add.at(mat, (self._pos[dst], b), 1.0)
         return mat, occ_dst
 
     # -- construction ------------------------------------------------------
     def _build(self):
-        self._blocks: dict = {}
         label, m = self.label, self.m
         top = label.row
-        hw_block = self._block(top)
-        if hw_block.size == 0:
+        hw_block = self.blocks.get(top)
+        if hw_block is None:
             self.n_copies = 0
             self.table = {}
             return
@@ -341,16 +351,16 @@ class _TensorIrrep:
     # -- accessors ----------------------------------------------------------
     def amplitude(self, pattern: GTPattern, global_idx: int) -> np.ndarray:
         """Per-copy amplitudes <basis idx | psi^alpha_pattern>, shape (n_copies,)."""
-        occ = self.occupations[pattern_index(self.label)[pattern]]
-        pos = self._block_pos(occ).get(global_idx)
-        if pos is None:
+        block = self.blocks[self.occupations[pattern_index(self.label)[pattern]]]
+        pos = self._pos[global_idx]
+        if pos >= len(block) or block[pos] != global_idx:
             return np.zeros(self.n_copies, dtype=np.complex128)
         return self.table[pattern][pos]
 
     def dense_vector(self, pattern: GTPattern, alpha: int) -> np.ndarray:
         occ = self.occupations[pattern_index(self.label)[pattern]]
         out = np.zeros(self.m**self.factors, dtype=np.complex128)
-        out[self._block(occ)] = self.table[pattern][:, alpha]
+        out[self.blocks[occ]] = self.table[pattern][:, alpha]
         return out
 
 

@@ -177,27 +177,16 @@ def fit_decomposition(
     m = problem.base_irrep.m
     prelim_samples = max(samples, 3 * len(cands))
 
-    cache: dict[int, tuple[complex, dict]] = {}
+    # One row per Haar sample; each sample's lifts are dropped once it is read.
     irreps = sorted({c.irrep for c in cands}, key=lambda ir: ir.row)
-
-    def sample_row(i: int):
-        if i not in cache:
-            omega = haar_random_unitary(m, seed + i)
-            base_mat = lift(problem.base_irrep, omega).matrix
-            lifts = {ir: lift(ir, omega).matrix for ir in irreps}
-            cache[i] = (_target_value(problem, base_mat), lifts)
-        return cache[i]
-
-    def design(nsamples: int, subset: list[DCandidate]):
-        X = np.empty((nsamples, len(subset)), dtype=np.complex128)
-        y = np.empty(nsamples, dtype=np.complex128)
-        for i in range(nsamples):
-            target, lifts = sample_row(i)
-            y[i] = target
-            for c, cand in enumerate(subset):
-                idx = pattern_index(cand.irrep)
-                X[i, c] = lifts[cand.irrep][idx[cand.r], idx[cand.t]]
-        return X, y
+    where = [(c.irrep, pattern_index(c.irrep)[c.r], pattern_index(c.irrep)[c.t]) for c in cands]
+    X0 = np.empty((prelim_samples, len(cands)), dtype=np.complex128)
+    y0 = np.empty(prelim_samples, dtype=np.complex128)
+    for i in range(prelim_samples):
+        omega = haar_random_unitary(m, seed + i)
+        y0[i] = _target_value(problem, lift(problem.base_irrep, omega).matrix)
+        lifts = {ir: lift(ir, omega).matrix for ir in irreps}
+        X0[i] = [lifts[ir][r, t] for ir, r, t in where]
 
     def solve(X, y, subset):
         svals = np.linalg.svd(X, compute_uv=False)
@@ -216,9 +205,9 @@ def fit_decomposition(
         residual = float(np.abs(X @ coef - y).max())
         return coef, residual, cond
 
-    X0, y0 = design(prelim_samples, cands)
     coef0, _, _ = solve(X0, y0, cands)
-    survivors = [c for c, v in zip(cands, coef0) if abs(v) >= PRUNE_BELOW]
+    keep = [c for c, v in enumerate(coef0) if abs(v) >= PRUNE_BELOW]
+    survivors = [cands[c] for c in keep]
     pruned = [(c, complex(v)) for c, v in zip(cands, coef0) if abs(v) < PRUNE_BELOW]
     if not survivors:
         return DecompositionResult([], float(np.abs(y0).max()), prelim_samples, 1.0, pruned)
@@ -226,8 +215,9 @@ def fit_decomposition(
         raise DomainError(
             f"{samples} samples < 3x the {len(survivors)} supported candidates"
         )
-    X1, y1 = design(samples, survivors)
-    coef1, residual, cond = solve(X1, y1, survivors)
+    # C order, as a freshly filled design would be: the solve's bits depend on it.
+    X1 = np.ascontiguousarray(X0[:samples, keep])
+    coef1, residual, cond = solve(X1, y0[:samples], survivors)
     return DecompositionResult(
         coefficients=[(c, complex(v)) for c, v in zip(survivors, coef1)],
         residual=residual,

@@ -298,7 +298,9 @@ def _raising_entry(pattern: GTPattern, k: int, j: int) -> float:
         l_ik = x - (i + 1)
         den *= (l_ik - l_jk) * (l_ik - l_jk - 1)
     ratio = num / den
-    return math.sqrt(ratio) if ratio > 0.0 else 0.0
+    if not ratio > 0.0:
+        raise DomainError(f"raising entry {j} of row {k} of {pattern} has ratio {ratio}")
+    return math.sqrt(ratio)
 
 
 def _increment(pattern: GTPattern, k: int, j: int, delta: int) -> GTPattern | None:
@@ -312,7 +314,7 @@ def _increment(pattern: GTPattern, k: int, j: int, delta: int) -> GTPattern | No
 
 @cache
 def _simple_raising(irrep: SUIrrepLabel, k: int) -> np.ndarray:
-    """Matrix of C_{k,k+1} in the GT basis (real, nonnegative entries)."""
+    """Read-only matrix of C_{k,k+1} in the GT basis (real, nonnegative entries)."""
     basis = gt_basis(irrep)
     index = pattern_index(irrep)
     d = len(basis)
@@ -320,47 +322,46 @@ def _simple_raising(irrep: SUIrrepLabel, k: int) -> np.ndarray:
     for col, pat in enumerate(basis):
         for j in range(k):
             target = _increment(pat, k, j, +1)
-            if target is None:
-                continue
-            amp = _raising_entry(pat, k, j)
-            if amp != 0.0:
-                mat[index[target], col] = amp
+            if target is not None:
+                mat[index[target], col] = _raising_entry(pat, k, j)
+    mat.flags.writeable = False
     return mat
 
 
 @cache
-def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
-    """Matrix of the u(m) generator C_{ij} in the GT basis.
+def _generator_stack(irrep: SUIrrepLabel) -> np.ndarray:
+    """Read-only (m, m, d, d) stack of every C_{ij} matrix, 0-based indices.
 
-    C_{ii} is diagonal with the mode-i occupation; C_{k,k+1} / C_{k+1,k} are
-    the simple raising/lowering operators; general C_{ij} are built from
-    nested commutators ``[C_{i,k}, C_{k,j}] = C_{ij}``.
+    C_{ii} is diagonal with the mode-i occupation; C_{k,k+1} are the simple
+    raising operators; the other C_{ij}, i < j, follow by index gap from the
+    commutators ``[C_{i,j-1}, C_{j-1,j}] = C_{ij}``; every C_{ji} = C_{ij}^T,
+    since the GT matrices are real.
     """
+    m, d = irrep.m, dim_weyl(irrep)
+    stack = np.zeros((m, m, d, d))
+    occ = np.array(occupations(irrep), dtype=np.float64)
+    for i in range(m):
+        stack[i, i] = np.diag(occ[:, i])
+    for gap in range(1, m):
+        for i in range(m - gap):
+            j = i + gap
+            if gap == 1:
+                stack[i, j] = _simple_raising(irrep, j)
+            else:
+                a, b = stack[i, j - 1], stack[j - 1, j]
+                stack[i, j] = a @ b - b @ a
+            stack[j, i] = stack[i, j].T
+    stack.flags.writeable = False
+    return stack
+
+
+def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
+    """Matrix of the u(m) generator C_{ij} in the GT basis, 1-based indices:
+    a read-only view into :func:`_generator_stack`."""
     m = irrep.m
     if not (1 <= i <= m and 1 <= j <= m):
         raise DomainError(f"generator indices must lie in 1..{m}")
-    if i == j:
-        return np.diag([float(occ[i - 1]) for occ in occupations(irrep)])
-    if j == i + 1:
-        return _simple_raising(irrep, i)
-    if i == j + 1:
-        return _simple_raising(irrep, j).T
-    if i < j:
-        a, b = generator_matrix(irrep, i, j - 1), generator_matrix(irrep, j - 1, j)
-    else:
-        a, b = generator_matrix(irrep, i, i - 1), generator_matrix(irrep, i - 1, j)
-    return a @ b - b @ a
-
-
-@cache
-def _generator_stack(irrep: SUIrrepLabel) -> np.ndarray:
-    """(m, m, d, d) stack of all C_{ij} matrices."""
-    m, d = irrep.m, dim_weyl(irrep)
-    stack = np.empty((m, m, d, d))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            stack[i - 1, j - 1] = generator_matrix(irrep, i, j)
-    return stack
+    return _generator_stack(irrep)[i - 1, j - 1]
 
 
 # ---------------------------------------------------------------------------

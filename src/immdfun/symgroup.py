@@ -152,7 +152,7 @@ def all_permutations(n: int):
 
 @cache
 def sn_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[Partition, ...]]:
-    """All of S_n as arrays, in the :func:`all_permutations` order.
+    """All of S_n as read-only arrays, in the :func:`all_permutations` order.
 
     Returns the ``(n!, n)`` 0-based one-line images, the index into
     :func:`partitions_of` of each permutation's cycle type, and that class
@@ -162,15 +162,18 @@ def sn_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[Partition, ...]]:
     class_of = {cls.parts: k for k, cls in enumerate(classes)}
     rows = list(_iter_permutations(range(n)))
     class_idx = np.array([class_of[_cycle_lengths(row)] for row in rows], dtype=np.int64)
-    return np.array(rows, dtype=np.int64), class_idx, classes
+    images = np.array(rows, dtype=np.int64)
+    images.flags.writeable = class_idx.flags.writeable = False
+    return images, class_idx, classes
 
 
 @cache
 def character_weights(p: Partition) -> np.ndarray:
-    """chi^{p} of every permutation of S_n, in :func:`sn_tables` order."""
+    """chi^{p} of every permutation of S_n, in :func:`sn_tables` order (read-only)."""
     _, class_idx, classes = sn_tables(p.n)
-    chi = np.array([character(p, cls) for cls in classes], dtype=np.float64)
-    return chi[class_idx]
+    weights = np.array([character(p, cls) for cls in classes], dtype=np.float64)[class_idx]
+    weights.flags.writeable = False
+    return weights
 
 
 @cache

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import immdfun
 from immdfun import verification
 from immdfun.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
 from immdfun.errors import MatrixParseError
@@ -197,6 +200,22 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: cannot write /dev/full") and err.count("\n") == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_stdout_write_is_usage_error(self):
+        # A separate process, so that the interpreter's exit-time flush of
+        # stdout is covered too.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(immdfun.__file__)))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "immdfun.cli", "verify", "kostant", "--m", "2", "--samples", "2"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: cannot write stdout") and proc.stderr.count("\n") == 1
+
     # Each suite with every flag it reads, and the same run as a direct call.
     @pytest.mark.parametrize(
         "flags, suite, kwargs",
@@ -336,6 +355,11 @@ class TestRejectedFlags:
             (("verify", "kostant", "--rows", "1,2", "--cols", "1,2"), "--rows applies only to"),
             (("verify", "corollary4", "--cols", "1,2"), "--cols applies only to"),
             (("verify", "conjecture", "--rows", "1,2,3"), "--rows and --cols must be supplied"),
+            (("verify", "kostant", "--tol", "nan"), "tolerance must be positive and finite"),
+            (
+                ("dump-dfunctions", "--row", "2,1,0", "--identity", "3", "--tol", "inf"),
+                "tolerance must be positive and finite",
+            ),
         ],
     )
     def test_usage_error(self, capsys, argv, message):

@@ -7,8 +7,11 @@ from immdfun.dualspace import (
     ChainSubspace,
     CollectiveOperator,
     TensorState,
+    _digits,
+    _powers,
     _tensor_irrep,
     _TensorIrrep,
+    _weight_blocks,
     apply_permutation,
     apply_tensor_power,
     basis_state,
@@ -121,8 +124,32 @@ class TestProjector:
         with pytest.raises(DomainError):
             immanant_projector(P(2), random_state(2, 3, 0))
 
+    @pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
+    def test_equals_character_weighted_permutations(self, m, n):
+        v = random_state(m, n, 11)
+        for p in partitions_of(n):
+            want = np.zeros_like(v.amplitudes)
+            for s in all_permutations(n):
+                want += character(p, s.cycle_type()) * apply_permutation(s, v).amplitudes
+            got = immanant_projector(p, v).amplitudes
+            assert np.abs(got - want).max() < 1e-12
+
 
 class TestCollectiveOperators:
+    def test_matches_axis_slice_reference(self):
+        # Reference: add factor t's mode-j slice into its mode-i slice, t = 0, 1, ...
+        m, n = 3, 4
+        v = random_state(m, n, 5)
+        tensor = v.amplitudes.reshape((m,) * n)
+        for i, j in [(1, 2), (3, 1), (2, 2)]:
+            want = np.zeros_like(tensor)
+            for axis in range(n):
+                dst, src = [slice(None)] * n, [slice(None)] * n
+                dst[axis], src[axis] = i - 1, j - 1
+                want[tuple(dst)] += tensor[tuple(src)]
+            got = CollectiveOperator(m, n, i, j)(v).amplitudes
+            assert np.array_equal(got, want.reshape(-1))
+
     def test_diagonal_counts(self):
         v = basis_state(3, (1, 1, 3))
         for i, count in ((1, 2), (2, 0), (3, 1)):
@@ -208,15 +235,24 @@ class TestChainSubspace:
                         assert abs(got - want) < 1e-10
 
     def test_weight_block_computed_once(self):
-        rep = _TensorIrrep(3, 3, SUIrrepLabel(3, (2, 1, 0)))
-        rep._blocks.clear()
-        calls = []
-        compute = rep._compute_block
-        rep._compute_block = lambda occ: calls.append(occ) or compute(occ)
-        first = rep._block((1, 1, 1))
-        for _ in range(3):
-            assert rep._block((1, 1, 1)) is first
-        assert calls == [(1, 1, 1)]
+        # Two irreps of one tensor power read one table, built on one miss.
+        _weight_blocks.cache_clear()
+        first = _TensorIrrep(3, 3, SUIrrepLabel(3, (2, 1, 0)))
+        second = _TensorIrrep(3, 3, SUIrrepLabel(3, (3, 0, 0)))
+        assert second.blocks is first.blocks
+        assert _weight_blocks.cache_info().misses == 1
+        block = first.blocks[(1, 1, 1)]
+        expected = sorted(basis_state(3, s.images).amplitudes.argmax() for s in all_permutations(3))
+        assert block.tolist() == expected
+        _, pos = _weight_blocks(3, 3)
+        assert pos[block].tolist() == list(range(6))
+        assert sum(len(b) for b in first.blocks.values()) == 27
+
+    def test_shared_tables_are_read_only(self):
+        blocks, pos = _weight_blocks(3, 2)
+        for table in (_digits(3, 2), _powers(3, 2), blocks[(1, 1, 0)], pos):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     def test_tensor_power_row(self):
         assert tensor_power_row(SUIrrepLabel(3, (0, 0, 0)), 3) == (1, 1, 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from immdfun import plethysm
 from immdfun.errors import DomainError, RankDeficiencyError
 from immdfun.plethysm import (
     PlethysmProblem,
@@ -145,6 +146,18 @@ class TestFitMachinery:
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):
             fit_decomposition(su2_power_problem(3, P(2, 2)), samples=5, seed=1)
+
+    def test_each_sample_is_lifted_once(self, monkeypatch):
+        calls = []
+        real_lift = plethysm.lift
+        monkeypatch.setattr(plethysm, "lift", lambda ir, u: calls.append(ir) or real_lift(ir, u))
+        prob = su2_power_problem(3, P(2, 2))
+        samples = 30
+        result = fit_decomposition(prob, samples=samples, seed=1)
+        prelim = max(samples, 3 * len(prob.candidates))
+        irreps = {c.irrep for c in prob.candidates}
+        assert len(calls) == prelim * (1 + len(irreps))
+        assert result.sample_count == samples
 
     def test_records_roundtrip(self):
         result = fit_decomposition(su2_power_problem(1, P(2)), samples=30, seed=3)

@@ -15,6 +15,10 @@ from immdfun.linalgimm import (
 from immdfun.symgroup import Partition, all_permutations
 from immdfun.sunrep import (
     GTPattern,
+    _generator_stack,
+    _increment,
+    _raising_entry,
+    _simple_raising,
     SUIrrepLabel,
     WeightVector,
     chain_label,
@@ -161,6 +165,45 @@ class TestGenerators:
                 if l == i:
                     expected = expected - gens[(k, j)]
                 assert np.abs(a @ b - b @ a - expected).max() < 1e-12
+
+    def test_generator_matrix_is_a_view_of_the_stack(self):
+        ir = SUIrrepLabel(3, (2, 1, 0))
+        stack = _generator_stack(ir)
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                gen = generator_matrix(ir, i, j)
+                assert np.shares_memory(gen, stack)
+                assert np.array_equal(gen, stack[i - 1, j - 1])
+        with pytest.raises(DomainError):
+            generator_matrix(ir, 0, 1)
+        with pytest.raises(DomainError):
+            generator_matrix(ir, 1, 4)
+
+    def test_generator_tables_are_read_only(self):
+        ir = SUIrrepLabel(3, (2, 1, 0))
+        for table in (_generator_stack(ir), generator_matrix(ir, 2, 1), _simple_raising(ir, 1)):
+            with pytest.raises(ValueError):
+                table[..., 0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "row",
+        [(1, 0), (4, 0), (2, 1, 0), (3, 1, 0), (4, 2, 0), (3, 3, 0), (2, 1, 1, 0), (3, 2, 1, 0), (2, 1, 0, 0, 0)],
+    )
+    def test_every_valid_raise_is_positive(self, row):
+        ir = SUIrrepLabel(len(row), row)
+        raises = 0
+        for pat in gt_basis(ir):
+            for k in range(1, ir.m):
+                for j in range(k):
+                    if _increment(pat, k, j, +1) is not None:
+                        assert _raising_entry(pat, k, j) > 0.0
+                        raises += 1
+        assert raises > 0
+
+    def test_invalid_raise_is_domain_error(self):
+        # Raising the single-entry row from 2 to 3 breaks betweenness under (2, 1).
+        with pytest.raises(DomainError):
+            _raising_entry(GTPattern(((2, 1, 0), (2, 1), (2,))), 1, 0)
 
     def test_su3_commutator_example(self):
         ir = SUIrrepLabel(3, (2, 1, 0))

@@ -9,9 +9,11 @@ from immdfun.symgroup import (
     Permutation,
     all_permutations,
     character,
+    character_weights,
     class_size,
     dim_sym,
     partitions_of,
+    sn_tables,
     standard_tableaux,
     young_orthogonal,
 )
@@ -109,6 +111,12 @@ class TestCharacter:
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
             character(P(2, 1), P(2, 2))
+
+    def test_shared_tables_are_read_only(self):
+        images, class_idx, _ = sn_tables(3)
+        for table in (images, class_idx, character_weights(P(2, 1))):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_identity_gives_dimension(self, n):
