@@ -226,11 +226,12 @@ def cmd_verify(args) -> int:
     if args.rows is not None:
         kwargs["selectors"] = [(_parse_ints(args.rows), _parse_ints(args.cols))]
     reports = run_suite(args.suite, **kwargs)
+    if not reports:
+        raise DomainError(f"verify {args.suite} has nothing to check with these flags")
     with _Output(args.out) as fh:
         if args.format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
-            if reports:
-                writer.writerow(CSV_FIELDS)
+            writer.writerow(CSV_FIELDS)
             writer.writerows(to_csv_row(report) for report in reports)
         else:
             for report in reports:

@@ -18,34 +18,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .linalgimm import (
-    DEFAULT_SEED,
-    SubmatrixSelector,
-    UnitaryElement,
-    as_square,
-    haar_random_unitary,
-    immanant,
-    submatrix,
-)
-from .reports import VerificationReport
+from .linalgimm import UnitaryElement, as_square
 from .symgroup import Partition, Permutation, character_weights, dim_sym, sn_tables
 from .sunrep import (
     GTPattern,
     LiftedRep,
     SUIrrepLabel,
     WeightVector,
-    chain_label,
     generator_matrix,
     gt_basis,
-    lift,
     occupations,
     pattern_index,
-    weight_block_trace,
     weight_subspace,
 )
 
@@ -423,31 +410,6 @@ class CoefficientMatrix:
     col_patterns: tuple[GTPattern, ...]
     entries: np.ndarray
 
-    def classify(self, tol: float = 1e-8) -> dict:
-        """Counts of entries at 1 and 0, plus anything else, and the
-        modulus-only variant that ignores phase conventions."""
-        ent = self.entries
-        units = int((np.abs(ent - 1.0) < tol).sum())
-        zeros = int((np.abs(ent) < tol).sum())
-        mod_units = int((np.abs(np.abs(ent) - 1.0) < tol).sum())
-        violations = []
-        for (a, b), val in np.ndenumerate(ent):
-            if abs(val - 1.0) >= tol and abs(val) >= tol:
-                violations.append(
-                    {
-                        "row": chain_label(self.row_patterns[a]),
-                        "col": chain_label(self.col_patterns[b]),
-                        "value": [float(val.real), float(val.imag)],
-                    }
-                )
-        return {
-            "unit_entries": units,
-            "zero_entries": zeros,
-            "modulus_unit_entries": mod_units,
-            "violations": violations,
-            "shape": list(ent.shape),
-        }
-
 
 def _check_pair(m: int, p: Partition, k: tuple[int, ...], q: tuple[int, ...]):
     k = tuple(int(x) for x in k)
@@ -528,122 +490,3 @@ def coefficient_matrix_value(cm: CoefficientMatrix, lifted: LiftedRep) -> comple
     ridx = [index[p] for p in cm.row_patterns]
     cidx = [index[p] for p in cm.col_patterns]
     return complex(np.sum(cm.entries * lifted.matrix[np.ix_(ridx, cidx)]))
-
-
-# ---------------------------------------------------------------------------
-# named identity checks
-# ---------------------------------------------------------------------------
-
-LITTLEWOOD_PAIRS = (((1, 2, 3), (4,)), ((1, 2, 4), (3,)), ((1, 3, 4), (2,)), ((2, 3, 4), (1,)))
-
-
-def verify_littlewood(element: UnitaryElement, tol: float = 1e-9, seed: int | None = None) -> VerificationReport:
-    """Coaxial product identity on a 4x4 unitary.
-
-    Sums of permanent-times-entry over the four complementary principal
-    pairs must equal Imm^{3,1} + Imm^{4}; the same identity is re-evaluated
-    through diagonal group-function sums and both residuals are reported.
-    """
-    if element.m != 4:
-        raise DomainError("the coaxial product identity is stated for 4x4 matrices")
-    umat = element.matrix
-    p3, p1, p31, p4 = Partition(3), Partition(1), Partition(3, 1), Partition(4)
-    lhs = 0.0 + 0.0j
-    for keep3, keep1 in LITTLEWOOD_PAIRS:
-        sub3 = submatrix(umat, SubmatrixSelector(keep3, keep3))
-        lhs += immanant(p3, sub3) * umat[keep1[0] - 1, keep1[0] - 1]
-    rhs = immanant(p31, umat) + immanant(p4, umat)
-    residual_imm = abs(lhs - rhs)
-
-    lifted = {
-        pp: lift(SUIrrepLabel.from_partition(pp, 4, normalize=False), element)
-        for pp in (p3, p1, p31, p4)
-    }
-
-    lhs_d = 0.0 + 0.0j
-    for keep3, keep1 in LITTLEWOOD_PAIRS:
-        occ3 = state_weight(4, keep3).occupation
-        occ1 = state_weight(4, keep1).occupation
-        lhs_d += weight_block_trace(lifted[p3], occ3) * weight_block_trace(lifted[p1], occ1)
-    full = (1, 1, 1, 1)
-    rhs_d = weight_block_trace(lifted[p31], full) + weight_block_trace(lifted[p4], full)
-    residual_d = abs(lhs_d - rhs_d)
-    residual_forms = max(abs(lhs_d - lhs), abs(rhs_d - rhs))
-
-    residual = max(residual_imm, residual_d, residual_forms)
-    return VerificationReport(
-        suite="littlewood",
-        m=4,
-        partition=(3, 1),
-        seed=seed,
-        residual=float(residual),
-        passed=bool(residual < tol),
-        details={
-            "immanant_residual": float(residual_imm),
-            "dfunction_residual": float(residual_d),
-            "form_agreement": float(residual_forms),
-        },
-    )
-
-
-def conjecture_scan(
-    m: int,
-    p: Partition,
-    selectors=None,
-    entry_tol: float = 1e-8,
-    check_samples: int = 25,
-    seed: int = DEFAULT_SEED,
-) -> list[VerificationReport]:
-    """Scan submatrix selector pairs for the unit-coefficient pattern.
-
-    For each (k, q) pair the coefficient matrix is classified: how many
-    entries equal +1, how many vanish, and anything else is listed as a
-    violation (with the modulus-only tally reported separately).  Each
-    report also carries the worst residual of the reconstructed immanant
-    against the character sum over ``check_samples`` Haar samples.  This is
-    evidence reporting: a report passes when its own pair shows exactly
-    dim{p} unit entries and zeros elsewhere, and that residual is below 1e-9.
-    """
-    n = p.n
-    if selectors is None:
-        index_sets = list(combinations(range(1, m + 1), n))
-        selectors = [(k, q) for k in index_sets for q in index_sets]
-    reports = []
-    expected_units = dim_sym(p)
-    row = tuple(p.parts) + (0,) * (m - len(p))
-    label = SUIrrepLabel(m, row)
-    samples = [haar_random_unitary(m, seed + 1000 * i) for i in range(check_samples)]
-    lifts = [lift(label, u) for u in samples]
-    for k, q in selectors:
-        cm = coefficient_matrix(m, p, k, q)
-        info = cm.classify(entry_tol)
-        worst = 0.0
-        for u, lf in zip(samples, lifts):
-            direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
-            via = coefficient_matrix_value(cm, lf)
-            worst = max(worst, abs(direct - via))
-        total = cm.entries.size
-        ok = (
-            info["unit_entries"] == expected_units
-            and info["zero_entries"] == total - expected_units
-            and not info["violations"]
-            and worst < 1e-9
-        )
-        info["max_cross_residual"] = float(worst)
-        info["expected_units"] = expected_units
-        info["row_tags"] = [chain_label(pat) for pat in cm.row_patterns]
-        info["col_tags"] = [chain_label(pat) for pat in cm.col_patterns]
-        reports.append(
-            VerificationReport(
-                suite="conjecture",
-                m=m,
-                partition=p.parts,
-                selector_rows=k,
-                selector_cols=q,
-                seed=seed,
-                residual=float(worst),
-                passed=bool(ok),
-                details=info,
-            )
-        )
-    return reports

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
 from .linalgimm import DEFAULT_SEED, haar_random_unitary, immanant, permanent_ryser
-from .reports import VerificationReport
-from .symgroup import Partition, dim_sym
+from .symgroup import Partition
 from .sunrep import (
     GTPattern,
     SUIrrepLabel,
@@ -224,36 +223,6 @@ def fit_decomposition(
         sample_count=samples,
         gram_condition=cond,
         pruned=pruned,
-    )
-
-
-def candidate_irreps_su2(two_j: int, partition: Partition, samples: int = 60, seed: int = DEFAULT_SEED):
-    """Empirical J-support of Imm^{partition} over the spin-J irrep matrix.
-
-    Returns (J as Fraction, coefficient) pairs for every supported J.
-    """
-    problem = su2_power_problem(two_j, partition)
-    result = fit_decomposition(problem, samples=samples, seed=seed)
-    out = []
-    for cand, val in result.coefficients:
-        out.append((Fraction(cand.irrep.row[0], 2), val))
-    return out
-
-
-def diagonal_sum_check(result: DecompositionResult, partition: Partition) -> VerificationReport:
-    """Diagonal coefficients must sum to the S_N irrep dimension."""
-    total = result.diagonal_sum()
-    expected = dim_sym(partition)
-    residual = abs(total - expected)
-    return VerificationReport(
-        suite="plethysm-diagonal-sum",
-        partition=partition.parts,
-        residual=float(residual),
-        passed=bool(residual < 1e-8),
-        details={
-            "diagonal_sum": [float(total.real), float(total.imag)],
-            "expected": expected,
-        },
     )
 
 

@@ -303,27 +303,26 @@ def _raising_entry(pattern: GTPattern, k: int, j: int) -> float:
     return math.sqrt(ratio)
 
 
-def _increment(pattern: GTPattern, k: int, j: int, delta: int) -> GTPattern | None:
-    rows = [list(r) for r in pattern.rows]
-    rows[pattern.m - k][j] += delta
-    try:
-        return GTPattern(tuple(tuple(r) for r in rows))
-    except DomainError:
-        return None
-
-
 @cache
 def _simple_raising(irrep: SUIrrepLabel, k: int) -> np.ndarray:
-    """Read-only matrix of C_{k,k+1} in the GT basis (real, nonnegative entries)."""
+    """Read-only matrix of C_{k,k+1} in the GT basis (real, nonnegative entries).
+
+    Raising entry j of the k-entry row by one keeps the pattern valid unless
+    it reaches entry j of the row above or entry j-1 of the row below.
+    """
     basis = gt_basis(irrep)
     index = pattern_index(irrep)
     d = len(basis)
     mat = np.zeros((d, d))
+    m = irrep.m
     for col, pat in enumerate(basis):
-        for j in range(k):
-            target = _increment(pat, k, j, +1)
-            if target is not None:
-                mat[index[target], col] = _raising_entry(pat, k, j)
+        upper, row = pat.rows[m - k - 1], pat.rows[m - k]
+        for j, x in enumerate(row):
+            if x >= upper[j] or (j >= 1 and x >= pat.rows[m - k + 1][j - 1]):
+                continue
+            rows = list(pat.rows)
+            rows[m - k] = row[:j] + (x + 1,) + row[j + 1 :]
+            mat[index[GTPattern(tuple(rows))], col] = _raising_entry(pat, k, j)
     mat.flags.writeable = False
     return mat
 

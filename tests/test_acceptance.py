@@ -11,12 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from immdfun.dualspace import (
-    conjecture_scan,
-    immanant_via_duality,
-    state_weight,
-    verify_littlewood,
-)
+from immdfun.dualspace import immanant_via_duality, state_weight
 from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
@@ -45,10 +40,12 @@ from immdfun.sunrep import (
 )
 from immdfun.verification import (
     SU2_EXPECTED,
+    conjecture_scan,
     corollary4_suite,
     kostant_suite,
     plethysm_su2_suite,
     plethysm_su3_suite,
+    verify_littlewood,
 )
 
 P = Partition

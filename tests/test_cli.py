@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import immdfun
-from immdfun import verification
+from immdfun import dualspace, plethysm, verification
 from immdfun.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
 from immdfun.errors import MatrixParseError
 from immdfun.symgroup import Partition
@@ -178,6 +178,10 @@ class TestVerifyCommand:
         assert out == ""
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_reports_are_built_only_in_verification(self):
+        for module in (dualspace, plethysm):
+            assert not hasattr(module, "VerificationReport"), module.__name__
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -360,6 +364,8 @@ class TestRejectedFlags:
                 ("dump-dfunctions", "--row", "2,1,0", "--identity", "3", "--tol", "inf"),
                 "tolerance must be positive and finite",
             ),
+            (("verify", "corollary4", "--m", "2"), "nothing to check"),
+            (("verify", "conjecture", "--m", "2", "--partition", "3"), "nothing to check"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
@@ -367,6 +373,14 @@ class TestRejectedFlags:
         assert code == EXIT_USAGE
         assert out == ""
         assert message in err
+
+    def test_nothing_to_check_writes_no_output_file(self, capsys, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        code, out, err = run(capsys, "verify", "corollary4", "--m", "2", "--out", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
 
 
 class TestMinusOneEigenvalues:

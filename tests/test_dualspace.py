@@ -18,12 +18,10 @@ from immdfun.dualspace import (
     chain_subspace,
     coefficient_matrix,
     coefficient_matrix_value,
-    conjecture_scan,
     immanant_projector,
     immanant_via_duality,
     state_weight,
     tensor_power_row,
-    verify_littlewood,
 )
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
@@ -43,6 +41,7 @@ from immdfun.symgroup import (
     partitions_of,
 )
 from immdfun.sunrep import SUIrrepLabel, gt_basis, lift, weight_of
+from immdfun.verification import classify_coefficients, conjecture_scan, verify_littlewood
 
 P = Partition
 
@@ -279,7 +278,7 @@ class TestCoefficientMatrix:
 
     def test_flagship_nondiagonal_case(self):
         cm = coefficient_matrix(4, P(2, 1), (2, 3, 4), (1, 3, 4))
-        info = cm.classify()
+        info = classify_coefficients(cm)
         assert info["unit_entries"] == 2
         assert info["zero_entries"] == cm.entries.size - 2
         assert not info["violations"]

@@ -16,7 +16,6 @@ from immdfun.symgroup import Partition, all_permutations
 from immdfun.sunrep import (
     GTPattern,
     _generator_stack,
-    _increment,
     _raising_entry,
     _simple_raising,
     SUIrrepLabel,
@@ -191,14 +190,24 @@ class TestGenerators:
     )
     def test_every_valid_raise_is_positive(self, row):
         ir = SUIrrepLabel(len(row), row)
+        index = pattern_index(ir)
         raises = 0
         for pat in gt_basis(ir):
             for k in range(1, ir.m):
                 for j in range(k):
-                    if _increment(pat, k, j, +1) is not None:
-                        assert _raising_entry(pat, k, j) > 0.0
-                        raises += 1
+                    rows = [list(r) for r in pat.rows]
+                    rows[ir.m - k][j] += 1
+                    try:
+                        target = GTPattern(rows)
+                    except DomainError:
+                        continue
+                    entry = _raising_entry(pat, k, j)
+                    assert entry > 0.0
+                    assert _simple_raising(ir, k)[index[target], index[pat]] == entry
+                    raises += 1
         assert raises > 0
+        # _simple_raising has exactly the valid raises as its nonzero entries
+        assert sum(np.count_nonzero(_simple_raising(ir, k)) for k in range(1, ir.m)) == raises
 
     def test_invalid_raise_is_domain_error(self):
         # Raising the single-entry row from 2 to 3 breaks betweenness under (2, 1).
