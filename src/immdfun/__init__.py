@@ -38,6 +38,7 @@ from .sunrep import (
     dim_weyl,
     gt_basis,
     lift,
+    lift_columns,
     su2_irrep,
     weight_of,
     weight_subspace,
@@ -70,6 +71,7 @@ __all__ = [
     "haar_random_unitary",
     "immanant",
     "lift",
+    "lift_columns",
     "partitions_of",
     "permanent_ryser",
     "permutation_matrix",

@@ -207,6 +207,8 @@ def cmd_verify(args) -> int:
     # Every suite reads --seed, --samples and --tol; the rest are suite specific.
     if args.m is not None and args.suite not in ("kostant", "corollary4", "conjecture"):
         raise DomainError(f"--m does not apply to verify {args.suite}")
+    if args.m is not None and args.m < 2:
+        raise DomainError(f"--m must be >= 2, got {args.m}")
     for flag in ("partition", "rows", "cols"):
         if getattr(args, flag) is not None and args.suite != "conjecture":
             raise DomainError(f"--{flag} applies only to verify conjecture")

@@ -25,6 +25,7 @@ from .sunrep import (
     chain_label,
     dim_weyl,
     lift,
+    lift_columns,
     occupations,
     pattern_index,
     weight_subspace,
@@ -176,15 +177,22 @@ def fit_decomposition(
     m = problem.base_irrep.m
     prelim_samples = max(samples, 3 * len(cands))
 
-    # One row per Haar sample; each sample's lifts are dropped once it is read.
+    # One row per Haar sample.  Each candidate irrep lifts only the columns
+    # t its candidates read, and each sample's lifts are dropped once read.
     irreps = sorted({c.irrep for c in cands}, key=lambda ir: ir.row)
-    where = [(c.irrep, pattern_index(c.irrep)[c.r], pattern_index(c.irrep)[c.t]) for c in cands]
+    cols = {
+        ir: sorted({pattern_index(ir)[c.t] for c in cands if c.irrep == ir}) for ir in irreps
+    }
+    where = [
+        (c.irrep, pattern_index(c.irrep)[c.r], cols[c.irrep].index(pattern_index(c.irrep)[c.t]))
+        for c in cands
+    ]
     X0 = np.empty((prelim_samples, len(cands)), dtype=np.complex128)
     y0 = np.empty(prelim_samples, dtype=np.complex128)
     for i in range(prelim_samples):
         omega = haar_random_unitary(m, seed + i)
         y0[i] = _target_value(problem, lift(problem.base_irrep, omega).matrix)
-        lifts = {ir: lift(ir, omega).matrix for ir in irreps}
+        lifts = {ir: lift_columns(ir, omega, cols[ir]) for ir in irreps}
         X0[i] = [lifts[ir][r, t] for ir, r, t in where]
 
     def solve(X, y, subset):

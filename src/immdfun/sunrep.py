@@ -5,12 +5,16 @@ weights of the chain u(m) > u(m-1) > ... > u(1); each valid pattern labels
 one basis vector.  Generator matrix elements follow the classical
 Gelfand-Tsetlin formulas with the standard phase convention: simple raising
 and lowering operators have real nonnegative entries.  A group element is
-lifted to an irrep by exponentiating the image of its principal logarithm
-under that generator map.
+lifted to an irrep as a product: it is factored into diagonal phases and
+real rotations of adjacent modes (Reck et al., PRL 73, 58 (1994)), each
+phase lifts to a diagonal through the pattern occupations, and each
+rotation through a cached eigenbasis of its generator.  The lift may read
+only some columns, at O(d^2) each.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -18,7 +22,6 @@ from fractions import Fraction
 from functools import cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, ResourceLimitError
 from .linalgimm import UnitaryElement
@@ -392,33 +395,93 @@ class LiftedRep:
         return complex(self.matrix[index[r], index[t]])
 
 
-def _principal_log(umat: np.ndarray) -> np.ndarray:
-    """Hermitian H with exp(iH) = U, eigenphases in [-pi, pi].
+def _givens_factors(umat: np.ndarray) -> tuple[list[tuple[int, float]], np.ndarray]:
+    """Adjacent rotations and phases with U = P_0 B_{k_1}(theta_1) P_1 ... B_{k_L}(theta_L) P_L.
 
-    Uses the complex Schur form, which is diagonal for a unitary matrix, so
-    the eigenvector matrix is itself numerically unitary.
+    B_k(theta) = exp(-i theta (E_{k,k+1} + E_{k+1,k})) is [[cos, -i sin],
+    [-i sin, cos]] on modes k, k+1 (0-based), and P_i = diag(exp(i * phi[:, i])).
+    Adjacent 2x2 unitaries G null U's lower triangle column by column, bottom
+    up, so that G_L ... G_1 U = D is diagonal.  Each G^H is
+    diag(e^{ia}, e^{ib}) R(theta) diag(1, e^{-i(a+b)}) on its two modes, with
+    the real rotation R(theta) = diag(-i, 1) B(theta) diag(i, 1), and
+    neighbouring diagonals merge.  An entry that is already zero skips its
+    rotation.
     """
-    tmat, z = scipy.linalg.schur(umat, output="complex")
-    theta = np.angle(np.diagonal(tmat))
-    return (z * theta) @ z.conj().T
+    a = umat.tolist()
+    m = len(a)
+    rotations, phases, pending = [], [], [0.0] * m
+    for j in range(m - 1):
+        for i in range(m - 1, j, -1):
+            top, bottom = a[i - 1][j], a[i][j]
+            if bottom == 0:
+                continue
+            r = math.hypot(abs(top), abs(bottom))
+            upper, lower = a[i - 1], a[i]
+            for c in range(j, m):
+                x, y = upper[c], lower[c]
+                upper[c] = (top.conjugate() * x + bottom.conjugate() * y) / r
+                lower[c] = (top * y - bottom * x) / r
+            alpha, beta = cmath.phase(top), cmath.phase(bottom)
+            pending[i - 1] += alpha - math.pi / 2
+            pending[i] += beta
+            phases.append(pending)
+            rotations.append((i - 1, math.atan2(abs(bottom), abs(top))))
+            pending = [0.0] * m
+            pending[i - 1] = math.pi / 2
+            pending[i] = -(alpha + beta)
+    for j in range(m):
+        pending[j] += cmath.phase(a[j][j])
+    phases.append(pending)
+    return rotations, np.array(phases).T
 
 
-def _exp_hermitian_stack(irrep: SUIrrepLabel, hmat: np.ndarray) -> np.ndarray:
-    amat = np.einsum("ij,ijrs->rs", hmat, _generator_stack(irrep))
-    amat = (amat + amat.conj().T) / 2.0
-    w, v = np.linalg.eigh(amat)
-    return (v * np.exp(1j * w)) @ v.conj().T
+@cache
+def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
+    """Read-only float occupations, and (w, V, V^T) for every adjacent mode pair.
 
-
-def lift(irrep: SUIrrepLabel, element: UnitaryElement) -> LiftedRep:
-    """Matrix of ``element`` in the given irrep.
-
-    The element's principal logarithm iH is pushed through the generator map
-    and exponentiated, so the result is unitary up to eigensolver accuracy.
-    It does not depend on the logarithm's branch: the weights are integral,
-    so a diagonal phase e^{i theta} lifts to e^{i n.theta} with integer
-    occupations n, and eigenvalues at -1 lift exactly.
+    The real orthogonal V diagonalises the symmetric S_k = C_{k,k+1} + C_{k+1,k}
+    with eigenvalues w, so B_k(theta) lifts to V diag(e^{-i theta w}) V^T.
+    C_{k,k+1} changes only the pattern row with k+1 entries, so S_k is block
+    diagonal over the patterns that agree on every other row; each block is
+    diagonalised and checked orthogonal on its own.
     """
+    m, d = irrep.m, dim_weyl(irrep)
+    stack = _generator_stack(irrep)
+    occ = np.array(occupations(irrep), dtype=np.float64)
+    occ.flags.writeable = False
+    eigen = []
+    for k in range(m - 1):
+        blocks: dict[tuple, list[int]] = {}
+        for i, pat in enumerate(gt_basis(irrep)):
+            blocks.setdefault(pat.rows[: m - k - 1] + pat.rows[m - k :], []).append(i)
+        smat = stack[k, k + 1] + stack[k + 1, k]
+        w, v = np.empty(d), np.zeros((d, d))
+        for idx in blocks.values():
+            block = np.ix_(idx, idx)
+            w[idx], v[block] = np.linalg.eigh(smat[block])
+            defect = np.abs(v[block].T @ v[block] - np.eye(len(idx))).max()
+            if not defect <= 1e-12:
+                raise DomainError(
+                    f"rotation eigenbasis {k} of {irrep} is not orthogonal: {defect:.3e}"
+                )
+        vt = v.T.copy()
+        for arr in (w, v, vt):
+            arr.flags.writeable = False
+        eigen.append((w, v, vt))
+    return occ, tuple(eigen)
+
+
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real matrix a and a complex z, as one real product over
+    z's interleaved real and imaginary parts."""
+    return (a @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
+
+
+def _lifted_columns(
+    irrep: SUIrrepLabel, element: UnitaryElement, cols: list[int] | None
+) -> np.ndarray:
+    """Columns ``cols`` of the lift (all of them for None): the factors
+    applied right to left to unit columns."""
     if not isinstance(element, UnitaryElement):
         raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrix)")
     if element.m != irrep.m:
@@ -426,7 +489,52 @@ def lift(irrep: SUIrrepLabel, element: UnitaryElement) -> LiftedRep:
     d, cap = dim_weyl(irrep), max_lift_dim()
     if d > cap:
         raise ResourceLimitError(f"irrep dimension {d} exceeds the dense-lift cap {cap}")
-    return LiftedRep(irrep, _exp_hermitian_stack(irrep, _principal_log(element.matrix)))
+    rotations, angles = _givens_factors(element.matrix)
+    occ, eigen = _rotation_tables(irrep)
+    phases = np.exp(1j * (occ @ angles))
+    idx = np.arange(d) if cols is None else np.array(cols, dtype=np.intp)
+    x = None  # the unit columns idx times the last phase, until a rotation mixes them
+    for i in range(len(rotations) - 1, -1, -1):
+        k, theta = rotations[i]
+        w, v, vt = eigen[k]
+        y = vt[:, idx] * phases[idx, -1] if x is None else _real_times(vt, x)
+        x = phases[:, i, None] * _real_times(v, np.exp(-1j * theta * w)[:, None] * y)
+    if x is None:
+        x = np.zeros((d, len(idx)), dtype=np.complex128)
+        x[idx, range(len(idx))] = phases[idx, -1]
+    return x
+
+
+def lift(irrep: SUIrrepLabel, element: UnitaryElement) -> LiftedRep:
+    """Matrix of ``element`` in the given irrep.
+
+    The element is factored into diagonal phases and adjacent-mode
+    rotations (:func:`_givens_factors`), and the lift is the product of their
+    lifts: a phase diag(e^{i phi}) lifts to diag(e^{i n.phi}) with the
+    integer occupations n, and a rotation through a cached real eigenbasis of
+    its generator.  No logarithm is taken, so eigenvalues at -1 lift exactly.
+    """
+    return LiftedRep(irrep, _lifted_columns(irrep, element, None))
+
+
+def lift_columns(irrep: SUIrrepLabel, element: UnitaryElement, cols) -> np.ndarray:
+    """Columns ``cols`` (0-based, distinct, GT basis order) of the lift of
+    ``element``: a (d, len(cols)) array equal to ``lift(...).matrix[:, cols]``.
+
+    Costs O(d^2) per column instead of the full lift's O(d^3).
+    """
+    cols = list(cols)
+    d = dim_weyl(irrep)
+    valid = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in cols)
+    if not (all(valid) and all(0 <= c < d for c in cols)):
+        raise DomainError(f"columns must be integers in 0..{d - 1}, got {cols}")
+    if len(set(cols)) != len(cols):
+        raise DomainError(f"columns must be distinct, got {cols}")
+    x = _lifted_columns(irrep, element, cols)
+    defect = np.abs(x.conj().T @ x - np.eye(len(cols))).max(initial=0.0)
+    if not defect <= 1e-10:
+        raise DomainError(f"lifted columns lost orthonormality: defect {defect:.3e}")
+    return x
 
 
 def weight_block_trace(lifted: LiftedRep, occupation) -> complex:
@@ -440,6 +548,10 @@ def weight_block_trace(lifted: LiftedRep, occupation) -> complex:
 
 
 def dfunction(irrep: SUIrrepLabel, r: GTPattern, t: GTPattern, element: UnitaryElement) -> complex:
-    """Group function D^{(irrep)}_{rt}: the (r, t) entry of the lifted matrix."""
-    return lift(irrep, element).entry(r, t)
+    """Group function D^{(irrep)}_{rt}: the (r, t) entry of the lifted
+    matrix, read from the single lifted column t."""
+    index = pattern_index(irrep)
+    if r not in index or t not in index:
+        raise DomainError("patterns do not belong to this irrep")
+    return complex(lift_columns(irrep, element, [index[t]])[index[r], 0])
 

@@ -366,6 +366,8 @@ class TestRejectedFlags:
             ),
             (("verify", "corollary4", "--m", "2"), "nothing to check"),
             (("verify", "conjecture", "--m", "2", "--partition", "3"), "nothing to check"),
+            (("verify", "kostant", "--m", "0"), "--m must be >= 2, got 0"),
+            (("verify", "conjecture", "--m", "1"), "--m must be >= 2, got 1"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):

@@ -144,15 +144,24 @@ class TestFitMachinery:
             fit_decomposition(su2_power_problem(3, P(2, 2)), samples=5, seed=1)
 
     def test_each_sample_is_lifted_once(self, monkeypatch):
+        # the base irrep is lifted in full, each candidate irrep only at the
+        # columns its candidates read
         calls = []
-        real_lift = plethysm.lift
-        monkeypatch.setattr(plethysm, "lift", lambda ir, u: calls.append(ir) or real_lift(ir, u))
+        for name in ("lift", "lift_columns"):
+            real = getattr(plethysm, name)
+            monkeypatch.setattr(
+                plethysm,
+                name,
+                lambda ir, *args, name=name, real=real: calls.append((name, ir)) or real(ir, *args),
+            )
         prob = su2_power_problem(3, P(2, 2))
         samples = 30
         result = fit_decomposition(prob, samples=samples, seed=1)
         prelim = max(samples, 3 * len(prob.candidates))
         irreps = {c.irrep for c in prob.candidates}
         assert len(calls) == prelim * (1 + len(irreps))
+        assert calls.count(("lift", prob.base_irrep)) == prelim
+        assert sum(name == "lift_columns" for name, _ in calls) == prelim * len(irreps)
         assert result.sample_count == samples
 
     def test_records_roundtrip(self):

@@ -267,8 +267,8 @@ class TestLift:
         assert np.abs(lifted.matrix - expect).max() < 1e-10
 
     def test_branch_cut_refusal(self):
-        # eigenvalue -1 sits on the logarithm's branch cut, but the lift is
-        # not refused: diag(-1,-1,1) is an involution, so its lift is one too
+        # eigenvalue -1 is not refused: diag(-1,-1,1) is an involution, so its
+        # lift is one too
         ir = SUIrrepLabel(3, (2, 1, 0))
         u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
         t = lift(ir, u).matrix
@@ -277,8 +277,7 @@ class TestLift:
         assert np.abs(t.conj().T @ t - eye).max() < 1e-12
 
     def test_branch_shift(self):
-        # the lift does not depend on the logarithm's branch: the plain lift
-        # of diag(-1,-1,1) is the cube of its cube root's lift
+        # the lift of diag(-1,-1,1) is the cube of its cube root's lift
         ir = SUIrrepLabel(3, (2, 1, 0))
         u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
         root = UnitaryElement(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
