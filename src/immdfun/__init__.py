@@ -30,7 +30,6 @@ from .symgroup import (
 )
 from .sunrep import (
     GTPattern,
-    LiftedRep,
     SUIrrepLabel,
     WeightVector,
     chain_label,
@@ -38,7 +37,6 @@ from .sunrep import (
     dim_weyl,
     gt_basis,
     lift,
-    lift_columns,
     su2_irrep,
     weight_of,
     weight_subspace,
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "GTPattern",
-    "LiftedRep",
     "MatrixParseError",
     "Partition",
     "Permutation",
@@ -71,7 +68,6 @@ __all__ = [
     "haar_random_unitary",
     "immanant",
     "lift",
-    "lift_columns",
     "partitions_of",
     "permanent_ryser",
     "permutation_matrix",

@@ -109,6 +109,8 @@ def _resolve_element(args) -> np.ndarray:
             raise DomainError("--euler needs three comma-separated angles")
         return su2_euler(*angles).matrix
     if args.identity is not None:
+        if args.identity < 1:
+            raise DomainError(f"--identity must be >= 1, got {args.identity}")
         return np.eye(args.identity, dtype=np.complex128)
     return haar_random_unitary(args.haar, args.seed).matrix
 
@@ -253,9 +255,7 @@ def cmd_dump_dfunctions(args) -> int:
     mat = _resolve_element(args)
     if mat.shape[0] != irrep.m:
         raise DomainError(f"matrix side {mat.shape[0]} != m = {irrep.m}")
-    lifted = lift(irrep, UnitaryElement.from_matrix(mat, tol=args.tol)).matrix
-    if not np.all(np.isfinite(lifted)):
-        raise DomainError(f"the lift into {irrep} has non-finite entries")
+    lifted = lift(irrep, UnitaryElement.from_matrix(mat, tol=args.tol))
     # One JSON record per (r, t): {"irrep": row, "r": tag, "t": tag, "value": [re, im]},
     # written from tags encoded once; repr of a finite float is its JSON form.
     tags = [_json(p.as_lists()) for p in gt_basis(irrep)]
@@ -277,6 +277,8 @@ def _check_shared_flags(args) -> None:
         Partition(_parse_ints(args.partition))
     if getattr(args, "rows", None) and getattr(args, "cols", None):
         SubmatrixSelector(_parse_ints(args.rows), _parse_ints(args.cols))
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise DomainError("tolerance must be positive and finite")
     if getattr(args, "samples", None) is not None and args.samples < 1:

@@ -26,13 +26,13 @@ from .linalgimm import UnitaryElement, as_square
 from .symgroup import Partition, Permutation, character_weights, dim_sym, sn_tables
 from .sunrep import (
     GTPattern,
-    LiftedRep,
     SUIrrepLabel,
     WeightVector,
-    generator_matrix,
+    _simple_raising,
     gt_basis,
     occupations,
     pattern_index,
+    weight_blocks,
     weight_subspace,
 )
 
@@ -293,10 +293,11 @@ class _TensorIrrep:
         level_of = lambda occ: sum(occ[k] * (m - 1 - k) for k in range(m))
         top_level = level_of(top)
         by_level: dict[int, dict[tuple, list[GTPattern]]] = {}
-        for p, occ in zip(self.patterns, self.occupations):
-            lev = top_level - level_of(occ)
-            by_level.setdefault(lev, {}).setdefault(occ, []).append(p)
-        lowering = {i: generator_matrix(label, i + 1, i) for i in range(1, m)}
+        for idx in weight_blocks(label).values():
+            occ = self.occupations[idx[0]]
+            pats = [self.patterns[i] for i in idx]
+            by_level.setdefault(top_level - level_of(occ), {})[occ] = pats
+        lowering = {i: _simple_raising(label, i).T for i in range(1, m)}
 
         for lev in sorted(by_level):
             if lev == 0:
@@ -396,7 +397,8 @@ class CoefficientMatrix:
     """Matrix M with Imm^{p}(submatrix)_{kq} = sum_{rs} M_rs D^{(p)}_{rs}.
 
     Rows are tagged by GT patterns at the weight of the kept-rows state, and
-    columns by patterns at the weight of the kept-columns state.  Gram-type:
+    columns by patterns at the weight of the kept-columns state;
+    ``row_index`` and ``col_index`` are their basis positions.  Gram-type:
     Hermitian positive semidefinite whenever k = q.
     """
 
@@ -408,6 +410,8 @@ class CoefficientMatrix:
     right_weight: WeightVector
     row_patterns: tuple[GTPattern, ...]
     col_patterns: tuple[GTPattern, ...]
+    row_index: np.ndarray
+    col_index: np.ndarray
     entries: np.ndarray
 
 
@@ -442,8 +446,10 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     rep = _tensor_irrep(m, n, tuple(p.parts) + (0,) * (m - len(p)))
     wk, wq = state_weight(m, k), state_weight(m, q)
     idx_k, idx_q = _mode_index(m, k), _mode_index(m, q)
-    rows = [pat for pat, occ in zip(rep.patterns, rep.occupations) if occ == wk.occupation]
-    cols = [pat for pat, occ in zip(rep.patterns, rep.occupations) if occ == wq.occupation]
+    blocks = weight_blocks(rep.label)
+    row_index, col_index = blocks[wk.cartan], blocks[wq.cartan]
+    rows = [rep.patterns[i] for i in row_index]
+    cols = [rep.patterns[i] for i in col_index]
     scale = math.factorial(n) / dim_sym(p)
     ent = np.zeros((len(rows), len(cols)), dtype=np.complex128)
     left = {pat: rep.amplitude(pat, idx_k) for pat in rows}
@@ -460,6 +466,8 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
         right_weight=wq,
         row_patterns=tuple(rows),
         col_patterns=tuple(cols),
+        row_index=row_index,
+        col_index=col_index,
         entries=ent,
     )
 
@@ -484,9 +492,6 @@ def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) ->
     return complex(evolved.amplitudes[_mode_index(m, k)])
 
 
-def coefficient_matrix_value(cm: CoefficientMatrix, lifted: LiftedRep) -> complex:
+def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray) -> complex:
     """Contract a coefficient matrix against a lifted irrep matrix."""
-    index = pattern_index(lifted.irrep)
-    ridx = [index[p] for p in cm.row_patterns]
-    cidx = [index[p] for p in cm.col_patterns]
-    return complex(np.sum(cm.entries * lifted.matrix[np.ix_(ridx, cidx)]))
+    return complex(np.sum(cm.entries * lifted[np.ix_(cm.row_index, cm.col_index)]))

@@ -87,6 +87,8 @@ def haar_random_unitary(m: int, seed: int) -> UnitaryElement:
     """
     if m < 2:
         raise DomainError("haar_random_unitary requires m >= 2")
+    if seed < 0:
+        raise DomainError(f"haar_random_unitary requires a seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -25,7 +25,6 @@ from .sunrep import (
     chain_label,
     dim_weyl,
     lift,
-    lift_columns,
     occupations,
     pattern_index,
     weight_subspace,
@@ -191,8 +190,8 @@ def fit_decomposition(
     y0 = np.empty(prelim_samples, dtype=np.complex128)
     for i in range(prelim_samples):
         omega = haar_random_unitary(m, seed + i)
-        y0[i] = _target_value(problem, lift(problem.base_irrep, omega).matrix)
-        lifts = {ir: lift_columns(ir, omega, cols[ir]) for ir in irreps}
+        y0[i] = _target_value(problem, lift(problem.base_irrep, omega))
+        lifts = {ir: lift(ir, omega, cols[ir]) for ir in irreps}
         X0[i] = [lifts[ir][r, t] for ir, r, t in where]
 
     def solve(X, y, subset):

@@ -17,9 +17,11 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -228,21 +230,31 @@ def pattern_index(irrep: SUIrrepLabel) -> dict[GTPattern, int]:
     return {p: i for i, p in enumerate(gt_basis(irrep))}
 
 
-def weight_subspace(irrep: SUIrrepLabel, w) -> tuple[GTPattern, ...]:
-    """Basis patterns whose Cartan weight matches ``w``, in canonical order.
+@cache
+def weight_blocks(irrep: SUIrrepLabel) -> Mapping[tuple[int, ...], np.ndarray]:
+    """Ascending basis positions (:func:`gt_basis` order) of each Cartan weight.
 
-    Matching is by Cartan weight so that occupations shifted by the
-    (1, ..., 1) direction (absorbed by SU normalization) still select the
-    same states.  Accepts a WeightVector or a bare occupation tuple.
+    Keys are Cartan weights (n_1 - n_2, ...), so occupations shifted by the
+    (1, ..., 1) direction select the same block.  The mapping and its arrays
+    are read-only.
     """
+    blocks = {}
+    for i, occ in enumerate(occupations(irrep)):
+        blocks.setdefault(tuple(a - b for a, b in zip(occ, occ[1:])), []).append(i)
+    for weight, idx in blocks.items():
+        blocks[weight] = np.array(idx, dtype=np.intp)
+        blocks[weight].flags.writeable = False
+    return MappingProxyType(blocks)
+
+
+def weight_subspace(irrep: SUIrrepLabel, w) -> tuple[GTPattern, ...]:
+    """Basis patterns whose Cartan weight matches ``w``, in canonical order
+    (see :func:`weight_blocks`).  Accepts a WeightVector or a bare
+    occupation tuple."""
     if not isinstance(w, WeightVector):
         w = WeightVector(tuple(w))
-    target = w.cartan
-    return tuple(
-        p
-        for p, occ in zip(gt_basis(irrep), occupations(irrep))
-        if tuple(a - b for a, b in zip(occ, occ[1:])) == target
-    )
+    basis = gt_basis(irrep)
+    return tuple(basis[i] for i in weight_blocks(irrep).get(w.cartan, ()))
 
 
 def chain_label(pattern: GTPattern) -> str:
@@ -371,30 +383,6 @@ def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftedRep:
-    """Matrix of one group element in an irrep, GT basis order."""
-
-    irrep: SUIrrepLabel
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        d = self.matrix.shape[0]
-        defect = np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)).max()
-        if defect > 1e-10:
-            raise DomainError(f"lifted matrix lost unitarity: defect {defect:.3e}")
-
-    @property
-    def patterns(self) -> tuple[GTPattern, ...]:
-        return gt_basis(self.irrep)
-
-    def entry(self, r: GTPattern, t: GTPattern) -> complex:
-        index = pattern_index(self.irrep)
-        if r not in index or t not in index:
-            raise DomainError("patterns do not belong to this irrep")
-        return complex(self.matrix[index[r], index[t]])
-
-
 def _givens_factors(umat: np.ndarray) -> tuple[list[tuple[int, float]], np.ndarray]:
     """Adjacent rotations and phases with U = P_0 B_{k_1}(theta_1) P_1 ... B_{k_L}(theta_L) P_L.
 
@@ -446,7 +434,6 @@ def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.nd
     diagonalised and checked orthogonal on its own.
     """
     m, d = irrep.m, dim_weyl(irrep)
-    stack = _generator_stack(irrep)
     occ = np.array(occupations(irrep), dtype=np.float64)
     occ.flags.writeable = False
     eigen = []
@@ -454,7 +441,8 @@ def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.nd
         blocks: dict[tuple, list[int]] = {}
         for i, pat in enumerate(gt_basis(irrep)):
             blocks.setdefault(pat.rows[: m - k - 1] + pat.rows[m - k :], []).append(i)
-        smat = stack[k, k + 1] + stack[k + 1, k]
+        raising = _simple_raising(irrep, k + 1)
+        smat = raising + raising.T
         w, v = np.empty(d), np.zeros((d, d))
         for idx in blocks.values():
             block = np.ix_(idx, idx)
@@ -477,22 +465,38 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
 
-def _lifted_columns(
-    irrep: SUIrrepLabel, element: UnitaryElement, cols: list[int] | None
-) -> np.ndarray:
-    """Columns ``cols`` of the lift (all of them for None): the factors
-    applied right to left to unit columns."""
+def lift(irrep: SUIrrepLabel, element: UnitaryElement, cols=None) -> np.ndarray:
+    """Columns ``cols`` (0-based, distinct, GT basis order; all of them for
+    None) of the matrix of ``element`` in the irrep: a (d, len(cols)) array.
+
+    The element is factored into diagonal phases and adjacent-mode
+    rotations (:func:`_givens_factors`), and the factors' lifts are applied
+    right to left to unit columns: a phase diag(e^{i phi}) lifts to
+    diag(e^{i n.phi}) with the integer occupations n, and a rotation through
+    a cached real eigenbasis of its generator.  No logarithm is taken, so
+    eigenvalues at -1 lift exactly.  Each column costs O(d^2).
+    """
+    d = dim_weyl(irrep)
+    if cols is None:
+        idx = np.arange(d)
+    else:
+        cols = list(cols)
+        valid = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in cols)
+        if not (all(valid) and all(0 <= c < d for c in cols)):
+            raise DomainError(f"columns must be integers in 0..{d - 1}, got {cols}")
+        if len(set(cols)) != len(cols):
+            raise DomainError(f"columns must be distinct, got {cols}")
+        idx = np.array(cols, dtype=np.intp)
     if not isinstance(element, UnitaryElement):
         raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrix)")
     if element.m != irrep.m:
         raise DomainError(f"element acts on {element.m} modes, irrep has m = {irrep.m}")
-    d, cap = dim_weyl(irrep), max_lift_dim()
+    cap = max_lift_dim()
     if d > cap:
         raise ResourceLimitError(f"irrep dimension {d} exceeds the dense-lift cap {cap}")
     rotations, angles = _givens_factors(element.matrix)
     occ, eigen = _rotation_tables(irrep)
     phases = np.exp(1j * (occ @ angles))
-    idx = np.arange(d) if cols is None else np.array(cols, dtype=np.intp)
     x = None  # the unit columns idx times the last phase, until a rotation mixes them
     for i in range(len(rotations) - 1, -1, -1):
         k, theta = rotations[i]
@@ -502,49 +506,10 @@ def _lifted_columns(
     if x is None:
         x = np.zeros((d, len(idx)), dtype=np.complex128)
         x[idx, range(len(idx))] = phases[idx, -1]
-    return x
-
-
-def lift(irrep: SUIrrepLabel, element: UnitaryElement) -> LiftedRep:
-    """Matrix of ``element`` in the given irrep.
-
-    The element is factored into diagonal phases and adjacent-mode
-    rotations (:func:`_givens_factors`), and the lift is the product of their
-    lifts: a phase diag(e^{i phi}) lifts to diag(e^{i n.phi}) with the
-    integer occupations n, and a rotation through a cached real eigenbasis of
-    its generator.  No logarithm is taken, so eigenvalues at -1 lift exactly.
-    """
-    return LiftedRep(irrep, _lifted_columns(irrep, element, None))
-
-
-def lift_columns(irrep: SUIrrepLabel, element: UnitaryElement, cols) -> np.ndarray:
-    """Columns ``cols`` (0-based, distinct, GT basis order) of the lift of
-    ``element``: a (d, len(cols)) array equal to ``lift(...).matrix[:, cols]``.
-
-    Costs O(d^2) per column instead of the full lift's O(d^3).
-    """
-    cols = list(cols)
-    d = dim_weyl(irrep)
-    valid = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in cols)
-    if not (all(valid) and all(0 <= c < d for c in cols)):
-        raise DomainError(f"columns must be integers in 0..{d - 1}, got {cols}")
-    if len(set(cols)) != len(cols):
-        raise DomainError(f"columns must be distinct, got {cols}")
-    x = _lifted_columns(irrep, element, cols)
-    defect = np.abs(x.conj().T @ x - np.eye(len(cols))).max(initial=0.0)
+    defect = np.abs(x.conj().T @ x - np.eye(len(idx))).max(initial=0.0)
     if not defect <= 1e-10:
-        raise DomainError(f"lifted columns lost orthonormality: defect {defect:.3e}")
+        raise DomainError(f"the lift into {irrep} lost orthonormality: defect {defect:.3e}")
     return x
-
-
-def weight_block_trace(lifted: LiftedRep, occupation) -> complex:
-    """Sum of the diagonal group functions whose pattern has ``occupation``."""
-    target = tuple(occupation)
-    total = 0.0 + 0.0j
-    for i, occ in enumerate(occupations(lifted.irrep)):
-        if occ == target:
-            total += lifted.matrix[i, i]
-    return total
 
 
 def dfunction(irrep: SUIrrepLabel, r: GTPattern, t: GTPattern, element: UnitaryElement) -> complex:
@@ -553,5 +518,5 @@ def dfunction(irrep: SUIrrepLabel, r: GTPattern, t: GTPattern, element: UnitaryE
     index = pattern_index(irrep)
     if r not in index or t not in index:
         raise DomainError("patterns do not belong to this irrep")
-    return complex(lift_columns(irrep, element, [index[t]])[index[r], 0])
+    return complex(lift(irrep, element, [index[t]])[index[r], 0])
 

@@ -38,22 +38,29 @@ from .plethysm import (
 )
 from .reports import VerificationReport
 from .symgroup import Partition, dim_sym, partitions_of
-from .sunrep import SUIrrepLabel, chain_label, lift, weight_block_trace
+from .sunrep import SUIrrepLabel, chain_label, lift, weight_blocks
 
 DUALITY_TOL = 1e-10
+
+
+def _block_trace(label: SUIrrepLabel, lifted: np.ndarray, keep) -> complex:
+    """Sum, in basis order, of the lifted diagonal over the patterns at the
+    weight of the kept modes ``keep``."""
+    idx = weight_blocks(label)[state_weight(label.m, keep).cartan]
+    return sum(lifted[idx, idx], 0j)
 
 
 def _principal_residuals(m, p, keep, elements, lifts) -> tuple[float, float]:
     """Worst |Imm^{p} - diagonal D-sum| and worst |Imm^{p} - duality route|
     of the principal submatrix on ``keep`` over the sampled elements, whose
     lifts into the irrep dual to ``p`` are ``lifts``."""
-    occ = state_weight(m, keep).occupation
+    label = SUIrrepLabel.from_partition(p, m, normalize=False)
     selector = SubmatrixSelector(keep, keep)
     worst = 0.0
     worst_dual = 0.0
     for u, lf in zip(elements, lifts):
         direct = immanant(p, submatrix(u.matrix, selector))
-        worst = max(worst, abs(direct - weight_block_trace(lf, occ)))
+        worst = max(worst, abs(direct - _block_trace(label, lf, keep)))
         via = immanant_via_duality(m, p, keep, keep, u)
         worst_dual = max(worst_dual, abs(direct - via))
     return float(worst), float(worst_dual)
@@ -150,18 +157,17 @@ def verify_littlewood(element: UnitaryElement, tol: float = 1e-9, seed: int | No
     rhs = immanant(p31, umat) + immanant(p4, umat)
     residual_imm = abs(lhs - rhs)
 
-    lifted = {
-        pp: lift(SUIrrepLabel.from_partition(pp, 4, normalize=False), element)
-        for pp in (p3, p1, p31, p4)
-    }
+    labels = {pp: SUIrrepLabel.from_partition(pp, 4, normalize=False) for pp in (p3, p1, p31, p4)}
+    lifted = {pp: lift(label, element) for pp, label in labels.items()}
+
+    def trace(pp, keep):
+        return _block_trace(labels[pp], lifted[pp], keep)
 
     lhs_d = 0.0 + 0.0j
     for keep3, keep1 in LITTLEWOOD_PAIRS:
-        occ3 = state_weight(4, keep3).occupation
-        occ1 = state_weight(4, keep1).occupation
-        lhs_d += weight_block_trace(lifted[p3], occ3) * weight_block_trace(lifted[p1], occ1)
-    full = (1, 1, 1, 1)
-    rhs_d = weight_block_trace(lifted[p31], full) + weight_block_trace(lifted[p4], full)
+        lhs_d += trace(p3, keep3) * trace(p1, keep1)
+    full = (1, 2, 3, 4)
+    rhs_d = trace(p31, full) + trace(p4, full)
     residual_d = abs(lhs_d - rhs_d)
     residual_forms = max(abs(lhs_d - lhs), abs(rhs_d - rhs))
 

@@ -36,6 +36,7 @@ from immdfun.sunrep import (
     generator_matrix,
     gt_basis,
     lift,
+    pattern_index,
     weight_subspace,
 )
 from immdfun.verification import (
@@ -91,13 +92,15 @@ def test_criterion_3_su3_identities():
     per_states = weight_subspace(irrep_per, (1, 1, 1))
     mixed_states = weight_subspace(irrep_mixed, (1, 1, 1))
     assert len(per_states) == 1 and len(mixed_states) == 2
+    per_pos = pattern_index(irrep_per)[per_states[0]]
+    mixed_pos = [pattern_index(irrep_mixed)[t] for t in mixed_states]
     worst = 0.0
     for i in range(25):
         u = haar_random_unitary(3, SEED + i)
         lift_per = lift(irrep_per, u)
         lift_mixed = lift(irrep_mixed, u)
-        per_d = lift_per.entry(per_states[0], per_states[0])
-        mixed_d = sum(lift_mixed.entry(t, t) for t in mixed_states)
+        per_d = lift_per[per_pos, per_pos]
+        mixed_d = sum(lift_mixed[t, t] for t in mixed_pos)
         worst = max(worst, abs(permanent_ryser(u.matrix) - per_d))
         worst = max(worst, abs(immanant(P(2, 1), u.matrix) - mixed_d))
         worst = max(worst, abs(determinant(u.matrix) - 1.0))
@@ -312,10 +315,10 @@ def test_criterion_10_structural_suites():
         for i in range(50):
             u1, u2 = haar_random_unitary(m, SEED + i), haar_random_unitary(m, 7000 + i)
             lifted = lift(ir, u1)
-            if np.abs(lifted.matrix.conj().T @ lifted.matrix - np.eye(d)).max() >= 1e-10:
+            if np.abs(lifted.conj().T @ lifted - np.eye(d)).max() >= 1e-10:
                 failures.append(f"unitarity {row}")
             prod = UnitaryElement.from_matrix(u1.matrix @ u2.matrix, tol=1e-9)
-            hom = lift(ir, prod).matrix - lifted.matrix @ lift(ir, u2).matrix
+            hom = lift(ir, prod) - lifted @ lift(ir, u2)
             if np.abs(hom).max() >= 1e-9:
                 failures.append(f"lift homomorphism {row}")
 

@@ -368,6 +368,26 @@ class TestRejectedFlags:
             (("verify", "conjecture", "--m", "2", "--partition", "3"), "nothing to check"),
             (("verify", "kostant", "--m", "0"), "--m must be >= 2, got 0"),
             (("verify", "conjecture", "--m", "1"), "--m must be >= 2, got 1"),
+            (
+                ("verify", "kostant", "--m", "2", "--samples", "1", "--seed", "-1"),
+                "--seed must be >= 0, got -1",
+            ),
+            (
+                ("immanant", "--partition", "1,1,1", "--haar", "3", "--seed", "-5"),
+                "--seed must be >= 0, got -5",
+            ),
+            (
+                ("dump-dfunctions", "--row", "1,0", "--haar", "2", "--seed", "-1"),
+                "--seed must be >= 0, got -1",
+            ),
+            (
+                ("immanant", "--partition", "1", "--identity", "-1"),
+                "--identity must be >= 1, got -1",
+            ),
+            (
+                ("dump-dfunctions", "--row", "1,0", "--identity", "-2"),
+                "--identity must be >= 1, got -2",
+            ),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
@@ -401,7 +421,7 @@ class TestMinusOneEigenvalues:
         from immdfun.sunrep import SUIrrepLabel, lift
 
         root = UnitaryElement(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
-        cube = np.linalg.matrix_power(lift(SUIrrepLabel(3, (2, 1, 0)), root).matrix, 3)
+        cube = np.linalg.matrix_power(lift(SUIrrepLabel(3, (2, 1, 0)), root), 3)
         assert np.abs(got - cube).max() < 1e-12
 
 

@@ -219,7 +219,7 @@ class TestChainSubspace:
         label = SUIrrepLabel(3, (2, 1, 0))
         rep = _tensor_irrep(3, 3, (2, 1, 0))
         u = haar_random_unitary(3, 17)
-        lifted = lift(label, u).matrix
+        lifted = lift(label, u)
         pats = gt_basis(label)
         index = {p: i for i, p in enumerate(pats)}
         for alpha in range(rep.n_copies):
@@ -364,7 +364,7 @@ class TestTheorem3AndNormalization:
                 lifted = lift(label, u)
                 pats = gt_basis(label)
                 dsum = sum(
-                    lifted.matrix[a, a]
+                    lifted[a, a]
                     for a, pat in enumerate(pats)
                     if weight_of(pat).occupation == (1,) * m
                 )
@@ -394,7 +394,7 @@ class TestTheorem3AndNormalization:
         zero_idx = [a for a, pat in enumerate(pats) if weight_of(pat).occupation == (1, 1, 1)]
         for s in all_permutations(m):
             pm = UnitaryElement.from_matrix(permutation_matrix(s), tol=1e-10)
-            gamma = lift(label, pm).matrix[np.ix_(zero_idx, zero_idx)]
+            gamma = lift(label, pm)[np.ix_(zero_idx, zero_idx)]
             assert np.abs(gamma @ w @ gamma.conj().T - w).max() < 1e-9
         assert np.abs(w - np.eye(len(zero_idx))).max() < 1e-10
 
@@ -408,7 +408,7 @@ class TestTheorem3AndNormalization:
         zero_idx = [a for a, pat in enumerate(pats) if weight_of(pat).occupation == (1, 1, 1)]
         for s in all_permutations(m):
             pm = UnitaryElement.from_matrix(permutation_matrix(s), tol=1e-10)
-            gamma = lift(label, pm).matrix[np.ix_(zero_idx, zero_idx)]
+            gamma = lift(label, pm)[np.ix_(zero_idx, zero_idx)]
             assert abs(np.trace(gamma) - character(p, s.cycle_type())) < 1e-8
 
 

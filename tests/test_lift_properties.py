@@ -22,7 +22,6 @@ from immdfun.sunrep import (
     dim_weyl,
     gt_basis,
     lift,
-    lift_columns,
     occupations,
 )
 from immdfun.symgroup import all_permutations
@@ -76,9 +75,9 @@ def test_columns_are_the_full_lifts_columns(irrep, seed, data):
     d = dim_weyl(irrep)
     cols = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=6, unique=True))
     u = haar_random_unitary(irrep.m, seed)
-    got = lift_columns(irrep, u, cols)
+    got = lift(irrep, u, cols)
     assert got.shape == (d, len(cols))
-    assert np.abs(got - lift(irrep, u).matrix[:, cols]).max() < 1e-12
+    assert np.abs(got - lift(irrep, u)[:, cols]).max() < 1e-12
 
 
 @FEW
@@ -86,15 +85,15 @@ def test_columns_are_the_full_lifts_columns(irrep, seed, data):
 def test_homomorphism(irrep, first, second):
     u, v = (_element(irrep.m, kind, seed) for kind, seed in (first, second))
     uv = UnitaryElement.from_matrix(u.matrix @ v.matrix)
-    lhs = lift(irrep, uv).matrix
-    assert np.abs(lhs - lift(irrep, u).matrix @ lift(irrep, v).matrix).max() < 1e-12
+    lhs = lift(irrep, uv)
+    assert np.abs(lhs - lift(irrep, u) @ lift(irrep, v)).max() < 1e-12
 
 
 @pytest.mark.parametrize("row", ROWS)
 def test_identity_lifts_exactly(row):
     irrep = SUIrrepLabel(len(row), row)
     lifted = lift(irrep, UnitaryElement(np.eye(irrep.m)))
-    assert np.array_equal(lifted.matrix, np.eye(dim_weyl(irrep)))
+    assert np.array_equal(lifted, np.eye(dim_weyl(irrep)))
 
 
 @pytest.mark.parametrize("row", [r for r in ROWS if len(r) >= 3])
@@ -104,7 +103,7 @@ def test_minus_one_pair_lifts_to_signs(row):
     irrep = SUIrrepLabel(len(row), row)
     u = UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (irrep.m - 2)))
     signs = [(-1.0) ** (occ[0] + occ[1]) for occ in occupations(irrep)]
-    assert np.abs(lift(irrep, u).matrix - np.diag(signs)).max() < 1e-14
+    assert np.abs(lift(irrep, u) - np.diag(signs)).max() < 1e-14
 
 
 @settings(FEW, max_examples=4)
@@ -115,15 +114,15 @@ def test_permutation_matrices(row, seed):
     irrep = SUIrrepLabel(len(row), row)
     occ = np.array(occupations(irrep))
     v = haar_random_unitary(irrep.m, seed)
-    t_v = lift(irrep, v).matrix
+    t_v = lift(irrep, v)
     for s in all_permutations(irrep.m):
         p = UnitaryElement.from_matrix(permutation_matrix(s))
-        t_p = lift(irrep, p).matrix
+        t_p = lift(irrep, p)
         moved = occ[:, [s.inverse()(j) - 1 for j in range(1, irrep.m + 1)]]
         allowed = (moved[:, None, :] == occ[None, :, :]).all(axis=2)  # [t, r]
         assert np.abs(t_p.T[~allowed]).max(initial=0.0) < 1e-14
         pv = UnitaryElement.from_matrix(p.matrix @ v.matrix)
-        assert np.abs(lift(irrep, pv).matrix - t_p @ t_v).max() < 1e-12
+        assert np.abs(lift(irrep, pv) - t_p @ t_v).max() < 1e-12
 
 
 @settings(FEW, max_examples=10)
@@ -138,7 +137,7 @@ def test_columns_match_chain_vectors(row, seed, data):
     u = haar_random_unitary(m, seed)
     moved = apply_tensor_power(u.matrix, TensorState(m, n, rep.dense_vector(pats[t], 0)))
     want = [np.vdot(rep.dense_vector(r, 0), moved.amplitudes) for r in pats]
-    assert np.abs(lift_columns(irrep, u, [t])[:, 0] - want).max() < 1e-12
+    assert np.abs(lift(irrep, u, [t])[:, 0] - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("row", ROWS)
@@ -155,13 +154,13 @@ def test_rotation_tables_are_read_only(row):
 def test_bad_column_is_domain_error(cols):
     irrep = SUIrrepLabel(3, (2, 1, 0))
     with pytest.raises(DomainError, match="columns must be"):
-        lift_columns(irrep, UnitaryElement(np.eye(3)), cols)
+        lift(irrep, UnitaryElement(np.eye(3)), cols)
 
 
 def test_column_lift_cap(monkeypatch):
     monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
     with pytest.raises(ResourceLimitError):
-        lift_columns(SUIrrepLabel(3, (2, 1, 0)), UnitaryElement(np.eye(3)), [0])
+        lift(SUIrrepLabel(3, (2, 1, 0)), UnitaryElement(np.eye(3)), [0])
 
 
 def test_non_orthogonal_eigenbasis_is_refused(monkeypatch):
@@ -172,7 +171,25 @@ def test_non_orthogonal_eigenbasis_is_refused(monkeypatch):
 
 
 def test_columns_that_lose_orthonormality_are_refused(monkeypatch):
-    real = sunrep._lifted_columns
-    monkeypatch.setattr(sunrep, "_lifted_columns", lambda *args: 1.001 * real(*args))
+    real = sunrep._real_times
+    monkeypatch.setattr(sunrep, "_real_times", lambda *args: 1.001 * real(*args))
     with pytest.raises(DomainError, match="orthonormality"):
-        lift_columns(SUIrrepLabel(3, (2, 1, 0)), haar_random_unitary(3, 5), [0, 3])
+        lift(SUIrrepLabel(3, (2, 1, 0)), haar_random_unitary(3, 5), [0, 3])
+
+
+def test_nan_product_is_refused(monkeypatch):
+    real = sunrep._real_times
+    monkeypatch.setattr(sunrep, "_real_times", lambda *args: np.nan * real(*args))
+    u = haar_random_unitary(3, 5)
+    for cols in (None, [0, 3]):
+        with pytest.raises(DomainError, match="orthonormality"):
+            lift(SUIrrepLabel(3, (2, 1, 0)), u, cols)
+
+
+def test_lift_builds_no_generator_stack():
+    irrep = SUIrrepLabel(3, (5, 2, 0))
+    before = sunrep._generator_stack.cache_info()
+    _rotation_tables.__wrapped__(irrep)
+    lift(irrep, haar_random_unitary(3, 8))
+    after = sunrep._generator_stack.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

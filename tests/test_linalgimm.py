@@ -158,6 +158,10 @@ class TestUnitaryElement:
         assert np.array_equal(a.matrix, b.matrix)
         assert not np.array_equal(a.matrix, haar_random_unitary(3, 124).matrix)
 
+    def test_haar_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed >= 0, got -1"):
+            haar_random_unitary(3, -1)
+
     def test_haar_unitarity(self):
         u = haar_random_unitary(4, 9).matrix
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12

@@ -29,6 +29,7 @@ from immdfun.sunrep import (
     occupations,
     pattern_index,
     su2_irrep,
+    weight_blocks,
     weight_of,
     weight_subspace,
 )
@@ -107,6 +108,23 @@ class TestWeights:
 
     def test_outside_diagram_empty(self):
         assert weight_subspace(su2_irrep(2), (5, 0)) == ()
+
+    @pytest.mark.parametrize(
+        "row", [(4, 0), (2, 1, 0), (4, 2, 0), (3, 1, 0, 0), (2, 1, 1, 0, 0)]
+    )
+    def test_weight_blocks_partition_the_basis(self, row):
+        ir = SUIrrepLabel(len(row), row)
+        blocks = weight_blocks(ir)
+        assert sorted(i for idx in blocks.values() for i in idx) == list(range(dim_weyl(ir)))
+        basis, occ = gt_basis(ir), occupations(ir)
+        for cartan, idx in blocks.items():
+            assert list(idx) == sorted(idx) and not idx.flags.writeable
+            assert all(weight_of(basis[i]).cartan == cartan for i in idx)
+            for shift in (0, 1, 3):
+                shifted = tuple(n + shift for n in occ[idx[0]])
+                assert weight_subspace(ir, shifted) == tuple(basis[i] for i in idx)
+        with pytest.raises(TypeError):
+            blocks[(9,) * (ir.m - 1)] = idx
 
     def test_chain_label_format(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
@@ -226,17 +244,17 @@ class TestLift:
     def test_fundamental_returns_element(self):
         u = haar_random_unitary(3, 8)
         lifted = lift(SUIrrepLabel(3, (1, 0, 0)), u)
-        assert np.abs(lifted.matrix - u.matrix).max() < 1e-12
+        assert np.abs(lifted - u.matrix).max() < 1e-12
 
     def test_su2_middle_entry_is_cos_beta(self):
         beta = 1.234
         lifted = lift(su2_irrep(2), su2_euler(0.3, beta, -0.8))
-        assert lifted.matrix[1, 1] == pytest.approx(math.cos(beta), abs=1e-12)
+        assert lifted[1, 1] == pytest.approx(math.cos(beta), abs=1e-12)
 
     def test_identity_lifts_to_identity(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
         lifted = lift(ir, UnitaryElement(np.eye(3)))
-        assert np.abs(lifted.matrix - np.eye(8)).max() < 1e-12
+        assert np.abs(lifted - np.eye(8)).max() < 1e-12
 
     @pytest.mark.parametrize("row", [(2, 0), (2, 1, 0), (2, 1, 1, 0)])
     def test_homomorphism(self, row):
@@ -246,15 +264,15 @@ class TestLift:
             u1 = haar_random_unitary(m, 100 + i)
             u2 = haar_random_unitary(m, 200 + i)
             prod = UnitaryElement.from_matrix(u1.matrix @ u2.matrix, tol=1e-9)
-            lhs = lift(ir, prod).matrix
-            rhs = lift(ir, u1).matrix @ lift(ir, u2).matrix
+            lhs = lift(ir, prod)
+            rhs = lift(ir, u1) @ lift(ir, u2)
             assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_unitarity(self):
         ir = SUIrrepLabel(4, (3, 1, 0, 0))
         lifted = lift(ir, haar_random_unitary(4, 77))
-        d = lifted.matrix.shape[0]
-        assert np.abs(lifted.matrix.conj().T @ lifted.matrix - np.eye(d)).max() < 1e-10
+        d = lifted.shape[0]
+        assert np.abs(lifted.conj().T @ lifted - np.eye(d)).max() < 1e-10
 
     def test_weight_covariance_on_torus(self):
         ir = SUIrrepLabel(3, (3, 1, 0))
@@ -264,14 +282,14 @@ class TestLift:
         expect = np.diag(
             [np.exp(1j * np.dot(weight_of(p).occupation, theta)) for p in gt_basis(ir)]
         )
-        assert np.abs(lifted.matrix - expect).max() < 1e-10
+        assert np.abs(lifted - expect).max() < 1e-10
 
     def test_branch_cut_refusal(self):
         # eigenvalue -1 is not refused: diag(-1,-1,1) is an involution, so its
         # lift is one too
         ir = SUIrrepLabel(3, (2, 1, 0))
         u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
-        t = lift(ir, u).matrix
+        t = lift(ir, u)
         eye = np.eye(dim_weyl(ir))
         assert np.abs(t @ t - eye).max() < 1e-12
         assert np.abs(t.conj().T @ t - eye).max() < 1e-12
@@ -281,8 +299,8 @@ class TestLift:
         ir = SUIrrepLabel(3, (2, 1, 0))
         u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
         root = UnitaryElement(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
-        cube = np.linalg.matrix_power(lift(ir, root).matrix, 3)
-        assert np.abs(lift(ir, u).matrix - cube).max() < 1e-12
+        cube = np.linalg.matrix_power(lift(ir, root), 3)
+        assert np.abs(lift(ir, u) - cube).max() < 1e-12
 
     @pytest.mark.parametrize("row", [(2, 1, 0), (3, 0, 0), (2, 1, 1, 0), (2, 2, 0, 0)])
     def test_homomorphism_on_permutation_matrices(self, row):
@@ -291,14 +309,14 @@ class TestLift:
         ir = SUIrrepLabel(len(row), row)
         m = ir.m
         v = haar_random_unitary(m, 31)
-        t_v = lift(ir, v).matrix
+        t_v = lift(ir, v)
         for s in all_permutations(m):
             p = UnitaryElement.from_matrix(permutation_matrix(s))
-            t_p = lift(ir, p).matrix
+            t_p = lift(ir, p)
             pv = UnitaryElement.from_matrix(p.matrix @ v.matrix)
             vp = UnitaryElement.from_matrix(v.matrix @ p.matrix)
-            assert np.abs(lift(ir, pv).matrix - t_p @ t_v).max() < 1e-12
-            assert np.abs(lift(ir, vp).matrix - t_v @ t_p).max() < 1e-12
+            assert np.abs(lift(ir, pv) - t_p @ t_v).max() < 1e-12
+            assert np.abs(lift(ir, vp) - t_v @ t_p).max() < 1e-12
 
     def test_dimension_cap(self, monkeypatch):
         big = SUIrrepLabel(3, (40, 20, 0))
@@ -316,8 +334,8 @@ class TestLift:
         u = haar_random_unitary(3, 55)
         base = SUIrrepLabel(3, (2, 1, 0))
         shifted = SUIrrepLabel(3, (3, 2, 1))
-        lhs = lift(base, u).matrix
-        rhs = lift(shifted, u).matrix
+        lhs = lift(base, u)
+        rhs = lift(shifted, u)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_torus_covariance_selection_rule(self):
@@ -332,8 +350,8 @@ class TestLift:
         sandwiched = UnitaryElement.from_matrix(
             left.matrix @ u.matrix @ right.matrix, tol=1e-9
         )
-        got = lift(ir, sandwiched).matrix
-        base = lift(ir, u).matrix
+        got = lift(ir, sandwiched)
+        base = lift(ir, u)
         pats = gt_basis(ir)
         phase_l = np.array([np.exp(1j * np.dot(weight_of(p).occupation, th_l)) for p in pats])
         phase_r = np.array([np.exp(1j * np.dot(weight_of(p).occupation, th_r)) for p in pats])
