@@ -1,16 +1,19 @@
-"""N-fold tensor powers of the defining SU(m) representation.
+"""The duality route to immanants of submatrices, on plain amplitude arrays.
 
-The symmetric group permutes tensor factors, SU(m) acts diagonally, and the
-two actions commute; this module exploits that to evaluate immanants of
-submatrices as matrix elements between chain-adapted states, entirely
-independently of the character-sum route in :mod:`immdfun.linalgimm`.
+The symmetric group permutes the factors of (C^m)^(x N), SU(m) acts
+diagonally, and the two actions commute.  Hence
+Imm^{p}(U[k, q]) = <Phi_k| U^(x N) Pi^{p} |Phi_q> with the unnormalized
+projector Pi^{p} = sum_s chi^{p}(s) P(s): :func:`immanant_via_duality`
+evaluates it on m^N complex amplitudes (row-major, first factor most
+significant), independently of the character-sum route in
+:mod:`immdfun.linalgimm`.
 
-Chain-adapted subspaces are built by extracting highest-weight vectors of
-each irrep copy and descending with simple lowering operators whose matrix
-elements are pinned to the Gelfand-Tsetlin values from :mod:`immdfun.sunrep`.
-The resulting vectors therefore reproduce that module's group functions
-entrywise, not just trace-wise, and keep phases aligned with the standard
-GT convention.
+:func:`coefficient_matrix` couples the same immanant to group functions.
+Its entries are overlaps of the kept-mode basis states with chain vectors:
+the highest-weight vectors of each irrep copy, lowered with the simple
+lowering operators whose matrix elements are pinned to the Gelfand-Tsetlin
+values of :mod:`immdfun.sunrep`.  The chain vectors therefore reproduce that
+module's group functions entrywise, phases included.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .linalgimm import UnitaryElement, as_square
-from .symgroup import Partition, Permutation, character_weights, dim_sym, sn_tables
+from .symgroup import Partition, character_weights, dim_sym, sn_tables
 from .sunrep import (
     GTPattern,
     SUIrrepLabel,
@@ -31,9 +34,7 @@ from .sunrep import (
     _simple_raising,
     gt_basis,
     occupations,
-    pattern_index,
     weight_blocks,
-    weight_subspace,
 )
 
 TENSOR_SIZE_CAP = 10**6
@@ -41,42 +42,20 @@ DUALITY_M_CAP = 6
 DUALITY_N_CAP = 6
 
 
-@dataclass
-class TensorState:
-    """State in the N-fold tensor power of C^m.
-
-    Amplitudes are indexed by mode tuples (k_1, ..., k_N), k in 1..m, in
-    row-major order (first factor most significant).  Norms are reported,
-    never forced: projected states stay unnormalized.
-    """
-
-    m: int
-    factors: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.m**self.factors,):
-            raise DomainError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.m ** self.factors},)"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise DomainError("amplitudes must be finite")
-        self.amplitudes = amps
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+def _tensor_size(m: int, n: int) -> int:
+    """m^n, refused above :data:`TENSOR_SIZE_CAP`."""
+    if m**n > TENSOR_SIZE_CAP:
+        raise ResourceLimitError(f"tensor space m^N = {m ** n} exceeds cap {TENSOR_SIZE_CAP}")
+    return m**n
 
 
 @cache
 def _digits(m: int, n: int) -> np.ndarray:
     """Read-only (m^n, n) table of the 0-based mode of each factor in every
     basis state i; ``i = _digits(m, n)[i] @ _powers(m, n)``."""
-    if m**n > TENSOR_SIZE_CAP:
-        raise ResourceLimitError(f"tensor space m^N = {m ** n} exceeds cap {TENSOR_SIZE_CAP}")
-    idx = np.arange(m**n, dtype=np.int64)
-    out = np.empty((m**n, n), dtype=np.int64)
+    size = _tensor_size(m, n)
+    idx = np.arange(size, dtype=np.int64)
+    out = np.empty((size, n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
         out[:, j] = idx % m
         idx //= m
@@ -115,21 +94,19 @@ def _weight_blocks(m: int, n: int) -> tuple[dict[tuple[int, ...], np.ndarray], n
     return blocks, pos
 
 
-def _hops(m: int, n: int, src: np.ndarray, i_from: int, i_to: int) -> tuple[np.ndarray, np.ndarray]:
-    """Moves of one excitation from mode ``i_from`` to mode ``i_to`` (1-based).
-
-    For every factor of basis state ``src[b]`` in mode ``i_from``, returns
-    ``b`` and the index of the state with that factor in mode ``i_to``,
-    factor by factor.
-    """
+def _block_hop(m: int, n: int, occ_src: tuple[int, ...], i_from: int, i_to: int) -> np.ndarray:
+    """Matrix of sum_t |..i_to..><..i_from..| (modes 1-based, t over factors)
+    from the computational block ``occ_src`` to the block it moves to."""
+    blocks, pos = _weight_blocks(m, n)
+    occ_dst = list(occ_src)
+    occ_dst[i_from - 1] -= 1
+    occ_dst[i_to - 1] += 1
+    src = blocks[occ_src]
     factor, b = np.nonzero(_digits(m, n)[src].T == i_from - 1)
-    return b, src[b] + (i_to - i_from) * _powers(m, n)[factor]
-
-
-def _permuted(amps: np.ndarray, digits: np.ndarray, powers: np.ndarray, images) -> np.ndarray:
-    """Amplitudes after the factor permutation with 0-based one-line ``images``:
-    factor j of each basis state takes the mode of factor ``images[j]``."""
-    return amps[digits[:, images] @ powers]
+    dst = src[b] + (i_to - i_from) * _powers(m, n)[factor]
+    mat = np.zeros((len(blocks[tuple(occ_dst)]), len(src)))
+    np.add.at(mat, (pos[dst], b), 1.0)
+    return mat
 
 
 def _mode_index(m: int, modes: tuple[int, ...]) -> int:
@@ -141,14 +118,6 @@ def _mode_index(m: int, modes: tuple[int, ...]) -> int:
     return idx
 
 
-def basis_state(m: int, modes: tuple[int, ...]) -> TensorState:
-    """Unit computational basis vector with mode k_i on tensor factor i."""
-    modes = tuple(int(k) for k in modes)
-    amps = np.zeros(m ** len(modes), dtype=np.complex128)
-    amps[_mode_index(m, modes)] = 1.0
-    return TensorState(m, len(modes), amps)
-
-
 def state_weight(m: int, modes: tuple[int, ...]) -> WeightVector:
     """Occupation weight of a computational basis state."""
     occ = [0] * m
@@ -157,239 +126,95 @@ def state_weight(m: int, modes: tuple[int, ...]) -> WeightVector:
     return WeightVector(tuple(occ))
 
 
-def apply_permutation(s: Permutation, v: TensorState) -> TensorState:
-    """Left action of S_N on tensor factors: P(a)P(b) = P(a o b).
-
-    P(s) carries the excitation of factor j to factor s(j); on basis states
-    the factor-j mode of the image is the factor-s(j) mode of the argument.
-    """
-    if s.n != v.factors:
-        raise DomainError(f"permutation degree {s.n} != factor count {v.factors}")
-    images = np.array([img - 1 for img in s.images], dtype=np.int64)
-    amps = _permuted(v.amplitudes, _digits(v.m, v.factors), _powers(v.m, v.factors), images)
-    return TensorState(v.m, v.factors, amps)
-
-
-def apply_tensor_power(umat, v: TensorState) -> TensorState:
-    """Apply U (x) U (x) ... (x) U without forming the m^N x m^N matrix."""
+def apply_tensor_power(umat, amps: np.ndarray, factors: int) -> np.ndarray:
+    """Apply U (x) U (x) ... (x) U, ``factors`` times, without forming the
+    m^N x m^N matrix."""
     umat = as_square(umat)
-    if umat.shape[0] != v.m:
-        raise DomainError("matrix side does not match the mode count")
-    tensor = v.amplitudes.reshape((v.m,) * v.factors)
-    for axis in range(v.factors):
+    m = umat.shape[0]
+    if np.shape(amps) != (m**factors,):
+        raise DomainError(f"amplitude vector has shape {np.shape(amps)}, expected ({m ** factors},)")
+    tensor = np.reshape(amps, (m,) * factors)
+    for axis in range(factors):
         tensor = np.moveaxis(np.tensordot(umat, tensor, axes=(1, axis)), 0, axis)
-    return TensorState(v.m, v.factors, tensor.reshape(-1))
+    return tensor.reshape(-1)
 
 
-def immanant_projector(p: Partition, v: TensorState) -> TensorState:
-    """Apply sum_s chi^{p}(s) P(s); unnormalized (squares to (N!/dim p) itself)."""
-    if p.n != v.factors:
-        raise DomainError(f"partition {p} is not a partition of N = {v.factors}")
-    sigmas, _, _ = sn_tables(v.factors)
-    digits, powers = _digits(v.m, v.factors), _powers(v.m, v.factors)
-    out = np.zeros_like(v.amplitudes)
-    for images, w in zip(sigmas, character_weights(p)):
-        if w != 0.0:
-            out += w * _permuted(v.amplitudes, digits, powers, images)
-    return TensorState(v.m, v.factors, out)
+def immanant_projector(p: Partition, m: int, modes: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes of sum_s chi^{p}(s) P(s) |modes>; unnormalized (the sum
+    squares to (N!/dim p) itself).
 
-
-class CollectiveOperator:
-    """Sum over tensor factors of the one-body matrix unit E_{ij}.
-
-    Acts as a scatter of the :func:`_hops` from mode j to mode i; the
-    m^N x m^N matrix is never formed.
+    P(s) carries the excitation of factor j to factor s(j), so the basis
+    state reached by s has modes ``modes[argsort(s)]``; repeated modes land
+    on one state and accumulate in :func:`sn_tables` order.
     """
-
-    def __init__(self, m: int, factors: int, i: int, j: int):
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise DomainError(f"mode indices must lie in 1..{m}")
-        self.m, self.factors, self.i, self.j = m, factors, i, j
-
-    def __call__(self, v: TensorState) -> TensorState:
-        if v.m != self.m or v.factors != self.factors:
-            raise DomainError("operator and state shapes differ")
-        b, dst = _hops(self.m, self.factors, np.arange(self.m**self.factors), self.j, self.i)
-        out = np.zeros_like(v.amplitudes)
-        np.add.at(out, dst, v.amplitudes[b])
-        return TensorState(self.m, self.factors, out)
-
-
-# ---------------------------------------------------------------------------
-# chain-adapted irrep copies inside the tensor power
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChainSubspace:
-    """Orthonormal chain-adapted vectors spanning one (irrep, weight) slice.
-
-    ``vectors[a]`` corresponds to ``tags[a] = (pattern, alpha)``.
-    """
-
-    irrep: SUIrrepLabel
-    weight: WeightVector
-    vectors: list[TensorState]
-    tags: list[tuple[GTPattern, int]]
-
-
-class _TensorIrrep:
-    """All copies of one u(m) irrep inside (C^m)^(x N), compressed by weight.
-
-    ``blocks[occ]`` lists the global basis indices of a computational weight
-    block (see :func:`_weight_blocks`); ``table[pattern]`` holds a
-    (blocksize, n_copies) array whose column alpha is copy alpha's chain
-    vector supported on that block.
-    """
-
-    def __init__(self, m: int, factors: int, label: SUIrrepLabel):
-        self.m, self.factors, self.label = m, factors, label
-        self.patterns = gt_basis(label)
-        self.occupations = occupations(label)
-        self.blocks, self._pos = _weight_blocks(m, factors)
-        self._build()
-
-    def _hop(self, occ_src, i_from: int, i_to: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Matrix of sum_t |..i_to..><..i_from..| from block occ_src to its image."""
-        occ_dst = list(occ_src)
-        occ_dst[i_from - 1] -= 1
-        occ_dst[i_to - 1] += 1
-        occ_dst = tuple(occ_dst)
-        src = self.blocks[occ_src]
-        b, dst = _hops(self.m, self.factors, src, i_from, i_to)
-        mat = np.zeros((len(self.blocks[occ_dst]), len(src)))
-        np.add.at(mat, (self._pos[dst], b), 1.0)
-        return mat, occ_dst
-
-    # -- construction ------------------------------------------------------
-    def _build(self):
-        label, m = self.label, self.m
-        top = label.row
-        hw_block = self.blocks.get(top)
-        if hw_block is None:
-            self.n_copies = 0
-            self.table = {}
-            return
-        # highest-weight vectors: common null space of the simple raisings
-        stacked = []
-        for i in range(1, m):  # C_{i,i+1} moves an excitation from mode i+1 to mode i
-            if top[i] == 0:
-                continue
-            hop, _ = self._hop(top, i + 1, i)
-            if hop.size:
-                stacked.append(hop)
-        if not stacked:
-            null = np.eye(len(hw_block))
-        else:
-            rmat = np.vstack(stacked)
-            _, svals, vh = np.linalg.svd(rmat)
-            rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
-            null = vh[rank:].conj().T
-        self.n_copies = null.shape[1]
-        order = pattern_index(label)
-        hw_pattern = self.patterns[0]  # canonical order puts the top pattern first
-        table: dict[GTPattern, np.ndarray] = {hw_pattern: null.astype(np.complex128)}
-
-        level_of = lambda occ: sum(occ[k] * (m - 1 - k) for k in range(m))
-        top_level = level_of(top)
-        by_level: dict[int, dict[tuple, list[GTPattern]]] = {}
-        for idx in weight_blocks(label).values():
-            occ = self.occupations[idx[0]]
-            pats = [self.patterns[i] for i in idx]
-            by_level.setdefault(top_level - level_of(occ), {})[occ] = pats
-        lowering = {i: _simple_raising(label, i).T for i in range(1, m)}
-
-        for lev in sorted(by_level):
-            if lev == 0:
-                continue
-            for occ, pats in by_level[lev].items():
-                cols = {p: c for c, p in enumerate(pats)}
-                arows, brows = [], []
-                for i in range(1, m):
-                    occ_up = list(occ)
-                    occ_up[i - 1] += 1
-                    occ_up[i] -= 1
-                    occ_up = tuple(occ_up)
-                    if occ_up[i] < 0:
-                        continue
-                    uppers = [p for p in by_level.get(lev - 1, {}).get(occ_up, [])]
-                    if not uppers:
-                        continue
-                    hop, occ_chk = self._hop(occ_up, i, i + 1)  # C_{i+1,i}: mode i -> i+1
-                    assert occ_chk == occ
-                    glo = lowering[i]
-                    for r in uppers:
-                        arow = np.zeros(len(pats))
-                        for s in pats:
-                            arow[cols[s]] = glo[order[s], order[r]]
-                        if not arow.any():
-                            continue
-                        arows.append(arow)
-                        brows.append(hop @ table[r])
-                amat = np.array(arows)
-                bmat = np.stack(brows, axis=0)  # (n_eq, blocksize, n_copies)
-                n_eq = amat.shape[0]
-                flat = bmat.reshape(n_eq, -1)
-                sol, *_ = np.linalg.lstsq(amat, flat, rcond=None)
-                sol = sol.reshape(len(pats), -1, self.n_copies)
-                for s in pats:
-                    table[s] = sol[cols[s]]
-        self.table = table
-
-    # -- accessors ----------------------------------------------------------
-    def amplitude(self, pattern: GTPattern, global_idx: int) -> np.ndarray:
-        """Per-copy amplitudes <basis idx | psi^alpha_pattern>, shape (n_copies,)."""
-        block = self.blocks[self.occupations[pattern_index(self.label)[pattern]]]
-        pos = self._pos[global_idx]
-        if pos >= len(block) or block[pos] != global_idx:
-            return np.zeros(self.n_copies, dtype=np.complex128)
-        return self.table[pattern][pos]
-
-    def dense_vector(self, pattern: GTPattern, alpha: int) -> np.ndarray:
-        occ = self.occupations[pattern_index(self.label)[pattern]]
-        out = np.zeros(self.m**self.factors, dtype=np.complex128)
-        out[self.blocks[occ]] = self.table[pattern][:, alpha]
-        return out
+    n = len(modes)
+    if p.n != n:
+        raise DomainError(f"partition {p} is not a partition of N = {n}")
+    _mode_index(m, modes)  # refuses a mode outside 1..m
+    sigmas, _, _ = sn_tables(n)
+    targets = (np.asarray(modes, dtype=np.int64) - 1)[np.argsort(sigmas, axis=1)] @ _powers(m, n)
+    out = np.zeros(_tensor_size(m, n), dtype=np.complex128)
+    np.add.at(out, targets, character_weights(p))
+    return out
 
 
 @cache
-def _tensor_irrep(m: int, factors: int, row: tuple[int, ...]) -> _TensorIrrep:
-    return _TensorIrrep(m, factors, SUIrrepLabel(m, row))
+def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Chain vectors of every copy of the u(m) irrep ``row`` in (C^m)^(x N).
 
-
-def tensor_power_row(irrep: SUIrrepLabel, factors: int) -> tuple[int, ...] | None:
-    """u(m) row (box count = N) carrying the SU content of ``irrep``, or None."""
-    shift, rem = divmod(factors - irrep.boxes, irrep.m)
-    if rem != 0 or shift < 0:
-        return None
-    return tuple(x + shift for x in irrep.row)
-
-
-def chain_subspace(m: int, factors: int, irrep: SUIrrepLabel, weight) -> ChainSubspace:
-    """Orthonormal chain-adapted vectors of the (irrep, weight) isotypic slice.
-
-    Absent irreps yield an empty subspace, not an error.  Vectors are tagged
-    by GT pattern (with the N-box top row) and multiplicity index alpha.
+    Entry i, in :func:`gt_basis` order, is a read-only (blocksize, n_copies)
+    array on the computational block of ``occupations(label)[i]`` (see
+    :func:`_weight_blocks`); its column alpha belongs to copy alpha.  An
+    irrep whose box count is not N has no copies and an empty tuple.
     """
-    if m**factors > TENSOR_SIZE_CAP:
-        raise ResourceLimitError(f"m^N = {m ** factors} exceeds cap {TENSOR_SIZE_CAP}")
-    if not isinstance(weight, WeightVector):
-        weight = WeightVector(tuple(weight))
-    row = tensor_power_row(irrep, factors)
-    if row is None:
-        return ChainSubspace(irrep, weight, [], [])
-    rep = _tensor_irrep(m, factors, row)
-    vectors, tags = [], []
-    for p in weight_subspace(rep.label, weight):
-        for alpha in range(rep.n_copies):
-            vectors.append(TensorState(m, factors, rep.dense_vector(p, alpha)))
-            tags.append((p, alpha))
-    return ChainSubspace(irrep, weight, vectors, tags)
+    blocks, _ = _weight_blocks(m, factors)
+    if row not in blocks:
+        return ()
+    label = SUIrrepLabel(m, row)
+    occ = occupations(label)
+    # highest-weight vectors: common null space of the simple raisings
+    # (C_{i,i+1} moves an excitation from mode i+1 to mode i)
+    stacked = [_block_hop(m, factors, row, i + 1, i) for i in range(1, m) if row[i] != 0]
+    if not stacked:
+        null = np.eye(len(blocks[row]))
+    else:
+        _, svals, vh = np.linalg.svd(np.vstack(stacked))
+        rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
+        null = vh[rank:].conj().T
+    n_copies = null.shape[1]
+    table = {0: null.astype(np.complex128)}  # the top pattern comes first
 
+    level_of = lambda o: sum(o[k] * (m - 1 - k) for k in range(m))
+    by_level: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
+    for idx in weight_blocks(label).values():
+        by_level.setdefault(level_of(row) - level_of(occ[idx[0]]), {})[occ[idx[0]]] = idx
 
-# ---------------------------------------------------------------------------
-# coefficient matrices and the duality route to immanants
-# ---------------------------------------------------------------------------
+    for lev in sorted(by_level)[1:]:
+        for occ_here, idx in by_level[lev].items():
+            # lowering the level above gives, per upper pattern r, one known
+            # GT combination of this block's chain vectors; solve for them
+            arows, brows = [], []
+            for i in range(1, m):
+                occ_up = list(occ_here)
+                occ_up[i - 1] += 1
+                occ_up[i] -= 1
+                upper = by_level.get(lev - 1, {}).get(tuple(occ_up))
+                if upper is None:
+                    continue
+                hop = _block_hop(m, factors, tuple(occ_up), i, i + 1)  # C_{i+1,i}
+                for r, arow in zip(upper, _simple_raising(label, i)[np.ix_(upper, idx)]):
+                    if arow.any():
+                        arows.append(arow)
+                        brows.append(hop @ table[r])
+            bmat = np.stack(brows, axis=0)  # (n_eq, blocksize, n_copies)
+            sol, *_ = np.linalg.lstsq(np.array(arows), bmat.reshape(len(brows), -1), rcond=None)
+            sol = sol.reshape(len(idx), -1, n_copies)
+            for c, s in enumerate(idx):
+                table[s] = sol[c]
+    vectors = tuple(table[s] for s in range(len(occ)))
+    for vec in vectors:
+        vec.flags.writeable = False
+    return vectors
 
 
 @dataclass
@@ -402,12 +227,6 @@ class CoefficientMatrix:
     Hermitian positive semidefinite whenever k = q.
     """
 
-    partition: Partition
-    m: int
-    rows_selector: tuple[int, ...]
-    cols_selector: tuple[int, ...]
-    left_weight: WeightVector
-    right_weight: WeightVector
     row_patterns: tuple[GTPattern, ...]
     col_patterns: tuple[GTPattern, ...]
     row_index: np.ndarray
@@ -443,32 +262,21 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     """
     k, q = _check_pair(m, p, k, q)
     n = len(k)
-    rep = _tensor_irrep(m, n, tuple(p.parts) + (0,) * (m - len(p)))
-    wk, wq = state_weight(m, k), state_weight(m, q)
-    idx_k, idx_q = _mode_index(m, k), _mode_index(m, q)
-    blocks = weight_blocks(rep.label)
-    row_index, col_index = blocks[wk.cartan], blocks[wq.cartan]
-    rows = [rep.patterns[i] for i in row_index]
-    cols = [rep.patterns[i] for i in col_index]
-    scale = math.factorial(n) / dim_sym(p)
-    ent = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-    left = {pat: rep.amplitude(pat, idx_k) for pat in rows}
-    right = {pat: rep.amplitude(pat, idx_q) for pat in cols}
-    for a, r in enumerate(rows):
-        for b, s in enumerate(cols):
-            ent[a, b] = scale * np.dot(left[r], right[s].conj())
+    row = tuple(p.parts) + (0,) * (m - len(p))
+    vectors = _chain_vectors(m, n, row)  # refuses an over-cap tensor space first
+    label = SUIrrepLabel(m, row)
+    blocks, basis = weight_blocks(label), gt_basis(label)
+    row_index, col_index = blocks[state_weight(m, k).cartan], blocks[state_weight(m, q).cartan]
+    _, pos = _weight_blocks(m, n)
+    pos_k, pos_q = pos[_mode_index(m, k)], pos[_mode_index(m, q)]
+    left = np.array([vectors[i][pos_k] for i in row_index])
+    right = np.array([vectors[i][pos_q] for i in col_index])
     return CoefficientMatrix(
-        partition=p,
-        m=m,
-        rows_selector=k,
-        cols_selector=q,
-        left_weight=wk,
-        right_weight=wq,
-        row_patterns=tuple(rows),
-        col_patterns=tuple(cols),
+        row_patterns=tuple(basis[i] for i in row_index),
+        col_patterns=tuple(basis[i] for i in col_index),
         row_index=row_index,
         col_index=col_index,
-        entries=ent,
+        entries=math.factorial(n) / dim_sym(p) * (left @ right.conj().T),
     )
 
 
@@ -487,9 +295,8 @@ def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) ->
     umat = element.matrix if isinstance(element, UnitaryElement) else as_square(element)
     if umat.shape[0] != m:
         raise DomainError("element size does not match m")
-    projected = immanant_projector(p, basis_state(m, q))
-    evolved = apply_tensor_power(umat, projected)
-    return complex(evolved.amplitudes[_mode_index(m, k)])
+    evolved = apply_tensor_power(umat, immanant_projector(p, m, q), len(q))
+    return complex(evolved[_mode_index(m, k)])
 
 
 def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray) -> complex:

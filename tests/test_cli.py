@@ -69,6 +69,16 @@ class TestImmanantCommand:
         assert record["pass"] is True
         assert record["duality_residual"] < 1e-10
 
+    def test_one_mode_duality_check(self, capsys):
+        # m = 1: a single amplitude, so N must not be read off m^N
+        code, out, _ = run(
+            capsys, "immanant", "--partition", "1", "--identity", "1", "--check-duality"
+        )
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["pass"] is True
+        assert record["duality_residual"] == 0.0
+
     def test_matrix_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))

@@ -4,24 +4,18 @@ import numpy as np
 import pytest
 
 from immdfun.dualspace import (
-    ChainSubspace,
-    CollectiveOperator,
-    TensorState,
+    _block_hop,
+    _chain_vectors,
     _digits,
+    _mode_index,
     _powers,
-    _tensor_irrep,
-    _TensorIrrep,
     _weight_blocks,
-    apply_permutation,
     apply_tensor_power,
-    basis_state,
-    chain_subspace,
     coefficient_matrix,
     coefficient_matrix_value,
     immanant_projector,
     immanant_via_duality,
     state_weight,
-    tensor_power_row,
 )
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
@@ -40,15 +34,68 @@ from immdfun.symgroup import (
     dim_sym,
     partitions_of,
 )
-from immdfun.sunrep import SUIrrepLabel, gt_basis, lift, weight_of
+from immdfun import sunrep
+from immdfun.sunrep import (
+    SUIrrepLabel,
+    WeightVector,
+    gt_basis,
+    lift,
+    occupations,
+    weight_blocks,
+    weight_of,
+)
 from immdfun.verification import classify_coefficients, conjecture_scan, verify_littlewood
 
 P = Partition
 
 
+def basis(m, modes):
+    """Unit amplitude vector with mode k_i on tensor factor i."""
+    out = np.zeros(m ** len(modes), dtype=np.complex128)
+    out[_mode_index(m, modes)] = 1.0
+    return out
+
+
+def relabelled(modes, s):
+    """Modes after P(s), which carries factor j's excitation to factor s(j)."""
+    out = [0] * len(modes)
+    for j, img in enumerate(s.images):
+        out[img - 1] = modes[j]
+    return tuple(out)
+
+
+def dense(m, n, row, i, alpha):
+    """Chain vector of pattern i, copy alpha, as m^n amplitudes."""
+    blocks, _ = _weight_blocks(m, n)
+    label = SUIrrepLabel(m, row)
+    out = np.zeros(m**n, dtype=np.complex128)
+    out[blocks[occupations(label)[i]]] = _chain_vectors(m, n, row)[i][:, alpha]
+    return out
+
+
+def collective(m, n, i, j):
+    """Dense m^n x m^n matrix of sum_t E_ij on factor t, assembled from the
+    block-restricted hops that lower and raise chain vectors."""
+    blocks, _ = _weight_blocks(m, n)
+    out = np.zeros((m**n, m**n))
+    for occ, src in blocks.items():
+        if occ[j - 1] == 0:
+            continue
+        dst = list(occ)
+        dst[j - 1] -= 1
+        dst[i - 1] += 1
+        out[np.ix_(blocks[tuple(dst)], src)] = _block_hop(m, n, occ, j, i)
+    return out
+
+
 def random_state(m, n, seed):
     rng = np.random.default_rng(seed)
-    return TensorState(m, n, rng.standard_normal(m**n) + 1j * rng.standard_normal(m**n))
+    return rng.standard_normal(m**n) + 1j * rng.standard_normal(m**n)
+
+
+def at_weight(m, row, occ):
+    """gt_basis positions of the irrep ``row`` at occupation ``occ``."""
+    return weight_blocks(SUIrrepLabel(m, row))[WeightVector(occ).cartan]
 
 
 class TestBasisStates:
@@ -58,80 +105,68 @@ class TestBasisStates:
         assert state_weight(2, (1, 1)).cartan == (2,)
 
     def test_unit_vector(self):
-        v = basis_state(2, (2, 1))
-        assert v.amplitudes[2] == 1.0 and v.norm == 1.0
+        # S_1 is trivial, so its projector returns the basis state itself
+        assert _mode_index(2, (2, 1)) == 2
+        v = immanant_projector(P(1), 3, (2,))
+        assert v.tolist() == [0, 1, 0] and np.linalg.norm(v) == 1.0
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            basis_state(2, (1, 3))
+            coefficient_matrix(2, P(1, 1), (1, 3), (1, 2))
+        with pytest.raises(DomainError):
+            immanant_projector(P(1, 1), 2, (1, 3))
 
 
 class TestPermutationAction:
-    def test_identity(self):
-        v = random_state(3, 3, 0)
-        w = apply_permutation(Permutation.identity(3), v)
-        assert np.array_equal(v.amplitudes, w.amplitudes)
-
-    def test_group_law(self):
-        v = random_state(3, 4, 1)
-        perms = all_permutations(4)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            s1 = perms[rng.integers(len(perms))]
-            s2 = perms[rng.integers(len(perms))]
-            lhs = apply_permutation(s1, apply_permutation(s2, v))
-            rhs = apply_permutation(s1.compose(s2), v)
-            assert np.abs(lhs.amplitudes - rhs.amplitudes).max() < 1e-14
-
-    def test_basis_relabelling(self):
-        # the factor-j mode of the image is the factor-s(j) mode of the input
-        v = basis_state(4, (1, 3, 4))
-        s = Permutation((2, 1, 3))
-        w = apply_permutation(s, v)
-        assert w.amplitudes[np.nonzero(w.amplitudes)[0][0]] == 1.0
-        expected = basis_state(4, (3, 1, 4))
-        assert np.array_equal(w.amplitudes, expected.amplitudes)
-
     def test_mode_permutation_relates_row_states(self):
         # swapping modes 1 and 2 of the one-body space sends the kept-mode
         # state for (1,3,4) to the one for (2,3,4); this is a group element
         # acting through the tensor power, not a factor permutation
         swap = permutation_matrix(Permutation((2, 1, 3, 4)))
-        moved = apply_tensor_power(swap, basis_state(4, (1, 3, 4)))
-        assert np.array_equal(moved.amplitudes, basis_state(4, (2, 3, 4)).amplitudes)
+        moved = apply_tensor_power(swap, basis(4, (1, 3, 4)), 3)
+        assert np.array_equal(moved, basis(4, (2, 3, 4)))
+
+    def test_tensor_power_size_mismatch(self):
+        with pytest.raises(DomainError):
+            apply_tensor_power(np.eye(2), basis(2, (1, 2)), 3)
 
 
 class TestProjector:
     def test_symmetrizer_on_symmetric_state(self):
-        sym = basis_state(2, (1, 1))  # already symmetric
-        out = immanant_projector(P(2), sym)
-        assert np.abs(out.amplitudes - 2.0 * sym.amplitudes).max() < 1e-14
+        out = immanant_projector(P(2), 2, (1, 1))  # already symmetric
+        assert np.abs(out - 2.0 * basis(2, (1, 1))).max() < 1e-14
 
     def test_antisymmetrizer_kills_symmetric_state(self):
-        out = immanant_projector(P(1, 1), basis_state(2, (1, 1)))
-        assert np.abs(out.amplitudes).max() == 0.0
+        out = immanant_projector(P(1, 1), 2, (1, 1))
+        assert np.abs(out).max() == 0.0
 
     @pytest.mark.parametrize("p", [P(3), P(2, 1), P(1, 1, 1)])
     def test_projector_algebra(self, p):
-        v = random_state(3, 3, 7)
-        once = immanant_projector(p, v)
-        twice = immanant_projector(p, once)
+        # Pi^p applied to Pi^p|modes>, by linearity over its basis states
+        m, n = 3, 3
         factor = math.factorial(3) / dim_sym(p)
-        assert np.abs(twice.amplitudes - factor * once.amplitudes).max() < 1e-10
+        digits = _digits(m, n)
+        for modes in [(1, 2, 3), (1, 1, 2), (3, 1, 3)]:
+            once = immanant_projector(p, m, modes)
+            twice = sum(
+                once[t] * immanant_projector(p, m, tuple(digits[t] + 1))
+                for t in np.nonzero(once)[0]
+            )
+            assert np.abs(twice - factor * once).max() < 1e-10
 
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
-            immanant_projector(P(2), random_state(2, 3, 0))
+            immanant_projector(P(2), 2, (1, 1, 2))
 
     @pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
     def test_equals_character_weighted_permutations(self, m, n):
-        v = random_state(m, n, 11)
-        for p in partitions_of(n):
-            want = np.zeros_like(v.amplitudes)
-            for s in all_permutations(n):
-                want += character(p, s.cycle_type()) * apply_permutation(s, v).amplitudes
-            got = immanant_projector(p, v).amplitudes
-            assert np.abs(got - want).max() < 1e-12
+        for modes in map(tuple, _digits(m, n) + 1):
+            for p in partitions_of(n):
+                want = np.zeros(m**n, dtype=np.complex128)
+                for s in all_permutations(n):
+                    want += character(p, s.cycle_type()) * basis(m, relabelled(modes, s))
+                got = immanant_projector(p, m, modes)
+                assert np.abs(got - want).max() < 1e-12
 
 
 class TestCollectiveOperators:
@@ -139,124 +174,120 @@ class TestCollectiveOperators:
         # Reference: add factor t's mode-j slice into its mode-i slice, t = 0, 1, ...
         m, n = 3, 4
         v = random_state(m, n, 5)
-        tensor = v.amplitudes.reshape((m,) * n)
+        tensor = v.reshape((m,) * n)
         for i, j in [(1, 2), (3, 1), (2, 2)]:
             want = np.zeros_like(tensor)
             for axis in range(n):
                 dst, src = [slice(None)] * n, [slice(None)] * n
                 dst[axis], src[axis] = i - 1, j - 1
                 want[tuple(dst)] += tensor[tuple(src)]
-            got = CollectiveOperator(m, n, i, j)(v).amplitudes
-            assert np.array_equal(got, want.reshape(-1))
+            got = collective(m, n, i, j) @ v
+            assert np.abs(got - want.reshape(-1)).max() < 1e-12
 
     def test_diagonal_counts(self):
-        v = basis_state(3, (1, 1, 3))
         for i, count in ((1, 2), (2, 0), (3, 1)):
-            out = CollectiveOperator(3, 3, i, i)(v)
-            assert np.abs(out.amplitudes - count * v.amplitudes).max() == 0.0
+            hop = _block_hop(3, 3, (2, 0, 1), i, i)
+            assert np.array_equal(hop, count * np.eye(3))
 
     def test_cartan_annihilates_uniform_state(self):
-        psi = basis_state(4, (1, 2, 3, 4))
         for i in range(1, 4):
-            upper = CollectiveOperator(4, 4, i, i)(psi)
-            lower = CollectiveOperator(4, 4, i + 1, i + 1)(psi)
-            assert np.abs(upper.amplitudes - lower.amplitudes).max() == 0.0
+            upper = _block_hop(4, 4, (1, 1, 1, 1), i, i)
+            lower = _block_hop(4, 4, (1, 1, 1, 1), i + 1, i + 1)
+            assert np.array_equal(upper, lower)
 
     def test_commutation_relations_on_random_states(self):
         m, n = 3, 3
         v = random_state(m, n, 11)
         for (i, j, k, l) in [(1, 2, 2, 1), (1, 2, 2, 3), (2, 3, 3, 2), (1, 3, 2, 1)]:
-            cij, ckl = CollectiveOperator(m, n, i, j), CollectiveOperator(m, n, k, l)
-            lhs = cij(ckl(v)).amplitudes - ckl(cij(v)).amplitudes
+            cij, ckl = collective(m, n, i, j), collective(m, n, k, l)
+            lhs = cij @ (ckl @ v) - ckl @ (cij @ v)
             rhs = np.zeros_like(lhs)
             if j == k:
-                rhs = rhs + CollectiveOperator(m, n, i, l)(v).amplitudes
+                rhs = rhs + collective(m, n, i, l) @ v
             if l == i:
-                rhs = rhs - CollectiveOperator(m, n, k, j)(v).amplitudes
+                rhs = rhs - collective(m, n, k, j) @ v
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
 class TestChainSubspace:
     def test_mixed_tensor_counts(self):
-        cs = chain_subspace(3, 3, SUIrrepLabel(3, (2, 1, 0)), (1, 1, 1))
-        assert len(cs.vectors) == 4  # 2 patterns x 2 copies
-        assert {alpha for _, alpha in cs.tags} == {0, 1}
+        vecs = _chain_vectors(3, 3, (2, 1, 0))
+        idx = at_weight(3, (2, 1, 0), (1, 1, 1))
+        assert len(idx) == 2 and all(vecs[i].shape[1] == 2 for i in idx)  # 2 patterns x 2 copies
 
     def test_symmetric_single_copy(self):
-        cs = chain_subspace(3, 3, SUIrrepLabel(3, (3, 0, 0)), (1, 1, 1))
-        assert len(cs.vectors) == 1
+        vecs = _chain_vectors(3, 3, (3, 0, 0))
+        idx = at_weight(3, (3, 0, 0), (1, 1, 1))
+        assert len(idx) == 1 and vecs[idx[0]].shape[1] == 1
 
     def test_singlet(self):
-        cs = chain_subspace(2, 2, SUIrrepLabel(2, (0, 0)), (1, 1))
-        assert len(cs.vectors) == 1
-        v = cs.vectors[0].amplitudes
+        vecs = _chain_vectors(2, 2, (1, 1))
+        assert len(vecs) == 1 and vecs[0].shape[1] == 1
+        v = dense(2, 2, (1, 1), 0, 0)
         expect = np.zeros(4, complex)
         expect[1], expect[2] = 1, -1
         expect /= math.sqrt(2)
         assert min(np.abs(v - expect).max(), np.abs(v + expect).max()) < 1e-12
 
     def test_absent_irrep_is_empty(self):
-        cs = chain_subspace(3, 3, SUIrrepLabel(3, (1, 1, 0)), (1, 1, 0))
-        assert cs.vectors == [] and isinstance(cs, ChainSubspace)
+        # two boxes cannot sit in the three-fold tensor power
+        assert _chain_vectors(3, 3, (1, 1, 0)) == ()
 
     def test_orthonormality(self):
-        cs = chain_subspace(4, 3, SUIrrepLabel(4, (2, 1, 0, 0)), (1, 1, 1, 0))
-        gram = np.array(
-            [[np.vdot(a.amplitudes, b.amplitudes) for b in cs.vectors] for a in cs.vectors]
-        )
-        assert np.abs(gram - np.eye(len(cs.vectors))).max() < 1e-10
+        row = (2, 1, 0, 0)
+        vecs = _chain_vectors(4, 3, row)
+        block = np.hstack([vecs[i] for i in at_weight(4, row, (1, 1, 1, 0))])
+        assert block.shape[1] == 4
+        assert np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() < 1e-10
 
     def test_vectors_are_weight_eigenstates(self):
-        cs = chain_subspace(3, 3, SUIrrepLabel(3, (2, 1, 0)), (1, 1, 1))
-        for vec, (pat, _) in zip(cs.vectors, cs.tags):
-            occ = weight_of(pat).occupation
-            for i in range(1, 4):
-                out = CollectiveOperator(3, 3, i, i)(vec)
-                assert np.abs(out.amplitudes - occ[i - 1] * vec.amplitudes).max() < 1e-10
+        # each chain vector is supported on the block of its pattern's occupation
+        row = (2, 1, 0)
+        blocks, _ = _weight_blocks(3, 3)
+        digits = _digits(3, 3)
+        for vec, occ in zip(_chain_vectors(3, 3, row), occupations(SUIrrepLabel(3, row))):
+            block = blocks[occ]
+            assert vec.shape[0] == len(block)
+            counts = [(digits[block] == mode).sum(axis=1) for mode in range(3)]
+            assert all((c == o).all() for c, o in zip(counts, occ))
 
     def test_dblock_matches_lifted_matrix(self):
         # the chain vectors must reproduce the GT group functions entrywise
-        label = SUIrrepLabel(3, (2, 1, 0))
-        rep = _tensor_irrep(3, 3, (2, 1, 0))
+        row = (2, 1, 0)
+        label = SUIrrepLabel(3, row)
+        n_copies = _chain_vectors(3, 3, row)[0].shape[1]
         u = haar_random_unitary(3, 17)
         lifted = lift(label, u)
-        pats = gt_basis(label)
-        index = {p: i for i, p in enumerate(pats)}
-        for alpha in range(rep.n_copies):
-            for beta in range(rep.n_copies):
-                for r in pats[:4]:
-                    vr = rep.dense_vector(r, alpha)
-                    for s in pats[:4]:
-                        vs = rep.dense_vector(s, beta)
-                        moved = apply_tensor_power(u.matrix, TensorState(3, 3, vs))
-                        got = np.vdot(vr, moved.amplitudes)
-                        want = lifted[index[r], index[s]] if alpha == beta else 0.0
+        for alpha in range(n_copies):
+            for beta in range(n_copies):
+                for r in range(4):
+                    vr = dense(3, 3, row, r, alpha)
+                    for s in range(4):
+                        moved = apply_tensor_power(u.matrix, dense(3, 3, row, s, beta), 3)
+                        got = np.vdot(vr, moved)
+                        want = lifted[r, s] if alpha == beta else 0.0
                         assert abs(got - want) < 1e-10
 
     def test_weight_block_computed_once(self):
         # Two irreps of one tensor power read one table, built on one miss.
+        _chain_vectors.cache_clear()
         _weight_blocks.cache_clear()
-        first = _TensorIrrep(3, 3, SUIrrepLabel(3, (2, 1, 0)))
-        second = _TensorIrrep(3, 3, SUIrrepLabel(3, (3, 0, 0)))
-        assert second.blocks is first.blocks
+        _chain_vectors(3, 3, (2, 1, 0))
+        _chain_vectors(3, 3, (3, 0, 0))
         assert _weight_blocks.cache_info().misses == 1
-        block = first.blocks[(1, 1, 1)]
-        expected = sorted(basis_state(3, s.images).amplitudes.argmax() for s in all_permutations(3))
+        blocks, pos = _weight_blocks(3, 3)
+        block = blocks[(1, 1, 1)]
+        expected = sorted(_mode_index(3, s.images) for s in all_permutations(3))
         assert block.tolist() == expected
-        _, pos = _weight_blocks(3, 3)
         assert pos[block].tolist() == list(range(6))
-        assert sum(len(b) for b in first.blocks.values()) == 27
+        assert sum(len(b) for b in blocks.values()) == 27
 
     def test_shared_tables_are_read_only(self):
         blocks, pos = _weight_blocks(3, 2)
-        for table in (_digits(3, 2), _powers(3, 2), blocks[(1, 1, 0)], pos):
+        vecs = _chain_vectors(3, 2, (1, 1, 0))
+        for table in (_digits(3, 2), _powers(3, 2), blocks[(1, 1, 0)], pos, *vecs):
             with pytest.raises(ValueError):
                 table[0] = 0
-
-    def test_tensor_power_row(self):
-        assert tensor_power_row(SUIrrepLabel(3, (0, 0, 0)), 3) == (1, 1, 1)
-        assert tensor_power_row(SUIrrepLabel(3, (2, 1, 0)), 3) == (2, 1, 0)
-        assert tensor_power_row(SUIrrepLabel(3, (1, 1, 0)), 3) is None
 
 
 class TestCoefficientMatrix:
@@ -291,21 +322,21 @@ class TestCoefficientMatrix:
         # exported entries must not depend on the orthonormal alpha choice
         m, p, k, q = 4, P(2, 1), (2, 3, 4), (1, 3, 4)
         cm = coefficient_matrix(m, p, k, q)
-        rep = _tensor_irrep(m, 3, (2, 1, 0, 0))
+        vecs = _chain_vectors(m, 3, (2, 1, 0, 0))
+        n_copies = vecs[0].shape[1]
         rng = np.random.default_rng(5)
-        g = rng.standard_normal((rep.n_copies, rep.n_copies)) + 1j * rng.standard_normal(
-            (rep.n_copies, rep.n_copies)
+        g = rng.standard_normal((n_copies, n_copies)) + 1j * rng.standard_normal(
+            (n_copies, n_copies)
         )
         rot, _ = np.linalg.qr(g)
-        from immdfun.dualspace import _mode_index
-
-        idx_k, idx_q = _mode_index(m, k), _mode_index(m, q)
+        _, pos = _weight_blocks(m, 3)
+        pos_k, pos_q = pos[_mode_index(m, k)], pos[_mode_index(m, q)]
         scale = math.factorial(3) / dim_sym(p)
         rebuilt = np.zeros_like(cm.entries)
-        for a, r in enumerate(cm.row_patterns):
-            left = rep.amplitude(r, idx_k) @ rot
-            for b, s in enumerate(cm.col_patterns):
-                right = rep.amplitude(s, idx_q) @ rot
+        for a, r in enumerate(cm.row_index):
+            left = vecs[r][pos_k] @ rot
+            for b, s in enumerate(cm.col_index):
+                right = vecs[s][pos_q] @ rot
                 rebuilt[a, b] = scale * np.dot(left, right.conj())
         assert np.abs(rebuilt - cm.entries).max() < 1e-10
 
@@ -373,14 +404,20 @@ class TestTheorem3AndNormalization:
     def test_projection_norm_factor(self):
         # ||Pi^p |Psi_{1..N}>||^2 = (N!/dim p)^2 sum |<psi|Psi>|^2
         m = 3
-        psi = basis_state(m, (1, 2, 3))
+        modes = (1, 2, 3)
+        _, pos = _weight_blocks(m, m)
         for p in partitions_of(m):
-            label = SUIrrepLabel.from_partition(p, m, normalize=False)
-            cs = chain_subspace(m, m, label, (1, 1, 1))
-            overlap_sq = sum(abs(np.vdot(v.amplitudes, psi.amplitudes)) ** 2 for v in cs.vectors)
-            projected = immanant_projector(p, psi)
+            row = SUIrrepLabel.from_partition(p, m, normalize=False).row
+            vecs = _chain_vectors(m, m, row)
+            overlap_sq = sum(
+                np.sum(np.abs(vecs[i][pos[_mode_index(m, modes)]]) ** 2)
+                for i in at_weight(m, row, (1, 1, 1))
+            )
+            projected = immanant_projector(p, m, modes)
             factor = math.factorial(m) / dim_sym(p)
-            assert projected.norm**2 == pytest.approx(factor**2 * overlap_sq, rel=1e-10)
+            assert np.linalg.norm(projected) ** 2 == pytest.approx(
+                factor**2 * overlap_sq, rel=1e-10
+            )
 
     def test_w_matrix_invariance_under_permutations(self):
         # Gamma(s) W Gamma(s)^-1 = W for the lifted factor permutations,
@@ -464,8 +501,18 @@ class TestConjectureScan:
 
 class TestResourceCaps:
     def test_tensor_size_cap(self):
+        full = tuple(range(1, 8))
         with pytest.raises(ResourceLimitError):
-            chain_subspace(10, 7, SUIrrepLabel(10, (1,) + (0,) * 9), (1,) + (0,) * 9)
+            coefficient_matrix(10, P(7), full, full)
+
+    def test_tensor_size_cap_builds_no_gt_basis(self):
+        # 10^7 amplitudes are refused before the GT basis of the irrep is
+        # built; (6,1) is used by no other test, so a built basis would miss
+        full = tuple(range(1, 8))
+        misses = sunrep.gt_basis.cache_info().misses
+        with pytest.raises(ResourceLimitError):
+            coefficient_matrix(10, P(6, 1), full, full)
+        assert sunrep.gt_basis.cache_info().misses == misses
 
     def test_duality_mode_cap(self):
         with pytest.raises(ResourceLimitError):

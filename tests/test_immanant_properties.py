@@ -3,6 +3,8 @@
 The character sum is checked against the tensor-power (duality) route on
 random selectors, against Ryser and LU at the two one-dimensional
 characters, and the character table against its column orthogonality.
+The duality route's projector is checked against its defining sum over
+relabelled basis states.
 Example counts stay small so the whole file runs in a few seconds.
 """
 
@@ -12,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immdfun.dualspace import immanant_via_duality
+from immdfun.dualspace import _mode_index, immanant_projector, immanant_via_duality
 from immdfun.linalgimm import (
     SubmatrixSelector,
     determinant,
@@ -21,7 +23,13 @@ from immdfun.linalgimm import (
     permanent_ryser,
     submatrix,
 )
-from immdfun.symgroup import Partition, character, class_size, partitions_of
+from immdfun.symgroup import (
+    Partition,
+    all_permutations,
+    character,
+    class_size,
+    partitions_of,
+)
 
 FEW = settings(max_examples=20, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -44,6 +52,21 @@ def test_character_sum_matches_duality_route(m, seed, data):
     direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
     assert abs(direct - immanant_via_duality(m, p, k, q, u)) < 1e-10
 
+
+
+@FEW
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_projector_is_the_character_weighted_relabelling_sum(m, n, data):
+    # P(s) carries the excitation of factor j to factor s(j); modes may repeat
+    modes = tuple(data.draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))
+    p = data.draw(st.sampled_from(partitions_of(n)))
+    want = np.zeros(m**n, dtype=np.complex128)
+    for s in all_permutations(n):
+        moved = [0] * n
+        for j, img in enumerate(s.images):
+            moved[img - 1] = modes[j]
+        want[_mode_index(m, tuple(moved))] += character(p, s.cycle_type())
+    assert np.abs(immanant_projector(p, m, modes) - want).max() < 1e-12
 
 @FEW
 @given(st.integers(1, 6), seeds)

@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from immdfun import sunrep
-from immdfun.dualspace import TensorState, _tensor_irrep, apply_tensor_power
+from immdfun.dualspace import _chain_vectors, _weight_blocks, apply_tensor_power
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import UnitaryElement, haar_random_unitary, permutation_matrix
 from immdfun.sunrep import (
     SUIrrepLabel,
     _rotation_tables,
     dim_weyl,
-    gt_basis,
     lift,
     occupations,
 )
@@ -131,12 +130,15 @@ def test_columns_match_chain_vectors(row, seed, data):
     # <r|U^(x)N|t> over one copy of the irrep inside (C^m)^(x)N
     m, n = len(row), sum(row)
     irrep = SUIrrepLabel(m, row)
-    rep = _tensor_irrep(m, n, row)
-    pats = gt_basis(irrep)
-    t = data.draw(st.integers(0, len(pats) - 1))
+    vecs = _chain_vectors(m, n, row)
+    blocks, _ = _weight_blocks(m, n)
+    occ = occupations(irrep)
+    t = data.draw(st.integers(0, len(vecs) - 1))
     u = haar_random_unitary(m, seed)
-    moved = apply_tensor_power(u.matrix, TensorState(m, n, rep.dense_vector(pats[t], 0)))
-    want = [np.vdot(rep.dense_vector(r, 0), moved.amplitudes) for r in pats]
+    start = np.zeros(m**n, dtype=np.complex128)
+    start[blocks[occ[t]]] = vecs[t][:, 0]
+    moved = apply_tensor_power(u.matrix, start, n)
+    want = [np.vdot(vecs[r][:, 0], moved[blocks[occ[r]]]) for r in range(len(vecs))]
     assert np.abs(lift(irrep, u, [t])[:, 0] - want).max() < 1e-12
 
 
