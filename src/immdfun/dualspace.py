@@ -25,7 +25,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .linalgimm import UnitaryElement, as_square
+from .linalgimm import IMMANANT_CAP, UnitaryElement, as_square
 from .symgroup import Partition, character_weights, dim_sym, sn_tables
 from .sunrep import (
     GTPattern,
@@ -38,8 +38,6 @@ from .sunrep import (
 )
 
 TENSOR_SIZE_CAP = 10**6
-DUALITY_M_CAP = 6
-DUALITY_N_CAP = 6
 
 
 def _tensor_size(m: int, n: int) -> int:
@@ -145,15 +143,21 @@ def immanant_projector(p: Partition, m: int, modes: tuple[int, ...]) -> np.ndarr
 
     P(s) carries the excitation of factor j to factor s(j), so the basis
     state reached by s has modes ``modes[argsort(s)]``; repeated modes land
-    on one state and accumulate in :func:`sn_tables` order.
+    on one state and accumulate in :func:`sn_tables` order.  N is capped
+    at ``IMMANANT_CAP`` and m^N at :data:`TENSOR_SIZE_CAP`, both checked
+    before S_N is built.
     """
     n = len(modes)
     if p.n != n:
         raise DomainError(f"partition {p} is not a partition of N = {n}")
     _mode_index(m, modes)  # refuses a mode outside 1..m
+    if n > IMMANANT_CAP:
+        raise ResourceLimitError(
+            f"immanant projector capped at N = {IMMANANT_CAP} (requested N = {n})"
+        )
+    out = np.zeros(_tensor_size(m, n), dtype=np.complex128)
     sigmas, _, _ = sn_tables(n)
     targets = (np.asarray(modes, dtype=np.int64) - 1)[np.argsort(sigmas, axis=1)] @ _powers(m, n)
-    out = np.zeros(_tensor_size(m, n), dtype=np.complex128)
     np.add.at(out, targets, character_weights(p))
     return out
 
@@ -262,9 +266,8 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     """
     k, q = _check_pair(m, p, k, q)
     n = len(k)
-    row = tuple(p.parts) + (0,) * (m - len(p))
-    vectors = _chain_vectors(m, n, row)  # refuses an over-cap tensor space first
-    label = SUIrrepLabel(m, row)
+    label = SUIrrepLabel.from_partition(p, m, normalize=False)
+    vectors = _chain_vectors(m, n, label.row)  # refuses an over-cap tensor space first
     blocks, basis = weight_blocks(label), gt_basis(label)
     row_index, col_index = blocks[state_weight(m, k).cartan], blocks[state_weight(m, q).cartan]
     _, pos = _weight_blocks(m, n)
@@ -285,13 +288,10 @@ def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) ->
 
     Equals the character-sum immanant of the (k, q) submatrix; the code path
     shares nothing with that evaluation, which makes it the master
-    cross-check.
+    cross-check.  Distinct selectors give N <= m, and the caps of
+    :func:`immanant_projector` bound the amplitude arrays.
     """
     k, q = _check_pair(m, p, k, q)
-    if m > DUALITY_M_CAP or len(k) > DUALITY_N_CAP:
-        raise ResourceLimitError(
-            f"duality evaluation capped at m <= {DUALITY_M_CAP}, N <= {DUALITY_N_CAP}"
-        )
     umat = element.matrix if isinstance(element, UnitaryElement) else as_square(element)
     if umat.shape[0] != m:
         raise DomainError("element size does not match m")

@@ -11,7 +11,6 @@ over the empirically supported set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import math
 
 import numpy as np
@@ -73,24 +72,6 @@ class DecompositionResult:
 
     def diagonal_sum(self) -> complex:
         return sum(v for c, v in self.coefficients if c.diagonal)
-
-    def to_records(self) -> list[dict]:
-        tagged = [(c, v, False) for c, v in self.coefficients]
-        tagged += [(c, v, True) for c, v in self.pruned]
-        return [
-            {
-                "irrep": list(cand.irrep.row),
-                "r": cand.r.as_lists(),
-                "t": cand.t.as_lists(),
-                "tag": cand.tag(),
-                "value": [float(val.real), float(val.imag)],
-                "rational": recognize_value(val.real)
-                if not pruned and abs(val.imag) < 1e-9
-                else None,
-                "pruned": pruned,
-            }
-            for cand, val, pruned in tagged
-        ]
 
 
 def _diagonal_product_weight(base: SUIrrepLabel) -> tuple[int, ...]:
@@ -231,50 +212,3 @@ def fit_decomposition(
         gram_condition=cond,
         pruned=pruned,
     )
-
-
-def _square_split(n: int) -> tuple[int, int]:
-    """n = a^2 * c with c squarefree (trial division; n stays small here)."""
-    a, c, d = 1, 1, 2
-    while d * d <= n:
-        power = 0
-        while n % d == 0:
-            n //= d
-            power += 1
-        a *= d ** (power // 2)
-        if power % 2:
-            c *= d
-        d += 1
-    return a, c * n
-
-
-RECOGNIZE_TOL = 1e-7
-MAX_DENOMINATOR = 1000
-
-
-def recognize_value(x: float) -> str | None:
-    """Match a float against small rationals p/q or surds (a/b)*sqrt(c/d)
-    to within ``RECOGNIZE_TOL``, with denominators up to ``MAX_DENOMINATOR``.
-
-    A surd is accepted only when the squarefree parts c, d stay small, which
-    keeps generic floats unmatched; unmatched values are reported as floats
-    by the callers.
-    """
-    if x == 0.0:
-        return "0"
-    frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
-    if frac != 0 and abs(x - float(frac)) < RECOGNIZE_TOL:
-        return str(frac)
-    sq = Fraction(x * x).limit_denominator(MAX_DENOMINATOR**4)
-    if sq > 0:
-        a, c = _square_split(sq.numerator)
-        b, d = _square_split(sq.denominator)
-        value = (a / b) * math.sqrt(c / d)
-        small = max(c, d) <= MAX_DENOMINATOR and b <= MAX_DENOMINATOR**2
-        if small and abs(abs(x) - value) < RECOGNIZE_TOL:
-            sign = "-" if x < 0 else ""
-            radicand = str(c) if d == 1 else f"{c}/{d}"
-            if a == b:
-                return f"{sign}sqrt({radicand})"
-            return f"{sign}({a}/{b})*sqrt({radicand})"
-    return None

@@ -284,7 +284,7 @@ def chain_label(pattern: GTPattern) -> str:
 
 
 # ---------------------------------------------------------------------------
-# generator matrices
+# simple raising tables
 # ---------------------------------------------------------------------------
 
 
@@ -340,42 +340,6 @@ def _simple_raising(irrep: SUIrrepLabel, k: int) -> np.ndarray:
             mat[index[GTPattern(tuple(rows))], col] = _raising_entry(pat, k, j)
     mat.flags.writeable = False
     return mat
-
-
-@cache
-def _generator_stack(irrep: SUIrrepLabel) -> np.ndarray:
-    """Read-only (m, m, d, d) stack of every C_{ij} matrix, 0-based indices.
-
-    C_{ii} is diagonal with the mode-i occupation; C_{k,k+1} are the simple
-    raising operators; the other C_{ij}, i < j, follow by index gap from the
-    commutators ``[C_{i,j-1}, C_{j-1,j}] = C_{ij}``; every C_{ji} = C_{ij}^T,
-    since the GT matrices are real.
-    """
-    m, d = irrep.m, dim_weyl(irrep)
-    stack = np.zeros((m, m, d, d))
-    occ = np.array(occupations(irrep), dtype=np.float64)
-    for i in range(m):
-        stack[i, i] = np.diag(occ[:, i])
-    for gap in range(1, m):
-        for i in range(m - gap):
-            j = i + gap
-            if gap == 1:
-                stack[i, j] = _simple_raising(irrep, j)
-            else:
-                a, b = stack[i, j - 1], stack[j - 1, j]
-                stack[i, j] = a @ b - b @ a
-            stack[j, i] = stack[i, j].T
-    stack.flags.writeable = False
-    return stack
-
-
-def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
-    """Matrix of the u(m) generator C_{ij} in the GT basis, 1-based indices:
-    a read-only view into :func:`_generator_stack`."""
-    m = irrep.m
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise DomainError(f"generator indices must lie in 1..{m}")
-    return _generator_stack(irrep)[i - 1, j - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -247,8 +247,7 @@ def conjecture_scan(
         selectors = [(k, q) for k in index_sets for q in index_sets]
     reports = []
     expected_units = dim_sym(p)
-    row = tuple(p.parts) + (0,) * (m - len(p))
-    label = SUIrrepLabel(m, row)
+    label = SUIrrepLabel.from_partition(p, m, normalize=False)
     samples = [haar_random_unitary(m, seed + 1000 * i) for i in range(check_samples)]
     lifts = [lift(label, u) for u in samples]
     for k, q in selectors:

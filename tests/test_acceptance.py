@@ -33,7 +33,6 @@ from immdfun.symgroup import (
 from immdfun.sunrep import (
     SUIrrepLabel,
     dim_weyl,
-    generator_matrix,
     gt_basis,
     lift,
     pattern_index,
@@ -48,6 +47,8 @@ from immdfun.verification import (
     plethysm_su3_suite,
     verify_littlewood,
 )
+
+from _generators import generator_matrix
 
 P = Partition
 SEED = 1905

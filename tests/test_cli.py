@@ -79,6 +79,22 @@ class TestImmanantCommand:
         assert record["pass"] is True
         assert record["duality_residual"] == 0.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--partition", "2,1", "--rows", "2,4,6", "--cols", "1,3,7"),
+            ("--partition", "1,1,1,1,1,1,1"),
+        ],
+        ids=["submatrix", "full"],
+    )
+    def test_seven_mode_duality_check(self, capsys, argv):
+        # the duality route is bounded by m^N and N, not by m
+        code, out, _ = run(capsys, "immanant", *argv, "--haar", "7", "--check-duality")
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["pass"] is True
+        assert record["duality_residual"] < 1e-10
+
     def test_matrix_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))

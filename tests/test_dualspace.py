@@ -34,7 +34,7 @@ from immdfun.symgroup import (
     dim_sym,
     partitions_of,
 )
-from immdfun import sunrep
+from immdfun import sunrep, symgroup
 from immdfun.sunrep import (
     SUIrrepLabel,
     WeightVector,
@@ -514,6 +514,15 @@ class TestResourceCaps:
             coefficient_matrix(10, P(6, 1), full, full)
         assert sunrep.gt_basis.cache_info().misses == misses
 
-    def test_duality_mode_cap(self):
+    def test_duality_tensor_size_cap(self):
+        # 8^7 amplitudes: the duality route is bounded by m^N, not by m
+        full = tuple(range(1, 8))
         with pytest.raises(ResourceLimitError):
-            immanant_via_duality(7, P(2), (1, 2), (1, 2), UnitaryElement(np.eye(7)))
+            immanant_via_duality(8, P(7), full, full, UnitaryElement(np.eye(8)))
+
+    def test_projector_cap_builds_no_sn_tables(self):
+        # 2^10 amplitudes fit, but N = 10 is refused before S_10 is built
+        misses = symgroup.sn_tables.cache_info().misses
+        with pytest.raises(ResourceLimitError):
+            immanant_projector(P(10), 2, (1,) * 10)
+        assert symgroup.sn_tables.cache_info().misses == misses

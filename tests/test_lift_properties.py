@@ -186,12 +186,3 @@ def test_nan_product_is_refused(monkeypatch):
     for cols in (None, [0, 3]):
         with pytest.raises(DomainError, match="orthonormality"):
             lift(SUIrrepLabel(3, (2, 1, 0)), u, cols)
-
-
-def test_lift_builds_no_generator_stack():
-    irrep = SUIrrepLabel(3, (5, 2, 0))
-    before = sunrep._generator_stack.cache_info()
-    _rotation_tables.__wrapped__(irrep)
-    lift(irrep, haar_random_unitary(3, 8))
-    after = sunrep._generator_stack.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -8,7 +8,6 @@ from immdfun.errors import DomainError, RankDeficiencyError
 from immdfun.plethysm import (
     PlethysmProblem,
     fit_decomposition,
-    recognize_value,
     su2_power_problem,
     su3_sextic_permanent_problem,
 )
@@ -162,24 +161,3 @@ class TestFitMachinery:
         assert calls.count((prob.base_irrep, True)) == prelim
         assert sum(full for _, full in calls) == prelim
         assert result.sample_count == samples
-
-    def test_records_roundtrip(self):
-        result = fit_decomposition(su2_power_problem(1, P(2)), samples=30, seed=3)
-        recs = result.to_records()
-        assert any(not r["pruned"] and r["rational"] == "1" for r in recs)
-
-
-class TestRationalRecognition:
-    def test_plain_rationals(self):
-        assert recognize_value(26 / 35) == "26/35"
-        assert recognize_value(2 / 5) == "2/5"
-        assert recognize_value(0.0) == "0"
-
-    def test_surds(self):
-        x = 6 / 49 * math.sqrt(10 / 11)
-        assert recognize_value(x) == "(6/49)*sqrt(10/11)"
-        assert recognize_value(-x) == "-(6/49)*sqrt(10/11)"
-
-    def test_unrecognized(self):
-        assert recognize_value(math.exp(-1)) is None
-        assert recognize_value(0.6180339887498949) is None  # golden ratio - 1
