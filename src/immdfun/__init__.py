@@ -37,6 +37,7 @@ from .sunrep import (
     dim_weyl,
     gt_basis,
     lift,
+    lift_batch,
     su2_irrep,
     weight_of,
     weight_subspace,
@@ -68,6 +69,7 @@ __all__ = [
     "haar_random_unitary",
     "immanant",
     "lift",
+    "lift_batch",
     "partitions_of",
     "permanent_ryser",
     "permutation_matrix",

@@ -4,8 +4,9 @@ The symmetric group permutes the factors of (C^m)^(x N), SU(m) acts
 diagonally, and the two actions commute.  Hence
 Imm^{p}(U[k, q]) = <Phi_k| U^(x N) Pi^{p} |Phi_q> with the unnormalized
 projector Pi^{p} = sum_s chi^{p}(s) P(s): :func:`immanant_via_duality`
-evaluates it on m^N complex amplitudes (row-major, first factor most
-significant), independently of the character-sum route in
+scatters Pi^{p}|Phi_q> onto m^N complex amplitudes (row-major, first factor
+most significant) and contracts them from the bra side with the rows
+U[k_t], independently of the character-sum route in
 :mod:`immdfun.linalgimm`.
 
 :func:`coefficient_matrix` couples the same immanant to group functions.
@@ -122,19 +123,6 @@ def state_weight(m: int, modes: tuple[int, ...]) -> WeightVector:
     for k in modes:
         occ[k - 1] += 1
     return WeightVector(tuple(occ))
-
-
-def apply_tensor_power(umat, amps: np.ndarray, factors: int) -> np.ndarray:
-    """Apply U (x) U (x) ... (x) U, ``factors`` times, without forming the
-    m^N x m^N matrix."""
-    umat = as_square(umat)
-    m = umat.shape[0]
-    if np.shape(amps) != (m**factors,):
-        raise DomainError(f"amplitude vector has shape {np.shape(amps)}, expected ({m ** factors},)")
-    tensor = np.reshape(amps, (m,) * factors)
-    for axis in range(factors):
-        tensor = np.moveaxis(np.tensordot(umat, tensor, axes=(1, axis)), 0, axis)
-    return tensor.reshape(-1)
 
 
 def immanant_projector(p: Partition, m: int, modes: tuple[int, ...]) -> np.ndarray:
@@ -284,21 +272,28 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
 
 
 def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) -> complex:
-    """<Phi_k| U^(xN) Pi^{p} |Phi_q> via sparse tensor application.
+    """<Phi_k| U^(xN) Pi^{p} |Phi_q>, contracted from the bra side.
 
-    Equals the character-sum immanant of the (k, q) submatrix; the code path
-    shares nothing with that evaluation, which makes it the master
-    cross-check.  Distinct selectors give N <= m, and the caps of
-    :func:`immanant_projector` bound the amplitude arrays.
+    <Phi_k| U^(xN) is the product of the rows U[k_t], so N vector-tensor
+    products with those rows, one factor each, reduce the m^N projector
+    amplitudes to the number in O(m^N).  Equals the character-sum immanant
+    of the (k, q) submatrix; the code path shares nothing with that
+    evaluation, which makes it the master cross-check.  Distinct selectors
+    give N <= m, and the caps of :func:`immanant_projector` bound the
+    amplitude array.
     """
     k, q = _check_pair(m, p, k, q)
     umat = element.matrix if isinstance(element, UnitaryElement) else as_square(element)
     if umat.shape[0] != m:
         raise DomainError("element size does not match m")
-    evolved = apply_tensor_power(umat, immanant_projector(p, m, q), len(q))
-    return complex(evolved[_mode_index(m, k)])
+    amps = immanant_projector(p, m, q)
+    for row in k:  # the first factor is the most significant axis
+        amps = umat[row - 1] @ amps.reshape(m, -1)
+    return complex(amps[0])
 
 
-def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray) -> complex:
-    """Contract a coefficient matrix against a lifted irrep matrix."""
-    return complex(np.sum(cm.entries * lifted[np.ix_(cm.row_index, cm.col_index)]))
+def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray, cols=None) -> complex:
+    """Contract a coefficient matrix against a lifted irrep matrix whose
+    columns are the ascending basis positions ``cols`` (all d for None)."""
+    col_pos = cm.col_index if cols is None else np.searchsorted(cols, cm.col_index)
+    return complex(np.sum(cm.entries * lifted[np.ix_(cm.row_index, col_pos)]))

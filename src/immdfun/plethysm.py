@@ -23,7 +23,7 @@ from .sunrep import (
     SUIrrepLabel,
     chain_label,
     dim_weyl,
-    lift,
+    lift_batch,
     occupations,
     pattern_index,
     weight_subspace,
@@ -157,23 +157,20 @@ def fit_decomposition(
     m = problem.base_irrep.m
     prelim_samples = max(samples, 3 * len(cands))
 
-    # One row per Haar sample.  Each candidate irrep lifts only the columns
-    # t its candidates read, and each sample's lifts are dropped once read.
-    irreps = sorted({c.irrep for c in cands}, key=lambda ir: ir.row)
-    cols = {
-        ir: sorted({pattern_index(ir)[c.t] for c in cands if c.irrep == ir}) for ir in irreps
-    }
-    where = [
-        (c.irrep, pattern_index(c.irrep)[c.r], cols[c.irrep].index(pattern_index(c.irrep)[c.t]))
-        for c in cands
-    ]
+    # One row per Haar sample.  Each candidate irrep is lifted once for all
+    # samples, at only the columns t its candidates read.
+    omegas = [haar_random_unitary(m, seed + i) for i in range(prelim_samples)]
+    y0 = np.array(
+        [_target_value(problem, lifted) for lifted in lift_batch(problem.base_irrep, omegas)]
+    )
     X0 = np.empty((prelim_samples, len(cands)), dtype=np.complex128)
-    y0 = np.empty(prelim_samples, dtype=np.complex128)
-    for i in range(prelim_samples):
-        omega = haar_random_unitary(m, seed + i)
-        y0[i] = _target_value(problem, lift(problem.base_irrep, omega))
-        lifts = {ir: lift(ir, omega, cols[ir]) for ir in irreps}
-        X0[i] = [lifts[ir][r, t] for ir, r, t in where]
+    for ir in sorted({c.irrep for c in cands}, key=lambda ir: ir.row):
+        index = pattern_index(ir)
+        which = [j for j, c in enumerate(cands) if c.irrep == ir]
+        cols = sorted({index[cands[j].t] for j in which})
+        rows = [index[cands[j].r] for j in which]
+        at = [cols.index(index[cands[j].t]) for j in which]
+        X0[:, which] = lift_batch(ir, omegas, cols)[:, rows, at]
 
     def solve(X, y, subset):
         svals = np.linalg.svd(X, compute_uv=False)

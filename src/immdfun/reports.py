@@ -3,7 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+
+
+def _nulled(value):
+    """``value`` with every non-finite float inside it (through dicts, lists
+    and tuples) replaced by None, and whether there was one."""
+    if isinstance(value, float):
+        return (value, False) if math.isfinite(value) else (None, True)
+    if isinstance(value, dict):
+        pairs = {key: _nulled(val) for key, val in value.items()}
+        return {key: val for key, (val, _) in pairs.items()}, any(bad for _, bad in pairs.values())
+    if isinstance(value, (list, tuple)):
+        pairs = [_nulled(val) for val in value]
+        return [val for val, _ in pairs], any(bad for _, bad in pairs)
+    return value, False
 
 
 @dataclass
@@ -11,7 +26,9 @@ class VerificationReport:
     """Outcome of one identity check.
 
     Serialized field order is fixed: suite, m, partition, selector_rows,
-    selector_cols, seed, residual, pass, details.
+    selector_cols, seed, residual, pass, details.  A report whose residual
+    or details hold a non-finite value fails: each such value serializes as
+    null, and a trailing ``non_finite: true`` field marks the report.
     """
 
     suite: str
@@ -23,9 +40,15 @@ class VerificationReport:
     residual: float | None = None
     passed: bool = False
     details: dict = field(default_factory=dict)
+    non_finite: bool = field(default=False, init=False)
+
+    def __post_init__(self):
+        self.non_finite = _nulled([self.residual, self.details])[1]
+        if self.non_finite:
+            self.passed = False
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "suite": self.suite,
             "m": self.m,
             "partition": list(self.partition) if self.partition is not None else None,
@@ -40,6 +63,11 @@ class VerificationReport:
             "pass": bool(self.passed),
             "details": self.details,
         }
+        if not self.non_finite:
+            return out
+        out, _ = _nulled(out)
+        out["non_finite"] = True
+        return out
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"), allow_nan=False)

@@ -9,7 +9,8 @@ lifted to an irrep as a product: it is factored into diagonal phases and
 real rotations of adjacent modes (Reck et al., PRL 73, 58 (1994)), each
 phase lifts to a diagonal through the pattern occupations, and each
 rotation through a cached eigenbasis of its generator.  The lift may read
-only some columns, at O(d^2) each.
+only some columns, at O(d^2) each, and lifts a batch of elements at once:
+elements with one rotation sequence share each rotation's matrix product.
 """
 
 from __future__ import annotations
@@ -423,22 +424,34 @@ def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.nd
     return occ, tuple(eigen)
 
 
+# Complex entries (128 KB) in one working array of a batched lift: a larger
+# batch is cut into chunks of elements, so its scratch memory beyond the
+# (S, d, c) result does not grow with S.
+LIFT_BATCH_ENTRIES = 2**13
+
+
 def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a real matrix a and a complex z, as one real product over
-    z's interleaved real and imaginary parts."""
-    return (a @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
+    """a @ z over z's first axis, for a real matrix a and a complex z, as
+    one real product over z's interleaved real and imaginary parts."""
+    flat = np.ascontiguousarray(z).reshape(len(z), -1).view(np.float64)
+    return (a @ flat).view(np.complex128).reshape(z.shape)
 
 
-def lift(irrep: SUIrrepLabel, element: UnitaryElement, cols=None) -> np.ndarray:
+def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     """Columns ``cols`` (0-based, distinct, GT basis order; all of them for
-    None) of the matrix of ``element`` in the irrep: a (d, len(cols)) array.
+    None) of the matrices of ``elements`` in the irrep: an (S, d, len(cols))
+    array, slice s for element s.
 
-    The element is factored into diagonal phases and adjacent-mode
+    Each element is factored into diagonal phases and adjacent-mode
     rotations (:func:`_givens_factors`), and the factors' lifts are applied
     right to left to unit columns: a phase diag(e^{i phi}) lifts to
     diag(e^{i n.phi}) with the integer occupations n, and a rotation through
-    a cached real eigenbasis of its generator.  No logarithm is taken, so
-    eigenvalues at -1 lift exactly.  Each column costs O(d^2).
+    a cached real eigenbasis of its generator.  Elements with the same
+    rotation sequence share one (d, S * len(cols)) product per rotation,
+    S elements at a time within :data:`LIFT_BATCH_ENTRIES`.  No logarithm
+    is taken, so eigenvalues at -1 lift exactly.
+    Each column costs O(d^2).  Columns, elements and the dimension cap are
+    checked before any product.
     """
     d = dim_weyl(irrep)
     if cols is None:
@@ -451,29 +464,57 @@ def lift(irrep: SUIrrepLabel, element: UnitaryElement, cols=None) -> np.ndarray:
         if len(set(cols)) != len(cols):
             raise DomainError(f"columns must be distinct, got {cols}")
         idx = np.array(cols, dtype=np.intp)
-    if not isinstance(element, UnitaryElement):
-        raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrix)")
-    if element.m != irrep.m:
-        raise DomainError(f"element acts on {element.m} modes, irrep has m = {irrep.m}")
+    elements = list(elements)
+    for element in elements:
+        if not isinstance(element, UnitaryElement):
+            raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrix)")
+        if element.m != irrep.m:
+            raise DomainError(f"element acts on {element.m} modes, irrep has m = {irrep.m}")
     cap = max_lift_dim()
     if d > cap:
         raise ResourceLimitError(f"irrep dimension {d} exceeds the dense-lift cap {cap}")
-    rotations, angles = _givens_factors(element.matrix)
+    c = len(idx)
+    out = np.empty((len(elements), d, c), dtype=np.complex128)
+    if not elements:
+        return out
     occ, eigen = _rotation_tables(irrep)
-    phases = np.exp(1j * (occ @ angles))
-    x = None  # the unit columns idx times the last phase, until a rotation mixes them
-    for i in range(len(rotations) - 1, -1, -1):
-        k, theta = rotations[i]
-        w, v, vt = eigen[k]
-        y = vt[:, idx] * phases[idx, -1] if x is None else _real_times(vt, x)
-        x = phases[:, i, None] * _real_times(v, np.exp(-1j * theta * w)[:, None] * y)
-    if x is None:
-        x = np.zeros((d, len(idx)), dtype=np.complex128)
-        x[idx, range(len(idx))] = phases[idx, -1]
-    defect = np.abs(x.conj().T @ x - np.eye(len(idx))).max(initial=0.0)
-    if not defect <= 1e-10:
-        raise DomainError(f"the lift into {irrep} lost orthonormality: defect {defect:.3e}")
-    return x
+    groups: dict[tuple[int, ...], list[int]] = {}
+    factors = [_givens_factors(element.matrix) for element in elements]
+    for s, (rotations, _) in enumerate(factors):
+        groups.setdefault(tuple(k for k, _ in rotations), []).append(s)
+    step = max(1, LIFT_BATCH_ENTRIES // max(1, d * c))
+    batches = [
+        (ks, members[i : i + step])
+        for ks, members in groups.items()
+        for i in range(0, len(members), step)
+    ]
+    for ks, members in batches:
+        # x is (d, S, c): the columns of the chunk's S elements side by side
+        phases = np.empty((d, len(members), len(ks) + 1), dtype=np.complex128)
+        for j, s in enumerate(members):
+            phases[:, j] = np.exp(1j * (occ @ factors[s][1]))
+        thetas = np.array([[theta for _, theta in factors[s][0]] for s in members])
+        x = None  # the unit columns idx times the last phase, until a rotation mixes them
+        for i in range(len(ks) - 1, -1, -1):
+            w, v, vt = eigen[ks[i]]
+            y = vt[:, None, idx] * phases[idx, :, -1].T if x is None else _real_times(vt, x)
+            turn = np.exp(-1j * thetas[:, i] * w[:, None])
+            x = phases[:, :, i, None] * _real_times(v, turn[:, :, None] * y)
+        if x is None:
+            x = np.zeros((d, len(members), c), dtype=np.complex128)
+            x[idx, :, np.arange(c)] = phases[idx, :, -1]
+        x = x.transpose(1, 0, 2)
+        out[members] = x
+        defect = np.abs(x.conj().transpose(0, 2, 1) @ x - np.eye(c)).max(initial=0.0)
+        if not defect <= 1e-10:
+            raise DomainError(f"the lift into {irrep} lost orthonormality: defect {defect:.3e}")
+    return out
+
+
+def lift(irrep: SUIrrepLabel, element: UnitaryElement, cols=None) -> np.ndarray:
+    """Columns ``cols`` of the matrix of ``element`` in the irrep, a
+    (d, len(cols)) array: the one slice of :func:`lift_batch`."""
+    return lift_batch(irrep, [element], cols)[0]
 
 
 def dfunction(irrep: SUIrrepLabel, r: GTPattern, t: GTPattern, element: UnitaryElement) -> complex:

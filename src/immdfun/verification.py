@@ -38,32 +38,44 @@ from .plethysm import (
 )
 from .reports import VerificationReport
 from .symgroup import Partition, dim_sym, partitions_of
-from .sunrep import SUIrrepLabel, chain_label, lift, weight_blocks
+from .sunrep import SUIrrepLabel, chain_label, lift_batch, weight_blocks
 
 DUALITY_TOL = 1e-10
 
 
-def _block_trace(label: SUIrrepLabel, lifted: np.ndarray, keep) -> complex:
+def _worst(values) -> float:
+    """The largest of ``values`` (0.0 for none), and NaN if any is NaN:
+    max(0.0, nan) is 0.0, so a running max would drop a NaN residual."""
+    return float(np.max(np.array(list(values), dtype=np.float64), initial=0.0))
+
+
+def _block_columns(label: SUIrrepLabel, keeps) -> np.ndarray:
+    """Ascending basis positions of the weight blocks of the kept-mode sets
+    ``keeps``: the only columns their block traces read."""
+    blocks = weight_blocks(label)
+    return np.unique([i for keep in keeps for i in blocks[state_weight(label.m, keep).cartan]])
+
+
+def _block_trace(label: SUIrrepLabel, lifted: np.ndarray, cols: np.ndarray, keep) -> complex:
     """Sum, in basis order, of the lifted diagonal over the patterns at the
-    weight of the kept modes ``keep``."""
+    weight of the kept modes ``keep``; ``lifted`` holds the columns ``cols``
+    (see :func:`_block_columns`)."""
     idx = weight_blocks(label)[state_weight(label.m, keep).cartan]
-    return sum(lifted[idx, idx], 0j)
+    return sum(lifted[idx, np.searchsorted(cols, idx)], 0j)
 
 
-def _principal_residuals(m, p, keep, elements, lifts) -> tuple[float, float]:
+def _principal_residuals(m, p, keep, elements, lifts, cols) -> tuple[float, float]:
     """Worst |Imm^{p} - diagonal D-sum| and worst |Imm^{p} - duality route|
     of the principal submatrix on ``keep`` over the sampled elements, whose
-    lifts into the irrep dual to ``p`` are ``lifts``."""
+    lifts into the irrep dual to ``p`` at the columns ``cols`` are ``lifts``."""
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     selector = SubmatrixSelector(keep, keep)
-    worst = 0.0
-    worst_dual = 0.0
+    gaps, dual_gaps = [], []
     for u, lf in zip(elements, lifts):
         direct = immanant(p, submatrix(u.matrix, selector))
-        worst = max(worst, abs(direct - _block_trace(label, lf, keep)))
-        via = immanant_via_duality(m, p, keep, keep, u)
-        worst_dual = max(worst_dual, abs(direct - via))
-    return float(worst), float(worst_dual)
+        gaps.append(abs(direct - _block_trace(label, lf, cols, keep)))
+        dual_gaps.append(abs(direct - immanant_via_duality(m, p, keep, keep, u)))
+    return _worst(gaps), _worst(dual_gaps)
 
 
 def kostant_suite(
@@ -80,8 +92,9 @@ def kostant_suite(
         elements = [haar_random_unitary(m, seed + i) for i in range(samples)]
         for p in partitions_of(m):
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
-            lifts = [lift(label, u) for u in elements]
-            worst, worst_dual = _principal_residuals(m, p, full, elements, lifts)
+            cols = _block_columns(label, [full])
+            lifts = lift_batch(label, elements, cols)
+            worst, worst_dual = _principal_residuals(m, p, full, elements, lifts, cols)
             reports.append(
                 VerificationReport(
                     suite="kostant",
@@ -113,9 +126,11 @@ def corollary4_suite(
                 continue
             for p in partitions_of(size):
                 label = SUIrrepLabel.from_partition(p, m, normalize=False)
-                lifts = [lift(label, u) for u in elements]
-                for keep in combinations(range(1, m + 1), size):
-                    worst, worst_dual = _principal_residuals(m, p, keep, elements, lifts)
+                keeps = list(combinations(range(1, m + 1), size))
+                cols = _block_columns(label, keeps)
+                lifts = lift_batch(label, elements, cols)
+                for keep in keeps:
+                    worst, worst_dual = _principal_residuals(m, p, keep, elements, lifts, cols)
                     reports.append(
                         VerificationReport(
                             suite="corollary4",
@@ -146,55 +161,69 @@ def verify_littlewood(element: UnitaryElement, tol: float = 1e-9, seed: int | No
     pairs must equal Imm^{3,1} + Imm^{4}; the same identity is re-evaluated
     through diagonal group-function sums and both residuals are reported.
     """
-    if element.m != 4:
+    return _littlewood_reports([element], [seed], tol)[0]
+
+
+def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]:
+    """One :func:`verify_littlewood` report per element; each irrep is
+    lifted once for all elements, at the columns its block traces read."""
+    if any(u.m != 4 for u in elements):
         raise DomainError("the coaxial product identity is stated for 4x4 matrices")
-    umat = element.matrix
     p3, p1, p31, p4 = Partition(3), Partition(1), Partition(3, 1), Partition(4)
-    lhs = 0.0 + 0.0j
-    for keep3, keep1 in LITTLEWOOD_PAIRS:
-        sub3 = submatrix(umat, SubmatrixSelector(keep3, keep3))
-        lhs += immanant(p3, sub3) * umat[keep1[0] - 1, keep1[0] - 1]
-    rhs = immanant(p31, umat) + immanant(p4, umat)
-    residual_imm = abs(lhs - rhs)
-
-    labels = {pp: SUIrrepLabel.from_partition(pp, 4, normalize=False) for pp in (p3, p1, p31, p4)}
-    lifted = {pp: lift(label, element) for pp, label in labels.items()}
-
-    def trace(pp, keep):
-        return _block_trace(labels[pp], lifted[pp], keep)
-
-    lhs_d = 0.0 + 0.0j
-    for keep3, keep1 in LITTLEWOOD_PAIRS:
-        lhs_d += trace(p3, keep3) * trace(p1, keep1)
     full = (1, 2, 3, 4)
-    rhs_d = trace(p31, full) + trace(p4, full)
-    residual_d = abs(lhs_d - rhs_d)
-    residual_forms = max(abs(lhs_d - lhs), abs(rhs_d - rhs))
+    keeps = {
+        p3: [keep3 for keep3, _ in LITTLEWOOD_PAIRS],
+        p1: [keep1 for _, keep1 in LITTLEWOOD_PAIRS],
+        p31: [full],
+        p4: [full],
+    }
+    labels = {pp: SUIrrepLabel.from_partition(pp, 4, normalize=False) for pp in keeps}
+    cols = {pp: _block_columns(labels[pp], keeps[pp]) for pp in keeps}
+    lifted = {pp: lift_batch(labels[pp], elements, cols[pp]) for pp in keeps}
+    reports = []
+    for s, (element, seed) in enumerate(zip(elements, seeds)):
+        umat = element.matrix
+        lhs = 0.0 + 0.0j
+        for keep3, keep1 in LITTLEWOOD_PAIRS:
+            sub3 = submatrix(umat, SubmatrixSelector(keep3, keep3))
+            lhs += immanant(p3, sub3) * umat[keep1[0] - 1, keep1[0] - 1]
+        rhs = immanant(p31, umat) + immanant(p4, umat)
+        residual_imm = abs(lhs - rhs)
 
-    residual = max(residual_imm, residual_d, residual_forms)
-    return VerificationReport(
-        suite="littlewood",
-        m=4,
-        partition=(3, 1),
-        seed=seed,
-        residual=float(residual),
-        passed=bool(residual < tol),
-        details={
-            "immanant_residual": float(residual_imm),
-            "dfunction_residual": float(residual_d),
-            "form_agreement": float(residual_forms),
-        },
-    )
+        def trace(pp, keep):
+            return _block_trace(labels[pp], lifted[pp][s], cols[pp], keep)
+
+        lhs_d = 0.0 + 0.0j
+        for keep3, keep1 in LITTLEWOOD_PAIRS:
+            lhs_d += trace(p3, keep3) * trace(p1, keep1)
+        rhs_d = trace(p31, full) + trace(p4, full)
+        residual_d = abs(lhs_d - rhs_d)
+        residual_forms = max(abs(lhs_d - lhs), abs(rhs_d - rhs))
+
+        residual = max(residual_imm, residual_d, residual_forms)
+        reports.append(
+            VerificationReport(
+                suite="littlewood",
+                m=4,
+                partition=(3, 1),
+                seed=seed,
+                residual=float(residual),
+                passed=bool(residual < tol),
+                details={
+                    "immanant_residual": float(residual_imm),
+                    "dfunction_residual": float(residual_d),
+                    "form_agreement": float(residual_forms),
+                },
+            )
+        )
+    return reports
 
 
 def littlewood_suite(
     samples: int = 100, seed: int = DEFAULT_SEED, tol: float = 1e-9
 ) -> list[VerificationReport]:
-    reports = []
-    for i in range(samples):
-        u = haar_random_unitary(4, seed + i)
-        reports.append(verify_littlewood(u, tol=tol, seed=seed + i))
-    return reports
+    elements = [haar_random_unitary(4, seed + i) for i in range(samples)]
+    return _littlewood_reports(elements, [seed + i for i in range(samples)], tol)
 
 
 def classify_coefficients(cm: CoefficientMatrix, tol: float = 1e-8) -> dict:
@@ -249,15 +278,16 @@ def conjecture_scan(
     expected_units = dim_sym(p)
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     samples = [haar_random_unitary(m, seed + 1000 * i) for i in range(check_samples)]
-    lifts = [lift(label, u) for u in samples]
-    for k, q in selectors:
-        cm = coefficient_matrix(m, p, k, q)
+    cms = [coefficient_matrix(m, p, k, q) for k, q in selectors]
+    cols = np.unique([i for cm in cms for i in cm.col_index])
+    lifts = lift_batch(label, samples, cols)
+    for (k, q), cm in zip(selectors, cms):
         info = classify_coefficients(cm, entry_tol)
-        worst = 0.0
-        for u, lf in zip(samples, lifts):
-            direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
-            via = coefficient_matrix_value(cm, lf)
-            worst = max(worst, abs(direct - via))
+        selector = SubmatrixSelector(k, q)
+        worst = _worst(
+            abs(immanant(p, submatrix(u.matrix, selector)) - coefficient_matrix_value(cm, lf, cols))
+            for u, lf in zip(samples, lifts)
+        )
         total = cm.entries.size
         ok = (
             info["unit_entries"] == expected_units

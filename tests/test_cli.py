@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -9,7 +12,7 @@ import pytest
 
 import immdfun
 from immdfun import dualspace, plethysm, verification
-from immdfun.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
+from immdfun.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
 from immdfun.errors import MatrixParseError
 from immdfun.symgroup import Partition
 
@@ -204,6 +207,52 @@ class TestVerifyCommand:
         assert out == ""
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_non_finite_report_fails_closed(self, monkeypatch, capsys):
+        # the suite's last report gets a NaN residual and an infinite detail,
+        # yet claims to pass
+        real = verification.kostant_suite
+
+        def broken(**kwargs):
+            *good, last = real(**kwargs)
+            details = dict(last.details, duality_residual=math.inf)
+            return good + [dataclasses.replace(last, residual=math.nan, passed=True, details=details)]
+
+        monkeypatch.setitem(verification.SUITES, "kostant", broken)
+        argv = ("verify", "kostant", "--m", "2", "--samples", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_FAIL
+        first, last = [json.loads(line) for line in out.splitlines()]
+        assert first["pass"] and "non_finite" not in first
+        assert last["pass"] is False and last["non_finite"] is True
+        assert list(last)[-1] == "non_finite"
+        assert last["residual"] is None and last["details"]["duality_residual"] is None
+        assert last["details"]["samples"] == 2
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_FAIL
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["pass"] for row in rows] == ["True", "False"]
+        assert rows[1]["residual"] == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("kostant", "--m", "2"),
+            ("corollary4", "--m", "4"),
+            ("littlewood",),
+            ("conjecture", "--m", "4", "--partition", "2,1", "--rows", "2,3,4", "--cols", "1,3,4"),
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_nan_immanant_reaches_the_report(self, monkeypatch, capsys, flags):
+        # a NaN from the character sum must survive the worst-over-samples
+        # maximum, so every report fails closed
+        monkeypatch.setattr(verification, "immanant", lambda p, a: complex(math.nan, 0.0))
+        code, out, _ = run(capsys, "verify", *flags, "--samples", "2")
+        assert code == EXIT_FAIL
+        for rec in map(json.loads, out.splitlines()):
+            assert rec["non_finite"] is True and rec["pass"] is False
+            assert rec["residual"] is None
 
     def test_reports_are_built_only_in_verification(self):
         for module in (dualspace, plethysm):

@@ -10,7 +10,6 @@ from immdfun.dualspace import (
     _mode_index,
     _powers,
     _weight_blocks,
-    apply_tensor_power,
     coefficient_matrix,
     coefficient_matrix_value,
     immanant_projector,
@@ -45,6 +44,8 @@ from immdfun.sunrep import (
     weight_of,
 )
 from immdfun.verification import classify_coefficients, conjecture_scan, verify_littlewood
+
+from _tensor import apply_tensor_power
 
 P = Partition
 

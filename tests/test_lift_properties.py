@@ -2,10 +2,12 @@
 
 The lift is a product of lifted phases and adjacent-mode rotations, so it
 is checked against what a representation must satisfy: column lifts equal
-the full lift's columns, T(UV) = T(U)T(V) on Haar, permutation, sign and
+the full lift's columns, a batch lifts each element as a lift of its own, T(UV) = T(U)T(V) on Haar, permutation, sign and
 block-diagonal elements, permutation matrices move weight spaces, and the
 GT columns match the chain vectors built independently in the tensor power.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,17 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from immdfun import sunrep
-from immdfun.dualspace import _chain_vectors, _weight_blocks, apply_tensor_power
+from immdfun.dualspace import _chain_vectors, _weight_blocks
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import UnitaryElement, haar_random_unitary, permutation_matrix
 from immdfun.sunrep import (
     SUIrrepLabel,
+    _givens_factors,
     _rotation_tables,
     dim_weyl,
     lift,
+    lift_batch,
     occupations,
 )
-from immdfun.symgroup import all_permutations
+from immdfun.symgroup import all_permutations, partitions_of
+from immdfun.verification import _block_columns, _block_trace
+
+from _tensor import apply_tensor_power
 
 ROWS = (
     (1, 0),
@@ -186,3 +193,94 @@ def test_nan_product_is_refused(monkeypatch):
     for cols in (None, [0, 3]):
         with pytest.raises(DomainError, match="orthonormality"):
             lift(SUIrrepLabel(3, (2, 1, 0)), u, cols)
+
+
+def _mixed_batch(m: int, seed: int) -> list[UnitaryElement]:
+    """Haar samples, the identity, mode permutations, a diagonal of signs,
+    diag(-1, -1, 1, ...) and Haar SU(2) blocks with exact zeros: elements
+    with several rotation sequences in one batch."""
+    kinds = ("haar", "permutation", "signs", "block", "haar", "permutation", "block", "haar")
+    batch = [_element(m, kind, seed + i) for i, kind in enumerate(kinds)]
+    batch.insert(2, UnitaryElement(np.eye(m)))
+    batch.append(UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (m - 2))))
+    return batch
+
+
+def _rotation_groups(batch) -> int:
+    return len({tuple(k for k, _ in _givens_factors(u.matrix)[0]) for u in batch})
+
+
+@FEW
+@given(irreps, seeds, st.data())
+def test_batch_slices_are_single_lifts(irrep, seed, data):
+    d = dim_weyl(irrep)
+    cols = data.draw(
+        st.none() | st.lists(st.integers(0, d - 1), min_size=1, max_size=6, unique=True)
+    )
+    batch = _mixed_batch(irrep.m, seed)
+    assert _rotation_groups(batch) >= 2
+    got = lift_batch(irrep, batch, cols)
+    width = d if cols is None else len(cols)
+    assert got.shape == (len(batch), d, width)
+    for lifted, u in zip(got, batch):
+        assert np.abs(lifted - lift(irrep, u, cols)).max() <= 1e-15
+    # exact inputs stay exact: the identity lifts to unit columns
+    assert np.array_equal(got[2], np.eye(d)[:, slice(None) if cols is None else cols])
+
+
+@pytest.mark.parametrize("entries", [1, 150])
+def test_chunked_batch_is_the_whole_batch(monkeypatch, entries):
+    # a budget of 1 lifts each element alone, 150 two at a time (d = 8)
+    irrep = SUIrrepLabel(3, (2, 1, 0))
+    batch = _mixed_batch(3, 5) + _mixed_batch(3, 6)
+    whole = lift_batch(irrep, batch)
+    monkeypatch.setattr(sunrep, "LIFT_BATCH_ENTRIES", entries)
+    assert np.abs(lift_batch(irrep, batch) - whole).max() <= 1e-15
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_column_restricted_block_traces(m):
+    # every principal block trace read from the columns of its weight blocks
+    # equals the trace read from the full lift
+    batch = _mixed_batch(m, 11)
+    for size in range(1, m + 1):
+        keeps = list(combinations(range(1, m + 1), size))
+        for p in partitions_of(size):
+            label = SUIrrepLabel.from_partition(p, m, normalize=False)
+            cols = _block_columns(label, keeps)
+            every = np.arange(dim_weyl(label))
+            restricted, full = lift_batch(label, batch, cols), lift_batch(label, batch)
+            for keep in keeps:
+                for s in range(len(batch)):
+                    got = _block_trace(label, restricted[s], cols, keep)
+                    want = _block_trace(label, full[s], every, keep)
+                    assert abs(got - want) <= 1e-15
+
+
+@pytest.mark.parametrize("cols", [None, [], [0, 4]])
+def test_empty_batch(cols):
+    irrep = SUIrrepLabel(3, (2, 1, 0))
+    width = 8 if cols is None else len(cols)
+    assert lift_batch(irrep, [], cols).shape == (0, 8, width)
+
+
+def test_batch_refusals_come_before_any_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a product ran before the refusal")
+
+    for name in ("_givens_factors", "_rotation_tables", "_real_times"):
+        monkeypatch.setattr(sunrep, name, forbidden)
+    irrep = SUIrrepLabel(3, (2, 1, 0))
+    good = haar_random_unitary(3, 2)
+    with pytest.raises(DomainError, match="columns must be"):
+        lift_batch(irrep, [good, good], [0, 8])
+    with pytest.raises(DomainError, match="columns must be distinct"):
+        lift_batch(irrep, [good], [1, 1])
+    with pytest.raises(DomainError, match="UnitaryElement"):
+        lift_batch(irrep, [good, np.eye(3)])
+    with pytest.raises(DomainError, match="modes"):
+        lift_batch(irrep, [good, haar_random_unitary(4, 2)])
+    monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
+    for batch in ([good, good], []):
+        with pytest.raises(ResourceLimitError):
+            lift_batch(irrep, batch, [0])

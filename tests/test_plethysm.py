@@ -144,13 +144,14 @@ class TestFitMachinery:
 
     def test_each_sample_is_lifted_once(self, monkeypatch):
         # the base irrep is lifted in full, each candidate irrep only at the
-        # columns its candidates read
+        # columns its candidates read; one (irrep, sample) entry per lift
         calls = []
-        real = plethysm.lift
+        real = plethysm.lift_batch
         monkeypatch.setattr(
             plethysm,
-            "lift",
-            lambda ir, u, cols=None: calls.append((ir, cols is None)) or real(ir, u, cols),
+            "lift_batch",
+            lambda ir, us, cols=None: calls.extend((ir, cols is None) for _ in us)
+            or real(ir, us, cols),
         )
         prob = su2_power_problem(3, P(2, 2))
         samples = 30
