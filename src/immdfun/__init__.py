@@ -38,7 +38,6 @@ from .sunrep import (
     gt_basis,
     lift,
     lift_batch,
-    su2_irrep,
     weight_of,
     weight_subspace,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "permanent_ryser",
     "permutation_matrix",
     "su2_euler",
-    "su2_irrep",
     "submatrix",
     "weight_of",
     "weight_subspace",

@@ -16,8 +16,6 @@ def imm_sum(mat, perms, weights):
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
     rows = np.arange(mat.shape[0])
     live = np.nonzero(weights)[0]
-    if live.size == 0:
-        return 0.0 + 0.0j
     prods = np.prod(mat[rows[None, :], perms[live]], axis=1)
     return complex(np.dot(weights[live], prods))
 

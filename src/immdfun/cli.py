@@ -186,10 +186,10 @@ def cmd_immanant(args) -> int:
     exit_code = EXIT_OK
     if args.duality:
         m = mat.shape[0]
-        element = UnitaryElement.from_matrix(mat, tol=args.tol)
+        UnitaryElement.from_matrix(mat, tol=args.tol)  # refuses a non-unitary matrix
         k = rows if rows is not None else tuple(range(1, m + 1))
         q = cols if cols is not None else tuple(range(1, m + 1))
-        dual = immanant_via_duality(m, partition, k, q, element)
+        dual = immanant_via_duality(m, partition, k, q, mat)
         record["duality_value"] = [dual.real, dual.imag]
         record["duality_residual"] = abs(dual - value)
         record["pass"] = record["duality_residual"] < args.tol
@@ -245,13 +245,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_dfunctions(args) -> int:
-    if args.row:
+    if args.row and args.partition is None and args.m is None:
         row = _parse_ints(args.row)
         irrep = SUIrrepLabel(len(row), row)
-    elif args.partition and args.m:
+    elif args.partition and args.m and args.row is None:
         irrep = SUIrrepLabel.from_partition(Partition(_parse_ints(args.partition)), args.m)
     else:
-        raise DomainError("supply --row or both --partition and --m")
+        raise DomainError("supply either --row or both --partition and --m")
     mat = _resolve_element(args)
     if mat.shape[0] != irrep.m:
         raise DomainError(f"matrix side {mat.shape[0]} != m = {irrep.m}")

@@ -239,10 +239,6 @@ def _check_pair(m: int, p: Partition, k: tuple[int, ...], q: tuple[int, ...]):
             raise DomainError(f"selector index {idx} outside 1..{m}")
     if len(set(k)) != n or len(set(q)) != n:
         raise DomainError("selector indices must be distinct")
-    if sorted(state_weight(m, k).occupation, reverse=True) != sorted(
-        state_weight(m, q).occupation, reverse=True
-    ):
-        raise DomainError("row and column mode counts are not related by a permutation")
     return k, q
 
 

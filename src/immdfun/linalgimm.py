@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +34,10 @@ def as_square(mat) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitaryElement:
-    """Square matrix that is special-unitary within ``unitarity_tol``.
-
-    ``phase_normalized`` records whether an overall m-th-root-of-unity phase
-    was applied to move det(U) to 1.
-    """
+    """Square matrix that is special-unitary within ``unitarity_tol``."""
 
     matrix: np.ndarray
     unitarity_tol: float = 1e-10
-    phase_normalized: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         mat = as_square(self.matrix)
@@ -61,19 +56,17 @@ class UnitaryElement:
     def from_matrix(cls, mat, tol: float = 1e-10):
         """Wrap a unitary matrix, fixing a global phase so that det = 1.
 
-        Inputs with |det| = 1 but det != 1 are multiplied by an m-th root
-        phase; the result carries a flag.
+        Inputs with |det| = 1 but det != 1 are multiplied by e^{-i phi/m},
+        where phi is the phase of det.
         """
         mat = as_square(mat)
         m = mat.shape[0]
         det = np.linalg.det(mat)
-        normalized = False
         if abs(det - 1.0) >= tol:
             if abs(abs(det) - 1.0) >= tol:
                 raise DomainError(f"det = {det:.6g} cannot be phase-normalized to 1")
             mat = mat * cmath.exp(-1j * cmath.phase(det) / m)
-            normalized = True
-        return cls(mat, unitarity_tol=tol, phase_normalized=normalized)
+        return cls(mat, unitarity_tol=tol)
 
     @property
     def m(self) -> int:
@@ -96,7 +89,7 @@ def haar_random_unitary(m: int, seed: int) -> UnitaryElement:
     q = q * (d / np.abs(d))
     det = np.linalg.det(q)
     q = q * cmath.exp(-1j * cmath.phase(det) / m)
-    return UnitaryElement(q, unitarity_tol=1e-12, phase_normalized=True)
+    return UnitaryElement(q, unitarity_tol=1e-12)
 
 
 def su2_euler(alpha: float, beta: float, gamma: float) -> UnitaryElement:

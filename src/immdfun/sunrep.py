@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from types import MappingProxyType
 
 import numpy as np
@@ -79,22 +80,8 @@ class SUIrrepLabel:
     def normalized(self) -> "SUIrrepLabel":
         return SUIrrepLabel(self.m, tuple(x - self.row[-1] for x in self.row))
 
-    @property
-    def round_label(self) -> tuple[int, ...]:
-        """Consecutive differences (lambda_1 - lambda_2, ...), m-1 entries."""
-        return tuple(self.row[i] - self.row[i + 1] for i in range(self.m - 1))
-
-    @property
-    def boxes(self) -> int:
-        return sum(self.row)
-
     def __repr__(self):
         return f"SU({self.m}){self.row}"
-
-
-def su2_irrep(two_j: int) -> SUIrrepLabel:
-    """SU(2) irrep with angular momentum J = two_j / 2."""
-    return SUIrrepLabel(2, (two_j, 0))
 
 
 @dataclass(frozen=True)
@@ -121,10 +108,6 @@ class GTPattern:
     @property
     def m(self) -> int:
         return len(self.rows[0])
-
-    @property
-    def top(self) -> tuple[int, ...]:
-        return self.rows[0]
 
     def flattened(self) -> tuple[int, ...]:
         return tuple(x for r in self.rows for x in r)
@@ -158,10 +141,6 @@ class WeightVector:
         occ = self.occupation
         return tuple(occ[i] - occ[i + 1] for i in range(len(occ) - 1))
 
-    @property
-    def total(self) -> int:
-        return sum(self.occupation)
-
     def __repr__(self):
         return f"Weight(n={self.occupation}, h={list(self.cartan)})"
 
@@ -193,23 +172,13 @@ def gt_basis(irrep: SUIrrepLabel) -> tuple[GTPattern, ...]:
     """
 
     def extend(upper: tuple[int, ...]):
-        k = len(upper) - 1
-        if k == 0:
+        if len(upper) == 1:
             yield (upper,)
             return
-        ranges = [range(upper[i], upper[i + 1] - 1, -1) for i in range(k)]
-
-        def rec(i, lower):
-            if i == k:
-                for rest in extend(tuple(lower)):
-                    yield (upper,) + rest
-                return
-            for x in ranges[i]:
-                lower.append(x)
-                yield from rec(i + 1, lower)
-                lower.pop()
-
-        yield from rec(0, [])
+        ranges = (range(upper[i], upper[i + 1] - 1, -1) for i in range(len(upper) - 1))
+        for lower in product(*ranges):
+            for rest in extend(lower):
+                yield (upper,) + rest
 
     pats = [GTPattern(rows) for rows in extend(irrep.row)]
     pats.sort(key=lambda p: p.flattened(), reverse=True)
@@ -264,8 +233,7 @@ def chain_label(pattern: GTPattern) -> str:
     Each chain entry is the round label of one pattern row (trailing zeros
     dropped); the final su(2) entry is written as the half-integer J.
     """
-    irrep = SUIrrepLabel(pattern.m, pattern.top)
-    occ = occupations(irrep)[pattern_index(irrep)[pattern]]
+    occ = weight_of(pattern).occupation
     occ_str = (
         "".join(str(x) for x in occ)
         if all(x < 10 for x in occ)

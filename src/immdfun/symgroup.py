@@ -18,18 +18,19 @@ import numpy as np
 from .errors import DomainError
 
 
-class Partition:
+class Partition(tuple):
     """Weakly decreasing tuple of positive integers summing to n.
 
     Labels an irrep of S_n and, through consecutive differences of its padded
-    form, an SU(m) irrep.
+    form, an SU(m) irrep.  Equal to, and hashed like, the plain tuple of its
+    parts.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, *parts):
-        if len(parts) == 1 and isinstance(parts[0], (tuple, list, Partition)):
-            parts = tuple(parts[0])
+    def __new__(cls, *parts):
+        if len(parts) == 1 and isinstance(parts[0], (tuple, list)):
+            parts = parts[0]
         parts = tuple(int(p) for p in parts)
         if not parts:
             raise DomainError("a partition needs at least one part")
@@ -37,36 +38,18 @@ class Partition:
             raise DomainError(f"partition parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise DomainError(f"partition parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self):
-        return "{" + ",".join(str(p) for p in self.parts) + "}"
+        return "{" + ",".join(str(p) for p in self) + "}"
 
 
 class Permutation:
@@ -87,12 +70,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(images)
 
     @property
     def n(self) -> int:

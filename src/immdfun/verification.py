@@ -16,6 +16,7 @@ import numpy as np
 
 from .dualspace import (
     CoefficientMatrix,
+    _check_pair,
     coefficient_matrix,
     coefficient_matrix_value,
     immanant_via_duality,
@@ -25,7 +26,6 @@ from .errors import DomainError
 from .linalgimm import (
     DEFAULT_SEED,
     SubmatrixSelector,
-    UnitaryElement,
     haar_random_unitary,
     immanant,
     submatrix,
@@ -154,19 +154,15 @@ def corollary4_suite(
 LITTLEWOOD_PAIRS = (((1, 2, 3), (4,)), ((1, 2, 4), (3,)), ((1, 3, 4), (2,)), ((2, 3, 4), (1,)))
 
 
-def verify_littlewood(element: UnitaryElement, tol: float = 1e-9, seed: int | None = None) -> VerificationReport:
-    """Coaxial product identity on a 4x4 unitary.
+def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]:
+    """Coaxial product identity on 4x4 unitaries, one report per element.
 
     Sums of permanent-times-entry over the four complementary principal
     pairs must equal Imm^{3,1} + Imm^{4}; the same identity is re-evaluated
     through diagonal group-function sums and both residuals are reported.
+    Each irrep is lifted once for all elements, at the columns its block
+    traces read.
     """
-    return _littlewood_reports([element], [seed], tol)[0]
-
-
-def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]:
-    """One :func:`verify_littlewood` report per element; each irrep is
-    lifted once for all elements, at the columns its block traces read."""
     if any(u.m != 4 for u in elements):
         raise DomainError("the coaxial product identity is stated for 4x4 matrices")
     p3, p1, p31, p4 = Partition(3), Partition(1), Partition(3, 1), Partition(4)
@@ -274,14 +270,16 @@ def conjecture_scan(
     if selectors is None:
         index_sets = list(combinations(range(1, m + 1), n))
         selectors = [(k, q) for k in index_sets for q in index_sets]
+    selectors = [_check_pair(m, p, k, q) for k, q in selectors]
     reports = []
     expected_units = dim_sym(p)
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     samples = [haar_random_unitary(m, seed + 1000 * i) for i in range(check_samples)]
-    cms = [coefficient_matrix(m, p, k, q) for k, q in selectors]
-    cols = np.unique([i for cm in cms for i in cm.col_index])
+    # the union of the coefficient matrices' col_index, lifted before any is built
+    cols = _block_columns(label, {q for _, q in selectors})
     lifts = lift_batch(label, samples, cols)
-    for (k, q), cm in zip(selectors, cms):
+    for k, q in selectors:
+        cm = coefficient_matrix(m, p, k, q)
         info = classify_coefficients(cm, entry_tol)
         selector = SubmatrixSelector(k, q)
         worst = _worst(
@@ -324,13 +322,13 @@ def conjecture_suite(
     seed: int = DEFAULT_SEED,
 ) -> list[VerificationReport]:
     """Unit-coefficient evidence scan; by default the full 3x3 selector grid
-    of SU(4) for {2,1} plus the two named SU(5) pairs, which are left out
-    when ``selectors`` is given."""
+    of SU(4) for {2,1} plus the two named SU(5) pairs, which only the
+    default run, with no ``partition`` and no ``selectors``, appends."""
     p = partition if partition is not None else Partition(2, 1)
     reports = conjecture_scan(
         m, p, selectors=selectors, entry_tol=entry_tol, check_samples=samples, seed=seed
     )
-    if m == 4 and selectors is None:
+    if m == 4 and partition is None and selectors is None:
         named = [
             (Partition(2, 1), (2, 3, 5), (1, 3, 4)),
             (Partition(3, 1), (1, 3, 4, 5), (1, 2, 3, 5)),

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import dataclasses
 import io
@@ -98,6 +99,39 @@ class TestImmanantCommand:
         assert record["pass"] is True
         assert record["duality_residual"] < 1e-10
 
+    @pytest.mark.parametrize(
+        "mat, partition, value",
+        [
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), "2", 1.0),
+            (np.diag(np.exp([0.3j, 0.5j, 0.1j])), "3", cmath.exp(0.9j)),
+        ],
+        ids=["swap", "diagonal"],
+    )
+    def test_duality_check_reads_the_files_matrix(self, capsys, tmp_path, mat, partition, value):
+        # det != 1: the duality route must not see a phase-normalised copy
+        mat = mat.astype(np.complex128)
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in mat]))
+        code, out, _ = run(
+            capsys, "immanant", "--partition", partition, "--matrix-file", str(path),
+            "--check-duality",
+        )
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert abs(complex(*record["value"]) - value) < 1e-12
+        assert abs(complex(*record["duality_value"]) - value) < 1e-12
+        assert record["pass"] is True
+
+    def test_duality_check_refuses_a_non_unitary_matrix(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps([[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]))
+        code, out, err = run(
+            capsys, "immanant", "--partition", "2", "--matrix-file", str(path), "--check-duality"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not unitary" in err
+
     def test_matrix_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
@@ -182,6 +216,31 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         record = json.loads(out.strip())
         assert record["details"]["unit_entries"] == 2
+
+    def test_conjecture_partition_reports_only_that_partition(self, capsys):
+        # the named SU(5) pairs belong to the default run only
+        code, out, _ = run(capsys, "verify", "conjecture", "--partition", "3", "--samples", "2")
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 16
+        assert all(r["m"] == 4 and r["partition"] == [3] for r in records)
+        code, out, err = run(capsys, "verify", "conjecture", "--partition", "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "nothing to check" in err
+
+    def test_conjecture_refuses_a_capped_lift_before_any_coefficient_matrix(
+        self, monkeypatch, capsys
+    ):
+        def forbidden(*args):
+            raise AssertionError("a coefficient matrix was built before the refusal")
+
+        monkeypatch.setattr(verification, "coefficient_matrix", forbidden)
+        monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
+        code, out, err = run(capsys, "verify", "conjecture")
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "dense-lift cap 7" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -462,6 +521,19 @@ class TestRejectedFlags:
             (
                 ("dump-dfunctions", "--row", "1,0", "--identity", "-2"),
                 "--identity must be >= 1, got -2",
+            ),
+            (
+                ("dump-dfunctions", "--row", "2,1,0", "--partition", "3", "--m", "3",
+                 "--identity", "3"),
+                "supply either --row or both --partition and --m",
+            ),
+            (
+                ("dump-dfunctions", "--row", "2,1,0", "--m", "3", "--identity", "3"),
+                "supply either --row or both --partition and --m",
+            ),
+            (
+                ("dump-dfunctions", "--partition", "3", "--identity", "3"),
+                "supply either --row or both --partition and --m",
             ),
         ],
     )

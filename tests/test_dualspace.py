@@ -43,7 +43,7 @@ from immdfun.sunrep import (
     weight_blocks,
     weight_of,
 )
-from immdfun.verification import classify_coefficients, conjecture_scan, verify_littlewood
+from immdfun.verification import _littlewood_reports, classify_coefficients, conjecture_scan
 
 from _tensor import apply_tensor_power
 
@@ -452,18 +452,18 @@ class TestTheorem3AndNormalization:
 
 class TestLittlewood:
     def test_identity_element(self):
-        report = verify_littlewood(UnitaryElement(np.eye(4)))
+        report = _littlewood_reports([UnitaryElement(np.eye(4))], [None], 1e-9)[0]
         assert report.passed and report.residual < 1e-12
 
     def test_haar_samples(self):
         for i in range(10):
-            report = verify_littlewood(haar_random_unitary(4, 600 + i))
+            report = _littlewood_reports([haar_random_unitary(4, 600 + i)], [None], 1e-9)[0]
             assert report.passed, report.details
             assert report.residual < 1e-9
 
     def test_wrong_side(self):
         with pytest.raises(DomainError):
-            verify_littlewood(haar_random_unitary(3, 1))
+            _littlewood_reports([haar_random_unitary(3, 1)], [None], 1e-9)
 
 
 class TestConjectureScan:

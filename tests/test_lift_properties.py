@@ -5,6 +5,8 @@ is checked against what a representation must satisfy: column lifts equal
 the full lift's columns, a batch lifts each element as a lift of its own, T(UV) = T(U)T(V) on Haar, permutation, sign and
 block-diagonal elements, permutation matrices move weight spaces, and the
 GT columns match the chain vectors built independently in the tensor power.
+Corollary 4 and the duality route are checked on the same non-generic
+elements.
 """
 
 from itertools import combinations
@@ -15,9 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from immdfun import sunrep
-from immdfun.dualspace import _chain_vectors, _weight_blocks
+from immdfun.dualspace import _chain_vectors, _weight_blocks, immanant_via_duality, state_weight
 from immdfun.errors import DomainError, ResourceLimitError
-from immdfun.linalgimm import UnitaryElement, haar_random_unitary, permutation_matrix
+from immdfun.linalgimm import (
+    SubmatrixSelector,
+    UnitaryElement,
+    haar_random_unitary,
+    immanant,
+    permutation_matrix,
+    submatrix,
+)
 from immdfun.sunrep import (
     SUIrrepLabel,
     _givens_factors,
@@ -26,6 +35,7 @@ from immdfun.sunrep import (
     lift,
     lift_batch,
     occupations,
+    weight_blocks,
 )
 from immdfun.symgroup import all_permutations, partitions_of
 from immdfun.verification import _block_columns, _block_trace
@@ -53,12 +63,17 @@ FEW = settings(max_examples=20, deadline=None)
 
 
 def _element(m: int, kind: str, seed: int) -> UnitaryElement:
-    """An SU(m) element: a Haar sample, a mode permutation, a diagonal of
-    signs, or a Haar SU(2) block on two modes (zeros in the lower triangle
-    and a degenerate spectrum)."""
+    """An SU(m) element: a Haar sample, the identity, a phase-normalised
+    mode permutation, a diagonal of signs, diag(-1, -1, 1, ...), or a Haar
+    SU(2) block on two modes (zeros in the lower triangle and a degenerate
+    spectrum)."""
     rng = np.random.default_rng(seed)
     if kind == "haar":
         return haar_random_unitary(m, seed)
+    if kind == "identity":
+        return UnitaryElement(np.eye(m))
+    if kind == "minus_pair":
+        return UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (m - 2)))
     if kind == "permutation":
         perms = all_permutations(m)
         return UnitaryElement.from_matrix(permutation_matrix(perms[rng.integers(len(perms))]))
@@ -73,6 +88,7 @@ def _element(m: int, kind: str, seed: int) -> UnitaryElement:
 
 
 elements = st.tuples(st.sampled_from(("haar", "permutation", "signs", "block")), seeds)
+special_kinds = st.sampled_from(("identity", "permutation", "minus_pair", "block"))
 
 
 @FEW
@@ -255,6 +271,25 @@ def test_column_restricted_block_traces(m):
                     got = _block_trace(label, restricted[s], cols, keep)
                     want = _block_trace(label, full[s], every, keep)
                     assert abs(got - want) <= 1e-15
+
+
+@settings(FEW, max_examples=30)
+@given(st.sampled_from((3, 4)), special_kinds, seeds)
+def test_principal_identities_on_special_elements(m, kind, seed):
+    # Corollary 4 and the duality route off the Haar measure: eigenvalues at
+    # -1, degenerate spectra and exact zeros, for every principal selector
+    # and partition
+    u = _element(m, kind, seed)
+    for size in range(1, m + 1):
+        keeps = list(combinations(range(1, m + 1), size))
+        for p in partitions_of(size):
+            label = SUIrrepLabel.from_partition(p, m, normalize=False)
+            lifted, blocks = lift(label, u), weight_blocks(label)
+            for keep in keeps:
+                direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(keep, keep)))
+                idx = blocks[state_weight(m, keep).cartan]
+                assert abs(direct - np.trace(lifted[np.ix_(idx, idx)])) <= 1e-12
+                assert abs(direct - immanant_via_duality(m, p, keep, keep, u)) <= 1e-12
 
 
 @pytest.mark.parametrize("cols", [None, [], [0, 4]])

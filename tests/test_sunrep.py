@@ -26,7 +26,6 @@ from immdfun.sunrep import (
     lift,
     occupations,
     pattern_index,
-    su2_irrep,
     weight_blocks,
     weight_of,
     weight_subspace,
@@ -41,7 +40,6 @@ class TestLabels:
     def test_from_partition(self):
         lab = SUIrrepLabel.from_partition(P(2, 1), 4)
         assert lab.row == (2, 1, 0, 0)
-        assert lab.round_label == (1, 1, 0)
 
     def test_normalization(self):
         lab = SUIrrepLabel.from_partition(P(1, 1, 1), 3)
@@ -52,9 +50,6 @@ class TestLabels:
             SUIrrepLabel(3, (1, 2, 0))
         with pytest.raises(DomainError):
             SUIrrepLabel.from_partition(P(1, 1, 1), 2)
-
-    def test_su2(self):
-        assert su2_irrep(3).row == (3, 0)  # J = 3/2
 
 
 class TestGTBasis:
@@ -68,7 +63,7 @@ class TestGTBasis:
 
     def test_su2_dimension(self):
         for two_j in range(0, 7):
-            assert dim_weyl(su2_irrep(two_j)) == two_j + 1
+            assert dim_weyl(SUIrrepLabel(2, (two_j, 0))) == two_j + 1
 
     @pytest.mark.parametrize("row", [(3, 1, 0), (2, 1, 1, 0), (2, 2, 0, 0, 0)])
     def test_count_equals_weyl(self, row):
@@ -104,10 +99,10 @@ class TestWeights:
     def test_total_is_box_count(self):
         ir = SUIrrepLabel(4, (3, 1, 0, 0))
         for p in gt_basis(ir):
-            assert weight_of(p).total == 4
+            assert sum(weight_of(p).occupation) == 4
 
     def test_outside_diagram_empty(self):
-        assert weight_subspace(su2_irrep(2), (5, 0)) == ()
+        assert weight_subspace(SUIrrepLabel(2, (2, 0)), (5, 0)) == ()
 
     @pytest.mark.parametrize(
         "row", [(4, 0), (2, 1, 0), (4, 2, 0), (3, 1, 0, 0), (2, 1, 1, 0, 0)]
@@ -234,7 +229,7 @@ class TestLift:
 
     def test_su2_middle_entry_is_cos_beta(self):
         beta = 1.234
-        lifted = lift(su2_irrep(2), su2_euler(0.3, beta, -0.8))
+        lifted = lift(SUIrrepLabel(2, (2, 0)), su2_euler(0.3, beta, -0.8))
         assert lifted[1, 1] == pytest.approx(math.cos(beta), abs=1e-12)
 
     def test_identity_lifts_to_identity(self):
