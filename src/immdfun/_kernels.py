@@ -3,21 +3,33 @@
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# character-weighted permutation sum:  sum_p w[p] * prod_k M[k, perms[p, k]]
+# character-weighted permutation sums:  sum_p w[p] * prod_k M[k, perms[p, k]]
 # ---------------------------------------------------------------------------
 
 
-def imm_sum(mat, perms, weights):
-    """Weighted permutation sum over a complex square matrix.
+def imm_sum_batch(mats, perms, weights):
+    """Weighted permutation sums of a stack of complex square matrices.
 
-    ``perms`` is an ``(n!, n)`` int64 array of zero-based column choices and
-    ``weights`` the float64 character weight of each permutation.
+    ``mats`` is (S, n, n), ``perms`` an ``(n!, n)`` int64 array of
+    zero-based column choices and ``weights`` the float64 character weight
+    of each permutation; returns the (S,) complex sums.  The products run
+    over one (S * P, n) array, and each sum is its own dot product, so
+    every slice equals :func:`imm_sum` of that matrix bit for bit.
     """
-    mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    rows = np.arange(mat.shape[0])
+    mats = np.ascontiguousarray(mats, dtype=np.complex128)
+    n = mats.shape[-1]
+    rows = np.arange(n)
     live = np.nonzero(weights)[0]
-    prods = np.prod(mat[rows[None, :], perms[live]], axis=1)
-    return complex(np.dot(weights[live], prods))
+    gathered = mats[:, rows[None, :], perms[live]].reshape(-1, n)
+    prods = np.prod(gathered, axis=1).reshape(len(mats), live.size)
+    w = weights[live]
+    return np.array([np.dot(w, row) for row in prods], dtype=np.complex128)
+
+
+def imm_sum(mat, perms, weights):
+    """Weighted permutation sum over one complex square matrix: the
+    one-slice case of :func:`imm_sum_batch`."""
+    return complex(imm_sum_batch(np.asarray(mat)[None], perms, weights)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -43,4 +55,4 @@ def ryser_permanent(mat):
     return complex(total)
 
 
-__all__ = ["imm_sum", "ryser_permanent"]
+__all__ = ["imm_sum", "imm_sum_batch", "ryser_permanent"]

@@ -3,7 +3,7 @@
 The symmetric group permutes the factors of (C^m)^(x N), SU(m) acts
 diagonally, and the two actions commute.  Hence
 Imm^{p}(U[k, q]) = <Phi_k| U^(x N) Pi^{p} |Phi_q> with the unnormalized
-projector Pi^{p} = sum_s chi^{p}(s) P(s): :func:`immanant_via_duality`
+projector Pi^{p} = sum_s chi^{p}(s) P(s): :func:`immanant_via_duality_batch`
 scatters Pi^{p}|Phi_q> onto m^N complex amplitudes (row-major, first factor
 most significant) and contracts them from the bra side with the rows
 U[k_t], independently of the character-sum route in
@@ -267,29 +267,41 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     )
 
 
-def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) -> complex:
-    """<Phi_k| U^(xN) Pi^{p} |Phi_q>, contracted from the bra side.
+def immanant_via_duality_batch(m: int, p: Partition, k, q, mats) -> np.ndarray:
+    """<Phi_k| U^(xN) Pi^{p} |Phi_q> for every U of an (S, m, m) stack, as
+    an (S,) complex array, from one projector.
 
     <Phi_k| U^(xN) is the product of the rows U[k_t], so N vector-tensor
-    products with those rows, one factor each, reduce the m^N projector
-    amplitudes to the number in O(m^N).  Equals the character-sum immanant
-    of the (k, q) submatrix; the code path shares nothing with that
-    evaluation, which makes it the master cross-check.  Distinct selectors
-    give N <= m, and the caps of :func:`immanant_projector` bound the
-    amplitude array.
+    products with those rows, one factor each and all S matrices at once,
+    reduce the m^N projector amplitudes to S numbers in O(S m^N).  Equals
+    the character-sum immanant of each (k, q) submatrix; the code path
+    shares nothing with that evaluation, which makes it the master
+    cross-check.  Distinct selectors give N <= m, and the caps of
+    :func:`immanant_projector` bound the amplitude array.
     """
     k, q = _check_pair(m, p, k, q)
-    umat = element.matrix if isinstance(element, UnitaryElement) else as_square(element)
-    if umat.shape[0] != m:
+    mats = np.asarray(mats, dtype=np.complex128)
+    if mats.ndim != 3 or mats.shape[1:] != (m, m):
         raise DomainError("element size does not match m")
     amps = immanant_projector(p, m, q)
+    out = np.broadcast_to(amps, (len(mats), amps.size))
     for row in k:  # the first factor is the most significant axis
-        amps = umat[row - 1] @ amps.reshape(m, -1)
-    return complex(amps[0])
+        out = (mats[:, row - 1, None, :] @ out.reshape(len(mats), m, out.shape[1] // m))[:, 0]
+    return out[:, 0]
 
 
-def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray, cols=None) -> complex:
+def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) -> complex:
+    """<Phi_k| U^(xN) Pi^{p} |Phi_q> of one element or square matrix: the
+    one-slice case of :func:`immanant_via_duality_batch`."""
+    umat = element.matrix if isinstance(element, UnitaryElement) else as_square(element)
+    return complex(immanant_via_duality_batch(m, p, k, q, umat[None])[0])
+
+
+def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray, cols=None):
     """Contract a coefficient matrix against a lifted irrep matrix whose
-    columns are the ascending basis positions ``cols`` (all d for None)."""
+    columns are the ascending basis positions ``cols`` (all d for None):
+    a complex for one (d, c) lift, an (S,) array for an (S, d, c) stack."""
     col_pos = cm.col_index if cols is None else np.searchsorted(cols, cm.col_index)
-    return complex(np.sum(cm.entries * lifted[np.ix_(cm.row_index, col_pos)]))
+    # C order, as one lift's np.ix_ block has: the sum's order follows the layout
+    block = np.ascontiguousarray(lifted[..., cm.row_index[:, None], col_pos])
+    return np.sum(cm.entries * block, axis=(-2, -1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class UnitaryElement:
     unitarity_tol: float = 1e-10
 
     def __post_init__(self):
-        mat = as_square(self.matrix)
+        mat = as_square(self.matrix).copy()
+        mat.flags.writeable = False  # the cached factors below must stay valid
         object.__setattr__(self, "matrix", mat)
         m = mat.shape[0]
         defect = np.abs(mat.conj().T @ mat - np.eye(m)).max()
@@ -71,6 +73,52 @@ class UnitaryElement:
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def givens_factors(self) -> tuple[list[tuple[int, float]], np.ndarray]:
+        """:func:`_givens_factors` of the matrix, computed once per element
+        and shared by every irrep it is lifted into."""
+        return _givens_factors(self.matrix)
+
+
+def _givens_factors(umat: np.ndarray) -> tuple[list[tuple[int, float]], np.ndarray]:
+    """Adjacent rotations and phases with U = P_0 B_{k_1}(theta_1) P_1 ... B_{k_L}(theta_L) P_L.
+
+    B_k(theta) = exp(-i theta (E_{k,k+1} + E_{k+1,k})) is [[cos, -i sin],
+    [-i sin, cos]] on modes k, k+1 (0-based), and P_i = diag(exp(i * phi[:, i])).
+    Adjacent 2x2 unitaries G null U's lower triangle column by column, bottom
+    up, so that G_L ... G_1 U = D is diagonal.  Each G^H is
+    diag(e^{ia}, e^{ib}) R(theta) diag(1, e^{-i(a+b)}) on its two modes, with
+    the real rotation R(theta) = diag(-i, 1) B(theta) diag(i, 1), and
+    neighbouring diagonals merge.  An entry that is already zero skips its
+    rotation.
+    """
+    a = umat.tolist()
+    m = len(a)
+    rotations, phases, pending = [], [], [0.0] * m
+    for j in range(m - 1):
+        for i in range(m - 1, j, -1):
+            top, bottom = a[i - 1][j], a[i][j]
+            if bottom == 0:
+                continue
+            r = math.hypot(abs(top), abs(bottom))
+            upper, lower = a[i - 1], a[i]
+            for c in range(j, m):
+                x, y = upper[c], lower[c]
+                upper[c] = (top.conjugate() * x + bottom.conjugate() * y) / r
+                lower[c] = (top * y - bottom * x) / r
+            alpha, beta = cmath.phase(top), cmath.phase(bottom)
+            pending[i - 1] += alpha - math.pi / 2
+            pending[i] += beta
+            phases.append(pending)
+            rotations.append((i - 1, math.atan2(abs(bottom), abs(top))))
+            pending = [0.0] * m
+            pending[i - 1] = math.pi / 2
+            pending[i] = -(alpha + beta)
+    for j in range(m):
+        pending[j] += cmath.phase(a[j][j])
+    phases.append(pending)
+    return rotations, np.array(phases).T
 
 
 def haar_random_unitary(m: int, seed: int) -> UnitaryElement:
@@ -139,6 +187,19 @@ def submatrix(mat, sel: SubmatrixSelector) -> np.ndarray:
     return arr[np.ix_([r - 1 for r in sel.rows], [c - 1 for c in sel.cols])]
 
 
+def _sum_tables(p: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_n permutations and the character weights of ``p``, once the matrix
+    side ``n`` is checked against ``p`` and ``IMMANANT_CAP``."""
+    if p.n != n:
+        raise DomainError(f"partition {p} is not a partition of the matrix side {n}")
+    if n > IMMANANT_CAP:
+        raise ResourceLimitError(
+            f"definitional immanant capped at n = {IMMANANT_CAP} (requested n = {n})"
+        )
+    perms, _, _ = sn_tables(n)
+    return perms, character_weights(p)
+
+
 def immanant(p: Partition, mat) -> complex:
     """Character-weighted permutation sum Imm^{p}(M).
 
@@ -154,15 +215,18 @@ def immanant(p: Partition, mat) -> complex:
     ``itertools.permutations`` order.
     """
     arr = as_square(mat)
-    n = arr.shape[0]
-    if p.n != n:
-        raise DomainError(f"partition {p} is not a partition of the matrix side {n}")
-    if n > IMMANANT_CAP:
-        raise ResourceLimitError(
-            f"definitional immanant capped at n = {IMMANANT_CAP} (requested n = {n})"
-        )
-    perms, _, _ = sn_tables(n)
-    return _kernels.imm_sum(arr, perms, character_weights(p))
+    return _kernels.imm_sum(arr, *_sum_tables(p, arr.shape[0]))
+
+
+def immanant_batch(p: Partition, mats) -> np.ndarray:
+    """Imm^{p} of every matrix of an (S, n, n) stack, as an (S,) complex
+    array whose slice s equals ``immanant(p, mats[s])`` bit for bit."""
+    arr = np.asarray(mats, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise DomainError(f"expected a stack of square matrices, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("matrix entries must be finite")
+    return _kernels.imm_sum_batch(arr, *_sum_tables(p, arr.shape[-1]))
 
 
 def permanent_ryser(mat) -> complex:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .linalgimm import DEFAULT_SEED, haar_random_unitary, immanant, permanent_ryser
+from .linalgimm import DEFAULT_SEED, haar_random_unitary, immanant_batch, permanent_ryser
 from .symgroup import Partition
 from .sunrep import (
     GTPattern,
@@ -130,11 +130,12 @@ def su3_sextic_permanent_problem() -> PlethysmProblem:
     return PlethysmProblem(base, Partition(6), cands)
 
 
-def _target_value(problem: PlethysmProblem, lifted: np.ndarray) -> complex:
+def _target_values(problem: PlethysmProblem, lifted: np.ndarray) -> np.ndarray:
+    """The immanant of each lifted matrix of an (S, d, d) stack."""
     p = problem.partition
     if len(p) == 1:  # permanent: Ryser is exact and much faster than the n! sum
-        return permanent_ryser(lifted)
-    return immanant(p, lifted)
+        return np.array([permanent_ryser(mat) for mat in lifted], dtype=np.complex128)
+    return immanant_batch(p, lifted)
 
 
 PRUNE_BELOW = 1e-9  # preliminary coefficients smaller than this are dropped
@@ -160,9 +161,7 @@ def fit_decomposition(
     # One row per Haar sample.  Each candidate irrep is lifted once for all
     # samples, at only the columns t its candidates read.
     omegas = [haar_random_unitary(m, seed + i) for i in range(prelim_samples)]
-    y0 = np.array(
-        [_target_value(problem, lifted) for lifted in lift_batch(problem.base_irrep, omegas)]
-    )
+    y0 = _target_values(problem, lift_batch(problem.base_irrep, omegas))
     X0 = np.empty((prelim_samples, len(cands)), dtype=np.complex128)
     for ir in sorted({c.irrep for c in cands}, key=lambda ir: ir.row):
         index = pattern_index(ir)

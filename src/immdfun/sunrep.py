@@ -15,7 +15,6 @@ elements with one rotation sequence share each rotation's matrix product.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from collections.abc import Mapping
@@ -42,6 +41,13 @@ def max_lift_dim() -> int:
     if not (env.isdecimal() and int(env) > 0):
         raise DomainError(f"IMMDFUN_MAX_DIM must be a positive integer, got {env!r}")
     return int(env)
+
+
+def check_lift_dim(irrep: SUIrrepLabel) -> None:
+    """Refuse an irrep whose dimension exceeds :func:`max_lift_dim`."""
+    d, cap = dim_weyl(irrep), max_lift_dim()
+    if d > cap:
+        raise ResourceLimitError(f"irrep dimension {d} exceeds the dense-lift cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -316,46 +322,6 @@ def _simple_raising(irrep: SUIrrepLabel, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _givens_factors(umat: np.ndarray) -> tuple[list[tuple[int, float]], np.ndarray]:
-    """Adjacent rotations and phases with U = P_0 B_{k_1}(theta_1) P_1 ... B_{k_L}(theta_L) P_L.
-
-    B_k(theta) = exp(-i theta (E_{k,k+1} + E_{k+1,k})) is [[cos, -i sin],
-    [-i sin, cos]] on modes k, k+1 (0-based), and P_i = diag(exp(i * phi[:, i])).
-    Adjacent 2x2 unitaries G null U's lower triangle column by column, bottom
-    up, so that G_L ... G_1 U = D is diagonal.  Each G^H is
-    diag(e^{ia}, e^{ib}) R(theta) diag(1, e^{-i(a+b)}) on its two modes, with
-    the real rotation R(theta) = diag(-i, 1) B(theta) diag(i, 1), and
-    neighbouring diagonals merge.  An entry that is already zero skips its
-    rotation.
-    """
-    a = umat.tolist()
-    m = len(a)
-    rotations, phases, pending = [], [], [0.0] * m
-    for j in range(m - 1):
-        for i in range(m - 1, j, -1):
-            top, bottom = a[i - 1][j], a[i][j]
-            if bottom == 0:
-                continue
-            r = math.hypot(abs(top), abs(bottom))
-            upper, lower = a[i - 1], a[i]
-            for c in range(j, m):
-                x, y = upper[c], lower[c]
-                upper[c] = (top.conjugate() * x + bottom.conjugate() * y) / r
-                lower[c] = (top * y - bottom * x) / r
-            alpha, beta = cmath.phase(top), cmath.phase(bottom)
-            pending[i - 1] += alpha - math.pi / 2
-            pending[i] += beta
-            phases.append(pending)
-            rotations.append((i - 1, math.atan2(abs(bottom), abs(top))))
-            pending = [0.0] * m
-            pending[i - 1] = math.pi / 2
-            pending[i] = -(alpha + beta)
-    for j in range(m):
-        pending[j] += cmath.phase(a[j][j])
-    phases.append(pending)
-    return rotations, np.array(phases).T
-
-
 @cache
 def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
     """Read-only float occupations, and (w, V, V^T) for every adjacent mode pair.
@@ -363,8 +329,9 @@ def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.nd
     The real orthogonal V diagonalises the symmetric S_k = C_{k,k+1} + C_{k+1,k}
     with eigenvalues w, so B_k(theta) lifts to V diag(e^{-i theta w}) V^T.
     C_{k,k+1} changes only the pattern row with k+1 entries, so S_k is block
-    diagonal over the patterns that agree on every other row; each block is
-    diagonalised and checked orthogonal on its own.
+    diagonal over the patterns that agree on every other row; the blocks of
+    one size are diagonalised in one stacked call, and each is checked
+    orthogonal on its own.
     """
     m, d = irrep.m, dim_weyl(irrep)
     occ = np.array(occupations(irrep), dtype=np.float64)
@@ -376,11 +343,15 @@ def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.nd
             blocks.setdefault(pat.rows[: m - k - 1] + pat.rows[m - k :], []).append(i)
         raising = _simple_raising(irrep, k + 1)
         smat = raising + raising.T
-        w, v = np.empty(d), np.zeros((d, d))
+        by_size: dict[int, list[list[int]]] = {}
         for idx in blocks.values():
-            block = np.ix_(idx, idx)
+            by_size.setdefault(len(idx), []).append(idx)
+        w, v = np.empty(d), np.zeros((d, d))
+        for size, group in by_size.items():
+            idx = np.array(group)  # one row of basis positions per block
+            block = (idx[:, :, None], idx[:, None, :])
             w[idx], v[block] = np.linalg.eigh(smat[block])
-            defect = np.abs(v[block].T @ v[block] - np.eye(len(idx))).max()
+            defect = np.abs(v[block].transpose(0, 2, 1) @ v[block] - np.eye(size)).max()
             if not defect <= 1e-12:
                 raise DomainError(
                     f"rotation eigenbasis {k} of {irrep} is not orthogonal: {defect:.3e}"
@@ -411,7 +382,8 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     array, slice s for element s.
 
     Each element is factored into diagonal phases and adjacent-mode
-    rotations (:func:`_givens_factors`), and the factors' lifts are applied
+    rotations once (:attr:`UnitaryElement.givens_factors`, cached on the
+    element for every later lift), and the factors' lifts are applied
     right to left to unit columns: a phase diag(e^{i phi}) lifts to
     diag(e^{i n.phi}) with the integer occupations n, and a rotation through
     a cached real eigenbasis of its generator.  Elements with the same
@@ -438,16 +410,14 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
             raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrix)")
         if element.m != irrep.m:
             raise DomainError(f"element acts on {element.m} modes, irrep has m = {irrep.m}")
-    cap = max_lift_dim()
-    if d > cap:
-        raise ResourceLimitError(f"irrep dimension {d} exceeds the dense-lift cap {cap}")
+    check_lift_dim(irrep)
     c = len(idx)
     out = np.empty((len(elements), d, c), dtype=np.complex128)
     if not elements:
         return out
     occ, eigen = _rotation_tables(irrep)
     groups: dict[tuple[int, ...], list[int]] = {}
-    factors = [_givens_factors(element.matrix) for element in elements]
+    factors = [element.givens_factors for element in elements]
     for s, (rotations, _) in enumerate(factors):
         groups.setdefault(tuple(k for k, _ in rotations), []).append(s)
     step = max(1, LIFT_BATCH_ENTRIES // max(1, d * c))

@@ -19,17 +19,11 @@ from .dualspace import (
     _check_pair,
     coefficient_matrix,
     coefficient_matrix_value,
-    immanant_via_duality,
+    immanant_via_duality_batch,
     state_weight,
 )
 from .errors import DomainError
-from .linalgimm import (
-    DEFAULT_SEED,
-    SubmatrixSelector,
-    haar_random_unitary,
-    immanant,
-    submatrix,
-)
+from .linalgimm import DEFAULT_SEED, haar_random_unitary, immanant_batch
 from .plethysm import (
     DecompositionResult,
     fit_decomposition,
@@ -38,7 +32,7 @@ from .plethysm import (
 )
 from .reports import VerificationReport
 from .symgroup import Partition, dim_sym, partitions_of
-from .sunrep import SUIrrepLabel, chain_label, lift_batch, weight_blocks
+from .sunrep import SUIrrepLabel, chain_label, check_lift_dim, lift_batch, weight_blocks
 
 DUALITY_TOL = 1e-10
 
@@ -49,33 +43,50 @@ def _worst(values) -> float:
     return float(np.max(np.array(list(values), dtype=np.float64), initial=0.0))
 
 
+def _worst_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`_worst` of |a_s - b_s| over the samples s, each modulus taken
+    by Python's complex abs, sample by sample."""
+    return _worst(abs(z) for z in (a - b).tolist())
+
+
+def _matrices(elements, m: int) -> np.ndarray:
+    """The (S, m, m) stack of the elements' matrices."""
+    return np.array([u.matrix for u in elements], dtype=np.complex128).reshape(-1, m, m)
+
+
+def _submatrices(mats: np.ndarray, rows, cols) -> np.ndarray:
+    """The (S, n, n) stack of the (1-based) ``rows`` x ``cols`` submatrices."""
+    return mats[:, np.array(rows)[:, None] - 1, np.array(cols) - 1]
+
+
 def _block_columns(label: SUIrrepLabel, keeps) -> np.ndarray:
     """Ascending basis positions of the weight blocks of the kept-mode sets
     ``keeps``: the only columns their block traces read."""
     blocks = weight_blocks(label)
-    return np.unique([i for keep in keeps for i in blocks[state_weight(label.m, keep).cartan]])
+    cols = {int(i) for keep in keeps for i in blocks[state_weight(label.m, keep).cartan]}
+    return np.array(sorted(cols), dtype=np.intp)
 
 
-def _block_trace(label: SUIrrepLabel, lifted: np.ndarray, cols: np.ndarray, keep) -> complex:
+def _block_trace(label: SUIrrepLabel, lifted: np.ndarray, cols: np.ndarray, keep):
     """Sum, in basis order, of the lifted diagonal over the patterns at the
-    weight of the kept modes ``keep``; ``lifted`` holds the columns ``cols``
-    (see :func:`_block_columns`)."""
+    weight of the kept modes ``keep``: a complex for one (d, c) lift, an
+    (S,) array for an (S, d, c) stack.  ``lifted`` holds the columns
+    ``cols`` (see :func:`_block_columns`)."""
     idx = weight_blocks(label)[state_weight(label.m, keep).cartan]
-    return sum(lifted[idx, np.searchsorted(cols, idx)], 0j)
+    diagonal = lifted[..., idx, np.searchsorted(cols, idx)]
+    return sum(np.moveaxis(diagonal, -1, 0), 0j)
 
 
-def _principal_residuals(m, p, keep, elements, lifts, cols) -> tuple[float, float]:
+def _principal_residuals(m, p, keep, mats, lifts, cols) -> tuple[float, float]:
     """Worst |Imm^{p} - diagonal D-sum| and worst |Imm^{p} - duality route|
-    of the principal submatrix on ``keep`` over the sampled elements, whose
-    lifts into the irrep dual to ``p`` at the columns ``cols`` are ``lifts``."""
+    of the principal submatrix on ``keep`` over the (S, m, m) sample stack
+    ``mats``, whose lifts into the irrep dual to ``p`` at the columns
+    ``cols`` are ``lifts``."""
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
-    selector = SubmatrixSelector(keep, keep)
-    gaps, dual_gaps = [], []
-    for u, lf in zip(elements, lifts):
-        direct = immanant(p, submatrix(u.matrix, selector))
-        gaps.append(abs(direct - _block_trace(label, lf, cols, keep)))
-        dual_gaps.append(abs(direct - immanant_via_duality(m, p, keep, keep, u)))
-    return _worst(gaps), _worst(dual_gaps)
+    direct = immanant_batch(p, _submatrices(mats, keep, keep))
+    traces = _block_trace(label, lifts, cols, keep)
+    dual = immanant_via_duality_batch(m, p, keep, keep, mats)
+    return _worst_gap(direct, traces), _worst_gap(direct, dual)
 
 
 def kostant_suite(
@@ -90,11 +101,12 @@ def kostant_suite(
     for m in m_values:
         full = tuple(range(1, m + 1))
         elements = [haar_random_unitary(m, seed + i) for i in range(samples)]
+        mats = _matrices(elements, m)
         for p in partitions_of(m):
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
             cols = _block_columns(label, [full])
             lifts = lift_batch(label, elements, cols)
-            worst, worst_dual = _principal_residuals(m, p, full, elements, lifts, cols)
+            worst, worst_dual = _principal_residuals(m, p, full, mats, lifts, cols)
             reports.append(
                 VerificationReport(
                     suite="kostant",
@@ -121,6 +133,7 @@ def corollary4_suite(
     reports = []
     for m in m_values:
         elements = [haar_random_unitary(m, seed + i) for i in range(samples)]
+        mats = _matrices(elements, m)
         for size in sizes:
             if size >= m:
                 continue
@@ -130,7 +143,7 @@ def corollary4_suite(
                 cols = _block_columns(label, keeps)
                 lifts = lift_batch(label, elements, cols)
                 for keep in keeps:
-                    worst, worst_dual = _principal_residuals(m, p, keep, elements, lifts, cols)
+                    worst, worst_dual = _principal_residuals(m, p, keep, mats, lifts, cols)
                     reports.append(
                         VerificationReport(
                             suite="corollary4",
@@ -176,23 +189,27 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
     labels = {pp: SUIrrepLabel.from_partition(pp, 4, normalize=False) for pp in keeps}
     cols = {pp: _block_columns(labels[pp], keeps[pp]) for pp in keeps}
     lifted = {pp: lift_batch(labels[pp], elements, cols[pp]) for pp in keeps}
+    traces = {
+        (pp, keep): _block_trace(labels[pp], lifted[pp], cols[pp], keep)
+        for pp in keeps
+        for keep in keeps[pp]
+    }
+    mats = _matrices(elements, 4)
+    imm3 = {keep3: immanant_batch(p3, _submatrices(mats, keep3, keep3)) for keep3 in keeps[p3]}
+    imm31, imm4 = immanant_batch(p31, mats), immanant_batch(p4, mats)
     reports = []
-    for s, (element, seed) in enumerate(zip(elements, seeds)):
-        umat = element.matrix
+    # the tails stay scalar: numpy's complex multiply may round differently
+    for s, (umat, seed) in enumerate(zip(mats, seeds)):
         lhs = 0.0 + 0.0j
         for keep3, keep1 in LITTLEWOOD_PAIRS:
-            sub3 = submatrix(umat, SubmatrixSelector(keep3, keep3))
-            lhs += immanant(p3, sub3) * umat[keep1[0] - 1, keep1[0] - 1]
-        rhs = immanant(p31, umat) + immanant(p4, umat)
+            lhs += complex(imm3[keep3][s]) * umat[keep1[0] - 1, keep1[0] - 1]
+        rhs = complex(imm31[s]) + complex(imm4[s])
         residual_imm = abs(lhs - rhs)
-
-        def trace(pp, keep):
-            return _block_trace(labels[pp], lifted[pp][s], cols[pp], keep)
 
         lhs_d = 0.0 + 0.0j
         for keep3, keep1 in LITTLEWOOD_PAIRS:
-            lhs_d += trace(p3, keep3) * trace(p1, keep1)
-        rhs_d = trace(p31, full) + trace(p4, full)
+            lhs_d += traces[p3, keep3][s] * traces[p1, keep1][s]
+        rhs_d = traces[p31, full][s] + traces[p4, full][s]
         residual_d = abs(lhs_d - rhs_d)
         residual_forms = max(abs(lhs_d - lhs), abs(rhs_d - rhs))
 
@@ -267,25 +284,24 @@ def conjecture_scan(
     dim{p} unit entries and zeros elsewhere, and that residual is below 1e-9.
     """
     n = p.n
+    label = SUIrrepLabel.from_partition(p, m, normalize=False)
+    check_lift_dim(label)  # before the C(m, n)^2 default pairs are even listed
     if selectors is None:
         index_sets = list(combinations(range(1, m + 1), n))
         selectors = [(k, q) for k in index_sets for q in index_sets]
     selectors = [_check_pair(m, p, k, q) for k, q in selectors]
     reports = []
     expected_units = dim_sym(p)
-    label = SUIrrepLabel.from_partition(p, m, normalize=False)
     samples = [haar_random_unitary(m, seed + 1000 * i) for i in range(check_samples)]
+    mats = _matrices(samples, m)
     # the union of the coefficient matrices' col_index, lifted before any is built
     cols = _block_columns(label, {q for _, q in selectors})
     lifts = lift_batch(label, samples, cols)
     for k, q in selectors:
         cm = coefficient_matrix(m, p, k, q)
         info = classify_coefficients(cm, entry_tol)
-        selector = SubmatrixSelector(k, q)
-        worst = _worst(
-            abs(immanant(p, submatrix(u.matrix, selector)) - coefficient_matrix_value(cm, lf, cols))
-            for u, lf in zip(samples, lifts)
-        )
+        direct = immanant_batch(p, _submatrices(mats, k, q))
+        worst = _worst_gap(direct, coefficient_matrix_value(cm, lifts, cols))
         total = cm.entries.size
         ok = (
             info["unit_entries"] == expected_units

@@ -242,6 +242,20 @@ class TestVerifyCommand:
         assert out == ""
         assert "dense-lift cap 7" in err
 
+    def test_conjecture_refuses_a_capped_lift_before_checking_any_pair(
+        self, monkeypatch, capsys
+    ):
+        # SU(12) {2,1} has dimension 572; its 48,400 default pairs are never listed
+        def forbidden(*args):
+            raise AssertionError("a selector pair was checked before the refusal")
+
+        monkeypatch.setattr(verification, "_check_pair", forbidden)
+        monkeypatch.delenv("IMMDFUN_MAX_DIM", raising=False)
+        code, out, err = run(capsys, "verify", "conjecture", "--m", "12")
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "irrep dimension 572 exceeds the dense-lift cap 512" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "kostant", "--m", "2", "--samples", "2", "--format", "csv"
@@ -306,7 +320,9 @@ class TestVerifyCommand:
     def test_nan_immanant_reaches_the_report(self, monkeypatch, capsys, flags):
         # a NaN from the character sum must survive the worst-over-samples
         # maximum, so every report fails closed
-        monkeypatch.setattr(verification, "immanant", lambda p, a: complex(math.nan, 0.0))
+        monkeypatch.setattr(
+            verification, "immanant_batch", lambda p, a: np.full(len(a), complex(math.nan, 0.0))
+        )
         code, out, _ = run(capsys, "verify", *flags, "--samples", "2")
         assert code == EXIT_FAIL
         for rec in map(json.loads, out.splitlines()):

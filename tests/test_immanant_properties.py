@@ -4,25 +4,39 @@ The character sum is checked against the tensor-power (duality) route on
 random selectors, against Ryser and LU at the two one-dimensional
 characters, and the character table against its column orthogonality.
 The duality route's projector is checked against its defining sum over
-relabelled basis states.
+relabelled basis states.  The stacked evaluations equal their one-element
+slices bit for bit, and an element is factored once for all its lifts.
 Example counts stay small so the whole file runs in a few seconds.
 """
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immdfun.dualspace import _mode_index, immanant_projector, immanant_via_duality
+from immdfun import linalgimm
+from immdfun.dualspace import (
+    _mode_index,
+    coefficient_matrix,
+    coefficient_matrix_value,
+    immanant_projector,
+    immanant_via_duality,
+    immanant_via_duality_batch,
+)
 from immdfun.linalgimm import (
     SubmatrixSelector,
+    UnitaryElement,
     determinant,
     haar_random_unitary,
     immanant,
+    immanant_batch,
     permanent_ryser,
+    permutation_matrix,
     submatrix,
 )
+from immdfun.sunrep import SUIrrepLabel, lift_batch
 from immdfun.symgroup import (
     Partition,
     all_permutations,
@@ -52,6 +66,65 @@ def test_character_sum_matches_duality_route(m, seed, data):
     direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
     assert abs(direct - immanant_via_duality(m, p, k, q, u)) < 1e-10
 
+
+def _special_stack(m: int, seed: int) -> np.ndarray:
+    """Matrices of two Haar samples, the identity, a phase-normalised mode
+    permutation, diag(-1, -1, 1, ...) and a Haar SU(2) block on two modes
+    (exact zeros elsewhere), as one (6, m, m) stack."""
+    rng = np.random.default_rng(seed)
+    perm = all_permutations(m)[rng.integers(math.factorial(m))]
+    a, b = sorted(rng.choice(m, size=2, replace=False))
+    block = np.eye(m, dtype=np.complex128)
+    block[np.ix_([a, b], [a, b])] = haar_random_unitary(2, seed).matrix
+    elements = [
+        haar_random_unitary(m, seed),
+        haar_random_unitary(m, seed + 1),
+        UnitaryElement(np.eye(m)),
+        UnitaryElement.from_matrix(permutation_matrix(perm)),
+        UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (m - 2))),
+        UnitaryElement(block),
+    ]
+    return np.array([u.matrix for u in elements])
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 2**31))
+def test_stacked_routes_equal_their_slices_bit_for_bit(m, seed):
+    mats = _special_stack(m, seed)
+    for size in range(1, m + 1):
+        for keep in combinations(range(1, m + 1), size):
+            idx = np.array(keep) - 1
+            subs = mats[:, idx[:, None], idx]
+            for p in partitions_of(size):
+                stacked = immanant_batch(p, subs)
+                dual = immanant_via_duality_batch(m, p, keep, keep, mats)
+                for s, mat in enumerate(mats):
+                    assert stacked[s] == immanant(p, subs[s])
+                    assert dual[s] == immanant_via_duality(m, p, keep, keep, mat)
+
+
+def test_stacked_coefficient_values_equal_their_slices_bit_for_bit():
+    m, p = 4, Partition(2, 1)
+    pairs = list(product(combinations(range(1, m + 1), 3), repeat=2))
+    cms = [coefficient_matrix(m, p, k, q) for k, q in pairs]
+    cols = np.unique(np.concatenate([cm.col_index for cm in cms]))
+    elements = [UnitaryElement(mat) for mat in _special_stack(m, 7)]
+    lifts = lift_batch(SUIrrepLabel(m, (2, 1, 0, 0)), elements, cols)
+    for cm in cms:
+        stacked = coefficient_matrix_value(cm, lifts, cols)
+        assert list(stacked) == [coefficient_matrix_value(cm, lf, cols) for lf in lifts]
+
+
+def test_second_lift_of_the_same_elements_factors_nothing(monkeypatch):
+    calls = []
+    real = linalgimm._givens_factors
+    monkeypatch.setattr(linalgimm, "_givens_factors", lambda umat: calls.append(1) or real(umat))
+    elements = [haar_random_unitary(3, 40 + i) for i in range(4)]
+    lift_batch(SUIrrepLabel(3, (2, 1, 0)), elements)
+    assert len(calls) == len(elements)
+    lift_batch(SUIrrepLabel(3, (2, 1, 0)), elements)
+    lift_batch(SUIrrepLabel(3, (3, 0, 0)), elements, [0, 2])
+    assert len(calls) == len(elements)
 
 
 @FEW

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immdfun import sunrep
+from immdfun import linalgimm, sunrep
 from immdfun.dualspace import _chain_vectors, _weight_blocks, immanant_via_duality, state_weight
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
+    _givens_factors,
     haar_random_unitary,
     immanant,
     permutation_matrix,
@@ -29,7 +30,6 @@ from immdfun.linalgimm import (
 )
 from immdfun.sunrep import (
     SUIrrepLabel,
-    _givens_factors,
     _rotation_tables,
     dim_weyl,
     lift,
@@ -303,7 +303,8 @@ def test_batch_refusals_come_before_any_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a product ran before the refusal")
 
-    for name in ("_givens_factors", "_rotation_tables", "_real_times"):
+    monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+    for name in ("_rotation_tables", "_real_times"):
         monkeypatch.setattr(sunrep, name, forbidden)
     irrep = SUIrrepLabel(3, (2, 1, 0))
     good = haar_random_unitary(3, 2)

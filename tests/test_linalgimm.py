@@ -176,6 +176,14 @@ class TestUnitaryElement:
         with pytest.raises(DomainError):
             UnitaryElement.from_matrix(np.diag([2.0, 0.5]))
 
+    def test_matrix_is_a_read_only_copy(self):
+        # the element caches its factors, so its matrix must not change
+        mat = np.eye(3, dtype=np.complex128)
+        elem = UnitaryElement(mat)
+        assert elem.matrix is not mat and mat.flags.writeable
+        with pytest.raises(ValueError):
+            elem.matrix[0, 0] = -1.0
+
     def test_su2_euler_is_special_unitary(self):
         u = su2_euler(1.0, 2.0, 3.0).matrix
         assert abs(np.linalg.det(u) - 1.0) < 1e-14
