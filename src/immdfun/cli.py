@@ -39,7 +39,7 @@ from .linalgimm import (
 )
 from .reports import CSV_FIELDS, to_csv_row
 from .symgroup import Partition
-from .sunrep import SUIrrepLabel, gt_basis, lift
+from .sunrep import SUIrrepLabel, lift, pattern_rows
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -258,7 +258,7 @@ def cmd_dump_dfunctions(args) -> int:
     lifted = lift(irrep, UnitaryElement.from_matrix(mat, tol=args.tol))
     # One JSON record per (r, t): {"irrep": row, "r": tag, "t": tag, "value": [re, im]},
     # written from tags encoded once; repr of a finite float is its JSON form.
-    tags = [_json(p.as_lists()) for p in gt_basis(irrep)]
+    tags = [_json(rows) for rows in pattern_rows(irrep)]
     head = '{"irrep":' + _json(list(irrep.row)) + ',"r":'
     with _Output(args.out) as fh:
         for r_tag, values in zip(tags, lifted):

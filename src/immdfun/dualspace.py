@@ -28,15 +28,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .linalgimm import IMMANANT_CAP, UnitaryElement, as_square
 from .symgroup import Partition, character_weights, dim_sym, sn_tables
-from .sunrep import (
-    GTPattern,
-    SUIrrepLabel,
-    WeightVector,
-    _simple_raising,
-    gt_basis,
-    occupations,
-    weight_blocks,
-)
+from .sunrep import SUIrrepLabel, WeightVector, _simple_raising, occupations, weight_blocks
 
 TENSOR_SIZE_CAP = 10**6
 
@@ -154,7 +146,7 @@ def immanant_projector(p: Partition, m: int, modes: tuple[int, ...]) -> np.ndarr
 def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Chain vectors of every copy of the u(m) irrep ``row`` in (C^m)^(x N).
 
-    Entry i, in :func:`gt_basis` order, is a read-only (blocksize, n_copies)
+    Entry i, for basis position i, is a read-only (blocksize, n_copies)
     array on the computational block of ``occupations(label)[i]`` (see
     :func:`_weight_blocks`); its column alpha belongs to copy alpha.  An
     irrep whose box count is not N has no copies and an empty tuple.
@@ -179,7 +171,8 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
     level_of = lambda o: sum(o[k] * (m - 1 - k) for k in range(m))
     by_level: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
     for idx in weight_blocks(label).values():
-        by_level.setdefault(level_of(row) - level_of(occ[idx[0]]), {})[occ[idx[0]]] = idx
+        here = tuple(occ[idx[0]].tolist())
+        by_level.setdefault(level_of(row) - level_of(here), {})[here] = idx
 
     for lev in sorted(by_level)[1:]:
         for occ_here, idx in by_level[lev].items():
@@ -213,14 +206,13 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
 class CoefficientMatrix:
     """Matrix M with Imm^{p}(submatrix)_{kq} = sum_{rs} M_rs D^{(p)}_{rs}.
 
-    Rows are tagged by GT patterns at the weight of the kept-rows state, and
-    columns by patterns at the weight of the kept-columns state;
-    ``row_index`` and ``col_index`` are their basis positions.  Gram-type:
-    Hermitian positive semidefinite whenever k = q.
+    Rows are the basis positions ``row_index`` of ``label`` at the weight
+    of the kept-rows state, and columns the positions ``col_index`` at the
+    weight of the kept-columns state.  Gram-type: Hermitian positive
+    semidefinite whenever k = q.
     """
 
-    row_patterns: tuple[GTPattern, ...]
-    col_patterns: tuple[GTPattern, ...]
+    label: SUIrrepLabel
     row_index: np.ndarray
     col_index: np.ndarray
     entries: np.ndarray
@@ -252,15 +244,14 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     n = len(k)
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     vectors = _chain_vectors(m, n, label.row)  # refuses an over-cap tensor space first
-    blocks, basis = weight_blocks(label), gt_basis(label)
+    blocks = weight_blocks(label)
     row_index, col_index = blocks[state_weight(m, k).cartan], blocks[state_weight(m, q).cartan]
     _, pos = _weight_blocks(m, n)
     pos_k, pos_q = pos[_mode_index(m, k)], pos[_mode_index(m, q)]
     left = np.array([vectors[i][pos_k] for i in row_index])
     right = np.array([vectors[i][pos_q] for i in col_index])
     return CoefficientMatrix(
-        row_patterns=tuple(basis[i] for i in row_index),
-        col_patterns=tuple(basis[i] for i in col_index),
+        label=label,
         row_index=row_index,
         col_index=col_index,
         entries=math.factorial(n) / dim_sym(p) * (left @ right.conj().T),

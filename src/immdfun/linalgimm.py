@@ -2,8 +2,8 @@
 immanant evaluation.
 
 The immanant is always the exact character-weighted permutation sum; the
-permanent (Ryser) and determinant (LU) are independent fast paths used both
-on their own and as oracles for the {n} and {1^n} immanants.
+Ryser permanent is an independent fast path, used on its own and as the
+oracle for the {n} immanant.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import DomainError, ResourceLimitError
 from .symgroup import Partition, character_weights, sn_tables
 
 DEFAULT_SEED = 1905  # documented seed of every Haar sample stream
-IMMANANT_CAP = 9  # n! * n cost; larger sizes go through the permanent/determinant paths
+IMMANANT_CAP = 9  # n! * n cost; the permanent goes further through Ryser
 RYSER_CAP = 24
 
 
@@ -235,17 +235,3 @@ def permanent_ryser(mat) -> complex:
     if arr.shape[0] > RYSER_CAP:
         raise ResourceLimitError(f"Ryser permanent capped at n = {RYSER_CAP}")
     return _kernels.ryser_permanent(arr)
-
-
-def determinant(mat) -> complex:
-    """LU-based determinant (LAPACK, partial pivoting)."""
-    return complex(np.linalg.det(as_square(mat)))
-
-
-def permutation_matrix(s) -> np.ndarray:
-    """Matrix P with P e_j = e_{s(j)}, so that P_a P_b = P_{a o b}."""
-    n = s.n
-    mat = np.zeros((n, n))
-    for j in range(1, n + 1):
-        mat[s(j) - 1, j - 1] = 1.0
-    return mat

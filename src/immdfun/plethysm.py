@@ -18,32 +18,25 @@ import numpy as np
 from .errors import DomainError, RankDeficiencyError
 from .linalgimm import DEFAULT_SEED, haar_random_unitary, immanant_batch, permanent_ryser
 from .symgroup import Partition
-from .sunrep import (
-    GTPattern,
-    SUIrrepLabel,
-    chain_label,
-    dim_weyl,
-    lift_batch,
-    occupations,
-    pattern_index,
-    weight_subspace,
-)
+from .sunrep import SUIrrepLabel, chain_labels, dim_weyl, lift_batch, occupations, weight_blocks
 
 
 @dataclass(frozen=True)
 class DCandidate:
-    """One basis function D^{(irrep)}_{rt} in a decomposition ansatz."""
+    """One basis function D^{(irrep)}_{rt} in a decomposition ansatz; r and
+    t are basis positions."""
 
     irrep: SUIrrepLabel
-    r: GTPattern
-    t: GTPattern
+    r: int
+    t: int
 
     @property
     def diagonal(self) -> bool:
         return self.r == self.t
 
     def tag(self) -> str:
-        return f"{tuple(self.irrep.row)}:{chain_label(self.r)};{chain_label(self.t)}"
+        tags = chain_labels(self.irrep)
+        return f"{tuple(self.irrep.row)}:{tags[self.r]};{tags[self.t]}"
 
 
 @dataclass
@@ -75,8 +68,9 @@ class DecompositionResult:
 
 
 def _diagonal_product_weight(base: SUIrrepLabel) -> tuple[int, ...]:
-    """Occupation of the product-over-all-basis-states tensor state."""
-    return tuple(sum(mode) for mode in zip(*occupations(base)))
+    """Cartan weight of the product-over-all-basis-states tensor state."""
+    occ = occupations(base).sum(axis=0).tolist()
+    return tuple(a - b for a, b in zip(occ, occ[1:]))
 
 
 def torus_candidates(base: SUIrrepLabel, irreps: list[SUIrrepLabel]) -> list[DCandidate]:
@@ -89,7 +83,7 @@ def torus_candidates(base: SUIrrepLabel, irreps: list[SUIrrepLabel]) -> list[DCa
     target = _diagonal_product_weight(base)
     cands = []
     for ir in irreps:
-        pats = weight_subspace(ir, target)
+        pats = [int(i) for i in weight_blocks(ir).get(target, ())]
         for r in pats:
             for t in pats:
                 cands.append(DCandidate(ir, r, t))
@@ -164,11 +158,10 @@ def fit_decomposition(
     y0 = _target_values(problem, lift_batch(problem.base_irrep, omegas))
     X0 = np.empty((prelim_samples, len(cands)), dtype=np.complex128)
     for ir in sorted({c.irrep for c in cands}, key=lambda ir: ir.row):
-        index = pattern_index(ir)
         which = [j for j, c in enumerate(cands) if c.irrep == ir]
-        cols = sorted({index[cands[j].t] for j in which})
-        rows = [index[cands[j].r] for j in which]
-        at = [cols.index(index[cands[j].t]) for j in which]
+        cols = sorted({cands[j].t for j in which})
+        rows = [cands[j].r for j in which]
+        at = [cols.index(cands[j].t) for j in which]
         X0[:, which] = lift_batch(ir, omegas, cols)[:, rows, at]
 
     def solve(X, y, subset):

@@ -2,7 +2,8 @@
 
 A GT pattern is a triangular integer array whose rows are the highest
 weights of the chain u(m) > u(m-1) > ... > u(1); each valid pattern labels
-one basis vector.  Generator matrix elements follow the classical
+one basis vector.  :func:`gt_array` holds all patterns of an irrep as the
+rows of one integer array, and every per-irrep table reads it.  Generator matrix elements follow the classical
 Gelfand-Tsetlin formulas with the standard phase convention: simple raising
 and lowering operators have real nonnegative entries.  A group element is
 lifted to an irrep as a product: it is factored into diagonal phases and
@@ -15,13 +16,10 @@ elements with one rotation sequence share each rotation's matrix product.
 
 from __future__ import annotations
 
-import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from itertools import product
 from types import MappingProxyType
 
 import numpy as np
@@ -91,46 +89,6 @@ class SUIrrepLabel:
 
 
 @dataclass(frozen=True)
-class GTPattern:
-    """Triangular array ``rows[0]`` (length m, the irrep row) down to one entry.
-
-    Betweenness: rows[k][i] >= rows[k+1][i] >= rows[k][i+1].
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        m = len(rows[0])
-        if [len(r) for r in rows] != list(range(m, 0, -1)):
-            raise DomainError(f"rows must shrink by one: {rows}")
-        for k in range(m - 1):
-            upper, lower = rows[k], rows[k + 1]
-            for i, x in enumerate(lower):
-                if not (upper[i] >= x >= upper[i + 1]):
-                    raise DomainError(f"betweenness violated at row {k + 1}: {rows}")
-
-    @property
-    def m(self) -> int:
-        return len(self.rows[0])
-
-    def flattened(self) -> tuple[int, ...]:
-        return tuple(x for r in self.rows for x in r)
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
-    @property
-    def two_j(self) -> int:
-        """Twice the su(2) angular momentum: the spread of the two-entry row."""
-        return self.rows[-2][0] - self.rows[-2][1]
-
-    def __repr__(self):
-        return "GT" + str(self.as_lists())
-
-
-@dataclass(frozen=True)
 class WeightVector:
     """Mode occupations n plus the derived Cartan weight [n_1-n_2, ...]."""
 
@@ -151,13 +109,6 @@ class WeightVector:
         return f"Weight(n={self.occupation}, h={list(self.cartan)})"
 
 
-def weight_of(pattern: GTPattern) -> WeightVector:
-    """Occupations n_k = (sum of row with k entries) - (sum of row with k-1)."""
-    sums = [sum(r) for r in pattern.rows[::-1]]  # index k-1 -> row with k entries
-    occ = [sums[0]] + [sums[k] - sums[k - 1] for k in range(1, pattern.m)]
-    return WeightVector(tuple(occ))
-
-
 def dim_weyl(irrep: SUIrrepLabel) -> int:
     """Weyl dimension formula: prod_{i<j} (r_i - r_j + j - i) / (j - i)."""
     row, m = irrep.row, irrep.m
@@ -170,92 +121,98 @@ def dim_weyl(irrep: SUIrrepLabel) -> int:
 
 
 @cache
-def gt_basis(irrep: SUIrrepLabel) -> tuple[GTPattern, ...]:
-    """All GT patterns of the irrep, sorted by flattened rows, descending.
+def gt_array(irrep: SUIrrepLabel) -> np.ndarray:
+    """All GT patterns of the irrep, as a read-only (d, m(m+1)/2) int64 array.
 
-    The first pattern is the highest-weight one; the count matches
-    :func:`dim_weyl`.
+    Row i is basis vector i: its pattern rows, from the irrep row (m
+    entries) down to the single entry, side by side (:func:`_row` gives
+    their columns).  This is the basis order of every table, lift and
+    report: the rows descend lexicographically, so the highest-weight
+    pattern comes first.  Each entry is enumerated, descending, between its
+    two neighbours in the row above, so betweenness holds by construction
+    and the enumeration order is already the sorted one.
     """
+    m = irrep.m
+    pats = np.array([irrep.row], dtype=np.int64)
+    upper = 0  # first column of the row above the one being filled
+    for length in range(m - 1, 0, -1):
+        for i in range(length):
+            hi, lo = pats[:, upper + i], pats[:, upper + i + 1]
+            counts = hi - lo + 1
+            step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            pats = np.column_stack([np.repeat(pats, counts, axis=0), np.repeat(hi, counts) - step])
+        upper += length + 1
+    pats.flags.writeable = False
+    return pats
 
-    def extend(upper: tuple[int, ...]):
-        if len(upper) == 1:
-            yield (upper,)
-            return
-        ranges = (range(upper[i], upper[i + 1] - 1, -1) for i in range(len(upper) - 1))
-        for lower in product(*ranges):
-            for rest in extend(lower):
-                yield (upper,) + rest
 
-    pats = [GTPattern(rows) for rows in extend(irrep.row)]
-    pats.sort(key=lambda p: p.flattened(), reverse=True)
-    return tuple(pats)
+def _row(m: int, k: int) -> slice:
+    """The columns of :func:`gt_array` that hold the pattern row with k entries."""
+    start = (m * (m + 1) - k * (k + 1)) // 2
+    return slice(start, start + k)
 
 
 @cache
-def occupations(irrep: SUIrrepLabel) -> tuple[tuple[int, ...], ...]:
-    """Occupation tuple of every basis pattern, in :func:`gt_basis` order."""
-    return tuple(weight_of(p).occupation for p in gt_basis(irrep))
-
-
-@cache
-def pattern_index(irrep: SUIrrepLabel) -> dict[GTPattern, int]:
-    """Position of each pattern in :func:`gt_basis` order.
-
-    The dict is shared by every caller and must not be mutated.
-    """
-    return {p: i for i, p in enumerate(gt_basis(irrep))}
+def occupations(irrep: SUIrrepLabel) -> np.ndarray:
+    """Read-only (d, m) int array of the mode occupations of every basis
+    vector: n_k = (sum of the row with k entries) - (sum of the row with k-1)."""
+    pats, m = gt_array(irrep), irrep.m
+    sums = np.stack([pats[:, _row(m, k)].sum(axis=1) for k in range(1, m + 1)], axis=1)
+    occ = np.diff(sums, axis=1, prepend=0)
+    occ.flags.writeable = False
+    return occ
 
 
 @cache
 def weight_blocks(irrep: SUIrrepLabel) -> Mapping[tuple[int, ...], np.ndarray]:
-    """Ascending basis positions (:func:`gt_basis` order) of each Cartan weight.
+    """Ascending basis positions of each Cartan weight.
 
     Keys are Cartan weights (n_1 - n_2, ...), so occupations shifted by the
     (1, ..., 1) direction select the same block.  The mapping and its arrays
     are read-only.
     """
+    occ = occupations(irrep)
     blocks = {}
-    for i, occ in enumerate(occupations(irrep)):
-        blocks.setdefault(tuple(a - b for a, b in zip(occ, occ[1:])), []).append(i)
+    for i, weight in enumerate(map(tuple, (occ[:, :-1] - occ[:, 1:]).tolist())):
+        blocks.setdefault(weight, []).append(i)
     for weight, idx in blocks.items():
         blocks[weight] = np.array(idx, dtype=np.intp)
         blocks[weight].flags.writeable = False
     return MappingProxyType(blocks)
 
 
-def weight_subspace(irrep: SUIrrepLabel, w) -> tuple[GTPattern, ...]:
-    """Basis patterns whose Cartan weight matches ``w``, in canonical order
-    (see :func:`weight_blocks`).  Accepts a WeightVector or a bare
-    occupation tuple."""
-    if not isinstance(w, WeightVector):
-        w = WeightVector(tuple(w))
-    basis = gt_basis(irrep)
-    return tuple(basis[i] for i in weight_blocks(irrep).get(w.cartan, ()))
-
-
-def chain_label(pattern: GTPattern) -> str:
-    """Human-readable chain string: occupations, then subgroup labels.
-
-    Each chain entry is the round label of one pattern row (trailing zeros
-    dropped); the final su(2) entry is written as the half-integer J.
-    """
-    occ = weight_of(pattern).occupation
-    occ_str = (
-        "".join(str(x) for x in occ)
-        if all(x < 10 for x in occ)
-        else ",".join(str(x) for x in occ)
+@cache
+def pattern_rows(irrep: SUIrrepLabel) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The rows of every basis pattern as nested tuples, longest row first."""
+    m = irrep.m
+    return tuple(
+        tuple(tuple(flat[_row(m, k)]) for k in range(m, 0, -1))
+        for flat in gt_array(irrep).tolist()
     )
-    parts = []
-    for r in pattern.rows[1:]:
-        if len(r) < 3:
-            continue  # the su(2) level is rendered as J below; u(1) carries no label
-        diffs = [r[i] - r[i + 1] for i in range(len(r) - 1)]
-        while len(diffs) > 1 and diffs[-1] == 0:
-            diffs.pop()
-        parts.append("(" + ",".join(str(d) for d in diffs) + ")")
-    if pattern.m >= 2:
-        parts.append(f"({Fraction(pattern.two_j, 2)})")
-    return occ_str + "".join(parts)
+
+
+@cache
+def chain_labels(irrep: SUIrrepLabel) -> tuple[str, ...]:
+    """Human-readable chain string of every basis vector: occupations, then
+    subgroup labels.
+
+    Each chain entry is the round label of one pattern row below the irrep
+    row (trailing zeros dropped); the su(2) entry is written as the
+    half-integer J, and u(1) carries no label.
+    """
+    labels = []
+    for occ, rows in zip(occupations(irrep).tolist(), pattern_rows(irrep)):
+        parts = [("" if max(occ) < 10 else ",").join(str(x) for x in occ)]
+        for r in rows[1:-2]:
+            diffs = [a - b for a, b in zip(r, r[1:])]
+            while len(diffs) > 1 and diffs[-1] == 0:
+                diffs.pop()
+            parts.append("(" + ",".join(str(x) for x in diffs) + ")")
+        if irrep.m >= 2:
+            two_j = rows[-2][0] - rows[-2][1]
+            parts.append(f"({two_j // 2})" if two_j % 2 == 0 else f"({two_j}/2)")
+        labels.append("".join(parts))
+    return tuple(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +220,10 @@ def chain_label(pattern: GTPattern) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _raising_entry(pattern: GTPattern, k: int, j: int) -> float:
-    """Gelfand-Tsetlin amplitude for incrementing entry j of the k-entry row.
-
-    Indices: k is the chain level (1-based, row with k entries), j is
-    0-based within that row.  The caller guarantees the target pattern is
-    valid, which keeps every denominator factor nonzero.
-    """
-    rows = pattern.rows
-    m = pattern.m
-    row_k = rows[m - k]
-    l_jk = row_k[j] - (j + 1)
-    num = 1.0
-    for i, x in enumerate(rows[m - k - 1]):  # row with k+1 entries
-        num *= (x - (i + 1)) - l_jk
-    if k >= 2:
-        for i, x in enumerate(rows[m - k + 1]):  # row with k-1 entries
-            num *= (x - (i + 1)) - l_jk - 1
-    num = -num
-    den = 1.0
-    for i, x in enumerate(row_k):
-        if i == j:
-            continue
-        l_ik = x - (i + 1)
-        den *= (l_ik - l_jk) * (l_ik - l_jk - 1)
-    ratio = num / den
-    if not ratio > 0.0:
-        raise DomainError(f"raising entry {j} of row {k} of {pattern} has ratio {ratio}")
-    return math.sqrt(ratio)
+def _row_keys(pats: np.ndarray) -> np.ndarray:
+    """One opaque bytes key per pattern row, equal exactly when the rows are."""
+    pats = np.ascontiguousarray(pats)
+    return pats.view(np.dtype((np.void, pats.itemsize * pats.shape[1])))[:, 0]
 
 
 @cache
@@ -298,21 +231,38 @@ def _simple_raising(irrep: SUIrrepLabel, k: int) -> np.ndarray:
     """Read-only matrix of C_{k,k+1} in the GT basis (real, nonnegative entries).
 
     Raising entry j of the k-entry row by one keeps the pattern valid unless
-    it reaches entry j of the row above or entry j-1 of the row below.
+    it reaches entry j of the row above or entry j-1 of the row below.  With
+    l_i = x_i - i (1-based i) on each row, the amplitude is
+    sqrt(-prod_i (l_i^{k+1} - l_j^k) prod_i (l_i^{k-1} - l_j^k - 1)
+    / prod_{i != j} (l_i^k - l_j^k)(l_i^k - l_j^k - 1)), multiplied factor by
+    factor in that order for all patterns at once.
     """
-    basis = gt_basis(irrep)
-    index = pattern_index(irrep)
-    d = len(basis)
-    mat = np.zeros((d, d))
-    m = irrep.m
-    for col, pat in enumerate(basis):
-        upper, row = pat.rows[m - k - 1], pat.rows[m - k]
-        for j, x in enumerate(row):
-            if x >= upper[j] or (j >= 1 and x >= pat.rows[m - k + 1][j - 1]):
-                continue
-            rows = list(pat.rows)
-            rows[m - k] = row[:j] + (x + 1,) + row[j + 1 :]
-            mat[index[GTPattern(tuple(rows))], col] = _raising_entry(pat, k, j)
+    m, pats = irrep.m, gt_array(irrep)
+    up, row, low = (pats[:, _row(m, n)] for n in (k + 1, k, k - 1))
+    l_up, l_row, l_low = (x - np.arange(1, x.shape[1] + 1) for x in (up, row, low))
+    keys = _row_keys(pats)
+    order = np.argsort(keys)
+    mat = np.zeros((len(pats), len(pats)))
+    for j in range(k):
+        valid = row[:, j] < up[:, j]
+        if j >= 1:
+            valid &= row[:, j] < low[:, j - 1]
+        cols = np.flatnonzero(valid)
+        lj = l_row[cols, j]
+        num, den = np.ones(len(cols)), np.ones(len(cols))
+        for i in range(k + 1):
+            num = num * (l_up[cols, i] - lj)
+        for i in range(k - 1):
+            num = num * (l_low[cols, i] - lj - 1)
+        for i in range(k):
+            if i != j:
+                den = den * ((l_row[cols, i] - lj) * (l_row[cols, i] - lj - 1))
+        ratio = -num / den
+        if not (ratio > 0.0).all():
+            raise DomainError(f"raising entry {j} of row {k} of {irrep} has a ratio <= 0")
+        target = pats[cols]
+        target[:, _row(m, k).start + j] += 1
+        mat[order[np.searchsorted(keys[order], _row_keys(target))], cols] = np.sqrt(ratio)
     mat.flags.writeable = False
     return mat
 
@@ -334,13 +284,14 @@ def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.nd
     orthogonal on its own.
     """
     m, d = irrep.m, dim_weyl(irrep)
-    occ = np.array(occupations(irrep), dtype=np.float64)
+    occ = occupations(irrep).astype(np.float64)
     occ.flags.writeable = False
     eigen = []
     for k in range(m - 1):
         blocks: dict[tuple, list[int]] = {}
-        for i, pat in enumerate(gt_basis(irrep)):
-            blocks.setdefault(pat.rows[: m - k - 1] + pat.rows[m - k :], []).append(i)
+        others = np.delete(gt_array(irrep), _row(m, k + 1), axis=1).tolist()
+        for i, key in enumerate(map(tuple, others)):
+            blocks.setdefault(key, []).append(i)
         raising = _simple_raising(irrep, k + 1)
         smat = raising + raising.T
         by_size: dict[int, list[list[int]]] = {}
@@ -377,9 +328,9 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
-    """Columns ``cols`` (0-based, distinct, GT basis order; all of them for
-    None) of the matrices of ``elements`` in the irrep: an (S, d, len(cols))
-    array, slice s for element s.
+    """Columns ``cols`` (distinct basis positions; all of them for None) of
+    the matrices of ``elements`` in the irrep: an (S, d, len(cols)) array,
+    slice s for element s.
 
     Each element is factored into diagonal phases and adjacent-mode
     rotations once (:attr:`UnitaryElement.givens_factors`, cached on the
@@ -453,13 +404,3 @@ def lift(irrep: SUIrrepLabel, element: UnitaryElement, cols=None) -> np.ndarray:
     """Columns ``cols`` of the matrix of ``element`` in the irrep, a
     (d, len(cols)) array: the one slice of :func:`lift_batch`."""
     return lift_batch(irrep, [element], cols)[0]
-
-
-def dfunction(irrep: SUIrrepLabel, r: GTPattern, t: GTPattern, element: UnitaryElement) -> complex:
-    """Group function D^{(irrep)}_{rt}: the (r, t) entry of the lifted
-    matrix, read from the single lifted column t."""
-    index = pattern_index(irrep)
-    if r not in index or t not in index:
-        raise DomainError("patterns do not belong to this irrep")
-    return complex(lift(irrep, element, [index[t]])[index[r], 0])
-

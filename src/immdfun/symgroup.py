@@ -120,16 +120,9 @@ def _cycle_lengths(images) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def all_permutations(n: int):
-    """All of S_n in the deterministic ``itertools.permutations`` order."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return [Permutation(images) for images in _iter_permutations(range(1, n + 1))]
-
-
 @cache
 def sn_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[Partition, ...]]:
-    """All of S_n as read-only arrays, in the :func:`all_permutations` order.
+    """All of S_n as read-only arrays, in ``itertools.permutations`` order.
 
     Returns the ``(n!, n)`` 0-based one-line images, the index into
     :func:`partitions_of` of each permutation's cycle type, and that class
@@ -168,18 +161,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     return tuple(Partition(p) for p in gen(n, n))
-
-
-def class_size(cls: Partition) -> int:
-    """Number of permutations with the given cycle type: n! / prod_j j^{m_j} m_j!."""
-    n = cls.n
-    counts: dict[int, int] = {}
-    for part in cls:
-        counts[part] = counts.get(part, 0) + 1
-    denom = 1
-    for j, mj in counts.items():
-        denom *= j**mj * math.factorial(mj)
-    return math.factorial(n) // denom
 
 
 def dim_sym(p: Partition) -> int:

@@ -32,7 +32,14 @@ from .plethysm import (
 )
 from .reports import VerificationReport
 from .symgroup import Partition, dim_sym, partitions_of
-from .sunrep import SUIrrepLabel, chain_label, check_lift_dim, lift_batch, weight_blocks
+from .sunrep import (
+    SUIrrepLabel,
+    chain_labels,
+    check_lift_dim,
+    lift_batch,
+    pattern_rows,
+    weight_blocks,
+)
 
 DUALITY_TOL = 1e-10
 
@@ -246,13 +253,14 @@ def classify_coefficients(cm: CoefficientMatrix, tol: float = 1e-8) -> dict:
     units = int((np.abs(ent - 1.0) < tol).sum())
     zeros = int((np.abs(ent) < tol).sum())
     mod_units = int((np.abs(np.abs(ent) - 1.0) < tol).sum())
+    tags = chain_labels(cm.label)
     violations = []
     for (a, b), val in np.ndenumerate(ent):
         if abs(val - 1.0) >= tol and abs(val) >= tol:
             violations.append(
                 {
-                    "row": chain_label(cm.row_patterns[a]),
-                    "col": chain_label(cm.col_patterns[b]),
+                    "row": tags[cm.row_index[a]],
+                    "col": tags[cm.col_index[b]],
                     "value": [float(val.real), float(val.imag)],
                 }
             )
@@ -292,6 +300,7 @@ def conjecture_scan(
     selectors = [_check_pair(m, p, k, q) for k, q in selectors]
     reports = []
     expected_units = dim_sym(p)
+    tags = chain_labels(label)
     samples = [haar_random_unitary(m, seed + 1000 * i) for i in range(check_samples)]
     mats = _matrices(samples, m)
     # the union of the coefficient matrices' col_index, lifted before any is built
@@ -311,8 +320,8 @@ def conjecture_scan(
         )
         info["max_cross_residual"] = float(worst)
         info["expected_units"] = expected_units
-        info["row_tags"] = [chain_label(pat) for pat in cm.row_patterns]
-        info["col_tags"] = [chain_label(pat) for pat in cm.col_patterns]
+        info["row_tags"] = [tags[i] for i in cm.row_index]
+        info["col_tags"] = [tags[i] for i in cm.col_index]
         reports.append(
             VerificationReport(
                 suite="conjecture",
@@ -438,13 +447,20 @@ def plethysm_su2_suite(
     ]
 
 
+def _two_j(irrep: SUIrrepLabel, i: int) -> int:
+    """Twice the su(2) angular momentum of basis vector i: the spread of
+    its two-entry pattern row."""
+    top, bottom = pattern_rows(irrep)[i][-2]
+    return top - bottom
+
+
 def plethysm_su3_suite(
     samples: int = 60, seed: int = DEFAULT_SEED, tol: float = 1e-7
 ) -> list[VerificationReport]:
     problem = su3_sextic_permanent_problem()
     result = fit_decomposition(problem, samples=samples, seed=seed)
     fitted = {
-        (cand.irrep.row, cand.r.two_j, cand.t.two_j): val
+        (cand.irrep.row, _two_j(cand.irrep, cand.r), _two_j(cand.irrep, cand.t)): val
         for cand, val in result.coefficients
     }
     worst = 0.0

@@ -15,7 +15,6 @@ from immdfun.dualspace import immanant_via_duality, state_weight
 from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
-    determinant,
     haar_random_unitary,
     immanant,
     permanent_ryser,
@@ -24,20 +23,11 @@ from immdfun.linalgimm import (
 )
 from immdfun.symgroup import (
     Partition,
-    all_permutations,
     character,
-    class_size,
     partitions_of,
     young_orthogonal,
 )
-from immdfun.sunrep import (
-    SUIrrepLabel,
-    dim_weyl,
-    gt_basis,
-    lift,
-    pattern_index,
-    weight_subspace,
-)
+from immdfun.sunrep import SUIrrepLabel, dim_weyl, gt_array, lift, weight_blocks
 from immdfun.verification import (
     SU2_EXPECTED,
     conjecture_scan,
@@ -48,7 +38,7 @@ from immdfun.verification import (
     plethysm_su3_suite,
 )
 
-from _generators import generator_matrix
+from _generators import all_permutations, class_size, generator_matrix
 
 P = Partition
 SEED = 1905
@@ -90,11 +80,11 @@ def test_criterion_2_kostant_trace():
 def test_criterion_3_su3_identities():
     irrep_per = SUIrrepLabel(3, (3, 0, 0))
     irrep_mixed = SUIrrepLabel(3, (2, 1, 0))
-    per_states = weight_subspace(irrep_per, (1, 1, 1))
-    mixed_states = weight_subspace(irrep_mixed, (1, 1, 1))
+    per_states = weight_blocks(irrep_per)[(0, 0)]  # occupations (1, 1, 1)
+    mixed_states = weight_blocks(irrep_mixed)[(0, 0)]
     assert len(per_states) == 1 and len(mixed_states) == 2
-    per_pos = pattern_index(irrep_per)[per_states[0]]
-    mixed_pos = [pattern_index(irrep_mixed)[t] for t in mixed_states]
+    per_pos = per_states[0]
+    mixed_pos = list(mixed_states)
     worst = 0.0
     for i in range(25):
         u = haar_random_unitary(3, SEED + i)
@@ -104,7 +94,7 @@ def test_criterion_3_su3_identities():
         mixed_d = sum(lift_mixed[t, t] for t in mixed_pos)
         worst = max(worst, abs(permanent_ryser(u.matrix) - per_d))
         worst = max(worst, abs(immanant(P(2, 1), u.matrix) - mixed_d))
-        worst = max(worst, abs(determinant(u.matrix) - 1.0))
+        worst = max(worst, abs(np.linalg.det(u.matrix) - 1.0))
     ok = worst < 1e-10
     report(3, ok, f"SU(3) permanent/mixed/determinant identities, 25 samples: residual {worst:.2e}")
 
@@ -326,7 +316,7 @@ def test_criterion_10_structural_suites():
     # pattern counts against the dimension formula
     for row in [(2, 0), (3, 1, 0), (2, 1, 1, 0), (2, 2, 0, 0, 0), (12, 0, 0)]:
         ir = SUIrrepLabel(len(row), row)
-        if len(gt_basis(ir)) != dim_weyl(ir):
+        if len(gt_array(ir)) != dim_weyl(ir):
             failures.append(f"dimension {row}")
 
     ok = not failures

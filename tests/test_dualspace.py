@@ -22,13 +22,11 @@ from immdfun.linalgimm import (
     UnitaryElement,
     haar_random_unitary,
     immanant,
-    permutation_matrix,
     submatrix,
 )
 from immdfun.symgroup import (
     Partition,
     Permutation,
-    all_permutations,
     character,
     dim_sym,
     partitions_of,
@@ -37,14 +35,13 @@ from immdfun import sunrep, symgroup
 from immdfun.sunrep import (
     SUIrrepLabel,
     WeightVector,
-    gt_basis,
     lift,
     occupations,
     weight_blocks,
-    weight_of,
 )
 from immdfun.verification import _littlewood_reports, classify_coefficients, conjecture_scan
 
+from _generators import all_permutations, permutation_matrix
 from _tensor import apply_tensor_power
 
 P = Partition
@@ -70,7 +67,7 @@ def dense(m, n, row, i, alpha):
     blocks, _ = _weight_blocks(m, n)
     label = SUIrrepLabel(m, row)
     out = np.zeros(m**n, dtype=np.complex128)
-    out[blocks[occupations(label)[i]]] = _chain_vectors(m, n, row)[i][:, alpha]
+    out[blocks[tuple(occupations(label)[i].tolist())]] = _chain_vectors(m, n, row)[i][:, alpha]
     return out
 
 
@@ -95,7 +92,7 @@ def random_state(m, n, seed):
 
 
 def at_weight(m, row, occ):
-    """gt_basis positions of the irrep ``row`` at occupation ``occ``."""
+    """Basis positions of the irrep ``row`` at occupation ``occ``."""
     return weight_blocks(SUIrrepLabel(m, row))[WeightVector(occ).cartan]
 
 
@@ -246,8 +243,8 @@ class TestChainSubspace:
         row = (2, 1, 0)
         blocks, _ = _weight_blocks(3, 3)
         digits = _digits(3, 3)
-        for vec, occ in zip(_chain_vectors(3, 3, row), occupations(SUIrrepLabel(3, row))):
-            block = blocks[occ]
+        for vec, occ in zip(_chain_vectors(3, 3, row), occupations(SUIrrepLabel(3, row)).tolist()):
+            block = blocks[tuple(occ)]
             assert vec.shape[0] == len(block)
             counts = [(digits[block] == mode).sum(axis=1) for mode in range(3)]
             assert all((c == o).all() for c, o in zip(counts, occ))
@@ -394,12 +391,8 @@ class TestTheorem3AndNormalization:
             for i in range(5):
                 u = haar_random_unitary(m, 500 + i)
                 lifted = lift(label, u)
-                pats = gt_basis(label)
-                dsum = sum(
-                    lifted[a, a]
-                    for a, pat in enumerate(pats)
-                    if weight_of(pat).occupation == (1,) * m
-                )
+                occ = occupations(label).tolist()
+                dsum = sum(lifted[a, a] for a, n in enumerate(occ) if n == [1] * m)
                 assert abs(immanant(p, u.matrix) - dsum) < 1e-9
 
     def test_projection_norm_factor(self):
@@ -428,8 +421,8 @@ class TestTheorem3AndNormalization:
         full = tuple(range(1, m + 1))
         w = coefficient_matrix(m, p, full, full).entries
         label = SUIrrepLabel.from_partition(p, m, normalize=False)
-        pats = gt_basis(label)
-        zero_idx = [a for a, pat in enumerate(pats) if weight_of(pat).occupation == (1, 1, 1)]
+        occ = occupations(label).tolist()
+        zero_idx = [a for a, n in enumerate(occ) if n == [1, 1, 1]]
         for s in all_permutations(m):
             pm = UnitaryElement.from_matrix(permutation_matrix(s), tol=1e-10)
             gamma = lift(label, pm)[np.ix_(zero_idx, zero_idx)]
@@ -442,8 +435,8 @@ class TestTheorem3AndNormalization:
         m = 3
         p = P(2, 1)
         label = SUIrrepLabel.from_partition(p, m, normalize=False)
-        pats = gt_basis(label)
-        zero_idx = [a for a, pat in enumerate(pats) if weight_of(pat).occupation == (1, 1, 1)]
+        occ = occupations(label).tolist()
+        zero_idx = [a for a, n in enumerate(occ) if n == [1, 1, 1]]
         for s in all_permutations(m):
             pm = UnitaryElement.from_matrix(permutation_matrix(s), tol=1e-10)
             gamma = lift(label, pm)[np.ix_(zero_idx, zero_idx)]
@@ -510,10 +503,10 @@ class TestResourceCaps:
         # 10^7 amplitudes are refused before the GT basis of the irrep is
         # built; (6,1) is used by no other test, so a built basis would miss
         full = tuple(range(1, 8))
-        misses = sunrep.gt_basis.cache_info().misses
+        misses = sunrep.gt_array.cache_info().misses
         with pytest.raises(ResourceLimitError):
             coefficient_matrix(10, P(6, 1), full, full)
-        assert sunrep.gt_basis.cache_info().misses == misses
+        assert sunrep.gt_array.cache_info().misses == misses
 
     def test_duality_tensor_size_cap(self):
         # 8^7 amplitudes: the duality route is bounded by m^N, not by m

@@ -1,14 +1,18 @@
-"""The default-seed ``verify`` streams against their stored copies.
+"""The default-seed ``verify`` streams, and one ``dump-dfunctions``
+stream, against their stored copies.
 
 Each suite is rerun in process at its default seed and compared with
-``tests/data/verify-<suite>.jsonl`` record by record.  Pass flags,
+``tests/data/verify-<suite>.jsonl`` record by record; the dump of the
+SU(4) irrep (2,1,1,0) at Haar sample 4 pins the basis order and the
+pattern tags of every record against ``tests/data/dump-2110-haar4.jsonl``.  Pass flags,
 integers, strings, keys and list lengths must be equal; each float may
 move by less than 1e-12, absolutely or relative to its size.  The float
 slack absorbs the BLAS reduction order (thread count, library build),
 which moves the last bits of a residual but no decision.
 
 A change that is meant to move a report regenerates its file with
-``OPENBLAS_NUM_THREADS=1 immdfun verify SUITE > tests/data/verify-SUITE.jsonl``.
+``OPENBLAS_NUM_THREADS=1 immdfun verify SUITE > tests/data/verify-SUITE.jsonl``
+(and ``immdfun dump-dfunctions --row 2,1,1,0 --haar 4`` for the dump).
 """
 
 import json
@@ -49,6 +53,15 @@ def test_default_seed_stream_matches_golden(capsys, suite):
     assert len(lines) == len(golden)
     for i, (old, new) in enumerate(zip(golden, lines)):
         assert_same_report(json.loads(old), json.loads(new), f"{suite}[{i}]")
+
+
+def test_dump_stream_matches_golden(capsys):
+    golden = (DATA / "dump-2110-haar4.jsonl").read_text().splitlines()
+    assert main(["dump-dfunctions", "--row", "2,1,1,0", "--haar", "4"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(golden) == 225
+    for i, (old, new) in enumerate(zip(golden, lines)):
+        assert_same_report(json.loads(old), json.loads(new), f"dump[{i}]")
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,6 @@ from immdfun.linalgimm import (
     _givens_factors,
     haar_random_unitary,
     immanant,
-    permutation_matrix,
     submatrix,
 )
 from immdfun.sunrep import (
@@ -37,9 +36,10 @@ from immdfun.sunrep import (
     occupations,
     weight_blocks,
 )
-from immdfun.symgroup import all_permutations, partitions_of
+from immdfun.symgroup import partitions_of
 from immdfun.verification import _block_columns, _block_trace
 
+from _generators import all_permutations, permutation_matrix
 from _tensor import apply_tensor_power
 
 ROWS = (
@@ -155,7 +155,7 @@ def test_columns_match_chain_vectors(row, seed, data):
     irrep = SUIrrepLabel(m, row)
     vecs = _chain_vectors(m, n, row)
     blocks, _ = _weight_blocks(m, n)
-    occ = occupations(irrep)
+    occ = [tuple(o) for o in occupations(irrep).tolist()]
     t = data.draw(st.integers(0, len(vecs) - 1))
     u = haar_random_unitary(m, seed)
     start = np.zeros(m**n, dtype=np.complex128)

@@ -12,9 +12,15 @@ from immdfun.plethysm import (
     su3_sextic_permanent_problem,
 )
 from immdfun.symgroup import Partition
-from immdfun.sunrep import SUIrrepLabel
+from immdfun.sunrep import SUIrrepLabel, pattern_rows
 
 P = Partition
+
+
+def two_j(cand, i):
+    """Twice the su(2) J of basis position i of the candidate's irrep."""
+    top, bottom = pattern_rows(cand.irrep)[i][-2]
+    return top - bottom
 
 
 class TestProblems:
@@ -96,10 +102,7 @@ class TestSU3Fit:
         assert abs(su3_result.diagonal_sum() - 1.0) < 1e-8
 
     def test_key_diagonal_values(self, su3_result):
-        def two_j(pat):
-            return pat.rows[-2][0] - pat.rows[-2][1]
-
-        fitted = {(c.irrep.row, two_j(c.r), two_j(c.t)): v.real for c, v in su3_result.coefficients}
+        fitted = {(c.irrep.row, two_j(c, c.r), two_j(c, c.t)): v.real for c, v in su3_result.coefficients}
         assert fitted[((12, 0, 0), 8, 8)] == pytest.approx(64 / 385, abs=1e-7)
         assert fitted[((10, 2, 0), 8, 8)] == pytest.approx(60 / 539, abs=1e-7)
         assert fitted[((10, 2, 0), 4, 4)] == pytest.approx(6 / 49, abs=1e-7)
@@ -108,20 +111,14 @@ class TestSU3Fit:
         assert fitted[((0, 0, 0), 0, 0)] == pytest.approx(2 / 45, abs=1e-7)
 
     def test_off_diagonal_surds(self, su3_result):
-        def two_j(pat):
-            return pat.rows[-2][0] - pat.rows[-2][1]
-
-        fitted = {(c.irrep.row, two_j(c.r), two_j(c.t)): v.real for c, v in su3_result.coefficients}
+        fitted = {(c.irrep.row, two_j(c, c.r), two_j(c, c.t)): v.real for c, v in su3_result.coefficients}
         surd = 6 / 49 * math.sqrt(10 / 11)
         assert fitted[((10, 2, 0), 8, 4)] == pytest.approx(surd, abs=1e-7)
         assert fitted[((10, 2, 0), 4, 8)] == pytest.approx(surd, abs=1e-7)
 
     def test_gram_blocks_are_rank_one(self, su3_result):
         # each irrep block of the coefficient matrix is an outer product
-        def two_j(pat):
-            return pat.rows[-2][0] - pat.rows[-2][1]
-
-        fitted = {(c.irrep.row, two_j(c.r), two_j(c.t)): v.real for c, v in su3_result.coefficients}
+        fitted = {(c.irrep.row, two_j(c, c.r), two_j(c, c.t)): v.real for c, v in su3_result.coefficients}
         row = (8, 4, 0)
         for a in (0, 4, 8):
             for b in (0, 4, 8):

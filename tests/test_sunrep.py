@@ -6,34 +6,47 @@ import pytest
 
 from immdfun.cli import main
 from immdfun.errors import DomainError, ResourceLimitError
-from immdfun.linalgimm import (
-    UnitaryElement,
-    haar_random_unitary,
-    permutation_matrix,
-    su2_euler,
-)
-from immdfun.symgroup import Partition, all_permutations
+from immdfun.linalgimm import UnitaryElement, haar_random_unitary, su2_euler
+from immdfun.symgroup import Partition
 from immdfun.sunrep import (
-    GTPattern,
-    _raising_entry,
     _simple_raising,
     SUIrrepLabel,
     WeightVector,
-    chain_label,
-    dfunction,
+    chain_labels,
     dim_weyl,
-    gt_basis,
+    gt_array,
     lift,
     occupations,
-    pattern_index,
+    pattern_rows,
     weight_blocks,
-    weight_of,
-    weight_subspace,
 )
 
-from _generators import generator_matrix
+import _patterns as ref
+from _generators import all_permutations, generator_matrix, permutation_matrix
 
 P = Partition
+
+
+def irreps_up_to(m: int, max_d: int) -> list[SUIrrepLabel]:
+    """Every SU(m) label (last entry 0) of dimension at most ``max_d``.
+
+    The dimension grows with each gap row[i] - row[i+1], so each gap is
+    raised until the label with all later gaps at 0 is too large.
+    """
+
+    def grow(gaps):
+        label = SUIrrepLabel(m, tuple(sum(gaps[i:]) for i in range(m)))
+        if dim_weyl(label) > max_d:
+            return []
+        if len(gaps) == m - 1:
+            return [label]
+        found, gap = [], 0
+        while more := grow(gaps + (gap,)):
+            found += more
+            gap += 1
+        return found
+
+    return grow(())
 
 
 class TestLabels:
@@ -59,7 +72,7 @@ class TestGTBasis:
     )
     def test_counts_match_weyl(self, row, expected):
         ir = SUIrrepLabel(len(row), row)
-        assert len(gt_basis(ir)) == dim_weyl(ir) == expected
+        assert len(gt_array(ir)) == dim_weyl(ir) == expected
 
     def test_su2_dimension(self):
         for two_j in range(0, 7):
@@ -68,41 +81,54 @@ class TestGTBasis:
     @pytest.mark.parametrize("row", [(3, 1, 0), (2, 1, 1, 0), (2, 2, 0, 0, 0)])
     def test_count_equals_weyl(self, row):
         ir = SUIrrepLabel(len(row), row)
-        assert len(gt_basis(ir)) == dim_weyl(ir)
+        assert len(gt_array(ir)) == dim_weyl(ir)
 
     def test_canonical_order_descending(self):
-        pats = gt_basis(SUIrrepLabel(3, (2, 1, 0)))
-        flats = [p.flattened() for p in pats]
+        ir = SUIrrepLabel(3, (2, 1, 0))
+        flats = [tuple(p) for p in gt_array(ir).tolist()]
         assert flats == sorted(flats, reverse=True)
-        assert pats[0].rows == ((2, 1, 0), (2, 1), (2,))  # highest weight first
+        assert pattern_rows(ir)[0] == ((2, 1, 0), (2, 1), (2,))  # highest weight first
 
-    def test_betweenness_enforced(self):
-        with pytest.raises(DomainError):
-            GTPattern(((2, 0), (3,)))
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_tables_equal_the_reference(self, m):
+        # every irrep with d <= 500: the array basis and every table read from
+        # it equal the pattern-by-pattern reference exactly.  The raising
+        # tables are built uncached, so 500 dense SU(2) tables do not stay.
+        irreps = irreps_up_to(m, 500)
+        assert irreps
+        for ir in irreps:
+            pats = ref.gt_patterns(ir.row)
+            assert not gt_array(ir).flags.writeable and not occupations(ir).flags.writeable
+            assert gt_array(ir).tolist() == [list(ref.flattened(p)) for p in pats]
+            assert occupations(ir).tolist() == [list(ref.occupation(p)) for p in pats]
+            assert pattern_rows(ir) == pats
+            assert chain_labels(ir) == tuple(ref.chain_label(p) for p in pats)
+            for k in range(1, m):
+                assert np.array_equal(_simple_raising.__wrapped__(ir, k), ref.simple_raising(pats, k))
 
 
 class TestWeights:
     def test_highest_weight_occupation(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        assert weight_of(gt_basis(ir)[0]).occupation == (2, 1, 0)
+        assert tuple(occupations(ir)[0]) == (2, 1, 0)
 
     def test_zero_weight_pair(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        pats = weight_subspace(ir, WeightVector((1, 1, 1)))
+        pats = weight_blocks(ir)[WeightVector((1, 1, 1)).cartan]
         assert len(pats) == 2
-        assert all(weight_of(p).cartan == (0, 0) for p in pats)
+        assert all(WeightVector(occupations(ir)[i]).cartan == (0, 0) for i in pats)
 
     def test_single_permanent_state(self):
-        pats = weight_subspace(SUIrrepLabel(3, (3, 0, 0)), (1, 1, 1))
+        pats = weight_blocks(SUIrrepLabel(3, (3, 0, 0)))[WeightVector((1, 1, 1)).cartan]
         assert len(pats) == 1
 
     def test_total_is_box_count(self):
         ir = SUIrrepLabel(4, (3, 1, 0, 0))
-        for p in gt_basis(ir):
-            assert sum(weight_of(p).occupation) == 4
+        for occ in occupations(ir):
+            assert sum(occ) == 4
 
     def test_outside_diagram_empty(self):
-        assert weight_subspace(SUIrrepLabel(2, (2, 0)), (5, 0)) == ()
+        assert weight_blocks(SUIrrepLabel(2, (2, 0))).get(WeightVector((5, 0)).cartan, ()) == ()
 
     @pytest.mark.parametrize(
         "row", [(4, 0), (2, 1, 0), (4, 2, 0), (3, 1, 0, 0), (2, 1, 1, 0, 0)]
@@ -111,19 +137,19 @@ class TestWeights:
         ir = SUIrrepLabel(len(row), row)
         blocks = weight_blocks(ir)
         assert sorted(i for idx in blocks.values() for i in idx) == list(range(dim_weyl(ir)))
-        basis, occ = gt_basis(ir), occupations(ir)
+        occ = occupations(ir).tolist()
         for cartan, idx in blocks.items():
             assert list(idx) == sorted(idx) and not idx.flags.writeable
-            assert all(weight_of(basis[i]).cartan == cartan for i in idx)
+            assert all(WeightVector(occ[i]).cartan == cartan for i in idx)
             for shift in (0, 1, 3):
                 shifted = tuple(n + shift for n in occ[idx[0]])
-                assert weight_subspace(ir, shifted) == tuple(basis[i] for i in idx)
+                assert np.array_equal(blocks[WeightVector(shifted).cartan], idx)
         with pytest.raises(TypeError):
             blocks[(9,) * (ir.m - 1)] = idx
 
     def test_chain_label_format(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        labels = [chain_label(p) for p in weight_subspace(ir, (1, 1, 1))]
+        labels = [chain_labels(ir)[i] for i in weight_blocks(ir)[WeightVector((1, 1, 1)).cartan]]
         assert labels == ["111(1)", "111(0)"]
 
     @pytest.mark.parametrize(
@@ -131,11 +157,11 @@ class TestWeights:
     )
     def test_tables_follow_basis_order(self, row):
         ir = SUIrrepLabel(len(row), row)
-        basis = gt_basis(ir)
-        assert len(occupations(ir)) == len(pattern_index(ir)) == len(basis)
+        basis = pattern_rows(ir)
+        assert len(occupations(ir)) == len(chain_labels(ir)) == len(basis)
         for i, p in enumerate(basis):
-            assert occupations(ir)[i] == weight_of(p).occupation
-            assert pattern_index(ir)[p] == i
+            assert tuple(occupations(ir)[i]) == ref.occupation(p)
+            assert gt_array(ir)[i].tolist() == list(ref.flattened(p))
 
 
 class TestGenerators:
@@ -143,7 +169,7 @@ class TestGenerators:
         ir = SUIrrepLabel(3, (2, 1, 0))
         for i in (1, 2, 3):
             gen = generator_matrix(ir, i, i)
-            expected = np.diag([weight_of(p).occupation[i - 1] for p in gt_basis(ir)])
+            expected = np.diag([ref.occupation(p)[i - 1] for p in ref.gt_patterns(ir.row)])
             assert np.array_equal(gen, expected)
 
     def test_fundamental_is_matrix_unit(self):
@@ -189,18 +215,16 @@ class TestGenerators:
     )
     def test_every_valid_raise_is_positive(self, row):
         ir = SUIrrepLabel(len(row), row)
-        index = pattern_index(ir)
+        pats = ref.gt_patterns(ir.row)
+        index = {p: i for i, p in enumerate(pats)}
         raises = 0
-        for pat in gt_basis(ir):
+        for pat in pats:
             for k in range(1, ir.m):
                 for j in range(k):
-                    rows = [list(r) for r in pat.rows]
-                    rows[ir.m - k][j] += 1
-                    try:
-                        target = GTPattern(rows)
-                    except DomainError:
+                    target = ref.raised(pat, k, j)
+                    if target not in index:
                         continue
-                    entry = _raising_entry(pat, k, j)
+                    entry = ref.raising_entry(pat, k, j)
                     assert entry > 0.0
                     assert _simple_raising(ir, k)[index[target], index[pat]] == entry
                     raises += 1
@@ -211,7 +235,7 @@ class TestGenerators:
     def test_invalid_raise_is_domain_error(self):
         # Raising the single-entry row from 2 to 3 breaks betweenness under (2, 1).
         with pytest.raises(DomainError):
-            _raising_entry(GTPattern(((2, 1, 0), (2, 1), (2,))), 1, 0)
+            ref.raising_entry(((2, 1, 0), (2, 1), (2,)), 1, 0)
 
     def test_su3_commutator_example(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
@@ -260,9 +284,7 @@ class TestLift:
         theta = np.array([0.7, -0.2, -0.5])
         u = UnitaryElement(np.diag(np.exp(1j * theta)))
         lifted = lift(ir, u)
-        expect = np.diag(
-            [np.exp(1j * np.dot(weight_of(p).occupation, theta)) for p in gt_basis(ir)]
-        )
+        expect = np.diag(np.exp(1j * (occupations(ir) @ theta)))
         assert np.abs(lifted - expect).max() < 1e-10
 
     def test_branch_cut_refusal(self):
@@ -333,35 +355,24 @@ class TestLift:
         )
         got = lift(ir, sandwiched)
         base = lift(ir, u)
-        pats = gt_basis(ir)
-        phase_l = np.array([np.exp(1j * np.dot(weight_of(p).occupation, th_l)) for p in pats])
-        phase_r = np.array([np.exp(1j * np.dot(weight_of(p).occupation, th_r)) for p in pats])
+        phase_l = np.exp(1j * (occupations(ir) @ th_l))
+        phase_r = np.exp(1j * (occupations(ir) @ th_r))
         assert np.abs(got - phase_l[:, None] * base * phase_r[None, :]).max() < 1e-9
 
 
 class TestDFunction:
     def test_identity_is_delta(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        pats = gt_basis(ir)
         u = UnitaryElement(np.eye(3))
-        assert dfunction(ir, pats[0], pats[0], u) == pytest.approx(1.0, abs=1e-12)
-        assert dfunction(ir, pats[0], pats[3], u) == pytest.approx(0.0, abs=1e-12)
+        assert lift(ir, u, [0])[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert lift(ir, u, [3])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_fundamental_matrix_layout(self):
         # the 3x3 table of group functions is the defining matrix itself
         ir = SUIrrepLabel(3, (1, 0, 0))
         u = haar_random_unitary(3, 10)
-        pats = gt_basis(ir)
-        table = np.array(
-            [[dfunction(ir, r, t, u) for t in pats] for r in pats]
-        )
+        table = np.array([[lift(ir, u, [t])[r, 0] for t in range(3)] for r in range(3)])
         assert np.abs(table - u.matrix).max() < 1e-12
-
-    def test_pattern_mismatch(self):
-        ir = SUIrrepLabel(3, (2, 1, 0))
-        other = gt_basis(SUIrrepLabel(3, (1, 0, 0)))[0]
-        with pytest.raises(DomainError):
-            dfunction(ir, other, other, UnitaryElement(np.eye(3)))
 
     def test_records_identity(self, capsys):
         assert main(["dump-dfunctions", "--row", "2,1,0", "--identity", "3"]) == 0

@@ -7,16 +7,16 @@ from immdfun.errors import DomainError
 from immdfun.symgroup import (
     Partition,
     Permutation,
-    all_permutations,
     character,
     character_weights,
-    class_size,
     dim_sym,
     partitions_of,
     sn_tables,
     standard_tableaux,
     young_orthogonal,
 )
+
+from _generators import all_permutations, class_size
 
 P = Partition
 
