@@ -18,11 +18,10 @@ from .linalgimm import (
 )
 from .symgroup import (
     Partition,
-    Permutation,
     character,
     dim_sym,
     partitions_of,
-    young_orthogonal,
+    young_tables,
 )
 from .sunrep import (
     SUIrrepLabel,
@@ -39,7 +38,6 @@ __all__ = [
     "DomainError",
     "MatrixParseError",
     "Partition",
-    "Permutation",
     "RankDeficiencyError",
     "ResourceLimitError",
     "SUIrrepLabel",
@@ -58,5 +56,5 @@ __all__ = [
     "permanent_ryser",
     "su2_euler",
     "submatrix",
-    "young_orthogonal",
+    "young_tables",
 ]

@@ -63,7 +63,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def load_matrix_file(path: str) -> np.ndarray:
-    """Read a row-major JSON matrix of [re, im] entry pairs."""
+    """Read a row-major JSON matrix: rows of equal length of [re, im] pairs,
+    each exactly two JSON numbers (true and false are not numbers)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -78,12 +79,17 @@ def load_matrix_file(path: str) -> np.ndarray:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        if not all(
+            len(entry) == 2 and {type(x) for x in entry} <= {int, float}
+            for row in data
+            for entry in row
+        ):
+            raise TypeError
+        mat = np.array([[complex(*entry) for entry in row] for row in data], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MatrixParseError(
-            f"{path}: entries must be [re, im] pairs in a nested row-major array"
+            f"{path}: entries must be [re, im] pairs of numbers in rows of equal length"
         ) from exc
-    mat = np.array(rows, dtype=np.complex128)
     if mat.ndim != 2:
         raise MatrixParseError(f"{path}: expected a two-dimensional array")
     return mat

@@ -134,10 +134,7 @@ def haar_random_unitary(m: int, seed: int) -> UnitaryElement:
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    det = np.linalg.det(q)
-    q = q * cmath.exp(-1j * cmath.phase(det) / m)
-    return UnitaryElement(q, unitarity_tol=1e-12)
+    return UnitaryElement.from_matrix(q * (d / np.abs(d)), tol=1e-12)
 
 
 def su2_euler(alpha: float, beta: float, gamma: float) -> UnitaryElement:

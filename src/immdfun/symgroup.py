@@ -1,21 +1,23 @@
 """Symmetric group S_n: partitions, characters, class data, and Young's
 orthogonal representation matrices.
 
-Characters are computed exactly (integer arithmetic, border-strip removal on
-beta-sets); floating-point traces of the orthogonal matrices serve only as
-cross-checks in the test suite.
+All of S_n is one integer array, :func:`sn_tables`: the 0-based one-line
+images of every permutation in ``itertools.permutations`` order, with the
+class index of each.  Characters are computed exactly (integer arithmetic,
+border-strip removal on beta-sets).  Standard tableaux are rows of
+:func:`tableau_words`, and :func:`young_tables` holds Young's orthogonal
+matrix of every permutation in :func:`sn_tables` order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations as _iter_permutations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 
 class Partition(tuple):
@@ -50,59 +52,6 @@ class Partition(tuple):
 
     def __repr__(self):
         return "{" + ",".join(str(p) for p in self) + "}"
-
-
-class Permutation:
-    """Permutation of {1..n} in one-line notation: ``images[k-1] = sigma(k)``."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(int(i) for i in images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise DomainError(f"not a permutation of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, k: int) -> int:
-        return self.images[k - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self o other)(k) = self(other(k)); ``other`` acts first."""
-        if self.n != other.n:
-            raise DomainError("cannot compose permutations of different degree")
-        return Permutation(self.images[other.images[k] - 1] for k in range(self.n))
-
-    __mul__ = compose
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for k, img in enumerate(self.images, start=1):
-            inv[img - 1] = k
-        return Permutation(inv)
-
-    def cycle_type(self) -> Partition:
-        return Partition(_cycle_lengths([img - 1 for img in self.images]))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation{self.images}"
 
 
 def _cycle_lengths(images) -> tuple[int, ...]:
@@ -209,110 +158,87 @@ def character(p: Partition, cls: Partition) -> int:
     return _mn_character(p.parts, tuple(sorted(cls.parts, reverse=True)))
 
 
-# ---------------------------------------------------------------------------
-# standard tableaux and Young's orthogonal form
-# ---------------------------------------------------------------------------
+
+YOUNG_TABLE_CAP = 2**24  # float entries of one young_tables array (128 MB)
 
 
 @cache
-def standard_tableaux(p: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Standard Young tableaux of shape p, in last-letter order.
+def tableau_words(p: Partition) -> np.ndarray:
+    """Standard Young tableaux of shape p as a read-only (d, n) int64 array.
 
-    Tableaux are compared by the row index of n, then n-1, and so on; the
-    tableau whose largest disagreeing entry sits in the earlier row comes
-    first.  This order fixes the basis of ``young_orthogonal`` and every
-    downstream phase convention.
+    Entry v-1 of a row is the tableau row holding v.  Rows come in
+    last-letter order: by the row of n, then of n-1, and so on, earlier rows
+    first.  This order is the basis of :func:`young_tables`.
     """
-    shape = p.parts
-    n = p.n
-
-    def fill(tab, num):
-        if num > n:
-            yield tuple(tuple(row) for row in tab)
-            return
-        for i, row in enumerate(tab):
-            j = len(row)
-            if j >= shape[i]:
-                continue
-            if i > 0 and len(tab[i - 1]) <= j:
-                continue
-            row.append(num)
-            yield from fill(tab, num + 1)
-            row.pop()
-
-    def last_letter_key(tab):
-        where = {}
-        for i, row in enumerate(tab):
-            for v in row:
-                where[v] = i
-        return tuple(where[v] for v in range(n, 0, -1))
-
-    return tuple(sorted(fill([[] for _ in shape], 1), key=last_letter_key))
+    blocks = []
+    for i, row in enumerate(p):
+        if i + 1 == len(p) or p[i + 1] < row:  # n can sit at the end of row i
+            smaller = tuple(x for x in p[:i] + (row - 1,) + p[i + 1 :] if x)
+            rest = tableau_words(Partition(smaller)) if smaller else np.zeros((1, 0), np.int64)
+            blocks.append(np.column_stack([rest, np.full(len(rest), i)]))
+    words = np.concatenate(blocks)
+    words.flags.writeable = False
+    return words
 
 
-def _tableau_positions(tab) -> dict[int, tuple[int, int]]:
-    return {v: (i, j) for i, row in enumerate(tab) for j, v in enumerate(row)}
+def _adjacent_matrices(p: Partition) -> np.ndarray:
+    """Young's orthogonal matrices of the transpositions (k, k+1), k = 1..n-1,
+    stacked as (n-1, d, d).
+
+    With content c = column - row of a letter and r = c(k+1) - c(k), word a
+    gets 1/r on the diagonal and sqrt(1 - 1/r^2) at the word with k and k+1
+    swapped (|r| = 1 leaves no standard swap).
+    """
+    words = tableau_words(p)
+    d, n = words.shape
+    columns = ((words[:, :, None] == words[:, None, :]) & np.tri(n, k=-1, dtype=bool)).sum(axis=2)
+    r = np.diff(columns - words, axis=1)
+    mats = np.zeros((n - 1, d, d))
+    mats[:, np.arange(d), np.arange(d)] = 1.0 / r.T
+    rows = words.tolist()
+    index = {tuple(w): a for a, w in enumerate(rows)}
+    for a, k in zip(*np.nonzero(np.abs(r) > 1)):
+        w = rows[a][:]
+        w[k], w[k + 1] = w[k + 1], w[k]
+        mats[k, index[tuple(w)], a] = math.sqrt(1.0 - 1.0 / r[a, k] ** 2)
+    return mats
 
 
-@dataclass(frozen=True)
-class IrrepMatrixSym:
-    """Real orthogonal matrix of one permutation in the irrep {partition}."""
-
-    partition: Partition
-    entries: np.ndarray
+def _lehmer_codes(images: np.ndarray) -> np.ndarray:
+    """Entry i of each row counts the later images smaller than image i."""
+    n = images.shape[1]
+    return ((images[:, :, None] > images[:, None, :]) & np.tri(n, k=-1, dtype=bool).T).sum(axis=2)
 
 
 @cache
-def _adjacent_matrix(p: Partition, k: int) -> np.ndarray:
-    """Young's orthogonal matrix for the adjacent transposition (k, k+1)."""
-    basis = standard_tableaux(p)
-    index = {tab: a for a, tab in enumerate(basis)}
-    d = len(basis)
-    mat = np.zeros((d, d))
-    for a, tab in enumerate(basis):
-        pos = _tableau_positions(tab)
-        (ri, ci), (rj, cj) = pos[k], pos[k + 1]
-        dist = (cj - rj) - (ci - ri)  # axial distance, never 0 in a standard tableau
-        mat[a, a] = 1.0 / dist
-        if abs(dist) > 1:
-            swapped = tuple(
-                tuple(k + 1 if v == k else k if v == k + 1 else v for v in row)
-                for row in tab
-            )
-            b = index[swapped]
-            mat[b, a] = math.sqrt(1.0 - 1.0 / dist**2)
-    return mat
+def young_tables(p: Partition) -> np.ndarray:
+    """Young's orthogonal matrices of all of S_n in the irrep {p}, as one
+    read-only (n!, d, d) float64 array in :func:`sn_tables` order, basis
+    :func:`tableau_words`.
 
-
-def _adjacent_factors(s: Permutation) -> list[int]:
-    """Write s as a product of adjacent transpositions s_k = (k, k+1).
-
-    Returns k-values such that s = s_{k_1} o s_{k_2} o ... (leftmost applied
-    last), obtained by bubble-sorting the one-line form.
+    A homomorphism: with ``images`` from :func:`sn_tables`, the matrix of
+    ``images[a][images[b]]`` (b applied first) is ``Y[a] @ Y[b]``.  Arrays
+    above :data:`YOUNG_TABLE_CAP` entries are refused.
     """
-    images = list(s.images)
-    factors = []
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(images) - 1):
-            if images[k] > images[k + 1]:
-                images[k], images[k + 1] = images[k + 1], images[k]
-                factors.append(k + 1)
-                changed = True
-    return factors[::-1]
-
-
-def young_orthogonal(p: Partition, s: Permutation) -> IrrepMatrixSym:
-    """Orthogonal matrix of s in the irrep {p}, basis of standard tableaux.
-
-    The map is a homomorphism: ``young_orthogonal(p, a o b)`` equals the
-    product of the matrices of a and b.
-    """
-    if p.n != s.n:
-        raise DomainError(f"partition {p} is not a shape for S_{s.n}")
-    d = len(standard_tableaux(p))
-    mat = np.eye(d)
-    for k in _adjacent_factors(s):
-        mat = mat @ _adjacent_matrix(p, k)
-    return IrrepMatrixSym(p, mat)
+    d, size = dim_sym(p), math.factorial(p.n)
+    if size * d * d > YOUNG_TABLE_CAP:
+        raise ResourceLimitError(
+            f"young_tables of {p} needs {size * d * d} entries, above the cap {YOUNG_TABLE_CAP}"
+        )
+    images = sn_tables(p.n)[0]
+    adjacent = _adjacent_matrices(p)
+    place_values = np.array([math.factorial(p.n - 1 - i) for i in range(p.n)])
+    inversions = _lehmer_codes(images).sum(axis=1)
+    tables = np.empty((size, d, d))
+    tables[0] = np.eye(d)
+    # each permutation is its swap at its first descent j, times s_{j+1}
+    for count in range(1, int(inversions.max()) + 1):
+        idx = np.flatnonzero(inversions == count)
+        own = images[idx]
+        j = np.argmax(own[:, 1:] < own[:, :-1], axis=1)
+        parent = own.copy()
+        rows = np.arange(len(idx))
+        parent[rows, j], parent[rows, j + 1] = own[rows, j + 1], own[rows, j]
+        tables[idx] = tables[_lehmer_codes(parent) @ place_values] @ adjacent[j]
+    tables.flags.writeable = False
+    return tables

@@ -5,9 +5,12 @@ with the mode-i occupations and C_{k,k+1} is the simple raising table;
 every other C_ij with i < j follows by index gap from the commutator
 [C_{i,j-1}, C_{j-1,j}], and C_ji = C_ij^T since the GT matrices are real.
 
-The symmetric group one element at a time: all of S_n as
-:class:`~immdfun.symgroup.Permutation` objects, their permutation matrices,
-and the size of each conjugacy class.
+The symmetric group one element at a time: :class:`Permutation` objects,
+all of S_n in ``itertools.permutations`` order, their permutation matrices,
+the size of each conjugacy class, and :func:`young_matrix`, which picks one
+permutation's matrix out of :func:`~immdfun.symgroup.young_tables`.  The
+brute-force oracles build on :class:`Permutation`, whose cycle type is its
+own cycle walk, so they share no code with :func:`~immdfun.symgroup.sn_tables`.
 """
 
 import math
@@ -17,7 +20,7 @@ import numpy as np
 
 from immdfun.errors import DomainError
 from immdfun.sunrep import SUIrrepLabel, _simple_raising, occupations
-from immdfun.symgroup import Partition, Permutation
+from immdfun.symgroup import Partition, young_tables
 
 
 def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
@@ -30,6 +33,67 @@ def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
         return _simple_raising(irrep, i)
     a, b = generator_matrix(irrep, i, j - 1), generator_matrix(irrep, j - 1, j)
     return a @ b - b @ a
+
+
+class Permutation:
+    """Permutation of {1..n} in one-line notation: ``images[k-1] = sigma(k)``."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images):
+        images = tuple(int(i) for i in images)
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise DomainError(f"not a permutation of 1..{n}: {images}")
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    @classmethod
+    def identity(cls, n: int) -> "Permutation":
+        return cls(range(1, n + 1))
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    def __call__(self, k: int) -> int:
+        return self.images[k - 1]
+
+    def compose(self, other: "Permutation") -> "Permutation":
+        """(self o other)(k) = self(other(k)); ``other`` acts first."""
+        if self.n != other.n:
+            raise DomainError("cannot compose permutations of different degree")
+        return Permutation(self.images[other.images[k] - 1] for k in range(self.n))
+
+    __mul__ = compose
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * self.n
+        for k, img in enumerate(self.images, start=1):
+            inv[img - 1] = k
+        return Permutation(inv)
+
+    def cycle_type(self) -> Partition:
+        lengths, unseen = [], set(self.images)
+        while unseen:
+            k, length = unseen.pop(), 1
+            while self(k) in unseen:
+                k = self(k)
+                unseen.remove(k)
+                length += 1
+            lengths.append(length)
+        return Partition(sorted(lengths, reverse=True))
+
+    def __eq__(self, other):
+        return isinstance(other, Permutation) and self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+    def __repr__(self):
+        return f"Permutation{self.images}"
 
 
 def all_permutations(n: int) -> list[Permutation]:
@@ -57,3 +121,13 @@ def class_size(cls: Partition) -> int:
     for j, mj in counts.items():
         denom *= j**mj * math.factorial(mj)
     return math.factorial(cls.n) // denom
+
+
+def young_matrix(p: Partition, s: Permutation) -> np.ndarray:
+    """Young's orthogonal matrix of s in the irrep {p}: the row of
+    :func:`~immdfun.symgroup.young_tables` at the lexicographic rank of s."""
+    rank = 0
+    for i, img in enumerate(s.images):
+        later_smaller = sum(1 for x in s.images[i + 1 :] if x < img)
+        rank += later_smaller * math.factorial(s.n - 1 - i)
+    return young_tables(p)[rank]

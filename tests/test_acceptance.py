@@ -25,7 +25,6 @@ from immdfun.symgroup import (
     Partition,
     character,
     partitions_of,
-    young_orthogonal,
 )
 from immdfun.sunrep import SUIrrepLabel, dim_weyl, gt_array, lift, weight_blocks
 from immdfun.verification import (
@@ -38,7 +37,7 @@ from immdfun.verification import (
     plethysm_su3_suite,
 )
 
-from _generators import all_permutations, class_size, generator_matrix
+from _generators import all_permutations, class_size, generator_matrix, young_matrix
 
 P = Partition
 SEED = 1905
@@ -274,8 +273,8 @@ def test_criterion_10_structural_suites():
         perms = all_permutations(n)
         s1, s2 = perms[rng.integers(len(perms))], perms[rng.integers(len(perms))]
         for p in partitions_of(n):
-            lhs = young_orthogonal(p, s1.compose(s2)).entries
-            rhs = young_orthogonal(p, s1).entries @ young_orthogonal(p, s2).entries
+            lhs = young_matrix(p, s1.compose(s2))
+            rhs = young_matrix(p, s1) @ young_matrix(p, s2)
             if np.abs(lhs - rhs).max() >= 1e-12:
                 failures.append(f"homomorphism {p}")
 

@@ -600,3 +600,33 @@ class TestMatrixIO:
         path.write_text("[[1.0, 2.0]]")
         with pytest.raises(MatrixParseError):
             load_matrix_file(str(path))
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[[[1, 0], [0, 0]], [[0, 0]]]",
+            "[[[1, 0, 7]]]",
+            "[[[true, false]]]",
+            "[[[1" + "0" * 400 + ", 0]]]",
+        ],
+        ids=["ragged", "triple", "boolean", "overflow"],
+    )
+    def test_malformed_entries_are_parse_errors(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        with pytest.raises(MatrixParseError):
+            load_matrix_file(str(path))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["immanant", "--partition", "2"], ["dump-dfunctions", "--row", "1,0"]],
+        ids=["immanant", "dump-dfunctions"],
+    )
+    def test_ragged_file_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "ragged.json"
+        path.write_text("[[[1, 0], [0, 0]], [[0, 0]]]")
+        code, out, err = run(capsys, *argv, "--matrix-file", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "equal length" in err

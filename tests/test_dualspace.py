@@ -26,7 +26,6 @@ from immdfun.linalgimm import (
 )
 from immdfun.symgroup import (
     Partition,
-    Permutation,
     character,
     dim_sym,
     partitions_of,
@@ -41,7 +40,7 @@ from immdfun.sunrep import (
 )
 from immdfun.verification import _littlewood_reports, classify_coefficients, conjecture_scan
 
-from _generators import all_permutations, permutation_matrix
+from _generators import Permutation, all_permutations, permutation_matrix
 from _tensor import apply_tensor_power
 
 P = Partition

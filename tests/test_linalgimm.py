@@ -14,9 +14,9 @@ from immdfun.linalgimm import (
     su2_euler,
     submatrix,
 )
-from immdfun.symgroup import Partition, Permutation, character, dim_sym, partitions_of
+from immdfun.symgroup import Partition, character, dim_sym, partitions_of
 
-from _generators import permutation_matrix
+from _generators import Permutation, permutation_matrix
 
 P = Partition
 

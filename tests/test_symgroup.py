@@ -3,20 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from immdfun.errors import DomainError
+from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.symgroup import (
+    YOUNG_TABLE_CAP,
     Partition,
-    Permutation,
+    _adjacent_matrices,
     character,
     character_weights,
     dim_sym,
     partitions_of,
     sn_tables,
-    standard_tableaux,
-    young_orthogonal,
+    tableau_words,
+    young_tables,
 )
 
-from _generators import all_permutations, class_size
+import _tableaux as ref
+from _generators import Permutation, all_permutations, class_size, young_matrix
 
 P = Partition
 
@@ -78,7 +80,7 @@ class TestDims:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_counts_tableaux(self, n):
         for p in partitions_of(n):
-            assert dim_sym(p) == len(standard_tableaux(p))
+            assert dim_sym(p) == len(tableau_words(p))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sum_of_squares(self, n):
@@ -138,7 +140,7 @@ class TestCharacter:
         # floating traces of the explicit matrices are the oracle here
         for p in partitions_of(n):
             for s in all_permutations(n):
-                tr = np.trace(young_orthogonal(p, s).entries)
+                tr = np.trace(young_matrix(p, s))
                 assert abs(tr - character(p, s.cycle_type())) < 1e-10
 
 
@@ -162,12 +164,12 @@ class TestPermutation:
 class TestYoungOrthogonal:
     def test_trivial_and_sign(self):
         s = Permutation((2, 1))
-        np.testing.assert_allclose(young_orthogonal(P(2), s).entries, [[1.0]])
-        np.testing.assert_allclose(young_orthogonal(P(1, 1), s).entries, [[-1.0]])
+        np.testing.assert_allclose(young_matrix(P(2), s), [[1.0]])
+        np.testing.assert_allclose(young_matrix(P(1, 1), s), [[-1.0]])
 
     def test_orthogonality(self):
         for s in all_permutations(4):
-            g = young_orthogonal(P(2, 1, 1), s).entries
+            g = young_matrix(P(2, 1, 1), s)
             assert np.abs(g.T @ g - np.eye(3)).max() < 1e-12
 
     def test_homomorphism_random_pairs(self):
@@ -178,8 +180,8 @@ class TestYoungOrthogonal:
             s1 = perms[rng.integers(len(perms))]
             s2 = perms[rng.integers(len(perms))]
             p = partitions_of(n)[rng.integers(len(partitions_of(n)))]
-            lhs = young_orthogonal(p, s1.compose(s2)).entries
-            rhs = young_orthogonal(p, s1).entries @ young_orthogonal(p, s2).entries
+            lhs = young_matrix(p, s1.compose(s2))
+            rhs = young_matrix(p, s1) @ young_matrix(p, s2)
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_class_trace_constant(self):
@@ -187,6 +189,45 @@ class TestYoungOrthogonal:
         traces = {}
         for s in all_permutations(4):
             traces.setdefault(s.cycle_type().parts, set()).add(
-                round(float(np.trace(young_orthogonal(p, s).entries)), 9)
+                round(float(np.trace(young_matrix(p, s))), 9)
             )
         assert all(len(v) == 1 for v in traces.values())
+
+
+class TestYoungTables:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_words_and_adjacent_matrices_equal_the_reference(self, n):
+        for p in partitions_of(n):
+            tabs = ref.standard_tableaux(p)
+            assert not tableau_words(p).flags.writeable
+            assert tableau_words(p).tolist() == [ref.word(t) for t in tabs]
+            adjacent = _adjacent_matrices(p)
+            assert adjacent.shape == (n - 1, len(tabs), len(tabs))
+            for k in range(1, n):
+                assert np.array_equal(adjacent[k - 1], ref.adjacent_matrix(p, k))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tables_equal_the_reference(self, n):
+        # every permutation, in sn_tables order, against the product of its
+        # bubble-sort factors; the two multiply in different orders
+        perms = all_permutations(n)
+        assert [list(s.images) for s in perms] == (sn_tables(n)[0] + 1).tolist()
+        for p in partitions_of(n):
+            tables = young_tables(p)
+            assert not tables.flags.writeable
+            assert tables.shape == (len(perms),) + (dim_sym(p),) * 2
+            for table, s in zip(tables, perms):
+                assert np.abs(table - ref.young_orthogonal(p, s)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_traces_are_characters(self, n):
+        for p in partitions_of(n):
+            traces = np.trace(young_tables(p), axis1=1, axis2=2)
+            assert np.abs(traces - character_weights(p)).max() < 1e-12
+
+    def test_cap_refuses_large_tables(self):
+        p = P(4, 2, 1, 1)
+        assert math.factorial(8) * dim_sym(p) ** 2 > YOUNG_TABLE_CAP
+        with pytest.raises(ResourceLimitError):
+            young_tables(p)
+        assert young_tables(P(8)).shape == (math.factorial(8), 1, 1)
