@@ -10,6 +10,7 @@ from .errors import (
 from .linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
+    haar_random_unitaries,
     haar_random_unitary,
     immanant,
     permanent_ryser,
@@ -48,6 +49,7 @@ __all__ = [
     "dim_sym",
     "dim_weyl",
     "gt_array",
+    "haar_random_unitaries",
     "haar_random_unitary",
     "immanant",
     "lift",

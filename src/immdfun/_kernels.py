@@ -37,22 +37,40 @@ def imm_sum(mat, perms, weights):
 # ---------------------------------------------------------------------------
 
 
-def ryser_permanent(mat):
-    """Permanent via Ryser's inclusion-exclusion, subsets in binary order."""
-    mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    n = mat.shape[0]
-    total = 0.0 + 0.0j
+def ryser_permanent_batch(mats):
+    """Permanents of a stack of complex square matrices via Ryser's
+    inclusion-exclusion, column subsets in binary order.
+
+    ``mats`` is (S, n, n); returns the (S,) complex permanents.  The subsets
+    run in blocks of B = 2^min(n, 16), and each block's row sums are formed
+    for 2^16 / B matrices at a time (at least one), so the scratch memory
+    does not grow with S.  The products run over one (S' * B, n) array and
+    each block sum is its own dot product, so every slice equals
+    :func:`ryser_permanent` of that matrix bit for bit.
+    """
+    mats = np.ascontiguousarray(mats, dtype=np.complex128)
+    n = mats.shape[-1]
+    totals = np.zeros(len(mats), dtype=np.complex128)
     chunk = 1 << min(n, 16)
+    per = max(1, (1 << 16) // chunk)
     subsets = np.arange(1, 1 << n, dtype=np.int64)
     for start in range(0, subsets.size, chunk):
         block = subsets[start : start + chunk]
         masks = ((block[:, None] >> np.arange(n)) & 1).astype(np.float64)
-        rowsums = masks @ mat.T
         signs = np.where(masks.sum(axis=1).astype(np.int64) % 2 == 0, 1.0, -1.0)
-        total += np.dot(signs, np.prod(rowsums, axis=1))
-    if n % 2:
-        total = -total
-    return complex(total)
+        for first in range(0, len(mats), per):
+            group = mats[first : first + per]
+            rowsums = masks @ group.transpose(0, 2, 1)
+            prods = np.prod(rowsums.reshape(-1, n), axis=1).reshape(len(group), -1)
+            for s, row in enumerate(prods, first):
+                totals[s] += np.dot(signs, row)
+    return -totals if n % 2 else totals
 
 
-__all__ = ["imm_sum", "imm_sum_batch", "ryser_permanent"]
+def ryser_permanent(mat):
+    """Permanent of one complex square matrix: the one-slice case of
+    :func:`ryser_permanent_batch`."""
+    return complex(ryser_permanent_batch(np.asarray(mat)[None])[0])
+
+
+__all__ = ["imm_sum", "imm_sum_batch", "ryser_permanent", "ryser_permanent_batch"]

@@ -23,6 +23,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .linalgimm import (
     DEFAULT_SEED,
     SubmatrixSelector,
     UnitaryElement,
+    check_immanant_side,
     haar_random_unitary,
     immanant,
     su2_euler,
@@ -95,8 +98,16 @@ def load_matrix_file(path: str) -> np.ndarray:
     return mat
 
 
-def _resolve_element(args) -> np.ndarray:
-    """Matrix from --matrix-file / --euler / --identity / --haar."""
+def _matrix_source(args) -> tuple[int | None, Callable[[], np.ndarray]]:
+    """Check the matrix source flags (exactly one of --matrix-file, --euler,
+    --identity, --haar), and return the side that --identity or --haar
+    names (None for the others) with a function that returns the matrix.
+
+    A file is read and an Euler matrix built at once, and the function
+    returns them; an identity or a Haar sample, whose side is the user's,
+    is built only when the function is called, so that a command can
+    refuse that side first.
+    """
     sources = [
         args.matrix_file is not None,
         args.euler is not None,
@@ -108,17 +119,21 @@ def _resolve_element(args) -> np.ndarray:
             "supply exactly one of --matrix-file, --euler, --identity, --haar"
         )
     if args.matrix_file is not None:
-        return load_matrix_file(args.matrix_file)
+        mat = load_matrix_file(args.matrix_file)
+        return None, lambda: mat
     if args.euler is not None:
         angles = _parse_floats(args.euler)
         if len(angles) != 3:
             raise DomainError("--euler needs three comma-separated angles")
-        return su2_euler(*angles).matrix
+        mat = su2_euler(*angles).matrix
+        return None, lambda: mat
     if args.identity is not None:
         if args.identity < 1:
             raise DomainError(f"--identity must be >= 1, got {args.identity}")
-        return np.eye(args.identity, dtype=np.complex128)
-    return haar_random_unitary(args.haar, args.seed).matrix
+        return args.identity, lambda: np.eye(args.identity, dtype=np.complex128)
+    if args.haar < 2:
+        raise DomainError(f"--haar must be >= 2, got {args.haar}")
+    return args.haar, lambda: haar_random_unitary(args.haar, args.seed).matrix
 
 
 def _json(obj) -> str:
@@ -168,16 +183,16 @@ def _discard_stdout() -> None:
 
 def cmd_immanant(args) -> int:
     partition = Partition(_parse_ints(args.partition))
-    mat = _resolve_element(args)
+    side, build = _matrix_source(args)
     rows = _parse_ints(args.rows) if args.rows else None
     cols = _parse_ints(args.cols) if args.cols else None
     if (rows is None) != (cols is None):
         raise DomainError("--rows and --cols must be supplied together")
-    target = mat
-    selector = None
-    if rows is not None:
-        selector = SubmatrixSelector(rows, cols)
-        target = submatrix(mat, selector)
+    selector = None if rows is None else SubmatrixSelector(rows, cols)
+    if side is not None:
+        check_immanant_side(partition, side, selector)
+    mat = build()
+    target = mat if selector is None else submatrix(mat, selector)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as one error below
         value = immanant(partition, target)
     if not cmath.isfinite(value):
@@ -258,9 +273,12 @@ def cmd_dump_dfunctions(args) -> int:
         irrep = SUIrrepLabel.from_partition(Partition(_parse_ints(args.partition)), args.m)
     else:
         raise DomainError("supply either --row or both --partition and --m")
-    mat = _resolve_element(args)
-    if mat.shape[0] != irrep.m:
-        raise DomainError(f"matrix side {mat.shape[0]} != m = {irrep.m}")
+    side, build = _matrix_source(args)
+    if side is None:  # a file or an Euler matrix: already built
+        side = build().shape[0]
+    if side != irrep.m:
+        raise DomainError(f"matrix side {side} != m = {irrep.m}")
+    mat = build()
     lifted = lift(irrep, UnitaryElement.from_matrix(mat, tol=args.tol))
     # One JSON record per (r, t): {"irrep": row, "r": tag, "t": tag, "value": [re, im]},
     # written from tags encoded once; repr of a finite float is its JSON form.
@@ -291,7 +309,9 @@ def _check_shared_flags(args) -> None:
         raise DomainError("samples must be >= 1")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="immdfun",
         description="Immanants of unitary matrices and submatrices as sums of "

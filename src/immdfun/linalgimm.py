@@ -33,9 +33,39 @@ def as_square(mat) -> np.ndarray:
     return arr
 
 
+def _as_stack(mats) -> np.ndarray:
+    """``mats`` as an (S, n, n) complex128 array, refusing any other shape
+    and any non-finite entry."""
+    arr = np.asarray(mats, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise DomainError(f"expected a stack of square matrices, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("matrix entries must be finite")
+    return arr
+
+
+def _check_special_unitary(mats: np.ndarray, tol: float) -> None:
+    """Refuse the first matrix of the (S, m, m) stack ``mats`` that is not
+    unitary, or not of determinant 1, within ``tol`` (a NaN defect fails)."""
+    m = mats.shape[-1]
+    gram = mats.conj().transpose(0, 2, 1) @ mats
+    defects = np.abs(gram - np.eye(m)).max(axis=(1, 2), initial=0.0)
+    for defect, det in zip(defects.tolist(), np.linalg.det(mats).tolist()):
+        if not defect < tol:
+            raise DomainError(f"matrix is not unitary: max |U^H U - 1| = {defect:.3e}")
+        if not abs(det - 1.0) < tol:
+            raise DomainError(
+                f"matrix is not special-unitary: |det - 1| = {abs(det - 1.0):.3e}"
+            )
+
+
 @dataclass(frozen=True)
 class UnitaryElement:
-    """Square matrix that is special-unitary within ``unitarity_tol``."""
+    """Square matrix that is special-unitary within ``unitarity_tol``.
+
+    The matrix is a read-only copy, refused on construction by the same
+    stacked check that :meth:`from_matrices` runs once over a whole stack.
+    """
 
     matrix: np.ndarray
     unitarity_tol: float = 1e-10
@@ -44,31 +74,39 @@ class UnitaryElement:
         mat = as_square(self.matrix).copy()
         mat.flags.writeable = False  # the cached factors below must stay valid
         object.__setattr__(self, "matrix", mat)
-        m = mat.shape[0]
-        defect = np.abs(mat.conj().T @ mat - np.eye(m)).max()
-        if defect >= self.unitarity_tol:
-            raise DomainError(f"matrix is not unitary: max |U^H U - 1| = {defect:.3e}")
-        det = np.linalg.det(mat)
-        if abs(det - 1.0) >= self.unitarity_tol:
-            raise DomainError(
-                f"matrix is not special-unitary: |det - 1| = {abs(det - 1.0):.3e}"
-            )
+        _check_special_unitary(mat[None], self.unitarity_tol)
 
     @classmethod
-    def from_matrix(cls, mat, tol: float = 1e-10):
-        """Wrap a unitary matrix, fixing a global phase so that det = 1.
+    def from_matrices(cls, mats, tol: float = 1e-10) -> list[UnitaryElement]:
+        """Wrap each unitary matrix of an (S, m, m) stack, fixing a global
+        phase so that det = 1.
 
-        Inputs with |det| = 1 but det != 1 are multiplied by e^{-i phi/m},
-        where phi is the phase of det.
+        A matrix with |det| = 1 but det != 1 is multiplied by e^{-i phi/m},
+        where phi is the phase of det (``cmath.phase``, slice by slice).  The
+        fixed stack is checked once and made read-only, and its slices are
+        wrapped without a second check.
         """
-        mat = as_square(mat)
-        m = mat.shape[0]
-        det = np.linalg.det(mat)
-        if abs(det - 1.0) >= tol:
-            if abs(abs(det) - 1.0) >= tol:
-                raise DomainError(f"det = {det:.6g} cannot be phase-normalized to 1")
-            mat = mat * cmath.exp(-1j * cmath.phase(det) / m)
-        return cls(mat, unitarity_tol=tol)
+        mats = _as_stack(mats).copy()
+        m = mats.shape[-1]
+        for s, det in enumerate(np.linalg.det(mats).tolist()):
+            if abs(det - 1.0) >= tol:
+                if abs(abs(det) - 1.0) >= tol:
+                    raise DomainError(f"det = {det:.6g} cannot be phase-normalized to 1")
+                mats[s] = mats[s] * cmath.exp(-1j * cmath.phase(det) / m)
+        _check_special_unitary(mats, tol)
+        mats.flags.writeable = False
+        elements = []
+        for mat in mats:  # already copied and checked: bypass __post_init__
+            element = object.__new__(cls)
+            object.__setattr__(element, "matrix", mat)
+            object.__setattr__(element, "unitarity_tol", tol)
+            elements.append(element)
+        return elements
+
+    @classmethod
+    def from_matrix(cls, mat, tol: float = 1e-10) -> UnitaryElement:
+        """The one-matrix case of :meth:`from_matrices`."""
+        return cls.from_matrices(as_square(mat)[None], tol)[0]
 
     @property
     def m(self) -> int:
@@ -121,20 +159,35 @@ def _givens_factors(umat: np.ndarray) -> tuple[list[tuple[int, float]], np.ndarr
     return rotations, np.array(phases).T
 
 
-def haar_random_unitary(m: int, seed: int) -> UnitaryElement:
-    """Haar sample of U(m) via QR of a complex Gaussian, pushed to det = 1.
+def haar_random_unitaries(m: int, seeds) -> list[UnitaryElement]:
+    """Haar samples of SU(m), one per seed: QR of a complex Gaussian with
+    the phases of R's diagonal moved into Q (Mezzadri, Notices AMS 54
+    (2007)), then pushed to det = 1.
 
-    Deterministic for a fixed seed.
+    Each seed draws its Gaussian from its own ``default_rng(seed)``; the QR,
+    the determinants and the special-unitary check each run once over the
+    (S, m, m) stack, and slice s equals ``haar_random_unitary(m, seeds[s])``
+    bit for bit.  Every seed is checked before any is drawn.
     """
     if m < 2:
         raise DomainError("haar_random_unitary requires m >= 2")
-    if seed < 0:
-        raise DomainError(f"haar_random_unitary requires a seed >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
+    seeds = list(seeds)
+    for seed in seeds:
+        if seed < 0:
+            raise DomainError(f"haar_random_unitary requires a seed >= 0, got {seed}")
+    z = np.empty((len(seeds), m, m), dtype=np.complex128)
+    for s, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[s] = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return UnitaryElement.from_matrix(q * (d / np.abs(d)), tol=1e-12)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return UnitaryElement.from_matrices(q * (d / np.abs(d))[:, None, :], tol=1e-12)
+
+
+def haar_random_unitary(m: int, seed: int) -> UnitaryElement:
+    """Haar sample of SU(m), deterministic for a fixed seed: the one-seed
+    slice of :func:`haar_random_unitaries`."""
+    return haar_random_unitaries(m, [seed])[0]
 
 
 def su2_euler(alpha: float, beta: float, gamma: float) -> UnitaryElement:
@@ -175,24 +228,38 @@ class SubmatrixSelector:
         return len(self.rows)
 
 
+def _check_range(sel: SubmatrixSelector, m: int) -> None:
+    if max(sel.rows + sel.cols) > m:
+        raise DomainError(f"selector {sel} out of range for a {m}x{m} matrix")
+
+
 def submatrix(mat, sel: SubmatrixSelector) -> np.ndarray:
     """p x p matrix of entries ``mat[rows[i], cols[j]]`` in selector order."""
     arr = as_square(mat)
-    m = arr.shape[0]
-    if max(sel.rows + sel.cols) > m:
-        raise DomainError(f"selector {sel} out of range for a {m}x{m} matrix")
+    _check_range(sel, arr.shape[0])
     return arr[np.ix_([r - 1 for r in sel.rows], [c - 1 for c in sel.cols])]
+
+
+def check_immanant_side(p: Partition, side: int, sel: SubmatrixSelector | None = None) -> None:
+    """Refuse, before any matrix is built, what Imm^{p} of a ``side`` x
+    ``side`` matrix (of its ``sel`` submatrix, if given) would refuse: a
+    selector out of range, a partition of another size, and a side above
+    ``IMMANANT_CAP``."""
+    if sel is not None:
+        _check_range(sel, side)
+        side = sel.size
+    if p.n != side:
+        raise DomainError(f"partition {p} is not a partition of the matrix side {side}")
+    if side > IMMANANT_CAP:
+        raise ResourceLimitError(
+            f"definitional immanant capped at n = {IMMANANT_CAP} (requested n = {side})"
+        )
 
 
 def _sum_tables(p: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     """S_n permutations and the character weights of ``p``, once the matrix
     side ``n`` is checked against ``p`` and ``IMMANANT_CAP``."""
-    if p.n != n:
-        raise DomainError(f"partition {p} is not a partition of the matrix side {n}")
-    if n > IMMANANT_CAP:
-        raise ResourceLimitError(
-            f"definitional immanant capped at n = {IMMANANT_CAP} (requested n = {n})"
-        )
+    check_immanant_side(p, n)
     perms, _, _ = sn_tables(n)
     return perms, character_weights(p)
 
@@ -218,12 +285,18 @@ def immanant(p: Partition, mat) -> complex:
 def immanant_batch(p: Partition, mats) -> np.ndarray:
     """Imm^{p} of every matrix of an (S, n, n) stack, as an (S,) complex
     array whose slice s equals ``immanant(p, mats[s])`` bit for bit."""
-    arr = np.asarray(mats, dtype=np.complex128)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DomainError(f"expected a stack of square matrices, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("matrix entries must be finite")
+    arr = _as_stack(mats)
     return _kernels.imm_sum_batch(arr, *_sum_tables(p, arr.shape[-1]))
+
+
+def permanent_ryser_batch(mats) -> np.ndarray:
+    """Permanent of every matrix of an (S, n, n) stack via Ryser
+    inclusion-exclusion over column subsets, as an (S,) complex array whose
+    slice s equals ``permanent_ryser(mats[s])`` bit for bit."""
+    arr = _as_stack(mats)
+    if arr.shape[-1] > RYSER_CAP:
+        raise ResourceLimitError(f"Ryser permanent capped at n = {RYSER_CAP}")
+    return _kernels.ryser_permanent_batch(arr)
 
 
 def permanent_ryser(mat) -> complex:

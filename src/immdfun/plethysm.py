@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .linalgimm import DEFAULT_SEED, haar_random_unitary, immanant_batch, permanent_ryser
+from .linalgimm import DEFAULT_SEED, haar_random_unitaries, immanant_batch, permanent_ryser_batch
 from .symgroup import Partition
 from .sunrep import SUIrrepLabel, chain_labels, dim_weyl, lift_batch, occupations, weight_blocks
 
@@ -128,7 +128,7 @@ def _target_values(problem: PlethysmProblem, lifted: np.ndarray) -> np.ndarray:
     """The immanant of each lifted matrix of an (S, d, d) stack."""
     p = problem.partition
     if len(p) == 1:  # permanent: Ryser is exact and much faster than the n! sum
-        return np.array([permanent_ryser(mat) for mat in lifted], dtype=np.complex128)
+        return permanent_ryser_batch(lifted)
     return immanant_batch(p, lifted)
 
 
@@ -154,7 +154,7 @@ def fit_decomposition(
 
     # One row per Haar sample.  Each candidate irrep is lifted once for all
     # samples, at only the columns t its candidates read.
-    omegas = [haar_random_unitary(m, seed + i) for i in range(prelim_samples)]
+    omegas = haar_random_unitaries(m, range(seed, seed + prelim_samples))
     y0 = _target_values(problem, lift_batch(problem.base_irrep, omegas))
     X0 = np.empty((prelim_samples, len(cands)), dtype=np.complex128)
     for ir in sorted({c.irrep for c in cands}, key=lambda ir: ir.row):

@@ -327,6 +327,17 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ flat).view(np.complex128).reshape(z.shape)
 
 
+def _phase_lifts(occ: np.ndarray, angles) -> np.ndarray:
+    """The diagonals e^{i n.phi} of the lifted phases of S elements, as a
+    C-ordered (d, S, L+1) array, from their (m, L+1) phase-angle arrays:
+    one ``occ @`` the (S, m, L+1) stack and one ``exp``.  Each stacked slice
+    keeps the F order of :func:`_givens_factors`' angles (at d = 1 a C-ordered
+    product rounds differently), so slice s equals
+    ``np.exp(1j * (occ @ angles[s]))`` bit for bit."""
+    stack = np.array([a.T for a in angles]).transpose(0, 2, 1)
+    return np.ascontiguousarray(np.exp(1j * (occ @ stack)).transpose(1, 0, 2))
+
+
 def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     """Columns ``cols`` (distinct basis positions; all of them for None) of
     the matrices of ``elements`` in the irrep: an (S, d, len(cols)) array,
@@ -339,8 +350,10 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     diag(e^{i n.phi}) with the integer occupations n, and a rotation through
     a cached real eigenbasis of its generator.  Elements with the same
     rotation sequence share one (d, S * len(cols)) product per rotation,
-    S elements at a time within :data:`LIFT_BATCH_ENTRIES`.  No logarithm
-    is taken, so eigenvalues at -1 lift exactly.
+    S elements at a time within :data:`LIFT_BATCH_ENTRIES`, and each such
+    chunk lifts all its phases with one stacked product and one ``exp``
+    (:func:`_phase_lifts`).  No logarithm is taken, so eigenvalues at -1
+    lift exactly.
     Each column costs O(d^2).  Columns, elements and the dimension cap are
     checked before any product.
     """
@@ -379,9 +392,7 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     ]
     for ks, members in batches:
         # x is (d, S, c): the columns of the chunk's S elements side by side
-        phases = np.empty((d, len(members), len(ks) + 1), dtype=np.complex128)
-        for j, s in enumerate(members):
-            phases[:, j] = np.exp(1j * (occ @ factors[s][1]))
+        phases = _phase_lifts(occ, [factors[s][1] for s in members])
         thetas = np.array([[theta for _, theta in factors[s][0]] for s in members])
         x = None  # the unit columns idx times the last phase, until a rotation mixes them
         for i in range(len(ks) - 1, -1, -1):

@@ -23,7 +23,7 @@ from .dualspace import (
     state_weight,
 )
 from .errors import DomainError
-from .linalgimm import DEFAULT_SEED, haar_random_unitary, immanant_batch
+from .linalgimm import DEFAULT_SEED, haar_random_unitaries, immanant_batch
 from .plethysm import (
     DecompositionResult,
     fit_decomposition,
@@ -107,7 +107,7 @@ def kostant_suite(
     reports = []
     for m in m_values:
         full = tuple(range(1, m + 1))
-        elements = [haar_random_unitary(m, seed + i) for i in range(samples)]
+        elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
         for p in partitions_of(m):
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
@@ -139,7 +139,7 @@ def corollary4_suite(
     weight subspace, for every principal selector and partition."""
     reports = []
     for m in m_values:
-        elements = [haar_random_unitary(m, seed + i) for i in range(samples)]
+        elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
         for size in sizes:
             if size >= m:
@@ -242,8 +242,8 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
 def littlewood_suite(
     samples: int = 100, seed: int = DEFAULT_SEED, tol: float = 1e-9
 ) -> list[VerificationReport]:
-    elements = [haar_random_unitary(4, seed + i) for i in range(samples)]
-    return _littlewood_reports(elements, [seed + i for i in range(samples)], tol)
+    seeds = range(seed, seed + samples)
+    return _littlewood_reports(haar_random_unitaries(4, seeds), seeds, tol)
 
 
 def classify_coefficients(cm: CoefficientMatrix, tol: float = 1e-8) -> dict:
@@ -301,7 +301,7 @@ def conjecture_scan(
     reports = []
     expected_units = dim_sym(p)
     tags = chain_labels(label)
-    samples = [haar_random_unitary(m, seed + 1000 * i) for i in range(check_samples)]
+    samples = haar_random_unitaries(m, range(seed, seed + 1000 * check_samples, 1000))
     mats = _matrices(samples, m)
     # the union of the coefficient matrices' col_index, lifted before any is built
     cols = _block_columns(label, {q for _, q in selectors})

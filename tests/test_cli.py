@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import immdfun
-from immdfun import dualspace, plethysm, verification
+from immdfun import cli, dualspace, plethysm, verification
 from immdfun.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
 from immdfun.errors import MatrixParseError
 from immdfun.symgroup import Partition
@@ -551,6 +551,8 @@ class TestRejectedFlags:
                 ("dump-dfunctions", "--partition", "3", "--identity", "3"),
                 "supply either --row or both --partition and --m",
             ),
+            (("immanant", "--partition", "1", "--haar", "1"), "--haar must be >= 2, got 1"),
+            (("dump-dfunctions", "--row", "1,0", "--haar", "0"), "--haar must be >= 2, got 0"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
@@ -566,6 +568,87 @@ class TestRejectedFlags:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not path.exists()
+
+
+class TestSideRefusedBeforeBuilding:
+    """A side named by --haar or --identity that the command cannot use is
+    refused before the matrix is drawn or allocated, with the message a
+    built matrix of that side gets."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("dump-dfunctions", "--row", "2,1,0", "--haar", "1500"), "matrix side 1500 != m = 3"),
+            (("dump-dfunctions", "--row", "2,1,0", "--identity", "1500"), "matrix side 1500 != m = 3"),
+            (
+                ("immanant", "--partition", "2", "--identity", "8000"),
+                "partition {2} is not a partition of the matrix side 8000",
+            ),
+            (
+                ("immanant", "--partition", "2", "--haar", "8000"),
+                "partition {2} is not a partition of the matrix side 8000",
+            ),
+            (
+                ("immanant", "--partition", "2", "--haar", "5", "--rows", "1,6", "--cols", "1,2"),
+                "selector SubmatrixSelector(rows=(1, 6), cols=(1, 2)) out of range for a 5x5 matrix",
+            ),
+            (
+                ("immanant", "--partition", "2,1", "--identity", "9000", "--rows", "1,2",
+                 "--cols", "1,2"),
+                "partition {2,1} is not a partition of the matrix side 2",
+            ),
+        ],
+    )
+    def test_mismatch_builds_nothing(self, capsys, monkeypatch, argv, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the matrix was built before the refusal")
+
+        monkeypatch.setattr(cli, "haar_random_unitary", forbidden)
+        monkeypatch.setattr(cli.np, "eye", forbidden)
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_cap_builds_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.np, "eye", lambda *args, **kwargs: 1 / 0)
+        code, out, err = run(capsys, "immanant", "--partition", "12", "--identity", "12")
+        assert (code, out) == (EXIT_RESOURCE, "") and "capped" in err
+
+    @pytest.mark.parametrize(
+        "argv, side, message",
+        [
+            (("dump-dfunctions", "--row", "2,1,0"), 4, "matrix side 4 != m = 3"),
+            (("immanant", "--partition", "2"), 3, "partition {2} is not a partition of the matrix side 3"),
+            (
+                ("immanant", "--partition", "2", "--rows", "1,6", "--cols", "1,2"),
+                5,
+                "selector SubmatrixSelector(rows=(1, 6), cols=(1, 2)) out of range for a 5x5 matrix",
+            ),
+        ],
+    )
+    def test_a_built_matrix_gets_the_same_message(self, capsys, tmp_path, argv, side, message):
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps([[[float(i == j), 0.0] for j in range(side)] for i in range(side)]))
+        got = run(capsys, *argv, "--matrix-file", str(path))
+        assert got == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+class TestOneParserPerProcess:
+    def test_commands_in_one_process_match_separate_processes(self, capsys):
+        argvs = [
+            ("immanant", "--partition", "2,1", "--haar", "3", "--check-duality"),
+            ("verify", "kostant", "--m", "2", "--samples", "2"),
+            ("dump-dfunctions", "--row", "2,1,0", "--identity", "4"),
+            ("immanant", "--partition", "2", "--identity", "2", "--format", "pretty"),
+        ]
+        cli.build_parser.cache_clear()
+        together = [run(capsys, *argv) for argv in argvs]
+        assert cli.build_parser.cache_info().misses == 1
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(immdfun.__file__)))
+        for argv, got in zip(argvs, together):
+            proc = subprocess.run(
+                [sys.executable, "-m", "immdfun.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert got == (proc.returncode, proc.stdout, proc.stderr)
+        assert [code for code, _, _ in together] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
 
 
 class TestMinusOneEigenvalues:

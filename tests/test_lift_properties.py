@@ -23,12 +23,14 @@ from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
     _givens_factors,
+    haar_random_unitaries,
     haar_random_unitary,
     immanant,
     submatrix,
 )
 from immdfun.sunrep import (
     SUIrrepLabel,
+    _phase_lifts,
     _rotation_tables,
     dim_weyl,
     lift,
@@ -242,6 +244,34 @@ def test_batch_slices_are_single_lifts(irrep, seed, data):
         assert np.abs(lifted - lift(irrep, u, cols)).max() <= 1e-15
     # exact inputs stay exact: the identity lifts to unit columns
     assert np.array_equal(got[2], np.eye(d)[:, slice(None) if cols is None else cols])
+
+
+@pytest.mark.parametrize("row", [(1, 1, 1, 1), (1, 0, 0), (2, 1, 0), (4, 2, 1, 0), (3, 1, 1, 0, 0)])
+def test_stacked_phases_are_single_phases(row):
+    # d = 1 included: there a C-ordered stack of angles would round differently
+    irrep = SUIrrepLabel(len(row), row)
+    occ, _ = _rotation_tables(irrep)
+    angles = [u.givens_factors[1] for u in haar_random_unitaries(irrep.m, range(40, 52))]
+    stacked = _phase_lifts(occ, angles)
+    rotations = irrep.m * (irrep.m - 1) // 2  # Haar samples null every lower entry
+    assert stacked.shape == (dim_weyl(irrep), len(angles), rotations + 1)
+    assert stacked.flags.c_contiguous
+    for s, a in enumerate(angles):
+        assert np.array_equal(stacked[:, s], np.exp(1j * (occ @ a)))
+        assert np.array_equal(stacked[:, s], _phase_lifts(occ, [a])[:, 0])
+
+
+@pytest.mark.parametrize("row", [(1, 1, 1, 1), (2, 1, 0), (4, 2, 1, 0)])
+def test_batch_of_phases_is_single_lifts(row):
+    # diagonal elements have no rotation: their lifts are the stacked phases alone
+    irrep, rng = SUIrrepLabel(len(row), row), np.random.default_rng(3)
+    batch = []
+    for _ in range(6):
+        angles = rng.uniform(-np.pi, np.pi, irrep.m)
+        batch.append(UnitaryElement(np.diag(np.exp(1j * (angles - angles.mean())))))
+    got = lift_batch(irrep, batch)
+    for lifted, u in zip(got, batch):
+        assert np.array_equal(lifted, lift(irrep, u))
 
 
 @pytest.mark.parametrize("entries", [1, 150])

@@ -4,13 +4,16 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from immdfun import _kernels
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
+    haar_random_unitaries,
     haar_random_unitary,
     immanant,
     permanent_ryser,
+    permanent_ryser_batch,
     su2_euler,
     submatrix,
 )
@@ -116,6 +119,24 @@ class TestPermanentDeterminant:
         u = haar_random_unitary(5, 2)
         assert abs(abs(np.linalg.det(u.matrix)) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("n,count", [(1, 1), (3, 5), (6, 7), (17, 2)])
+    def test_batch_slices_are_single_permanents(self, n, count):
+        # n = 17 runs the subsets in two blocks, one matrix at a time
+        rng = np.random.default_rng(n)
+        mats = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        kernel, checked = _kernels.ryser_permanent_batch(mats), permanent_ryser_batch(mats)
+        assert kernel.shape == (count,) and np.array_equal(kernel, checked)
+        for s in range(count):
+            assert kernel[s] == _kernels.ryser_permanent(mats[s]) == permanent_ryser(mats[s])
+
+    def test_batch_refusals(self):
+        with pytest.raises(ResourceLimitError, match="capped"):
+            permanent_ryser_batch(np.zeros((1, 25, 25)))
+        with pytest.raises(DomainError, match="stack of square"):
+            permanent_ryser_batch(np.ones((2, 3)))
+        with pytest.raises(DomainError, match="finite"):
+            permanent_ryser_batch(np.full((1, 2, 2), np.nan))
+
     def test_nonsquare(self):
         with pytest.raises(DomainError):
             permanent_ryser(np.ones((2, 3)))
@@ -161,6 +182,47 @@ class TestUnitaryElement:
     def test_haar_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed >= 0, got -1"):
             haar_random_unitary(3, -1)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_stacked_draws_are_single_draws(self, m):
+        for seeds in ([7], list(range(1905, 1930)), [5, 0, 5, 10**6]):
+            stack = haar_random_unitaries(m, seeds)
+            assert len(stack) == len(seeds)
+            for element, seed in zip(stack, seeds):
+                assert np.array_equal(element.matrix, haar_random_unitary(m, seed).matrix)
+                assert not element.matrix.flags.writeable
+        assert haar_random_unitaries(m, []) == []
+
+    def test_negative_seed_in_a_stack_is_refused_before_any_draw(self, monkeypatch):
+        def forbidden(seed):
+            raise AssertionError("a seed was drawn before the refusal")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        for seeds in ([-1, 2, 3], [2, 3, -4]):
+            with pytest.raises(DomainError, match="seed >= 0"):
+                haar_random_unitaries(3, seeds)
+
+    def test_one_bad_slice_refuses_the_stack(self):
+        good = haar_random_unitary(3, 1).matrix
+        shear = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)  # det 1
+        with pytest.raises(DomainError, match="not unitary"):
+            UnitaryElement.from_matrices([good, good, shear])
+        with pytest.raises(DomainError, match="cannot be phase-normalized"):
+            UnitaryElement.from_matrices([good, 2 * good])
+        with pytest.raises(DomainError, match="stack of square"):
+            UnitaryElement.from_matrices(good)
+
+    def test_stack_is_phase_fixed_slice_by_slice(self):
+        mats = np.array([haar_random_unitary(3, s).matrix for s in range(4)])
+        mats[1] *= np.exp(0.4j)
+        mats[3] *= np.exp(-2.0j)
+        stack = UnitaryElement.from_matrices(mats)
+        for mat, element in zip(mats, stack):
+            single = UnitaryElement.from_matrix(mat)
+            assert np.array_equal(element.matrix, single.matrix)
+            assert element.unitarity_tol == single.unitarity_tol
+        mats[0] = 0.0  # the stack holds a copy
+        assert np.array_equal(stack[0].matrix, haar_random_unitary(3, 0).matrix)
 
     def test_haar_unitarity(self):
         u = haar_random_unitary(4, 9).matrix
