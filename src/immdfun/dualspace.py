@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .linalgimm import IMMANANT_CAP, UnitaryElement, as_square
 from .symgroup import Partition, character_weights, dim_sym, sn_tables
-from .sunrep import SUIrrepLabel, WeightVector, _simple_raising, occupations, weight_blocks
+from .sunrep import SUIrrepLabel, WeightVector, occupations, raising_tables, weight_blocks
 
 TENSOR_SIZE_CAP = 10**6
 
@@ -156,6 +156,7 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
         return ()
     label = SUIrrepLabel(m, row)
     occ = occupations(label)
+    raising = raising_tables([label])[0]
     # highest-weight vectors: common null space of the simple raisings
     # (C_{i,i+1} moves an excitation from mode i+1 to mode i)
     stacked = [_block_hop(m, factors, row, i + 1, i) for i in range(1, m) if row[i] != 0]
@@ -187,7 +188,13 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
                 if upper is None:
                     continue
                 hop = _block_hop(m, factors, tuple(occ_up), i, i + 1)  # C_{i+1,i}
-                for r, arow in zip(upper, _simple_raising(label, i)[np.ix_(upper, idx)]):
+                # C_{i,i+1} from this block's patterns, which it raises into upper
+                src, dst, amp = raising[i - 1]
+                at = np.minimum(np.searchsorted(idx, src), len(idx) - 1)
+                hit = idx[at] == src
+                raise_block = np.zeros((len(upper), len(idx)))
+                raise_block[np.searchsorted(upper, dst[hit]), at[hit]] = amp[hit]
+                for r, arow in zip(upper, raise_block):
                     if arow.any():
                         arows.append(arow)
                         brows.append(hop @ table[r])
@@ -258,27 +265,39 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     )
 
 
-def immanant_via_duality_batch(m: int, p: Partition, k, q, mats) -> np.ndarray:
-    """<Phi_k| U^(xN) Pi^{p} |Phi_q> for every U of an (S, m, m) stack, as
-    an (S,) complex array, from one projector.
+def immanant_via_duality_stack(m: int, p: Partition, pairs, mats) -> np.ndarray:
+    """<Phi_k| U^(xN) Pi^{p} |Phi_q> for every selector pair (k, q) of
+    ``pairs`` and every U of an (S, m, m) stack, as a (K, S) complex array,
+    from one contraction.
 
     <Phi_k| U^(xN) is the product of the rows U[k_t], so N vector-tensor
-    products with those rows, one factor each and all S matrices at once,
-    reduce the m^N projector amplitudes to S numbers in O(S m^N).  Equals
-    the character-sum immanant of each (k, q) submatrix; the code path
-    shares nothing with that evaluation, which makes it the master
+    products with those rows, one factor each and all pairs and matrices at
+    once, reduce the m^N projector amplitudes of each q to S numbers in
+    O(K S m^N).  Each product keeps the (1, m) @ (m, m^j) shape and strides
+    of a single pair's, so row j equals the one-pair call bit for bit.
+    Equals the character-sum immanant of each (k, q) submatrix; the code
+    path shares nothing with that evaluation, which makes it the master
     cross-check.  Distinct selectors give N <= m, and the caps of
-    :func:`immanant_projector` bound the amplitude array.
+    :func:`immanant_projector` bound the amplitude arrays.
     """
-    k, q = _check_pair(m, p, k, q)
+    pairs = [_check_pair(m, p, k, q) for k, q in pairs]
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim != 3 or mats.shape[1:] != (m, m):
         raise DomainError("element size does not match m")
-    amps = immanant_projector(p, m, q)
-    out = np.broadcast_to(amps, (len(mats), amps.size))
-    for row in k:  # the first factor is the most significant axis
-        out = (mats[:, row - 1, None, :] @ out.reshape(len(mats), m, out.shape[1] // m))[:, 0]
-    return out[:, 0]
+    amps = np.array([immanant_projector(p, m, q) for _, q in pairs])
+    rows = np.array([k for k, _ in pairs]) - 1
+    out = np.broadcast_to(amps[:, None, :], (len(pairs), len(mats), amps.shape[1]))
+    for t in range(rows.shape[1]):  # the first factor is the most significant axis
+        left = mats[:, rows[:, t]].transpose(1, 0, 2)[:, :, None, :]
+        out = (left @ out.reshape(*out.shape[:2], m, out.shape[2] // m))[:, :, 0]
+    return out[:, :, 0]
+
+
+def immanant_via_duality_batch(m: int, p: Partition, k, q, mats) -> np.ndarray:
+    """<Phi_k| U^(xN) Pi^{p} |Phi_q> for every U of an (S, m, m) stack, as
+    an (S,) complex array: the one-pair row of
+    :func:`immanant_via_duality_stack`."""
+    return immanant_via_duality_stack(m, p, [(k, q)], mats)[0]
 
 
 def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) -> complex:

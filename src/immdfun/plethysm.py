@@ -18,7 +18,15 @@ import numpy as np
 from .errors import DomainError, RankDeficiencyError
 from .linalgimm import DEFAULT_SEED, haar_random_unitaries, immanant_batch, permanent_ryser_batch
 from .symgroup import Partition
-from .sunrep import SUIrrepLabel, chain_labels, dim_weyl, lift_batch, occupations, weight_blocks
+from .sunrep import (
+    SUIrrepLabel,
+    chain_labels,
+    dim_weyl,
+    lift_batch,
+    occupations,
+    rotation_tables,
+    weight_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -152,12 +160,15 @@ def fit_decomposition(
     m = problem.base_irrep.m
     prelim_samples = max(samples, 3 * len(cands))
 
-    # One row per Haar sample.  Each candidate irrep is lifted once for all
-    # samples, at only the columns t its candidates read.
+    # One row per Haar sample.  The tables of the base and every candidate
+    # irrep are built in one pass; each candidate irrep is lifted once for
+    # all samples, at only the columns t its candidates read.
+    irreps = sorted({c.irrep for c in cands}, key=lambda ir: ir.row)
+    rotation_tables([problem.base_irrep, *irreps])
     omegas = haar_random_unitaries(m, range(seed, seed + prelim_samples))
     y0 = _target_values(problem, lift_batch(problem.base_irrep, omegas))
     X0 = np.empty((prelim_samples, len(cands)), dtype=np.complex128)
-    for ir in sorted({c.irrep for c in cands}, key=lambda ir: ir.row):
+    for ir in irreps:
         which = [j for j, c in enumerate(cands) if c.irrep == ir]
         cols = sorted({cands[j].t for j in which})
         rows = [cands[j].r for j in which]

@@ -3,14 +3,16 @@
 A GT pattern is a triangular integer array whose rows are the highest
 weights of the chain u(m) > u(m-1) > ... > u(1); each valid pattern labels
 one basis vector.  :func:`gt_array` holds all patterns of an irrep as the
-rows of one integer array, and every per-irrep table reads it.  Generator matrix elements follow the classical
-Gelfand-Tsetlin formulas with the standard phase convention: simple raising
-and lowering operators have real nonnegative entries.  A group element is
-lifted to an irrep as a product: it is factored into diagonal phases and
-real rotations of adjacent modes (Reck et al., PRL 73, 58 (1994)), each
-phase lifts to a diagonal through the pattern occupations, and each
-rotation through a cached eigenbasis of its generator.  The lift may read
-only some columns, at O(d^2) each, and lifts a batch of elements at once:
+rows of one integer array, and every per-irrep table reads it.  Generator
+matrix elements follow the classical Gelfand-Tsetlin formulas with the
+standard phase convention: simple raising and lowering operators have real
+nonnegative entries.  A group element is lifted to an irrep as a product:
+it is factored into diagonal phases and real rotations of adjacent modes
+(Reck et al., PRL 73, 58 (1994)), each phase lifts to a diagonal through
+the pattern occupations, and each rotation through a cached eigenbasis of
+its generator.  The raising triples and rotation eigenbases of a set of
+irreps of one m are built in one vectorised pass.  The lift may read only
+some columns, at O(d^2) each, and lifts a batch of elements at once:
 elements with one rotation sequence share each rotation's matrix product.
 """
 
@@ -216,8 +218,18 @@ def chain_labels(irrep: SUIrrepLabel) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# simple raising tables
+# raising and rotation tables, built for a set of irreps at once
 # ---------------------------------------------------------------------------
+#
+# Each builder takes distinct irreps of one m and makes one vectorised pass
+# over their stacked gt_array rows.  A pattern's first row is its irrep row,
+# so rows of two irreps never compare equal, and no raised pattern or block
+# mixes irreps.  Rows are grouped by sorting byte keys: a 1-D np.unique must
+# not appear on a cold path, since its first call imports numpy.ma
+# (10-15 ms with numpy 2.4 on a 2-CPU x86 host).
+
+Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
+Eigenbasis = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _row_keys(pats: np.ndarray) -> np.ndarray:
@@ -226,92 +238,191 @@ def _row_keys(pats: np.ndarray) -> np.ndarray:
     return pats.view(np.dtype((np.void, pats.itemsize * pats.shape[1])))[:, 0]
 
 
-@cache
-def _simple_raising(irrep: SUIrrepLabel, k: int) -> np.ndarray:
-    """Read-only matrix of C_{k,k+1} in the GT basis (real, nonnegative entries).
+def _stacked(irreps: list[SUIrrepLabel]):
+    """The gt_array rows of ``irreps`` stacked, each row's irrep index and
+    position within its irrep, and each irrep's first row and dimension."""
+    pats = [gt_array(ir) for ir in irreps]
+    dims = np.array([len(p) for p in pats])
+    first = np.cumsum(dims) - dims
+    owner = np.repeat(np.arange(len(irreps)), dims)
+    return np.concatenate(pats), owner, np.arange(dims.sum()) - first[owner], first, dims
+
+
+def build_raising_tables(irreps) -> list[tuple[Triples, ...]]:
+    """The simple raisings C_{k,k+1}, k = 1..m-1, of distinct irreps of one
+    m, uncached: entry k-1 of an irrep's tuple holds C_{k,k+1} as read-only
+    triples (src, dst, amp), one per nonzero matrix element amp > 0 at basis
+    positions (dst, src).
 
     Raising entry j of the k-entry row by one keeps the pattern valid unless
     it reaches entry j of the row above or entry j-1 of the row below.  With
     l_i = x_i - i (1-based i) on each row, the amplitude is
     sqrt(-prod_i (l_i^{k+1} - l_j^k) prod_i (l_i^{k-1} - l_j^k - 1)
     / prod_{i != j} (l_i^k - l_j^k)(l_i^k - l_j^k - 1)), multiplied factor by
-    factor in that order for all patterns at once.
+    factor in that order for every entry j of every pattern at once, and one
+    key search over all patterns finds every raised pattern.
     """
-    m, pats = irrep.m, gt_array(irrep)
-    up, row, low = (pats[:, _row(m, n)] for n in (k + 1, k, k - 1))
-    l_up, l_row, l_low = (x - np.arange(1, x.shape[1] + 1) for x in (up, row, low))
+    irreps = list(irreps)
+    m = irreps[0].m
+    if m == 1:
+        return [() for _ in irreps]
+    pats, owner, local, _, _ = _stacked(irreps)
+    src, kind, amp, raised = [], [], [], []
+    for k in range(1, m):
+        up, row, low = (pats[:, _row(m, n)] for n in (k + 1, k, k - 1))
+        l_up, l_row, l_low = (x - np.arange(1, x.shape[1] + 1) for x in (up, row, low))
+        valid = row < up[:, :k]
+        valid[:, 1:] &= row[:, 1:] < low
+        p, j = np.nonzero(valid)
+        lj = l_row[p, j]
+        num, den = np.ones(len(p)), np.ones(len(p))
+        for i in range(k + 1):
+            num = num * (l_up[p, i] - lj)
+        for i in range(k - 1):
+            num = num * (l_low[p, i] - lj - 1)
+        for i in range(k):
+            gap = l_row[p, i] - lj
+            den = den * np.where(j == i, 1, gap * (gap - 1))
+        ratio = -num / den
+        bad = np.flatnonzero(~(ratio > 0.0))
+        if bad.size:
+            b = bad[0]
+            raise DomainError(
+                f"raising entry {j[b]} of row {k} of {irreps[owner[p[b]]]} has a ratio <= 0"
+            )
+        target = pats[p]
+        target[np.arange(len(p)), _row(m, k).start + j] += 1
+        src.append(p)
+        kind.append(np.full(len(p), k - 1))
+        amp.append(np.sqrt(ratio))
+        raised.append(target)
+    src, kind, amp = np.concatenate(src), np.concatenate(kind), np.concatenate(amp)
     keys = _row_keys(pats)
     order = np.argsort(keys)
-    mat = np.zeros((len(pats), len(pats)))
-    for j in range(k):
-        valid = row[:, j] < up[:, j]
-        if j >= 1:
-            valid &= row[:, j] < low[:, j - 1]
-        cols = np.flatnonzero(valid)
-        lj = l_row[cols, j]
-        num, den = np.ones(len(cols)), np.ones(len(cols))
-        for i in range(k + 1):
-            num = num * (l_up[cols, i] - lj)
-        for i in range(k - 1):
-            num = num * (l_low[cols, i] - lj - 1)
-        for i in range(k):
-            if i != j:
-                den = den * ((l_row[cols, i] - lj) * (l_row[cols, i] - lj - 1))
-        ratio = -num / den
-        if not (ratio > 0.0).all():
-            raise DomainError(f"raising entry {j} of row {k} of {irrep} has a ratio <= 0")
-        target = pats[cols]
-        target[:, _row(m, k).start + j] += 1
-        mat[order[np.searchsorted(keys[order], _row_keys(target))], cols] = np.sqrt(ratio)
-    mat.flags.writeable = False
-    return mat
+    dst = order[np.searchsorted(keys[order], _row_keys(np.concatenate(raised)))]
+    group = owner[src] * (m - 1) + kind  # triples of one irrep and mode pair
+    by_group = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group, minlength=len(irreps) * (m - 1)))[:-1]
+    parts = [np.split(x[by_group], bounds) for x in (local[src], local[dst], amp)]
+    for x in parts[0] + parts[1] + parts[2]:
+        x.flags.writeable = False
+    triples = list(zip(*parts))
+    return [tuple(triples[i * (m - 1) : (i + 1) * (m - 1)]) for i in range(len(irreps))]
 
 
-# ---------------------------------------------------------------------------
-# lifting group elements
-# ---------------------------------------------------------------------------
-
-
-@cache
-def _rotation_tables(irrep: SUIrrepLabel) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
-    """Read-only float occupations, and (w, V, V^T) for every adjacent mode pair.
+def build_rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ...]]]:
+    """Read-only float occupations, and (w, V, V^T) for every adjacent mode
+    pair, of distinct irreps of one m, uncached.
 
     The real orthogonal V diagonalises the symmetric S_k = C_{k,k+1} + C_{k+1,k}
     with eigenvalues w, so B_k(theta) lifts to V diag(e^{-i theta w}) V^T.
     C_{k,k+1} changes only the pattern row with k+1 entries, so S_k is block
-    diagonal over the patterns that agree on every other row; the blocks of
-    one size are diagonalised in one stacked call, and each is checked
-    orthogonal on its own.
+    diagonal over the patterns that agree on every other row: one stable
+    sort of those rows per mode pair finds the blocks, each in ascending
+    basis order.  A block of one pattern is zero, with eigenvector 1.  The
+    larger blocks of one size, across all irreps and mode pairs, are
+    diagonalised in one stacked ``eigh``, and each is checked orthogonal on
+    its own.
     """
-    m, d = irrep.m, dim_weyl(irrep)
-    occ = occupations(irrep).astype(np.float64)
-    occ.flags.writeable = False
-    eigen = []
+    irreps = list(irreps)
+    m = irreps[0].m
+    pats, owner, local, first, dims = _stacked(irreps)
+    n = len(pats)
+    blocks: dict[int, list[tuple[int, np.ndarray]]] = {}  # size -> (mode pair, (B, size) rows)
     for k in range(m - 1):
-        blocks: dict[tuple, list[int]] = {}
-        others = np.delete(gt_array(irrep), _row(m, k + 1), axis=1).tolist()
-        for i, key in enumerate(map(tuple, others)):
-            blocks.setdefault(key, []).append(i)
-        raising = _simple_raising(irrep, k + 1)
-        smat = raising + raising.T
-        by_size: dict[int, list[list[int]]] = {}
-        for idx in blocks.values():
-            by_size.setdefault(len(idx), []).append(idx)
-        w, v = np.empty(d), np.zeros((d, d))
-        for size, group in by_size.items():
-            idx = np.array(group)  # one row of basis positions per block
-            block = (idx[:, :, None], idx[:, None, :])
-            w[idx], v[block] = np.linalg.eigh(smat[block])
-            defect = np.abs(v[block].transpose(0, 2, 1) @ v[block] - np.eye(size)).max()
-            if not defect <= 1e-12:
-                raise DomainError(
-                    f"rotation eigenbasis {k} of {irrep} is not orthogonal: {defect:.3e}"
-                )
-        vt = v.T.copy()
-        for arr in (w, v, vt):
-            arr.flags.writeable = False
-        eigen.append((w, v, vt))
-    return occ, tuple(eigen)
+        others = np.delete(pats, _row(m, k + 1), axis=1)
+        order = np.argsort(_row_keys(others), kind="stable")
+        ranked = others[order]
+        starts = np.flatnonzero(np.append(True, (ranked[1:] != ranked[:-1]).any(axis=1)))
+        sizes = np.diff(starts, append=n)
+        for size in sorted(set(sizes[sizes > 1].tolist())):
+            rows = order[starts[sizes == size, None] + np.arange(size)]
+            blocks.setdefault(size, []).append((k, rows))
+    # S_k's blocks side by side in one flat array, one size after another;
+    # base/width/place locate each pattern's block at each mode pair
+    base, width, place = (np.zeros((m - 1, n), dtype=np.intp) for _ in range(3))
+    stacks, total = [], 0
+    for size, found in blocks.items():
+        ks = np.concatenate([np.full(len(rows), k) for k, rows in found])[:, None]
+        rows = np.concatenate([rows for _, rows in found])
+        base[ks, rows] = total + size * size * np.arange(len(rows))[:, None]
+        width[ks, rows] = size
+        place[ks, rows] = np.arange(size)
+        stacks.append((size, ks, rows, total))
+        total += size * size * len(rows)
+    flat = np.zeros(total)
+    raising = raising_tables(irreps)
+    for k in range(m - 1):
+        src = np.concatenate([table[k][0] + f for table, f in zip(raising, first)])
+        dst = np.concatenate([table[k][1] + f for table, f in zip(raising, first)])
+        amp = np.concatenate([table[k][2] for table in raising])
+        at, step = base[k, src], width[k, src]
+        flat[at + place[k, dst] * step + place[k, src]] = amp
+        flat[at + place[k, src] * step + place[k, dst]] = amp
+    # every irrep's (m-1, d, d) stack of V (and of V^T) in one flat array,
+    # with the unit diagonal of the one-pattern blocks
+    squares = dims**2
+    start = (m - 1) * (np.cumsum(squares) - squares)  # of each irrep's stack
+    corner = start[owner] + np.arange(m - 1)[:, None] * squares[owner]
+    w = np.zeros((m - 1, n))
+    v, vt = np.zeros((m - 1) * squares.sum()), np.zeros((m - 1) * squares.sum())
+    diagonal = corner + local * (dims[owner] + 1)
+    v[diagonal] = vt[diagonal] = 1.0
+    for size, ks, rows, at in stacks:
+        stack = flat[at : at + size * size * len(rows)].reshape(-1, size, size)
+        w[ks, rows], vecs = np.linalg.eigh(stack)
+        defect = np.abs(vecs.transpose(0, 2, 1) @ vecs - np.eye(size)).max(axis=(1, 2))
+        bad = np.flatnonzero(~(defect <= 1e-12))
+        if bad.size:
+            b = bad[0]
+            raise DomainError(
+                f"rotation eigenbasis {ks[b, 0]} of {irreps[owner[rows[b, 0]]]} "
+                f"is not orthogonal: {defect[b]:.3e}"
+            )
+        r, c = rows[:, :, None], rows[:, None, :]
+        cell = corner[ks[:, :, None], r]
+        v[cell + local[r] * dims[owner[r]] + local[c]] = vecs
+        vt[cell + local[c] * dims[owner[r]] + local[r]] = vecs
+    for x in (w, v, vt):
+        x.flags.writeable = False
+    tables = []
+    for i, ir in enumerate(irreps):
+        d, lo = dims[i], start[i]
+        occ = occupations(ir).astype(np.float64)
+        occ.flags.writeable = False
+        mats = [x[lo : lo + (m - 1) * d * d].reshape(m - 1, d, d) for x in (v, vt)]
+        w_i = w[:, first[i] : first[i] + d]
+        tables.append((occ, tuple(zip(w_i, *mats))))
+    return tables
+
+
+_RAISING: dict[SUIrrepLabel, tuple[Triples, ...]] = {}
+_ROTATION: dict[SUIrrepLabel, tuple[np.ndarray, tuple[Eigenbasis, ...]]] = {}
+
+
+def _tables(store: dict, build, irreps: list[SUIrrepLabel]) -> list:
+    """The tables of ``irreps`` in ``store``; the missing irreps of each m
+    are built together, in one ``build`` pass, and kept."""
+    missing = list(dict.fromkeys(ir for ir in irreps if ir not in store))
+    for m in sorted({ir.m for ir in missing}):
+        group = [ir for ir in missing if ir.m == m]
+        store.update(zip(group, build(group)))
+    return [store[ir] for ir in irreps]
+
+
+def raising_tables(irreps) -> list[tuple[Triples, ...]]:
+    """The cached :func:`build_raising_tables` of each of ``irreps``."""
+    return _tables(_RAISING, build_raising_tables, list(irreps))
+
+
+def rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ...]]]:
+    """The cached :func:`build_rotation_tables` of each of ``irreps``.  The
+    dense-lift cap of every irrep is checked before any table is built, so
+    a suite that hands over all its irreps first refuses before any work."""
+    irreps = list(irreps)
+    for ir in irreps:
+        check_lift_dim(ir)
+    return _tables(_ROTATION, build_rotation_tables, irreps)
 
 
 # Complex entries (128 KB) in one working array of a batched lift: a larger
@@ -379,7 +490,7 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     out = np.empty((len(elements), d, c), dtype=np.complex128)
     if not elements:
         return out
-    occ, eigen = _rotation_tables(irrep)
+    occ, eigen = rotation_tables([irrep])[0]
     groups: dict[tuple[int, ...], list[int]] = {}
     factors = [element.givens_factors for element in elements]
     for s, (rotations, _) in enumerate(factors):

@@ -19,7 +19,7 @@ from .dualspace import (
     _check_pair,
     coefficient_matrix,
     coefficient_matrix_value,
-    immanant_via_duality_batch,
+    immanant_via_duality_stack,
     state_weight,
 )
 from .errors import DomainError
@@ -38,6 +38,7 @@ from .sunrep import (
     check_lift_dim,
     lift_batch,
     pattern_rows,
+    rotation_tables,
     weight_blocks,
 )
 
@@ -74,26 +75,33 @@ def _block_columns(label: SUIrrepLabel, keeps) -> np.ndarray:
     return np.array(sorted(cols), dtype=np.intp)
 
 
-def _block_trace(label: SUIrrepLabel, lifted: np.ndarray, cols: np.ndarray, keep):
+def _block_traces(label: SUIrrepLabel, lifted: np.ndarray, cols: np.ndarray, keeps) -> np.ndarray:
     """Sum, in basis order, of the lifted diagonal over the patterns at the
-    weight of the kept modes ``keep``: a complex for one (d, c) lift, an
-    (S,) array for an (S, d, c) stack.  ``lifted`` holds the columns
-    ``cols`` (see :func:`_block_columns`)."""
-    idx = weight_blocks(label)[state_weight(label.m, keep).cartan]
+    weight of each kept-mode set of ``keeps`` (all of one size, so their
+    blocks are of one size too), from one gather: a (K,) array for one
+    (d, c) lift, an (S, K) array for an (S, d, c) stack.  ``lifted`` holds
+    the columns ``cols`` (see :func:`_block_columns`)."""
+    blocks = weight_blocks(label)
+    idx = np.array([blocks[state_weight(label.m, keep).cartan] for keep in keeps])
     diagonal = lifted[..., idx, np.searchsorted(cols, idx)]
     return sum(np.moveaxis(diagonal, -1, 0), 0j)
 
 
-def _principal_residuals(m, p, keep, mats, lifts, cols) -> tuple[float, float]:
+def _principal_residuals(m, p, keeps, mats, lifts, cols) -> list[tuple[float, float]]:
     """Worst |Imm^{p} - diagonal D-sum| and worst |Imm^{p} - duality route|
-    of the principal submatrix on ``keep`` over the (S, m, m) sample stack
-    ``mats``, whose lifts into the irrep dual to ``p`` at the columns
-    ``cols`` are ``lifts``."""
+    of the principal submatrix on each kept-mode set of ``keeps`` (all of
+    one size) over the (S, m, m) sample stack ``mats``, whose lifts into the
+    irrep dual to ``p`` at the columns ``cols`` are ``lifts``.  Each route
+    is evaluated for all K keeps at once: one character sum over the
+    (K S, n, n) stack of submatrices, one duality contraction and one trace
+    gather."""
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
-    direct = immanant_batch(p, _submatrices(mats, keep, keep))
-    traces = _block_trace(label, lifts, cols, keep)
-    dual = immanant_via_duality_batch(m, p, keep, keep, mats)
-    return _worst_gap(direct, traces), _worst_gap(direct, dual)
+    sel = np.array(keeps) - 1
+    subs = mats[:, sel[:, :, None], sel[:, None, :]].transpose(1, 0, 2, 3)
+    direct = immanant_batch(p, subs.reshape(-1, *subs.shape[2:])).reshape(len(keeps), -1)
+    traces = _block_traces(label, lifts, cols, keeps).T
+    dual = immanant_via_duality_stack(m, p, [(keep, keep) for keep in keeps], mats)
+    return [(_worst_gap(a, t), _worst_gap(a, u)) for a, t, u in zip(direct, traces, dual)]
 
 
 def kostant_suite(
@@ -107,13 +115,15 @@ def kostant_suite(
     reports = []
     for m in m_values:
         full = tuple(range(1, m + 1))
+        parts = partitions_of(m)
+        labels = [SUIrrepLabel.from_partition(p, m, normalize=False) for p in parts]
+        rotation_tables(labels)
         elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
-        for p in partitions_of(m):
-            label = SUIrrepLabel.from_partition(p, m, normalize=False)
+        for p, label in zip(parts, labels):
             cols = _block_columns(label, [full])
             lifts = lift_batch(label, elements, cols)
-            worst, worst_dual = _principal_residuals(m, p, full, mats, lifts, cols)
+            [(worst, worst_dual)] = _principal_residuals(m, p, [full], mats, lifts, cols)
             reports.append(
                 VerificationReport(
                     suite="kostant",
@@ -139,35 +149,34 @@ def corollary4_suite(
     weight subspace, for every principal selector and partition."""
     reports = []
     for m in m_values:
+        parts = [p for size in sizes if size < m for p in partitions_of(size)]
+        rotation_tables([SUIrrepLabel.from_partition(p, m, normalize=False) for p in parts])
         elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
-        for size in sizes:
-            if size >= m:
-                continue
-            for p in partitions_of(size):
-                label = SUIrrepLabel.from_partition(p, m, normalize=False)
-                keeps = list(combinations(range(1, m + 1), size))
-                cols = _block_columns(label, keeps)
-                lifts = lift_batch(label, elements, cols)
-                for keep in keeps:
-                    worst, worst_dual = _principal_residuals(m, p, keep, mats, lifts, cols)
-                    reports.append(
-                        VerificationReport(
-                            suite="corollary4",
-                            m=m,
-                            partition=p.parts,
-                            selector_rows=keep,
-                            selector_cols=keep,
-                            seed=seed,
-                            residual=worst,
-                            passed=worst < tol and worst_dual < DUALITY_TOL,
-                            details={
-                                "samples": samples,
-                                "weight": list(state_weight(m, keep).occupation),
-                                "duality_residual": worst_dual,
-                            },
-                        )
+        for p in parts:
+            label = SUIrrepLabel.from_partition(p, m, normalize=False)
+            keeps = list(combinations(range(1, m + 1), p.n))
+            cols = _block_columns(label, keeps)
+            lifts = lift_batch(label, elements, cols)
+            residuals = _principal_residuals(m, p, keeps, mats, lifts, cols)
+            for keep, (worst, worst_dual) in zip(keeps, residuals):
+                reports.append(
+                    VerificationReport(
+                        suite="corollary4",
+                        m=m,
+                        partition=p.parts,
+                        selector_rows=keep,
+                        selector_cols=keep,
+                        seed=seed,
+                        residual=worst,
+                        passed=worst < tol and worst_dual < DUALITY_TOL,
+                        details={
+                            "samples": samples,
+                            "weight": list(state_weight(m, keep).occupation),
+                            "duality_residual": worst_dual,
+                        },
                     )
+                )
     return reports
 
 
@@ -194,13 +203,12 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
         p4: [full],
     }
     labels = {pp: SUIrrepLabel.from_partition(pp, 4, normalize=False) for pp in keeps}
-    cols = {pp: _block_columns(labels[pp], keeps[pp]) for pp in keeps}
-    lifted = {pp: lift_batch(labels[pp], elements, cols[pp]) for pp in keeps}
-    traces = {
-        (pp, keep): _block_trace(labels[pp], lifted[pp], cols[pp], keep)
-        for pp in keeps
-        for keep in keeps[pp]
-    }
+    rotation_tables(labels.values())
+    traces = {}
+    for pp, label in labels.items():
+        cols = _block_columns(label, keeps[pp])
+        stacked = _block_traces(label, lift_batch(label, elements, cols), cols, keeps[pp])
+        traces.update(((pp, keep), trace) for keep, trace in zip(keeps[pp], stacked.T))
     mats = _matrices(elements, 4)
     imm3 = {keep3: immanant_batch(p3, _submatrices(mats, keep3, keep3)) for keep3 in keeps[p3]}
     imm31, imm4 = immanant_batch(p31, mats), immanant_batch(p4, mats)
@@ -273,6 +281,11 @@ def classify_coefficients(cm: CoefficientMatrix, tol: float = 1e-8) -> dict:
     }
 
 
+def _scan_samples(m: int, check_samples: int, seed: int):
+    """The Haar check samples of a conjecture scan: every 1000th seed."""
+    return haar_random_unitaries(m, range(seed, seed + 1000 * check_samples, 1000))
+
+
 def conjecture_scan(
     m: int,
     p: Partition,
@@ -298,10 +311,16 @@ def conjecture_scan(
         index_sets = list(combinations(range(1, m + 1), n))
         selectors = [(k, q) for k in index_sets for q in index_sets]
     selectors = [_check_pair(m, p, k, q) for k, q in selectors]
+    return _scan(m, p, selectors, entry_tol, _scan_samples(m, check_samples, seed), seed)
+
+
+def _scan(m, p, selectors, entry_tol, samples, seed) -> list[VerificationReport]:
+    """The reports of :func:`conjecture_scan` over checked ``selectors``
+    and drawn check ``samples``."""
+    label = SUIrrepLabel.from_partition(p, m, normalize=False)
     reports = []
     expected_units = dim_sym(p)
     tags = chain_labels(label)
-    samples = haar_random_unitaries(m, range(seed, seed + 1000 * check_samples, 1000))
     mats = _matrices(samples, m)
     # the union of the coefficient matrices' col_index, lifted before any is built
     cols = _block_columns(label, {q for _, q in selectors})
@@ -358,17 +377,10 @@ def conjecture_suite(
             (Partition(2, 1), (2, 3, 5), (1, 3, 4)),
             (Partition(3, 1), (1, 3, 4, 5), (1, 2, 3, 5)),
         ]
+        rotation_tables([SUIrrepLabel.from_partition(pp, 5, normalize=False) for pp, _, _ in named])
+        shared = _scan_samples(5, samples, seed)  # both pairs lift the same factored elements
         for np_, k, q in named:
-            reports.extend(
-                conjecture_scan(
-                    5,
-                    np_,
-                    selectors=[(k, q)],
-                    entry_tol=entry_tol,
-                    check_samples=samples,
-                    seed=seed,
-                )
-            )
+            reports.extend(_scan(5, np_, [(k, q)], entry_tol, shared, seed))
     return reports
 
 

@@ -1,7 +1,8 @@
 """Generators the tests build their checks from.
 
 The u(m) generators C_ij in the Gelfand-Tsetlin basis: C_ii is diagonal
-with the mode-i occupations and C_{k,k+1} is the simple raising table;
+with the mode-i occupations and C_{k,k+1} is the simple raising table,
+scattered from its (src, dst, amp) triples into a dense matrix;
 every other C_ij with i < j follows by index gap from the commutator
 [C_{i,j-1}, C_{j-1,j}], and C_ji = C_ij^T since the GT matrices are real.
 
@@ -19,7 +20,7 @@ from itertools import permutations
 import numpy as np
 
 from immdfun.errors import DomainError
-from immdfun.sunrep import SUIrrepLabel, _simple_raising, occupations
+from immdfun.sunrep import SUIrrepLabel, dim_weyl, occupations, raising_tables
 from immdfun.symgroup import Partition, young_tables
 
 
@@ -30,7 +31,10 @@ def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
     if i > j:
         return generator_matrix(irrep, j, i).T
     if j == i + 1:
-        return _simple_raising(irrep, i)
+        src, dst, amp = raising_tables([irrep])[0][i - 1]
+        mat = np.zeros((dim_weyl(irrep), dim_weyl(irrep)))
+        mat[dst, src] = amp
+        return mat
     a, b = generator_matrix(irrep, i, j - 1), generator_matrix(irrep, j - 1, j)
     return a @ b - b @ a
 

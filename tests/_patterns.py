@@ -98,14 +98,15 @@ def raised(pattern, k: int, j: int) -> tuple:
     return pattern[:i] + (row[:j] + (row[j] + 1,) + row[j + 1 :],) + pattern[i + 1 :]
 
 
-def simple_raising(pats, k: int) -> np.ndarray:
-    """Dense C_{k,k+1} on the patterns ``pats`` of one irrep, in their
-    order, one entry at a time."""
+def raising_entries(pats, k: int) -> dict:
+    """The nonzero matrix elements of C_{k,k+1} on the patterns ``pats`` of
+    one irrep, one entry at a time, as {(dst, src): amp} with basis
+    positions in their order."""
     index = {p: i for i, p in enumerate(pats)}
-    mat = np.zeros((len(pats), len(pats)))
+    entries = {}
     for col, pat in enumerate(pats):
         for j in range(k):
             target = raised(pat, k, j)
             if target in index:
-                mat[index[target], col] = raising_entry(pat, k, j)
-    return mat
+                entries[index[target], col] = raising_entry(pat, k, j)
+    return entries

@@ -30,7 +30,7 @@ from immdfun.symgroup import (
     dim_sym,
     partitions_of,
 )
-from immdfun import sunrep, symgroup
+from immdfun import linalgimm, sunrep, symgroup, verification
 from immdfun.sunrep import (
     SUIrrepLabel,
     WeightVector,
@@ -474,6 +474,23 @@ class TestConjectureScan:
             5, P(3, 1), selectors=[((1, 3, 4, 5), (1, 2, 3, 5))], check_samples=5
         )[0]
         assert r31.passed and r31.details["unit_entries"] == 3
+
+    def test_default_suite_draws_and_factors_the_su5_samples_once(self, monkeypatch):
+        # the two named SU(5) pairs lift one shared draw, factored once
+        draws, factored = [], []
+        real_draw, real_factors = verification.haar_random_unitaries, linalgimm._givens_factors
+        monkeypatch.setattr(
+            verification,
+            "haar_random_unitaries",
+            lambda m, seeds: draws.append((m, list(seeds))) or real_draw(m, seeds),
+        )
+        monkeypatch.setattr(
+            linalgimm, "_givens_factors", lambda u: factored.append(len(u)) or real_factors(u)
+        )
+        reports = verification.conjecture_suite(samples=3)
+        assert [r.m for r in reports[-2:]] == [5, 5] and all(r.passed for r in reports)
+        assert draws == [(4, [1905, 2905, 3905]), (5, [1905, 2905, 3905])]
+        assert factored == [4] * 3 + [5] * 3
 
     def test_report_shape(self):
         r = conjecture_scan(4, P(3), selectors=[((1, 2, 3), (1, 2, 3))], check_samples=3)[0]

@@ -5,7 +5,8 @@ random selectors, against Ryser and LU at the two one-dimensional
 characters, and the character table against its column orthogonality.
 The duality route's projector is checked against its defining sum over
 relabelled basis states.  The stacked evaluations equal their one-element
-slices bit for bit, and an element is factored once for all its lifts.
+slices bit for bit, the evaluations of many selectors at once equal each
+selector's own, and an element is factored once for all its lifts.
 Example counts stay small so the whole file runs in a few seconds.
 """
 
@@ -24,6 +25,7 @@ from immdfun.dualspace import (
     immanant_projector,
     immanant_via_duality,
     immanant_via_duality_batch,
+    immanant_via_duality_stack,
 )
 from immdfun.linalgimm import (
     SubmatrixSelector,
@@ -99,6 +101,39 @@ def test_stacked_routes_equal_their_slices_bit_for_bit(m, seed):
                 for s, mat in enumerate(mats):
                     assert stacked[s] == immanant(p, subs[s])
                     assert dual[s] == immanant_via_duality(m, p, keep, keep, mat)
+
+
+def _one_pair_contraction(m, p, k, q, mats):
+    """The bra-side duality contraction of one selector pair on its own,
+    one row of U per factor: the reference the stacked contraction keeps."""
+    amps = immanant_projector(p, m, q)
+    out = np.broadcast_to(amps, (len(mats), amps.size))
+    for row in k:
+        out = (mats[:, row - 1, None, :] @ out.reshape(len(mats), m, out.shape[1] // m))[:, 0]
+    return out[:, 0]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 2**31))
+def test_stacked_selectors_equal_their_slices_bit_for_bit(m, seed):
+    # all C(m, size) keeps at once, as corollary 4 evaluates them: one
+    # character sum over the (K S, n, n) stack and one duality contraction
+    # (principal and crossed pairs) equal each selector's own evaluation
+    mats = _special_stack(m, seed)
+    for size in range(1, m + 1):
+        keeps = list(combinations(range(1, m + 1), size))
+        sel = np.array(keeps) - 1
+        subs = mats[:, sel[:, :, None], sel[:, None, :]].transpose(1, 0, 2, 3)
+        pairs = [(keep, keep) for keep in keeps] + list(zip(keeps, keeps[::-1]))
+        for p in partitions_of(size):
+            stacked = immanant_batch(p, subs.reshape(-1, size, size)).reshape(len(keeps), -1)
+            dual = immanant_via_duality_stack(m, p, pairs, mats)
+            assert dual.shape == (len(pairs), len(mats))
+            for j in range(len(keeps)):
+                assert list(stacked[j]) == list(immanant_batch(p, subs[j]))
+            for j, (k, q) in enumerate(pairs):
+                assert list(dual[j]) == list(_one_pair_contraction(m, p, k, q, mats))
+                assert list(dual[j]) == list(immanant_via_duality_batch(m, p, k, q, mats))
 
 
 def test_stacked_coefficient_values_equal_their_slices_bit_for_bit():

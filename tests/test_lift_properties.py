@@ -31,15 +31,16 @@ from immdfun.linalgimm import (
 from immdfun.sunrep import (
     SUIrrepLabel,
     _phase_lifts,
-    _rotation_tables,
+    build_rotation_tables,
     dim_weyl,
     lift,
     lift_batch,
     occupations,
+    rotation_tables,
     weight_blocks,
 )
 from immdfun.symgroup import partitions_of
-from immdfun.verification import _block_columns, _block_trace
+from immdfun.verification import _block_columns, _block_traces
 
 from _generators import all_permutations, permutation_matrix
 from _tensor import apply_tensor_power
@@ -169,7 +170,7 @@ def test_columns_match_chain_vectors(row, seed, data):
 
 @pytest.mark.parametrize("row", ROWS)
 def test_rotation_tables_are_read_only(row):
-    occ, eigen = _rotation_tables(SUIrrepLabel(len(row), row))
+    [(occ, eigen)] = rotation_tables([SUIrrepLabel(len(row), row)])
     assert len(eigen) == len(row) - 1
     for arr in (occ, *(a for entry in eigen for a in entry)):
         assert not arr.flags.writeable
@@ -194,7 +195,40 @@ def test_non_orthogonal_eigenbasis_is_refused(monkeypatch):
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w, 1.001 * v))(*real_eigh(a)))
     with pytest.raises(DomainError, match="not orthogonal"):
-        _rotation_tables.__wrapped__(SUIrrepLabel(3, (2, 1, 0)))
+        build_rotation_tables([SUIrrepLabel(3, (2, 1, 0))])
+    # through a set: the refusal names a block's mode pair and irrep
+    irreps = [SUIrrepLabel(3, (1, 0, 0)), SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 2, 1))]
+    with pytest.raises(DomainError, match=r"rotation eigenbasis \d of SU\(3\).* is not orthogonal"):
+        build_rotation_tables(irreps)
+
+
+def test_non_positive_raising_ratio_is_refused(monkeypatch):
+    # (3, 2, 0) is no pattern (0 lies below the entries 3, 2 above it), but
+    # raising its 0 keeps it under 3, and the ratio is 3 (0 + 1 - 2) < 0
+    real = sunrep.gt_array
+    broken = SUIrrepLabel(2, (3, 2))
+    monkeypatch.setattr(
+        sunrep,
+        "gt_array",
+        lambda ir: np.vstack([real(ir), [3, 2, 0]]) if ir == broken else real(ir),
+    )
+    irreps = [SUIrrepLabel(2, (1, 0)), broken, SUIrrepLabel(2, (4, 0))]
+    message = r"raising entry 0 of row 1 of SU\(2\)\(3, 2\) has a ratio <= 0"
+    with pytest.raises(DomainError, match=message):
+        sunrep.build_raising_tables(irreps)
+
+
+def test_set_cap_is_checked_before_any_table_is_built(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a table was built before the refusal")
+
+    for name in ("gt_array", "build_raising_tables", "build_rotation_tables"):
+        monkeypatch.setattr(sunrep, name, forbidden)
+    monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
+    # (9, 9, 9) fits the cap and comes first; (10, 9, 8) has d = 8
+    with pytest.raises(ResourceLimitError, match="dimension 8"):
+        rotation_tables([SUIrrepLabel(3, (9, 9, 9)), SUIrrepLabel(3, (10, 9, 8))])
+    assert SUIrrepLabel(3, (9, 9, 9)) not in sunrep._ROTATION
 
 
 def test_columns_that_lose_orthonormality_are_refused(monkeypatch):
@@ -250,7 +284,7 @@ def test_batch_slices_are_single_lifts(irrep, seed, data):
 def test_stacked_phases_are_single_phases(row):
     # d = 1 included: there a C-ordered stack of angles would round differently
     irrep = SUIrrepLabel(len(row), row)
-    occ, _ = _rotation_tables(irrep)
+    [(occ, _)] = rotation_tables([irrep])
     angles = [u.givens_factors[1] for u in haar_random_unitaries(irrep.m, range(40, 52))]
     stacked = _phase_lifts(occ, angles)
     rotations = irrep.m * (irrep.m - 1) // 2  # Haar samples null every lower entry
@@ -296,10 +330,15 @@ def test_column_restricted_block_traces(m):
             cols = _block_columns(label, keeps)
             every = np.arange(dim_weyl(label))
             restricted, full = lift_batch(label, batch, cols), lift_batch(label, batch)
-            for keep in keeps:
+            # all keeps from one gather: each equals its keep's trace alone
+            stacked = _block_traces(label, restricted, cols, keeps)
+            for j, keep in enumerate(keeps):
+                alone = _block_traces(label, restricted, cols, [keep])[:, 0]
+                assert list(stacked[:, j]) == list(alone)
                 for s in range(len(batch)):
-                    got = _block_trace(label, restricted[s], cols, keep)
-                    want = _block_trace(label, full[s], every, keep)
+                    got = _block_traces(label, restricted[s], cols, [keep])[0]
+                    want = _block_traces(label, full[s], every, [keep])[0]
+                    assert got == stacked[s, j]
                     assert abs(got - want) <= 1e-15
 
 
@@ -334,7 +373,7 @@ def test_batch_refusals_come_before_any_product(monkeypatch):
         raise AssertionError("a product ran before the refusal")
 
     monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
-    for name in ("_rotation_tables", "_real_times"):
+    for name in ("rotation_tables", "_real_times"):
         monkeypatch.setattr(sunrep, name, forbidden)
     irrep = SUIrrepLabel(3, (2, 1, 0))
     good = haar_random_unitary(3, 2)

@@ -4,20 +4,23 @@ import math
 import numpy as np
 import pytest
 
+from immdfun import sunrep
 from immdfun.cli import main
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import UnitaryElement, haar_random_unitary, su2_euler
 from immdfun.symgroup import Partition
 from immdfun.sunrep import (
-    _simple_raising,
     SUIrrepLabel,
     WeightVector,
+    build_raising_tables,
+    build_rotation_tables,
     chain_labels,
     dim_weyl,
     gt_array,
     lift,
     occupations,
     pattern_rows,
+    raising_tables,
     weight_blocks,
 )
 
@@ -93,18 +96,62 @@ class TestGTBasis:
     def test_tables_equal_the_reference(self, m):
         # every irrep with d <= 500: the array basis and every table read from
         # it equal the pattern-by-pattern reference exactly.  The raising
-        # tables are built uncached, so 500 dense SU(2) tables do not stay.
+        # tables are built uncached, as one set, and compared entry by entry.
         irreps = irreps_up_to(m, 500)
         assert irreps
-        for ir in irreps:
+        for ir, raising in zip(irreps, build_raising_tables(irreps)):
             pats = ref.gt_patterns(ir.row)
             assert not gt_array(ir).flags.writeable and not occupations(ir).flags.writeable
             assert gt_array(ir).tolist() == [list(ref.flattened(p)) for p in pats]
             assert occupations(ir).tolist() == [list(ref.occupation(p)) for p in pats]
             assert pattern_rows(ir) == pats
             assert chain_labels(ir) == tuple(ref.chain_label(p) for p in pats)
-            for k in range(1, m):
-                assert np.array_equal(_simple_raising.__wrapped__(ir, k), ref.simple_raising(pats, k))
+            assert len(raising) == m - 1
+            for k, (src, dst, amp) in enumerate(raising, start=1):
+                entries = dict(zip(zip(dst.tolist(), src.tolist()), amp.tolist()))
+                assert len(entries) == len(amp) and entries == ref.raising_entries(pats, k)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    """np.array_equal, and equal bytes too, so that signed zeros agree."""
+    assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+class TestTableSets:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_set_tables_equal_single_tables(self, m):
+        # every irrep with d <= 200 and the unnormalised shift by (1, ..., 1)
+        # of every fifth one, in two interleaved sets of mixed sizes: each
+        # table built from a set equals the table built from the irrep alone
+        irreps = irreps_up_to(m, 200)
+        irreps += [SUIrrepLabel(m, tuple(x + 1 for x in ir.row)) for ir in irreps[::5]]
+        for group in (irreps[0::2], irreps[1::2]):
+            raising, rotation = build_raising_tables(group), build_rotation_tables(group)
+            for ir, r_set, (occ_set, eigen_set) in zip(group, raising, rotation):
+                [r_one] = build_raising_tables([ir])
+                [(occ_one, eigen_one)] = build_rotation_tables([ir])
+                assert len(r_set) == len(r_one) == len(eigen_set) == len(eigen_one) == m - 1
+                assert_same_bits(occ_set, occ_one)
+                for a, b in zip(r_set + eigen_set, r_one + eigen_one):
+                    for x, y in zip(a, b):
+                        assert_same_bits(x, y)
+                        assert not x.flags.writeable
+
+    def test_one_pass_builds_every_missing_irrep(self, monkeypatch):
+        # a set reaches each builder once, for the irreps not yet built
+        calls = []
+        for name in ("build_raising_tables", "build_rotation_tables"):
+            real = getattr(sunrep, name)
+            monkeypatch.setattr(sunrep, name, lambda irs, real=real: calls.append(irs) or real(irs))
+        monkeypatch.setattr(sunrep, "_RAISING", {})
+        monkeypatch.setattr(sunrep, "_ROTATION", {})
+        first = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 2, 1)), SUIrrepLabel(3, (2, 1, 0))]
+        sunrep.rotation_tables(first)
+        assert calls == [first[:2], first[:2]]
+        tables = sunrep.rotation_tables([SUIrrepLabel(3, (4, 0, 0)), first[1]])
+        assert calls[2:] == [[SUIrrepLabel(3, (4, 0, 0))]] * 2
+        assert tables[1] is sunrep.rotation_tables([first[1]])[0]
+        assert len(calls) == 4
 
 
 class TestWeights:
@@ -206,8 +253,10 @@ class TestGenerators:
 
     def test_generator_tables_are_read_only(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        with pytest.raises(ValueError):
-            _simple_raising(ir, 1)[0, 0] = 1.0
+        for triples in raising_tables([ir])[0]:
+            for arr in triples:
+                with pytest.raises(ValueError):
+                    arr[0] = 1
 
     @pytest.mark.parametrize(
         "row",
@@ -217,6 +266,10 @@ class TestGenerators:
         ir = SUIrrepLabel(len(row), row)
         pats = ref.gt_patterns(ir.row)
         index = {p: i for i, p in enumerate(pats)}
+        tables = [
+            dict(zip(zip(dst.tolist(), src.tolist()), amp.tolist()))
+            for src, dst, amp in raising_tables([ir])[0]
+        ]
         raises = 0
         for pat in pats:
             for k in range(1, ir.m):
@@ -226,11 +279,12 @@ class TestGenerators:
                         continue
                     entry = ref.raising_entry(pat, k, j)
                     assert entry > 0.0
-                    assert _simple_raising(ir, k)[index[target], index[pat]] == entry
+                    assert tables[k - 1][index[target], index[pat]] == entry
                     raises += 1
         assert raises > 0
-        # _simple_raising has exactly the valid raises as its nonzero entries
-        assert sum(np.count_nonzero(_simple_raising(ir, k)) for k in range(1, ir.m)) == raises
+        # the raising triples are exactly the valid raises, each nonzero
+        assert sum(np.count_nonzero(list(t.values())) for t in tables) == raises
+        assert sum(len(t) for t in tables) == raises
 
     def test_invalid_raise_is_domain_error(self):
         # Raising the single-entry row from 2 to 3 breaks betweenness under (2, 1).
