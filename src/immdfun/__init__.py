@@ -11,9 +11,8 @@ from .linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
     haar_random_unitaries,
-    haar_random_unitary,
-    immanant,
-    permanent_ryser,
+    immanant_batch,
+    permanent_ryser_batch,
     su2_euler,
     submatrix,
 )
@@ -29,7 +28,6 @@ from .sunrep import (
     WeightVector,
     dim_weyl,
     gt_array,
-    lift,
     lift_batch,
 )
 
@@ -50,12 +48,10 @@ __all__ = [
     "dim_weyl",
     "gt_array",
     "haar_random_unitaries",
-    "haar_random_unitary",
-    "immanant",
-    "lift",
+    "immanant_batch",
     "lift_batch",
     "partitions_of",
-    "permanent_ryser",
+    "permanent_ryser_batch",
     "su2_euler",
     "submatrix",
     "young_tables",

@@ -14,7 +14,7 @@ def imm_sum_batch(mats, perms, weights):
     zero-based column choices and ``weights`` the float64 character weight
     of each permutation; returns the (S,) complex sums.  The products run
     over one (S * P, n) array, and each sum is its own dot product, so
-    every slice equals :func:`imm_sum` of that matrix bit for bit.
+    every slice equals the one-slice stack of that matrix bit for bit.
     """
     mats = np.ascontiguousarray(mats, dtype=np.complex128)
     n = mats.shape[-1]
@@ -24,12 +24,6 @@ def imm_sum_batch(mats, perms, weights):
     prods = np.prod(gathered, axis=1).reshape(len(mats), live.size)
     w = weights[live]
     return np.array([np.dot(w, row) for row in prods], dtype=np.complex128)
-
-
-def imm_sum(mat, perms, weights):
-    """Weighted permutation sum over one complex square matrix: the
-    one-slice case of :func:`imm_sum_batch`."""
-    return complex(imm_sum_batch(np.asarray(mat)[None], perms, weights)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +39,8 @@ def ryser_permanent_batch(mats):
     run in blocks of B = 2^min(n, 16), and each block's row sums are formed
     for 2^16 / B matrices at a time (at least one), so the scratch memory
     does not grow with S.  The products run over one (S' * B, n) array and
-    each block sum is its own dot product, so every slice equals
-    :func:`ryser_permanent` of that matrix bit for bit.
+    each block sum is its own dot product, so every slice equals the
+    one-slice stack of that matrix bit for bit.
     """
     mats = np.ascontiguousarray(mats, dtype=np.complex128)
     n = mats.shape[-1]
@@ -67,10 +61,4 @@ def ryser_permanent_batch(mats):
     return -totals if n % 2 else totals
 
 
-def ryser_permanent(mat):
-    """Permanent of one complex square matrix: the one-slice case of
-    :func:`ryser_permanent_batch`."""
-    return complex(ryser_permanent_batch(np.asarray(mat)[None])[0])
-
-
-__all__ = ["imm_sum", "imm_sum_batch", "ryser_permanent", "ryser_permanent_batch"]
+__all__ = ["imm_sum_batch", "ryser_permanent_batch"]

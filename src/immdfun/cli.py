@@ -28,21 +28,22 @@ from functools import cache
 
 import numpy as np
 
-from .dualspace import immanant_via_duality
+from .dualspace import immanant_via_duality_stack
 from .errors import DomainError, MatrixParseError, ResourceLimitError
 from .linalgimm import (
     DEFAULT_SEED,
     SubmatrixSelector,
     UnitaryElement,
+    as_square,
     check_immanant_side,
-    haar_random_unitary,
-    immanant,
+    haar_random_unitaries,
+    immanant_batch,
     su2_euler,
     submatrix,
 )
 from .reports import CSV_FIELDS, to_csv_row
 from .symgroup import Partition
-from .sunrep import SUIrrepLabel, lift, pattern_rows
+from .sunrep import SUIrrepLabel, lift_batch, pattern_rows
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -133,7 +134,7 @@ def _matrix_source(args) -> tuple[int | None, Callable[[], np.ndarray]]:
         return args.identity, lambda: np.eye(args.identity, dtype=np.complex128)
     if args.haar < 2:
         raise DomainError(f"--haar must be >= 2, got {args.haar}")
-    return args.haar, lambda: haar_random_unitary(args.haar, args.seed).matrix
+    return args.haar, lambda: haar_random_unitaries(args.haar, [args.seed])[0].matrix
 
 
 def _json(obj) -> str:
@@ -192,9 +193,9 @@ def cmd_immanant(args) -> int:
     if side is not None:
         check_immanant_side(partition, side, selector)
     mat = build()
-    target = mat if selector is None else submatrix(mat, selector)
+    target = as_square(mat if selector is None else submatrix(mat, selector))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as one error below
-        value = immanant(partition, target)
+        value = complex(immanant_batch(partition, target[None])[0])
     if not cmath.isfinite(value):
         raise DomainError(f"Imm^{partition} is not finite: {value}")
     record = {
@@ -207,10 +208,10 @@ def cmd_immanant(args) -> int:
     exit_code = EXIT_OK
     if args.duality:
         m = mat.shape[0]
-        UnitaryElement.from_matrix(mat, tol=args.tol)  # refuses a non-unitary matrix
+        UnitaryElement.from_matrices(mat[None], tol=args.tol)  # refuses a non-unitary matrix
         k = rows if rows is not None else tuple(range(1, m + 1))
         q = cols if cols is not None else tuple(range(1, m + 1))
-        dual = immanant_via_duality(m, partition, k, q, mat)
+        dual = complex(immanant_via_duality_stack(m, partition, [(k, q)], mat[None])[0, 0])
         record["duality_value"] = [dual.real, dual.imag]
         record["duality_residual"] = abs(dual - value)
         record["pass"] = record["duality_residual"] < args.tol
@@ -279,7 +280,8 @@ def cmd_dump_dfunctions(args) -> int:
     if side != irrep.m:
         raise DomainError(f"matrix side {side} != m = {irrep.m}")
     mat = build()
-    lifted = lift(irrep, UnitaryElement.from_matrix(mat, tol=args.tol))
+    elements = UnitaryElement.from_matrices(as_square(mat)[None], tol=args.tol)
+    lifted = lift_batch(irrep, elements)[0]
     # One JSON record per (r, t): {"irrep": row, "r": tag, "t": tag, "value": [re, im]},
     # written from tags encoded once; repr of a finite float is its JSON form.
     tags = [_json(rows) for rows in pattern_rows(irrep)]

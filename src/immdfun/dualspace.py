@@ -3,7 +3,7 @@
 The symmetric group permutes the factors of (C^m)^(x N), SU(m) acts
 diagonally, and the two actions commute.  Hence
 Imm^{p}(U[k, q]) = <Phi_k| U^(x N) Pi^{p} |Phi_q> with the unnormalized
-projector Pi^{p} = sum_s chi^{p}(s) P(s): :func:`immanant_via_duality_batch`
+projector Pi^{p} = sum_s chi^{p}(s) P(s): :func:`immanant_via_duality_stack`
 scatters Pi^{p}|Phi_q> onto m^N complex amplitudes (row-major, first factor
 most significant) and contracts them from the bra side with the rows
 U[k_t], independently of the character-sum route in
@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .linalgimm import IMMANANT_CAP, UnitaryElement, as_square
+from .linalgimm import IMMANANT_CAP
 from .symgroup import Partition, character_weights, dim_sym, sn_tables
 from .sunrep import SUIrrepLabel, WeightVector, occupations, raising_tables, weight_blocks
 
@@ -291,20 +291,6 @@ def immanant_via_duality_stack(m: int, p: Partition, pairs, mats) -> np.ndarray:
         left = mats[:, rows[:, t]].transpose(1, 0, 2)[:, :, None, :]
         out = (left @ out.reshape(*out.shape[:2], m, out.shape[2] // m))[:, :, 0]
     return out[:, :, 0]
-
-
-def immanant_via_duality_batch(m: int, p: Partition, k, q, mats) -> np.ndarray:
-    """<Phi_k| U^(xN) Pi^{p} |Phi_q> for every U of an (S, m, m) stack, as
-    an (S,) complex array: the one-pair row of
-    :func:`immanant_via_duality_stack`."""
-    return immanant_via_duality_stack(m, p, [(k, q)], mats)[0]
-
-
-def immanant_via_duality(m: int, p: Partition, k, q, element: UnitaryElement) -> complex:
-    """<Phi_k| U^(xN) Pi^{p} |Phi_q> of one element or square matrix: the
-    one-slice case of :func:`immanant_via_duality_batch`."""
-    umat = element.matrix if isinstance(element, UnitaryElement) else as_square(element)
-    return complex(immanant_via_duality_batch(m, p, k, q, umat[None])[0])
 
 
 def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray, cols=None):

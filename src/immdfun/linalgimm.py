@@ -46,11 +46,14 @@ def _as_stack(mats) -> np.ndarray:
 
 def _check_special_unitary(mats: np.ndarray, tol: float) -> None:
     """Refuse the first matrix of the (S, m, m) stack ``mats`` that is not
-    unitary, or not of determinant 1, within ``tol`` (a NaN defect fails)."""
+    unitary, or not of determinant 1, within ``tol``.  Huge entries
+    overflow silently: the inf or NaN defect they leave fails the check."""
     m = mats.shape[-1]
-    gram = mats.conj().transpose(0, 2, 1) @ mats
-    defects = np.abs(gram - np.eye(m)).max(axis=(1, 2), initial=0.0)
-    for defect, det in zip(defects.tolist(), np.linalg.det(mats).tolist()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = mats.conj().transpose(0, 2, 1) @ mats
+        defects = np.abs(gram - np.eye(m)).max(axis=(1, 2), initial=0.0)
+        dets = np.linalg.det(mats)
+    for defect, det in zip(defects.tolist(), dets.tolist()):
         if not defect < tol:
             raise DomainError(f"matrix is not unitary: max |U^H U - 1| = {defect:.3e}")
         if not abs(det - 1.0) < tol:
@@ -88,7 +91,9 @@ class UnitaryElement:
         """
         mats = _as_stack(mats).copy()
         m = mats.shape[-1]
-        for s, det in enumerate(np.linalg.det(mats).tolist()):
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses
+            dets = np.linalg.det(mats)
+        for s, det in enumerate(dets.tolist()):
             if abs(det - 1.0) >= tol:
                 if abs(abs(det) - 1.0) >= tol:
                     raise DomainError(f"det = {det:.6g} cannot be phase-normalized to 1")
@@ -102,11 +107,6 @@ class UnitaryElement:
             object.__setattr__(element, "unitarity_tol", tol)
             elements.append(element)
         return elements
-
-    @classmethod
-    def from_matrix(cls, mat, tol: float = 1e-10) -> UnitaryElement:
-        """The one-matrix case of :meth:`from_matrices`."""
-        return cls.from_matrices(as_square(mat)[None], tol)[0]
 
     @property
     def m(self) -> int:
@@ -166,15 +166,15 @@ def haar_random_unitaries(m: int, seeds) -> list[UnitaryElement]:
 
     Each seed draws its Gaussian from its own ``default_rng(seed)``; the QR,
     the determinants and the special-unitary check each run once over the
-    (S, m, m) stack, and slice s equals ``haar_random_unitary(m, seeds[s])``
+    (S, m, m) stack, and slice s equals the one-seed stack of ``seeds[s]``
     bit for bit.  Every seed is checked before any is drawn.
     """
     if m < 2:
-        raise DomainError("haar_random_unitary requires m >= 2")
+        raise DomainError("haar_random_unitaries requires m >= 2")
     seeds = list(seeds)
     for seed in seeds:
         if seed < 0:
-            raise DomainError(f"haar_random_unitary requires a seed >= 0, got {seed}")
+            raise DomainError(f"haar_random_unitaries requires a seed >= 0, got {seed}")
     z = np.empty((len(seeds), m, m), dtype=np.complex128)
     for s, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -182,12 +182,6 @@ def haar_random_unitaries(m: int, seeds) -> list[UnitaryElement]:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return UnitaryElement.from_matrices(q * (d / np.abs(d))[:, None, :], tol=1e-12)
-
-
-def haar_random_unitary(m: int, seed: int) -> UnitaryElement:
-    """Haar sample of SU(m), deterministic for a fixed seed: the one-seed
-    slice of :func:`haar_random_unitaries`."""
-    return haar_random_unitaries(m, [seed])[0]
 
 
 def su2_euler(alpha: float, beta: float, gamma: float) -> UnitaryElement:
@@ -256,52 +250,26 @@ def check_immanant_side(p: Partition, side: int, sel: SubmatrixSelector | None =
         )
 
 
-def _sum_tables(p: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """S_n permutations and the character weights of ``p``, once the matrix
-    side ``n`` is checked against ``p`` and ``IMMANANT_CAP``."""
-    check_immanant_side(p, n)
-    perms, _, _ = sn_tables(n)
-    return perms, character_weights(p)
-
-
-def immanant(p: Partition, mat) -> complex:
-    """Character-weighted permutation sum Imm^{p}(M).
-
-    Parameters
-    ----------
-    p : Partition
-        Partition of n labelling the S_n character.
-    mat : array_like or UnitaryElement
-        Square n x n complex matrix, n <= ``IMMANANT_CAP`` (the sum has n!
-        terms).
+def immanant_batch(p: Partition, mats) -> np.ndarray:
+    """Character-weighted permutation sums Imm^{p}(M) of every matrix of an
+    (S, n, n) stack, n <= ``IMMANANT_CAP`` (each sum has n! terms), as an
+    (S,) complex array.
 
     Deterministic for fixed input: terms are accumulated in the fixed
-    ``itertools.permutations`` order.
+    ``itertools.permutations`` order, and slice s equals the one-slice
+    stack of ``mats[s]`` bit for bit.
     """
-    arr = as_square(mat)
-    return _kernels.imm_sum(arr, *_sum_tables(p, arr.shape[0]))
-
-
-def immanant_batch(p: Partition, mats) -> np.ndarray:
-    """Imm^{p} of every matrix of an (S, n, n) stack, as an (S,) complex
-    array whose slice s equals ``immanant(p, mats[s])`` bit for bit."""
     arr = _as_stack(mats)
-    return _kernels.imm_sum_batch(arr, *_sum_tables(p, arr.shape[-1]))
+    check_immanant_side(p, arr.shape[-1])
+    perms, _, _ = sn_tables(arr.shape[-1])
+    return _kernels.imm_sum_batch(arr, perms, character_weights(p))
 
 
 def permanent_ryser_batch(mats) -> np.ndarray:
     """Permanent of every matrix of an (S, n, n) stack via Ryser
     inclusion-exclusion over column subsets, as an (S,) complex array whose
-    slice s equals ``permanent_ryser(mats[s])`` bit for bit."""
+    slice s equals the one-slice stack of ``mats[s]`` bit for bit."""
     arr = _as_stack(mats)
     if arr.shape[-1] > RYSER_CAP:
         raise ResourceLimitError(f"Ryser permanent capped at n = {RYSER_CAP}")
     return _kernels.ryser_permanent_batch(arr)
-
-
-def permanent_ryser(mat) -> complex:
-    """Permanent via Ryser inclusion-exclusion over column subsets."""
-    arr = as_square(mat)
-    if arr.shape[0] > RYSER_CAP:
-        raise ResourceLimitError(f"Ryser permanent capped at n = {RYSER_CAP}")
-    return _kernels.ryser_permanent(arr)

@@ -229,7 +229,7 @@ def chain_labels(irrep: SUIrrepLabel) -> tuple[str, ...]:
 # (10-15 ms with numpy 2.4 on a 2-CPU x86 host).
 
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
-Eigenbasis = tuple[np.ndarray, np.ndarray, np.ndarray]
+Eigenbasis = tuple[np.ndarray, np.ndarray]
 
 
 def _row_keys(pats: np.ndarray) -> np.ndarray:
@@ -311,8 +311,8 @@ def build_raising_tables(irreps) -> list[tuple[Triples, ...]]:
 
 
 def build_rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ...]]]:
-    """Read-only float occupations, and (w, V, V^T) for every adjacent mode
-    pair, of distinct irreps of one m, uncached.
+    """Read-only float occupations, and (w, V) for every adjacent mode pair,
+    of distinct irreps of one m, uncached.
 
     The real orthogonal V diagonalises the symmetric S_k = C_{k,k+1} + C_{k+1,k}
     with eigenvalues w, so B_k(theta) lifts to V diag(e^{-i theta w}) V^T.
@@ -359,15 +359,14 @@ def build_rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ..
         at, step = base[k, src], width[k, src]
         flat[at + place[k, dst] * step + place[k, src]] = amp
         flat[at + place[k, src] * step + place[k, dst]] = amp
-    # every irrep's (m-1, d, d) stack of V (and of V^T) in one flat array,
-    # with the unit diagonal of the one-pattern blocks
+    # every irrep's (m-1, d, d) stack of V in one flat array, with the unit
+    # diagonal of the one-pattern blocks
     squares = dims**2
     start = (m - 1) * (np.cumsum(squares) - squares)  # of each irrep's stack
     corner = start[owner] + np.arange(m - 1)[:, None] * squares[owner]
     w = np.zeros((m - 1, n))
-    v, vt = np.zeros((m - 1) * squares.sum()), np.zeros((m - 1) * squares.sum())
-    diagonal = corner + local * (dims[owner] + 1)
-    v[diagonal] = vt[diagonal] = 1.0
+    v = np.zeros((m - 1) * squares.sum())
+    v[corner + local * (dims[owner] + 1)] = 1.0
     for size, ks, rows, at in stacks:
         stack = flat[at : at + size * size * len(rows)].reshape(-1, size, size)
         w[ks, rows], vecs = np.linalg.eigh(stack)
@@ -382,17 +381,14 @@ def build_rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ..
         r, c = rows[:, :, None], rows[:, None, :]
         cell = corner[ks[:, :, None], r]
         v[cell + local[r] * dims[owner[r]] + local[c]] = vecs
-        vt[cell + local[c] * dims[owner[r]] + local[r]] = vecs
-    for x in (w, v, vt):
-        x.flags.writeable = False
+    w.flags.writeable = v.flags.writeable = False
     tables = []
     for i, ir in enumerate(irreps):
         d, lo = dims[i], start[i]
         occ = occupations(ir).astype(np.float64)
         occ.flags.writeable = False
-        mats = [x[lo : lo + (m - 1) * d * d].reshape(m - 1, d, d) for x in (v, vt)]
-        w_i = w[:, first[i] : first[i] + d]
-        tables.append((occ, tuple(zip(w_i, *mats))))
+        v_i = v[lo : lo + (m - 1) * d * d].reshape(m - 1, d, d)
+        tables.append((occ, tuple(zip(w[:, first[i] : first[i] + d], v_i))))
     return tables
 
 
@@ -482,7 +478,7 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     elements = list(elements)
     for element in elements:
         if not isinstance(element, UnitaryElement):
-            raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrix)")
+            raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrices)")
         if element.m != irrep.m:
             raise DomainError(f"element acts on {element.m} modes, irrep has m = {irrep.m}")
     check_lift_dim(irrep)
@@ -507,8 +503,8 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
         thetas = np.array([[theta for _, theta in factors[s][0]] for s in members])
         x = None  # the unit columns idx times the last phase, until a rotation mixes them
         for i in range(len(ks) - 1, -1, -1):
-            w, v, vt = eigen[ks[i]]
-            y = vt[:, None, idx] * phases[idx, :, -1].T if x is None else _real_times(vt, x)
+            w, v = eigen[ks[i]]
+            y = v.T[:, None, idx] * phases[idx, :, -1].T if x is None else _real_times(v.T, x)
             turn = np.exp(-1j * thetas[:, i] * w[:, None])
             x = phases[:, :, i, None] * _real_times(v, turn[:, :, None] * y)
         if x is None:
@@ -520,9 +516,3 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
         if not defect <= 1e-10:
             raise DomainError(f"the lift into {irrep} lost orthonormality: defect {defect:.3e}")
     return out
-
-
-def lift(irrep: SUIrrepLabel, element: UnitaryElement, cols=None) -> np.ndarray:
-    """Columns ``cols`` of the matrix of ``element`` in the irrep, a
-    (d, len(cols)) array: the one slice of :func:`lift_batch`."""
-    return lift_batch(irrep, [element], cols)[0]

@@ -11,22 +11,14 @@ from itertools import combinations
 
 import numpy as np
 
-from immdfun.dualspace import immanant_via_duality, state_weight
-from immdfun.linalgimm import (
-    SubmatrixSelector,
-    UnitaryElement,
-    haar_random_unitary,
-    immanant,
-    permanent_ryser,
-    su2_euler,
-    submatrix,
-)
+from immdfun.dualspace import state_weight
+from immdfun.linalgimm import SubmatrixSelector, su2_euler, submatrix
 from immdfun.symgroup import (
     Partition,
     character,
     partitions_of,
 )
-from immdfun.sunrep import SUIrrepLabel, dim_weyl, gt_array, lift, weight_blocks
+from immdfun.sunrep import SUIrrepLabel, dim_weyl, gt_array, weight_blocks
 from immdfun.verification import (
     SU2_EXPECTED,
     conjecture_scan,
@@ -38,6 +30,14 @@ from immdfun.verification import (
 )
 
 from _generators import all_permutations, class_size, generator_matrix, young_matrix
+from _single import (
+    from_matrix,
+    haar_random_unitary,
+    immanant,
+    immanant_via_duality,
+    lift,
+    permanent_ryser,
+)
 
 P = Partition
 SEED = 1905
@@ -307,7 +307,7 @@ def test_criterion_10_structural_suites():
             lifted = lift(ir, u1)
             if np.abs(lifted.conj().T @ lifted - np.eye(d)).max() >= 1e-10:
                 failures.append(f"unitarity {row}")
-            prod = UnitaryElement.from_matrix(u1.matrix @ u2.matrix, tol=1e-9)
+            prod = from_matrix(u1.matrix @ u2.matrix, tol=1e-9)
             hom = lift(ir, prod) - lifted @ lift(ir, u2)
             if np.abs(hom).max() >= 1e-9:
                 failures.append(f"lift homomorphism {row}")

@@ -45,7 +45,7 @@ class TestImmanantCommand:
             capsys, "immanant", "--partition", "4", "--haar", "4", "--seed", "7"
         )
         assert code == EXIT_OK
-        from immdfun.linalgimm import haar_random_unitary, permanent_ryser
+        from _single import haar_random_unitary, permanent_ryser
 
         expected = permanent_ryser(haar_random_unitary(4, 7).matrix)
         record = json.loads(out)
@@ -444,7 +444,7 @@ class TestDumpCommand:
             capsys, "dump-dfunctions", "--partition", "1", "--m", "3", "--haar", "3", "--seed", "5"
         )
         assert code == EXIT_OK
-        from immdfun.linalgimm import haar_random_unitary
+        from _single import haar_random_unitary
 
         u = haar_random_unitary(3, 5).matrix
         records = [json.loads(line) for line in out.strip().splitlines()]
@@ -461,6 +461,14 @@ class TestDumpCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         middle = [r for r in records if r["r"] == r["t"] == [[2, 0], [1]]]
         assert middle[0]["value"][0] == pytest.approx(math.cos(beta), abs=1e-12)
+
+    def test_overflowing_matrix_is_one_usage_error(self, capsys, tmp_path):
+        # det and U^H U overflow: one error line, and no numpy warning before it
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([[[1e308, 0]] * 2] * 2))
+        code, out, err = run(capsys, "dump-dfunctions", "--row", "1,0", "--matrix-file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_capped_dump_writes_no_output_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv("IMMDFUN_MAX_DIM", raising=False)
@@ -603,7 +611,7 @@ class TestSideRefusedBeforeBuilding:
         def forbidden(*args, **kwargs):
             raise AssertionError("the matrix was built before the refusal")
 
-        monkeypatch.setattr(cli, "haar_random_unitary", forbidden)
+        monkeypatch.setattr(cli, "haar_random_unitaries", forbidden)
         monkeypatch.setattr(cli.np, "eye", forbidden)
         assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
@@ -664,7 +672,8 @@ class TestMinusOneEigenvalues:
         got = np.array([complex(re, im) for re, im in values]).reshape(8, 8)
 
         from immdfun.linalgimm import UnitaryElement
-        from immdfun.sunrep import SUIrrepLabel, lift
+        from immdfun.sunrep import SUIrrepLabel
+        from _single import lift
 
         root = UnitaryElement(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
         cube = np.linalg.matrix_power(lift(SUIrrepLabel(3, (2, 1, 0)), root), 3)

@@ -13,15 +13,12 @@ from immdfun.dualspace import (
     coefficient_matrix,
     coefficient_matrix_value,
     immanant_projector,
-    immanant_via_duality,
     state_weight,
 )
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
-    haar_random_unitary,
-    immanant,
     submatrix,
 )
 from immdfun.symgroup import (
@@ -34,13 +31,13 @@ from immdfun import linalgimm, sunrep, symgroup, verification
 from immdfun.sunrep import (
     SUIrrepLabel,
     WeightVector,
-    lift,
     occupations,
     weight_blocks,
 )
 from immdfun.verification import _littlewood_reports, classify_coefficients, conjecture_scan
 
 from _generators import Permutation, all_permutations, permutation_matrix
+from _single import from_matrix, haar_random_unitary, immanant, immanant_via_duality, lift
 from _tensor import apply_tensor_power
 
 P = Partition
@@ -423,7 +420,7 @@ class TestTheorem3AndNormalization:
         occ = occupations(label).tolist()
         zero_idx = [a for a, n in enumerate(occ) if n == [1, 1, 1]]
         for s in all_permutations(m):
-            pm = UnitaryElement.from_matrix(permutation_matrix(s), tol=1e-10)
+            pm = from_matrix(permutation_matrix(s), tol=1e-10)
             gamma = lift(label, pm)[np.ix_(zero_idx, zero_idx)]
             assert np.abs(gamma @ w @ gamma.conj().T - w).max() < 1e-9
         assert np.abs(w - np.eye(len(zero_idx))).max() < 1e-10
@@ -437,7 +434,7 @@ class TestTheorem3AndNormalization:
         occ = occupations(label).tolist()
         zero_idx = [a for a, n in enumerate(occ) if n == [1, 1, 1]]
         for s in all_permutations(m):
-            pm = UnitaryElement.from_matrix(permutation_matrix(s), tol=1e-10)
+            pm = from_matrix(permutation_matrix(s), tol=1e-10)
             gamma = lift(label, pm)[np.ix_(zero_idx, zero_idx)]
             assert abs(np.trace(gamma) - character(p, s.cycle_type())) < 1e-8
 

@@ -1,10 +1,13 @@
-"""The default-seed ``verify`` streams, and one ``dump-dfunctions``
-stream, against their stored copies.
+"""The default-seed ``verify`` streams, one ``dump-dfunctions`` stream,
+and the single-matrix commands, against their stored copies.
 
 Each suite is rerun in process at its default seed and compared with
 ``tests/data/verify-<suite>.jsonl`` record by record; the dump of the
 SU(4) irrep (2,1,1,0) at Haar sample 4 pins the basis order and the
-pattern tags of every record against ``tests/data/dump-2110-haar4.jsonl``.  Pass flags,
+pattern tags of every record against ``tests/data/dump-2110-haar4.jsonl``.
+Each line of ``tests/data/immanant-cli.jsonl`` holds one command's argv
+and the records it wrote: an immanant with and without the duality check,
+on a Haar sample, a submatrix and an Euler matrix, and a small dump.  Pass flags,
 integers, strings, keys and list lengths must be equal; each float may
 move by less than 1e-12, absolutely or relative to its size.  The float
 slack absorbs the BLAS reduction order (thread count, library build),
@@ -12,7 +15,8 @@ which moves the last bits of a residual but no decision.
 
 A change that is meant to move a report regenerates its file with
 ``OPENBLAS_NUM_THREADS=1 immdfun verify SUITE > tests/data/verify-SUITE.jsonl``
-(and ``immdfun dump-dfunctions --row 2,1,1,0 --haar 4`` for the dump).
+(and ``immdfun dump-dfunctions --row 2,1,1,0 --haar 4`` for the dump; each
+single-matrix command is rerun from its stored argv).
 """
 
 import json
@@ -62,6 +66,14 @@ def test_dump_stream_matches_golden(capsys):
     assert len(lines) == len(golden) == 225
     for i, (old, new) in enumerate(zip(golden, lines)):
         assert_same_report(json.loads(old), json.loads(new), f"dump[{i}]")
+
+
+def test_single_matrix_commands_match_golden(capsys):
+    for line in (DATA / "immanant-cli.jsonl").read_text().splitlines():
+        golden = json.loads(line)
+        assert main(golden["argv"]) == EXIT_OK
+        records = [json.loads(out) for out in capsys.readouterr().out.splitlines()]
+        assert_same_report(golden["stdout"], records, " ".join(golden["argv"]))
 
 
 @pytest.mark.parametrize(

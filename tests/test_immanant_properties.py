@@ -23,17 +23,12 @@ from immdfun.dualspace import (
     coefficient_matrix,
     coefficient_matrix_value,
     immanant_projector,
-    immanant_via_duality,
-    immanant_via_duality_batch,
     immanant_via_duality_stack,
 )
 from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
-    haar_random_unitary,
-    immanant,
     immanant_batch,
-    permanent_ryser,
     submatrix,
 )
 from immdfun.sunrep import SUIrrepLabel, lift_batch
@@ -44,6 +39,13 @@ from immdfun.symgroup import (
 )
 
 from _generators import all_permutations, class_size, permutation_matrix
+from _single import (
+    from_matrix,
+    haar_random_unitary,
+    immanant,
+    immanant_via_duality,
+    permanent_ryser,
+)
 
 FEW = settings(max_examples=20, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -80,7 +82,7 @@ def _special_stack(m: int, seed: int) -> np.ndarray:
         haar_random_unitary(m, seed),
         haar_random_unitary(m, seed + 1),
         UnitaryElement(np.eye(m)),
-        UnitaryElement.from_matrix(permutation_matrix(perm)),
+        from_matrix(permutation_matrix(perm)),
         UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (m - 2))),
         UnitaryElement(block),
     ]
@@ -97,7 +99,7 @@ def test_stacked_routes_equal_their_slices_bit_for_bit(m, seed):
             subs = mats[:, idx[:, None], idx]
             for p in partitions_of(size):
                 stacked = immanant_batch(p, subs)
-                dual = immanant_via_duality_batch(m, p, keep, keep, mats)
+                dual = immanant_via_duality_stack(m, p, [(keep, keep)], mats)[0]
                 for s, mat in enumerate(mats):
                     assert stacked[s] == immanant(p, subs[s])
                     assert dual[s] == immanant_via_duality(m, p, keep, keep, mat)
@@ -133,7 +135,7 @@ def test_stacked_selectors_equal_their_slices_bit_for_bit(m, seed):
                 assert list(stacked[j]) == list(immanant_batch(p, subs[j]))
             for j, (k, q) in enumerate(pairs):
                 assert list(dual[j]) == list(_one_pair_contraction(m, p, k, q, mats))
-                assert list(dual[j]) == list(immanant_via_duality_batch(m, p, k, q, mats))
+                assert list(dual[j]) == list(immanant_via_duality_stack(m, p, [(k, q)], mats)[0])
 
 
 def test_stacked_coefficient_values_equal_their_slices_bit_for_bit():

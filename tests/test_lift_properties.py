@@ -17,15 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from immdfun import linalgimm, sunrep
-from immdfun.dualspace import _chain_vectors, _weight_blocks, immanant_via_duality, state_weight
+from immdfun.dualspace import _chain_vectors, _weight_blocks, state_weight
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
     _givens_factors,
     haar_random_unitaries,
-    haar_random_unitary,
-    immanant,
     submatrix,
 )
 from immdfun.sunrep import (
@@ -33,7 +31,6 @@ from immdfun.sunrep import (
     _phase_lifts,
     build_rotation_tables,
     dim_weyl,
-    lift,
     lift_batch,
     occupations,
     rotation_tables,
@@ -43,6 +40,7 @@ from immdfun.symgroup import partitions_of
 from immdfun.verification import _block_columns, _block_traces
 
 from _generators import all_permutations, permutation_matrix
+from _single import from_matrix, haar_random_unitary, immanant, immanant_via_duality, lift
 from _tensor import apply_tensor_power
 
 ROWS = (
@@ -79,7 +77,7 @@ def _element(m: int, kind: str, seed: int) -> UnitaryElement:
         return UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (m - 2)))
     if kind == "permutation":
         perms = all_permutations(m)
-        return UnitaryElement.from_matrix(permutation_matrix(perms[rng.integers(len(perms))]))
+        return from_matrix(permutation_matrix(perms[rng.integers(len(perms))]))
     if kind == "signs":
         signs = rng.choice([-1.0, 1.0], size=m)
         signs[-1] = np.prod(signs[:-1])
@@ -109,7 +107,7 @@ def test_columns_are_the_full_lifts_columns(irrep, seed, data):
 @given(irreps, elements, elements)
 def test_homomorphism(irrep, first, second):
     u, v = (_element(irrep.m, kind, seed) for kind, seed in (first, second))
-    uv = UnitaryElement.from_matrix(u.matrix @ v.matrix)
+    uv = from_matrix(u.matrix @ v.matrix)
     lhs = lift(irrep, uv)
     assert np.abs(lhs - lift(irrep, u) @ lift(irrep, v)).max() < 1e-12
 
@@ -141,12 +139,12 @@ def test_permutation_matrices(row, seed):
     v = haar_random_unitary(irrep.m, seed)
     t_v = lift(irrep, v)
     for s in all_permutations(irrep.m):
-        p = UnitaryElement.from_matrix(permutation_matrix(s))
+        p = from_matrix(permutation_matrix(s))
         t_p = lift(irrep, p)
         moved = occ[:, [s.inverse()(j) - 1 for j in range(1, irrep.m + 1)]]
         allowed = (moved[:, None, :] == occ[None, :, :]).all(axis=2)  # [t, r]
         assert np.abs(t_p.T[~allowed]).max(initial=0.0) < 1e-14
-        pv = UnitaryElement.from_matrix(p.matrix @ v.matrix)
+        pv = from_matrix(p.matrix @ v.matrix)
         assert np.abs(lift(irrep, pv) - t_p @ t_v).max() < 1e-12
 
 

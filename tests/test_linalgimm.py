@@ -10,9 +10,6 @@ from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
     haar_random_unitaries,
-    haar_random_unitary,
-    immanant,
-    permanent_ryser,
     permanent_ryser_batch,
     su2_euler,
     submatrix,
@@ -20,6 +17,7 @@ from immdfun.linalgimm import (
 from immdfun.symgroup import Partition, character, dim_sym, partitions_of
 
 from _generators import Permutation, permutation_matrix
+from _single import from_matrix, haar_random_unitary, immanant, permanent_ryser
 
 P = Partition
 
@@ -127,7 +125,8 @@ class TestPermanentDeterminant:
         kernel, checked = _kernels.ryser_permanent_batch(mats), permanent_ryser_batch(mats)
         assert kernel.shape == (count,) and np.array_equal(kernel, checked)
         for s in range(count):
-            assert kernel[s] == _kernels.ryser_permanent(mats[s]) == permanent_ryser(mats[s])
+            single = _kernels.ryser_permanent_batch(mats[s : s + 1])[0]
+            assert kernel[s] == single == permanent_ryser(mats[s])
 
     def test_batch_refusals(self):
         with pytest.raises(ResourceLimitError, match="capped"):
@@ -218,7 +217,7 @@ class TestUnitaryElement:
         mats[3] *= np.exp(-2.0j)
         stack = UnitaryElement.from_matrices(mats)
         for mat, element in zip(mats, stack):
-            single = UnitaryElement.from_matrix(mat)
+            single = from_matrix(mat)
             assert np.array_equal(element.matrix, single.matrix)
             assert element.unitarity_tol == single.unitarity_tol
         mats[0] = 0.0  # the stack holds a copy
@@ -231,12 +230,20 @@ class TestUnitaryElement:
 
     def test_phase_normalization_flag(self):
         u = haar_random_unitary(3, 4).matrix * np.exp(0.4j)
-        elem = UnitaryElement.from_matrix(u)
+        elem = from_matrix(u)
         assert abs(np.linalg.det(elem.matrix) - 1.0) < 1e-10
 
     def test_rejects_nonunitary(self):
         with pytest.raises(DomainError):
-            UnitaryElement.from_matrix(np.diag([2.0, 0.5]))
+            from_matrix(np.diag([2.0, 0.5]))
+
+    def test_overflowing_matrix_is_a_domain_error(self):
+        # det and U^H U overflow: the refusal comes with no numpy warning
+        big = np.full((2, 2), 1e308, dtype=np.complex128)
+        with pytest.raises(DomainError, match="phase-normalized"):
+            UnitaryElement.from_matrices(big[None])
+        with pytest.raises(DomainError, match="not unitary"):
+            UnitaryElement(big)
 
     def test_matrix_is_a_read_only_copy(self):
         # the element caches its factors, so its matrix must not change

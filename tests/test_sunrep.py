@@ -7,7 +7,7 @@ import pytest
 from immdfun import sunrep
 from immdfun.cli import main
 from immdfun.errors import DomainError, ResourceLimitError
-from immdfun.linalgimm import UnitaryElement, haar_random_unitary, su2_euler
+from immdfun.linalgimm import UnitaryElement, su2_euler
 from immdfun.symgroup import Partition
 from immdfun.sunrep import (
     SUIrrepLabel,
@@ -17,7 +17,6 @@ from immdfun.sunrep import (
     chain_labels,
     dim_weyl,
     gt_array,
-    lift,
     occupations,
     pattern_rows,
     raising_tables,
@@ -26,6 +25,7 @@ from immdfun.sunrep import (
 
 import _patterns as ref
 from _generators import all_permutations, generator_matrix, permutation_matrix
+from _single import from_matrix, haar_random_unitary, lift
 
 P = Partition
 
@@ -322,7 +322,7 @@ class TestLift:
         for i in range(50):
             u1 = haar_random_unitary(m, 100 + i)
             u2 = haar_random_unitary(m, 200 + i)
-            prod = UnitaryElement.from_matrix(u1.matrix @ u2.matrix, tol=1e-9)
+            prod = from_matrix(u1.matrix @ u2.matrix, tol=1e-9)
             lhs = lift(ir, prod)
             rhs = lift(ir, u1) @ lift(ir, u2)
             assert np.abs(lhs - rhs).max() < 1e-9
@@ -368,10 +368,10 @@ class TestLift:
         v = haar_random_unitary(m, 31)
         t_v = lift(ir, v)
         for s in all_permutations(m):
-            p = UnitaryElement.from_matrix(permutation_matrix(s))
+            p = from_matrix(permutation_matrix(s))
             t_p = lift(ir, p)
-            pv = UnitaryElement.from_matrix(p.matrix @ v.matrix)
-            vp = UnitaryElement.from_matrix(v.matrix @ p.matrix)
+            pv = from_matrix(p.matrix @ v.matrix)
+            vp = from_matrix(v.matrix @ p.matrix)
             assert np.abs(lift(ir, pv) - t_p @ t_v).max() < 1e-12
             assert np.abs(lift(ir, vp) - t_v @ t_p).max() < 1e-12
 
@@ -404,7 +404,7 @@ class TestLift:
         th_r = np.array([-0.6, 0.5, 0.1])
         left = UnitaryElement(np.diag(np.exp(1j * th_l)))
         right = UnitaryElement(np.diag(np.exp(1j * th_r)))
-        sandwiched = UnitaryElement.from_matrix(
+        sandwiched = from_matrix(
             left.matrix @ u.matrix @ right.matrix, tol=1e-9
         )
         got = lift(ir, sandwiched)
