@@ -3,11 +3,13 @@
 The symmetric group permutes the factors of (C^m)^(x N), SU(m) acts
 diagonally, and the two actions commute.  Hence
 Imm^{p}(U[k, q]) = <Phi_k| U^(x N) Pi^{p} |Phi_q> with the unnormalized
-projector Pi^{p} = sum_s chi^{p}(s) P(s): :func:`immanant_via_duality_stack`
-scatters Pi^{p}|Phi_q> onto m^N complex amplitudes (row-major, first factor
-most significant) and contracts them from the bra side with the rows
-U[k_t], independently of the character-sum route in
-:mod:`immdfun.linalgimm`.
+projector Pi^{p} = sum_s chi^{p}(s) P(s).  Only the columns q of the rows
+U[k_t] meet Pi^{p}|Phi_q>, so the same number is
+<1..N| A^(x N) Pi^{p} |1..N> with A = U[k, q]:
+:func:`immanant_via_duality_stack` scatters Pi^{p}|1..N> onto N^N complex
+amplitudes (row-major, first factor most significant) and contracts them
+from the bra side with the rows of A, independently of the character-sum
+route in :mod:`immdfun.linalgimm`.
 
 :func:`coefficient_matrix` couples the same immanant to group functions.
 Its entries are overlaps of the kept-mode basis states with chain vectors:
@@ -26,7 +28,6 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .linalgimm import IMMANANT_CAP
 from .symgroup import Partition, character_weights, dim_sym, sn_tables
 from .sunrep import SUIrrepLabel, WeightVector, occupations, raising_tables, weight_blocks
 
@@ -36,7 +37,9 @@ TENSOR_SIZE_CAP = 10**6
 def _tensor_size(m: int, n: int) -> int:
     """m^n, refused above :data:`TENSOR_SIZE_CAP`."""
     if m**n > TENSOR_SIZE_CAP:
-        raise ResourceLimitError(f"tensor space m^N = {m ** n} exceeds cap {TENSOR_SIZE_CAP}")
+        raise ResourceLimitError(
+            f"tensor space {m}^{n} = {m ** n} amplitudes exceeds cap {TENSOR_SIZE_CAP}"
+        )
     return m**n
 
 
@@ -117,28 +120,19 @@ def state_weight(m: int, modes: tuple[int, ...]) -> WeightVector:
     return WeightVector(tuple(occ))
 
 
-def immanant_projector(p: Partition, m: int, modes: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes of sum_s chi^{p}(s) P(s) |modes>; unnormalized (the sum
-    squares to (N!/dim p) itself).
+def immanant_projector(p: Partition) -> np.ndarray:
+    """Amplitudes of sum_s chi^{p}(s) P(s) |1, 2, .., N> on N^N basis
+    states; unnormalized (the sum squares to (N!/dim p) itself).
 
     P(s) carries the excitation of factor j to factor s(j), so the basis
-    state reached by s has modes ``modes[argsort(s)]``; repeated modes land
-    on one state and accumulate in :func:`sn_tables` order.  N is capped
-    at ``IMMANANT_CAP`` and m^N at :data:`TENSOR_SIZE_CAP`, both checked
-    before S_N is built.
+    state reached by s has modes ``argsort(s) + 1``; the modes never
+    repeat, so each s reaches its own state.  N^N is capped at
+    :data:`TENSOR_SIZE_CAP` (N <= 7), checked before S_N is built.
     """
-    n = len(modes)
-    if p.n != n:
-        raise DomainError(f"partition {p} is not a partition of N = {n}")
-    _mode_index(m, modes)  # refuses a mode outside 1..m
-    if n > IMMANANT_CAP:
-        raise ResourceLimitError(
-            f"immanant projector capped at N = {IMMANANT_CAP} (requested N = {n})"
-        )
-    out = np.zeros(_tensor_size(m, n), dtype=np.complex128)
+    n = p.n
+    out = np.zeros(_tensor_size(n, n), dtype=np.complex128)
     sigmas, _, _ = sn_tables(n)
-    targets = (np.asarray(modes, dtype=np.int64) - 1)[np.argsort(sigmas, axis=1)] @ _powers(m, n)
-    np.add.at(out, targets, character_weights(p))
+    out[np.argsort(sigmas, axis=1) @ _powers(n, n)] = character_weights(p)
     return out
 
 
@@ -270,26 +264,26 @@ def immanant_via_duality_stack(m: int, p: Partition, pairs, mats) -> np.ndarray:
     ``pairs`` and every U of an (S, m, m) stack, as a (K, S) complex array,
     from one contraction.
 
-    <Phi_k| U^(xN) is the product of the rows U[k_t], so N vector-tensor
-    products with those rows, one factor each and all pairs and matrices at
-    once, reduce the m^N projector amplitudes of each q to S numbers in
-    O(K S m^N).  Each product keeps the (1, m) @ (m, m^j) shape and strides
-    of a single pair's, so row j equals the one-pair call bit for bit.
-    Equals the character-sum immanant of each (k, q) submatrix; the code
-    path shares nothing with that evaluation, which makes it the master
-    cross-check.  Distinct selectors give N <= m, and the caps of
-    :func:`immanant_projector` bound the amplitude arrays.
+    The value is <1..N| A^(xN) Pi^{p} |1..N> with A = U[k, q], so one
+    projector on N^N amplitudes serves every pair.  N vector-tensor
+    products with the rows A[t] = U[k_t, q], one factor each and all pairs
+    and matrices at once, reduce it to S numbers per pair in O(K S N^N).
+    Each product keeps the (1, N) @ (N, N^j) shape and strides of a single
+    pair's, so row j equals the one-pair call bit for bit.  Equals the
+    character-sum immanant of each (k, q) submatrix; the route slices U
+    itself and shares nothing with that evaluation, which makes it the
+    master cross-check.  :func:`immanant_projector` caps N^N.
     """
     pairs = [_check_pair(m, p, k, q) for k, q in pairs]
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim != 3 or mats.shape[1:] != (m, m):
         raise DomainError("element size does not match m")
-    amps = np.array([immanant_projector(p, m, q) for _, q in pairs])
-    rows = np.array([k for k, _ in pairs]) - 1
-    out = np.broadcast_to(amps[:, None, :], (len(pairs), len(mats), amps.shape[1]))
-    for t in range(rows.shape[1]):  # the first factor is the most significant axis
-        left = mats[:, rows[:, t]].transpose(1, 0, 2)[:, :, None, :]
-        out = (left @ out.reshape(*out.shape[:2], m, out.shape[2] // m))[:, :, 0]
+    n, amps = p.n, immanant_projector(p)
+    rows, cols = (np.array(sel, dtype=np.intp).reshape(-1, n) - 1 for sel in zip(*pairs))
+    out = np.broadcast_to(amps, (len(pairs), len(mats), amps.size))
+    for t in range(n):  # the first factor is the most significant axis
+        left = mats[:, rows[:, t, None], cols].transpose(1, 0, 2)[:, :, None, :]
+        out = (left @ out.reshape(*out.shape[:2], n, out.shape[2] // n))[:, :, 0]
     return out[:, :, 0]
 
 

@@ -226,9 +226,9 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
             lhs_d += traces[p3, keep3][s] * traces[p1, keep1][s]
         rhs_d = traces[p31, full][s] + traces[p4, full][s]
         residual_d = abs(lhs_d - rhs_d)
-        residual_forms = max(abs(lhs_d - lhs), abs(rhs_d - rhs))
+        residual_forms = _worst((abs(lhs_d - lhs), abs(rhs_d - rhs)))
 
-        residual = max(residual_imm, residual_d, residual_forms)
+        residual = _worst((residual_imm, residual_d, residual_forms))
         reports.append(
             VerificationReport(
                 suite="littlewood",
@@ -427,16 +427,14 @@ def plethysm_su2_suite(
     problem = su2_power_problem(3, Partition(2, 2))
     result = fit_decomposition(problem, samples=samples, seed=seed)
     fitted = {cand.irrep.row[0]: val for cand, val in result.coefficients}
-    worst = 0.0
-    detail_coeffs = {}
-    for two_j, expected in SU2_EXPECTED.items():
-        got = fitted.get(two_j, 0.0)
-        worst = max(worst, abs(got - float(expected)))
-        detail_coeffs[f"J={two_j // 2}"] = [float(np.real(got)), float(np.imag(got))]
-    stray = max((abs(v) for c, v in result.pruned), default=0.0)
-    stray = max(
-        stray,
-        max((abs(v) for c, v in result.coefficients if c.irrep.row[0] not in SU2_EXPECTED), default=0.0),
+    got = {two_j: fitted.get(two_j, 0.0) for two_j in SU2_EXPECTED}
+    worst = _worst(abs(got[two_j] - float(expected)) for two_j, expected in SU2_EXPECTED.items())
+    detail_coeffs = {
+        f"J={two_j // 2}": [float(np.real(v)), float(np.imag(v))] for two_j, v in got.items()
+    }
+    stray = _worst(
+        [abs(v) for c, v in result.pruned]
+        + [abs(v) for c, v in result.coefficients if c.irrep.row[0] not in SU2_EXPECTED]
     )
     diag, diag_ok = _diagonal_sum(result, Partition(2, 2))
     passed = worst < tol and stray < 1e-9 and diag_ok and result.residual < 1e-8
@@ -475,15 +473,9 @@ def plethysm_su3_suite(
         (cand.irrep.row, _two_j(cand.irrep, cand.r), _two_j(cand.irrep, cand.t)): val
         for cand, val in result.coefficients
     }
-    worst = 0.0
-    missing = []
-    for key, expected in SU3_EXPECTED.items():
-        got = fitted.pop(key, None)
-        if got is None:
-            missing.append(key)
-            continue
-        worst = max(worst, abs(got - expected))
-    extra = {str(k): abs(v) for k, v in fitted.items()}
+    missing = [key for key in SU3_EXPECTED if key not in fitted]
+    worst = _worst(abs(fitted[key] - val) for key, val in SU3_EXPECTED.items() if key in fitted)
+    extra = {str(k): abs(v) for k, v in fitted.items() if k not in SU3_EXPECTED}
     diag, diag_ok = _diagonal_sum(result, Partition(6))
     passed = not missing and not extra and worst < tol and diag_ok and result.residual < 1e-8
     return [

@@ -86,14 +86,16 @@ class TestImmanantCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--partition", "2,1", "--rows", "2,4,6", "--cols", "1,3,7"),
-            ("--partition", "1,1,1,1,1,1,1"),
+            ("--partition", "2,1", "--haar", "7", "--rows", "2,4,6", "--cols", "1,3,7"),
+            ("--partition", "1,1,1,1,1,1,1", "--haar", "7"),
+            ("--partition", "3,2,1,1", "--haar", "20", "--rows", "1,2,3,4,5,6,7",
+             "--cols", "8,9,10,11,12,13,14"),
         ],
-        ids=["submatrix", "full"],
+        ids=["submatrix", "full", "interferometer"],
     )
     def test_seven_mode_duality_check(self, capsys, argv):
-        # the duality route is bounded by m^N and N, not by m
-        code, out, _ = run(capsys, "immanant", *argv, "--haar", "7", "--check-duality")
+        # the duality route is bounded by N^N, not by m
+        code, out, _ = run(capsys, "immanant", *argv, "--check-duality")
         assert code == EXIT_OK
         record = json.loads(out)
         assert record["pass"] is True
@@ -328,6 +330,42 @@ class TestVerifyCommand:
         for rec in map(json.loads, out.splitlines()):
             assert rec["non_finite"] is True and rec["pass"] is False
             assert rec["residual"] is None
+
+    def test_nan_lift_reaches_the_littlewood_residual(self, monkeypatch, capsys):
+        # a NaN (3,1) lift makes the D-function form NaN; the headline
+        # residual and the form agreement must not drop it in a maximum
+        real = verification.lift_batch
+
+        def broken(label, elements, cols=None):
+            lifted = real(label, elements, cols)
+            return np.full_like(lifted, math.nan) if label.row == (3, 1, 0, 0) else lifted
+
+        monkeypatch.setattr(verification, "lift_batch", broken)
+        code, out, _ = run(capsys, "verify", "littlewood", "--samples", "2")
+        assert code == EXIT_FAIL
+        for rec in map(json.loads, out.splitlines()):
+            assert rec["non_finite"] is True and rec["pass"] is False
+            assert rec["residual"] is None
+            assert rec["details"]["dfunction_residual"] is None
+            assert rec["details"]["form_agreement"] is None
+            assert rec["details"]["immanant_residual"] < 1e-12
+
+    @pytest.mark.parametrize("suite", ["plethysm-su2", "plethysm-su3"])
+    def test_nan_coefficient_reaches_the_plethysm_residual(self, monkeypatch, capsys, suite):
+        # one fitted coefficient is NaN: the worst coefficient gap is NaN
+        real = verification.fit_decomposition
+
+        def broken(problem, **kwargs):
+            result = real(problem, **kwargs)
+            (cand, _), *rest = result.coefficients
+            return dataclasses.replace(result, coefficients=[(cand, complex(math.nan))] + rest)
+
+        monkeypatch.setattr(verification, "fit_decomposition", broken)
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == EXIT_FAIL
+        [rec] = map(json.loads, out.splitlines())
+        assert rec["non_finite"] is True and rec["pass"] is False
+        assert rec["residual"] is None
 
     def test_reports_are_built_only_in_verification(self):
         for module in (dualspace, plethysm):

@@ -50,6 +50,13 @@ def basis(m, modes):
     return out
 
 
+def projected(p, modes):
+    """Pi^p |modes> for an arrangement ``modes`` of 1..N: P(s) commutes with
+    Pi^p, so it is Pi^p |1..N> with its tensor factors relabelled."""
+    n = p.n
+    return immanant_projector(p).reshape((n,) * n).transpose(np.array(modes) - 1).reshape(-1)
+
+
 def relabelled(modes, s):
     """Modes after P(s), which carries factor j's excitation to factor s(j)."""
     out = [0] * len(modes)
@@ -101,14 +108,14 @@ class TestBasisStates:
     def test_unit_vector(self):
         # S_1 is trivial, so its projector returns the basis state itself
         assert _mode_index(2, (2, 1)) == 2
-        v = immanant_projector(P(1), 3, (2,))
-        assert v.tolist() == [0, 1, 0] and np.linalg.norm(v) == 1.0
+        v = immanant_projector(P(1))
+        assert v.tolist() == [1] and np.linalg.norm(v) == 1.0
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             coefficient_matrix(2, P(1, 1), (1, 3), (1, 2))
         with pytest.raises(DomainError):
-            immanant_projector(P(1, 1), 2, (1, 3))
+            immanant_via_duality(2, P(1, 1), (1, 2), (1, 3), UnitaryElement(np.eye(2)))
 
 
 class TestPermutationAction:
@@ -127,40 +134,39 @@ class TestPermutationAction:
 
 class TestProjector:
     def test_symmetrizer_on_symmetric_state(self):
-        out = immanant_projector(P(2), 2, (1, 1))  # already symmetric
-        assert np.abs(out - 2.0 * basis(2, (1, 1))).max() < 1e-14
+        # Pi^(2) on |12> + |21>, which is already symmetric
+        out = projected(P(2), (1, 2)) + projected(P(2), (2, 1))
+        assert np.abs(out - 2.0 * (basis(2, (1, 2)) + basis(2, (2, 1)))).max() < 1e-14
 
     def test_antisymmetrizer_kills_symmetric_state(self):
-        out = immanant_projector(P(1, 1), 2, (1, 1))
+        out = projected(P(1, 1), (1, 2)) + projected(P(1, 1), (2, 1))
         assert np.abs(out).max() == 0.0
 
     @pytest.mark.parametrize("p", [P(3), P(2, 1), P(1, 1, 1)])
     def test_projector_algebra(self, p):
         # Pi^p applied to Pi^p|modes>, by linearity over its basis states
-        m, n = 3, 3
         factor = math.factorial(3) / dim_sym(p)
-        digits = _digits(m, n)
-        for modes in [(1, 2, 3), (1, 1, 2), (3, 1, 3)]:
-            once = immanant_projector(p, m, modes)
+        digits = _digits(3, 3)
+        for modes in [(1, 2, 3), (2, 1, 3), (3, 1, 2)]:
+            once = projected(p, modes)
             twice = sum(
-                once[t] * immanant_projector(p, m, tuple(digits[t] + 1))
-                for t in np.nonzero(once)[0]
+                once[t] * projected(p, tuple(digits[t] + 1)) for t in np.nonzero(once)[0]
             )
             assert np.abs(twice - factor * once).max() < 1e-10
 
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
-            immanant_projector(P(2), 2, (1, 1, 2))
+            immanant_via_duality(3, P(2), (1, 2, 3), (1, 2, 3), UnitaryElement(np.eye(3)))
 
-    @pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
-    def test_equals_character_weighted_permutations(self, m, n):
-        for modes in map(tuple, _digits(m, n) + 1):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_character_weighted_permutations(self, n):
+        # the identity arrangement is the projector itself
+        for modes in (r.images for r in all_permutations(n)):
             for p in partitions_of(n):
-                want = np.zeros(m**n, dtype=np.complex128)
+                want = np.zeros(n**n, dtype=np.complex128)
                 for s in all_permutations(n):
-                    want += character(p, s.cycle_type()) * basis(m, relabelled(modes, s))
-                got = immanant_projector(p, m, modes)
-                assert np.abs(got - want).max() < 1e-12
+                    want += character(p, s.cycle_type()) * basis(n, relabelled(modes, s))
+                assert np.abs(projected(p, modes) - want).max() < 1e-12
 
 
 class TestCollectiveOperators:
@@ -403,9 +409,8 @@ class TestTheorem3AndNormalization:
                 np.sum(np.abs(vecs[i][pos[_mode_index(m, modes)]]) ** 2)
                 for i in at_weight(m, row, (1, 1, 1))
             )
-            projected = immanant_projector(p, m, modes)
             factor = math.factorial(m) / dim_sym(p)
-            assert np.linalg.norm(projected) ** 2 == pytest.approx(
+            assert np.linalg.norm(immanant_projector(p)) ** 2 == pytest.approx(
                 factor**2 * overlap_sq, rel=1e-10
             )
 
@@ -522,14 +527,18 @@ class TestResourceCaps:
         assert sunrep.gt_array.cache_info().misses == misses
 
     def test_duality_tensor_size_cap(self):
-        # 8^7 amplitudes: the duality route is bounded by m^N, not by m
-        full = tuple(range(1, 8))
+        # the duality route is bounded by N^N, not by m: 8^8 amplitudes are
+        # refused, and (m, N) = (8, 7) builds 7^7
+        full = tuple(range(1, 9))
         with pytest.raises(ResourceLimitError):
-            immanant_via_duality(8, P(7), full, full, UnitaryElement(np.eye(8)))
+            immanant_via_duality(8, P(8), full, full, UnitaryElement(np.eye(8)))
+        val = immanant_via_duality(8, P(7), full[:7], full[:7], UnitaryElement(np.eye(8)))
+        assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_projector_cap_builds_no_sn_tables(self):
-        # 2^10 amplitudes fit, but N = 10 is refused before S_10 is built
+        # N = 8 (8^8 amplitudes) is refused before S_8 is built
+        symgroup.sn_tables.cache_clear()
         misses = symgroup.sn_tables.cache_info().misses
         with pytest.raises(ResourceLimitError):
-            immanant_projector(P(10), 2, (1,) * 10)
+            immanant_projector(P(8))
         assert symgroup.sn_tables.cache_info().misses == misses
