@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,15 +111,25 @@ class UnitaryElement:
     def m(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def givens_factors(self) -> tuple[list[tuple[int, float]], np.ndarray]:
-        """:func:`_givens_factors` of the matrix, computed once per element
-        and shared by every irrep it is lifted into."""
-        return _givens_factors(self.matrix)
+
+Factors = tuple[tuple[int, ...], np.ndarray, np.ndarray]  # (k_1..k_L), theta (L,), phi (m, L+1)
 
 
-def _givens_factors(umat: np.ndarray) -> tuple[list[tuple[int, float]], np.ndarray]:
-    """Adjacent rotations and phases with U = P_0 B_{k_1}(theta_1) P_1 ... B_{k_L}(theta_L) P_L.
+def givens_factors(elements) -> list[Factors]:
+    """:func:`_givens_factors` of each element (all of one m), computed once
+    per element: the elements not yet factored are factored as one stack,
+    and each keeps its factors for every later lift, into any irrep."""
+    elements = list(elements)
+    todo = list({id(e): e for e in elements if "_factors" not in vars(e)}.values())
+    if todo:
+        for element, factors in zip(todo, _givens_factors(np.array([e.matrix for e in todo]))):
+            object.__setattr__(element, "_factors", factors)
+    return [vars(e)["_factors"] for e in elements]
+
+
+def _givens_factors(mats: np.ndarray) -> list[Factors]:
+    """Adjacent rotations and phases with U = P_0 B_{k_1}(theta_1) P_1 ... B_{k_L}(theta_L) P_L
+    for every U of an (S, m, m) stack, each as ((k_1, ..., k_L), theta, phi).
 
     B_k(theta) = exp(-i theta (E_{k,k+1} + E_{k+1,k})) is [[cos, -i sin],
     [-i sin, cos]] on modes k, k+1 (0-based), and P_i = diag(exp(i * phi[:, i])).
@@ -128,35 +137,44 @@ def _givens_factors(umat: np.ndarray) -> tuple[list[tuple[int, float]], np.ndarr
     up, so that G_L ... G_1 U = D is diagonal.  Each G^H is
     diag(e^{ia}, e^{ib}) R(theta) diag(1, e^{-i(a+b)}) on its two modes, with
     the real rotation R(theta) = diag(-i, 1) B(theta) diag(i, 1), and
-    neighbouring diagonals merge.  An entry that is already zero skips its
-    rotation.
+    neighbouring diagonals merge.  Each entry is nulled across the stack at
+    once, and an entry that is already zero skips its rotation, so elements
+    with exact zeros have shorter rotation sequences.  Slice s equals the
+    one-slice stack of ``mats[s]`` bit for bit.
     """
-    a = umat.tolist()
-    m = len(a)
-    rotations, phases, pending = [], [], [0.0] * m
+    a = np.array(mats, dtype=np.complex128)
+    size, m = a.shape[0], a.shape[-1]
+    slots = m * (m - 1) // 2
+    kinds, active, thetas = [], np.zeros((size, slots), dtype=bool), np.zeros((size, slots))
+    phases = np.zeros((size, slots + 1, m))  # phi of every slot; a skipped slot's is dropped
+    pending = np.zeros((size, m))
     for j in range(m - 1):
         for i in range(m - 1, j, -1):
-            top, bottom = a[i - 1][j], a[i][j]
-            if bottom == 0:
-                continue
-            r = math.hypot(abs(top), abs(bottom))
-            upper, lower = a[i - 1], a[i]
-            for c in range(j, m):
-                x, y = upper[c], lower[c]
-                upper[c] = (top.conjugate() * x + bottom.conjugate() * y) / r
-                lower[c] = (top * y - bottom * x) / r
-            alpha, beta = cmath.phase(top), cmath.phase(bottom)
-            pending[i - 1] += alpha - math.pi / 2
-            pending[i] += beta
-            phases.append(pending)
-            rotations.append((i - 1, math.atan2(abs(bottom), abs(top))))
-            pending = [0.0] * m
-            pending[i - 1] = math.pi / 2
-            pending[i] = -(alpha + beta)
-    for j in range(m):
-        pending[j] += cmath.phase(a[j][j])
-    phases.append(pending)
-    return rotations, np.array(phases).T
+            t = len(kinds)
+            kinds.append(i - 1)
+            active[:, t] = a[:, i, j] != 0
+            on = np.flatnonzero(active[:, t])
+            top, bottom = a[on, i - 1, j, None], a[on, i, j, None]
+            r = np.hypot(np.abs(top), np.abs(bottom))
+            upper, lower = a[on, i - 1, j:], a[on, i, j:]
+            a[on, i - 1, j:] = (top.conj() * upper + bottom.conj() * lower) / r
+            a[on, i, j:] = (top * lower - bottom * upper) / r
+            alpha, beta = np.angle(top[:, 0]), np.angle(bottom[:, 0])
+            pending[on, i - 1] += alpha - math.pi / 2
+            pending[on, i] += beta
+            phases[:, t] = pending
+            thetas[on, t] = np.arctan2(np.abs(bottom[:, 0]), np.abs(top[:, 0]))
+            pending[on] = 0.0
+            pending[on, i - 1] = math.pi / 2
+            pending[on, i] = -(alpha + beta)
+    phases[:, slots] = pending + np.angle(np.diagonal(a, axis1=1, axis2=2))
+    factors = []
+    for act, theta, phi in zip(active.tolist(), thetas, phases):
+        on = [t for t in range(slots) if act[t]]
+        if len(on) < slots:
+            theta, phi = theta[on], phi[on + [slots]]
+        factors.append((tuple(kinds[t] for t in on), theta, phi.T))
+    return factors
 
 
 def haar_random_unitaries(m: int, seeds) -> list[UnitaryElement]:

@@ -8,12 +8,15 @@ matrix elements follow the classical Gelfand-Tsetlin formulas with the
 standard phase convention: simple raising and lowering operators have real
 nonnegative entries.  A group element is lifted to an irrep as a product:
 it is factored into diagonal phases and real rotations of adjacent modes
-(Reck et al., PRL 73, 58 (1994)), each phase lifts to a diagonal through
-the pattern occupations, and each rotation through a cached eigenbasis of
-its generator.  The raising triples and rotation eigenbases of a set of
-irreps of one m are built in one vectorised pass.  The lift may read only
-some columns, at O(d^2) each, and lifts a batch of elements at once:
-elements with one rotation sequence share each rotation's matrix product.
+(Reck et al., PRL 73, 58 (1994)).  Each phase lifts to a diagonal of
+integer powers of e^{i phi} through the pattern occupations, and each
+rotation through the GT blocks of its generator, which carry su(2)
+representations: a cached eigenbasis per block, with integer eigenvalues.
+No dense d x d product and no exponential per basis vector is taken.  The
+raising triples and rotation blocks of a set of irreps of one m are built
+in one vectorised pass.  The lift may read only some columns, and lifts a
+batch of elements at once: elements with one rotation sequence share each
+block product.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .linalgimm import UnitaryElement
+from .linalgimm import UnitaryElement, givens_factors
 from .symgroup import Partition
 
 DEFAULT_MAX_LIFT_DIM = 512
@@ -229,7 +232,8 @@ def chain_labels(irrep: SUIrrepLabel) -> tuple[str, ...]:
 # (10-15 ms with numpy 2.4 on a 2-CPU x86 host).
 
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
-Eigenbasis = tuple[np.ndarray, np.ndarray]
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows (B, s), V (B, s, s), w (B, s)
+RotationTable = tuple[tuple[Block, ...], ...]  # the blocks of each mode pair
 
 
 def _row_keys(pats: np.ndarray) -> np.ndarray:
@@ -310,23 +314,26 @@ def build_raising_tables(irreps) -> list[tuple[Triples, ...]]:
     return [tuple(triples[i * (m - 1) : (i + 1) * (m - 1)]) for i in range(len(irreps))]
 
 
-def build_rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ...]]]:
-    """Read-only float occupations, and (w, V) for every adjacent mode pair,
-    of distinct irreps of one m, uncached.
+def build_rotation_tables(irreps) -> list[RotationTable]:
+    """The GT blocks of every adjacent-mode rotation generator of distinct
+    irreps of one m, uncached and read-only.
 
     The real orthogonal V diagonalises the symmetric S_k = C_{k,k+1} + C_{k+1,k}
     with eigenvalues w, so B_k(theta) lifts to V diag(e^{-i theta w}) V^T.
     C_{k,k+1} changes only the pattern row with k+1 entries, so S_k is block
     diagonal over the patterns that agree on every other row: one stable
     sort of those rows per mode pair finds the blocks, each in ascending
-    basis order.  A block of one pattern is zero, with eigenvector 1.  The
-    larger blocks of one size, across all irreps and mode pairs, are
-    diagonalised in one stacked ``eigh``, and each is checked orthogonal on
-    its own.
+    basis order.  S_k has the spectrum of n_k - n_{k+1}, so every w is an
+    integer.  A block of one pattern is zero and is not stored; the larger
+    ones of one size, across all irreps and mode pairs, are diagonalised in
+    one stacked ``eigh``, and each is checked orthogonal, and its spectrum
+    integral, on its own.  Entry k of an irrep's table holds S_k's blocks
+    as (rows, V, w) stacks of shapes (B, s), (B, s, s) and (B, s), one per
+    block size s, ascending, with w exact integers.
     """
     irreps = list(irreps)
     m = irreps[0].m
-    pats, owner, local, first, dims = _stacked(irreps)
+    pats, owner, local, first, _ = _stacked(irreps)
     n = len(pats)
     blocks: dict[int, list[tuple[int, np.ndarray]]] = {}  # size -> (mode pair, (B, size) rows)
     for k in range(m - 1):
@@ -342,12 +349,12 @@ def build_rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ..
     # base/width/place locate each pattern's block at each mode pair
     base, width, place = (np.zeros((m - 1, n), dtype=np.intp) for _ in range(3))
     stacks, total = [], 0
-    for size, found in blocks.items():
-        ks = np.concatenate([np.full(len(rows), k) for k, rows in found])[:, None]
+    for size, found in sorted(blocks.items()):  # ascending sizes, as the tables keep them
+        ks = np.concatenate([np.full(len(rows), k) for k, rows in found])
         rows = np.concatenate([rows for _, rows in found])
-        base[ks, rows] = total + size * size * np.arange(len(rows))[:, None]
-        width[ks, rows] = size
-        place[ks, rows] = np.arange(size)
+        base[ks[:, None], rows] = total + size * size * np.arange(len(rows))[:, None]
+        width[ks[:, None], rows] = size
+        place[ks[:, None], rows] = np.arange(size)
         stacks.append((size, ks, rows, total))
         total += size * size * len(rows)
     flat = np.zeros(total)
@@ -359,41 +366,38 @@ def build_rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ..
         at, step = base[k, src], width[k, src]
         flat[at + place[k, dst] * step + place[k, src]] = amp
         flat[at + place[k, src] * step + place[k, dst]] = amp
-    # every irrep's (m-1, d, d) stack of V in one flat array, with the unit
-    # diagonal of the one-pattern blocks
-    squares = dims**2
-    start = (m - 1) * (np.cumsum(squares) - squares)  # of each irrep's stack
-    corner = start[owner] + np.arange(m - 1)[:, None] * squares[owner]
-    w = np.zeros((m - 1, n))
-    v = np.zeros((m - 1) * squares.sum())
-    v[corner + local * (dims[owner] + 1)] = 1.0
+    kept: list[list[dict[int, Block]]] = [[{} for _ in range(m - 1)] for _ in irreps]
     for size, ks, rows, at in stacks:
-        stack = flat[at : at + size * size * len(rows)].reshape(-1, size, size)
-        w[ks, rows], vecs = np.linalg.eigh(stack)
+        w, vecs = np.linalg.eigh(flat[at : at + size * size * len(rows)].reshape(-1, size, size))
+        spins = np.rint(w)
         defect = np.abs(vecs.transpose(0, 2, 1) @ vecs - np.eye(size)).max(axis=(1, 2))
-        bad = np.flatnonzero(~(defect <= 1e-12))
-        if bad.size:
-            b = bad[0]
-            raise DomainError(
-                f"rotation eigenbasis {ks[b, 0]} of {irreps[owner[rows[b, 0]]]} "
-                f"is not orthogonal: {defect[b]:.3e}"
-            )
-        r, c = rows[:, :, None], rows[:, None, :]
-        cell = corner[ks[:, :, None], r]
-        v[cell + local[r] * dims[owner[r]] + local[c]] = vecs
-    w.flags.writeable = v.flags.writeable = False
-    tables = []
-    for i, ir in enumerate(irreps):
-        d, lo = dims[i], start[i]
-        occ = occupations(ir).astype(np.float64)
-        occ.flags.writeable = False
-        v_i = v[lo : lo + (m - 1) * d * d].reshape(m - 1, d, d)
-        tables.append((occ, tuple(zip(w[:, first[i] : first[i] + d], v_i))))
-    return tables
+        gap = np.abs(w - spins).max(axis=1)
+        for what, flaw, bad, tol in (
+            ("eigenbasis", "orthogonal", defect, 1e-12),
+            ("spectrum", "integral", gap, 1e-9),
+        ):
+            b = np.flatnonzero(~(bad <= tol))
+            if b.size:
+                b = b[0]
+                raise DomainError(
+                    f"rotation {what} {ks[b]} of {irreps[owner[rows[b, 0]]]} "
+                    f"is not {flaw}: {bad[b]:.3e}"
+                )
+        # each mode pair's blocks are in key order, and every key starts with
+        # the irrep row, so the blocks of one irrep and mode pair are adjacent
+        block = local[rows], vecs, spins.astype(np.int64)
+        for arr in block:
+            arr.flags.writeable = False
+        group = owner[rows[:, 0]] * (m - 1) + ks
+        bounds = np.flatnonzero(np.diff(group, prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            i, k = divmod(int(group[lo]), m - 1)
+            kept[i][k][size] = tuple(arr[lo:hi] for arr in block)
+    return [tuple(tuple(kept[i][k].values()) for k in range(m - 1)) for i in range(len(irreps))]
 
 
 _RAISING: dict[SUIrrepLabel, tuple[Triples, ...]] = {}
-_ROTATION: dict[SUIrrepLabel, tuple[np.ndarray, tuple[Eigenbasis, ...]]] = {}
+_ROTATION: dict[SUIrrepLabel, RotationTable] = {}
 
 
 def _tables(store: dict, build, irreps: list[SUIrrepLabel]) -> list:
@@ -411,7 +415,7 @@ def raising_tables(irreps) -> list[tuple[Triples, ...]]:
     return _tables(_RAISING, build_raising_tables, list(irreps))
 
 
-def rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ...]]]:
+def rotation_tables(irreps) -> list[RotationTable]:
     """The cached :func:`build_rotation_tables` of each of ``irreps``.  The
     dense-lift cap of every irrep is checked before any table is built, so
     a suite that hands over all its irreps first refuses before any work."""
@@ -427,22 +431,30 @@ def rotation_tables(irreps) -> list[tuple[np.ndarray, tuple[Eigenbasis, ...]]]:
 LIFT_BATCH_ENTRIES = 2**13
 
 
-def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z over z's first axis, for a real matrix a and a complex z, as
-    one real product over z's interleaved real and imaginary parts."""
-    flat = np.ascontiguousarray(z).reshape(len(z), -1).view(np.float64)
-    return (a @ flat).view(np.complex128).reshape(z.shape)
-
-
-def _phase_lifts(occ: np.ndarray, angles) -> np.ndarray:
+def _phase_diagonals(occ: np.ndarray, angles) -> np.ndarray:
     """The diagonals e^{i n.phi} of the lifted phases of S elements, as a
-    C-ordered (d, S, L+1) array, from their (m, L+1) phase-angle arrays:
-    one ``occ @`` the (S, m, L+1) stack and one ``exp``.  Each stacked slice
-    keeps the F order of :func:`_givens_factors`' angles (at d = 1 a C-ordered
-    product rounds differently), so slice s equals
-    ``np.exp(1j * (occ @ angles[s]))`` bit for bit."""
-    stack = np.array([a.T for a in angles]).transpose(0, 2, 1)
-    return np.ascontiguousarray(np.exp(1j * (occ @ stack)).transpose(1, 0, 2))
+    (d, S, L+1) array, from the (d, m) integer occupations n and the
+    elements' (m, L+1) phase angles phi: one ``exp`` per angle, raised to
+    each occupation by products of two lower powers (so z^n carries about
+    log2 n roundings), then multiplied mode by mode.  Slice s equals the
+    one-element call of ``angles[s]`` bit for bit."""
+    z = np.exp(1j * np.ascontiguousarray(np.stack(angles, axis=1)))  # (m, S, L+1)
+    powers = [np.ones_like(z), z]
+    for n in range(2, occ.max() + 1):
+        powers.append(powers[n // 2] * powers[n - n // 2])
+    powers = np.array(powers)
+    diag = powers[occ[:, 0], 0]
+    for k in range(1, occ.shape[1]):  # not *: numpy would reuse a large unnamed
+        diag = np.multiply(diag, powers[occ[:, k], k])  # operand, rounding apart
+    return diag
+
+
+def _block_times(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """v @ z over z's second axis, for real (B, s, s) blocks v and a complex
+    (B, s, ...) z, as one batched real product over z's interleaved real
+    and imaginary parts."""
+    flat = np.ascontiguousarray(z).reshape(*z.shape[:2], -1).view(np.float64)
+    return (v @ flat).view(np.complex128).reshape(z.shape)
 
 
 def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
@@ -451,18 +463,24 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     slice s for element s.
 
     Each element is factored into diagonal phases and adjacent-mode
-    rotations once (:attr:`UnitaryElement.givens_factors`, cached on the
-    element for every later lift), and the factors' lifts are applied
-    right to left to unit columns: a phase diag(e^{i phi}) lifts to
-    diag(e^{i n.phi}) with the integer occupations n, and a rotation through
-    a cached real eigenbasis of its generator.  Elements with the same
-    rotation sequence share one (d, S * len(cols)) product per rotation,
-    S elements at a time within :data:`LIFT_BATCH_ENTRIES`, and each such
-    chunk lifts all its phases with one stacked product and one ``exp``
-    (:func:`_phase_lifts`).  No logarithm is taken, so eigenvalues at -1
-    lift exactly.
-    Each column costs O(d^2).  Columns, elements and the dimension cap are
-    checked before any product.
+    rotations once (:func:`~immdfun.linalgimm.givens_factors`: the elements
+    not yet factored as one stack, cached on each element for every later
+    lift), and the factors' lifts are applied right to left to unit
+    columns.  A phase diag(e^{i phi}) lifts to diag(e^{i n.phi}) with the
+    integer occupations n, built from integer powers of e^{i phi_k}
+    (:func:`_phase_diagonals`).  A rotation B_k(theta) lifts block by block
+    through the GT blocks of its generator (:func:`build_rotation_tables`):
+    the rows of each stack of same-size blocks are gathered, turned by V^T,
+    e^{-i theta w} and V as batched (B, s, s) products, and scattered back;
+    patterns outside every block are left as they are.  The eigenvalues w
+    are integers, so the turn factors are looked up in one table of
+    e^{-i theta j}, |j| <= r_1 - r_m, per element and rotation, and no
+    ``exp`` is taken per basis vector.  Elements with the same rotation
+    sequence share each product, S elements at a time within
+    :data:`LIFT_BATCH_ENTRIES`.  No logarithm is taken, so eigenvalues at -1
+    lift exactly, and the identity lifts to exact unit columns.  Columns,
+    elements and the dimension cap are checked before any product, and
+    every chunk of columns is checked orthonormal.
     """
     d = dim_weyl(irrep)
     if cols is None:
@@ -486,11 +504,13 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     out = np.empty((len(elements), d, c), dtype=np.complex128)
     if not elements:
         return out
-    occ, eigen = rotation_tables([irrep])[0]
+    [rotations] = rotation_tables([irrep])
+    top = irrep.row[0] - irrep.row[-1]  # every |w| <= max |n_k - n_{k+1}| = r_1 - r_m
+    spins = np.arange(-top, top + 1)
     groups: dict[tuple[int, ...], list[int]] = {}
-    factors = [element.givens_factors for element in elements]
-    for s, (rotations, _) in enumerate(factors):
-        groups.setdefault(tuple(k for k, _ in rotations), []).append(s)
+    factors = givens_factors(elements)
+    for s, (kinds, _, _) in enumerate(factors):
+        groups.setdefault(kinds, []).append(s)
     step = max(1, LIFT_BATCH_ENTRIES // max(1, d * c))
     batches = [
         (ks, members[i : i + step])
@@ -499,17 +519,16 @@ def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
     ]
     for ks, members in batches:
         # x is (d, S, c): the columns of the chunk's S elements side by side
-        phases = _phase_lifts(occ, [factors[s][1] for s in members])
-        thetas = np.array([[theta for _, theta in factors[s][0]] for s in members])
-        x = None  # the unit columns idx times the last phase, until a rotation mixes them
+        phases = _phase_diagonals(occupations(irrep), [factors[s][2] for s in members])
+        thetas = np.array([factors[s][1] for s in members])
+        x = np.zeros((d, len(members), c), dtype=np.complex128)
+        x[idx, :, np.arange(c)] = phases[idx, :, -1]
         for i in range(len(ks) - 1, -1, -1):
-            w, v = eigen[ks[i]]
-            y = v.T[:, None, idx] * phases[idx, :, -1].T if x is None else _real_times(v.T, x)
-            turn = np.exp(-1j * thetas[:, i] * w[:, None])
-            x = phases[:, :, i, None] * _real_times(v, turn[:, :, None] * y)
-        if x is None:
-            x = np.zeros((d, len(members), c), dtype=np.complex128)
-            x[idx, :, np.arange(c)] = phases[idx, :, -1]
+            turn = np.exp(-1j * thetas[:, i] * spins[:, None])  # (2 top + 1, S)
+            for rows, v, w in rotations[ks[i]]:
+                y = _block_times(v.transpose(0, 2, 1), x[rows]) * turn[w + top][..., None]
+                x[rows] = _block_times(v, y)
+            x *= phases[:, :, i, None]
         x = x.transpose(1, 0, 2)
         out[members] = x
         defect = np.abs(x.conj().transpose(0, 2, 1) @ x - np.eye(c)).max(initial=0.0)

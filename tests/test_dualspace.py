@@ -487,12 +487,14 @@ class TestConjectureScan:
             lambda m, seeds: draws.append((m, list(seeds))) or real_draw(m, seeds),
         )
         monkeypatch.setattr(
-            linalgimm, "_givens_factors", lambda u: factored.append(len(u)) or real_factors(u)
+            linalgimm,
+            "_givens_factors",
+            lambda mats: factored.append(mats.shape[:2]) or real_factors(mats),
         )
         reports = verification.conjecture_suite(samples=3)
         assert [r.m for r in reports[-2:]] == [5, 5] and all(r.passed for r in reports)
         assert draws == [(4, [1905, 2905, 3905]), (5, [1905, 2905, 3905])]
-        assert factored == [4] * 3 + [5] * 3
+        assert factored == [(3, 4), (3, 5)]  # one stack of 3 samples per m
 
     def test_report_shape(self):
         r = conjecture_scan(4, P(3), selectors=[((1, 2, 3), (1, 2, 3))], check_samples=3)[0]

@@ -155,13 +155,15 @@ def test_stacked_coefficient_values_equal_their_slices_bit_for_bit():
 def test_second_lift_of_the_same_elements_factors_nothing(monkeypatch):
     calls = []
     real = linalgimm._givens_factors
-    monkeypatch.setattr(linalgimm, "_givens_factors", lambda umat: calls.append(1) or real(umat))
+    monkeypatch.setattr(
+        linalgimm, "_givens_factors", lambda mats: calls.append(len(mats)) or real(mats)
+    )
     elements = [haar_random_unitary(3, 40 + i) for i in range(4)]
     lift_batch(SUIrrepLabel(3, (2, 1, 0)), elements)
-    assert len(calls) == len(elements)
+    assert calls == [len(elements)]  # one stack
     lift_batch(SUIrrepLabel(3, (2, 1, 0)), elements)
     lift_batch(SUIrrepLabel(3, (3, 0, 0)), elements, [0, 2])
-    assert len(calls) == len(elements)
+    assert calls == [len(elements)]
 
 
 @FEW

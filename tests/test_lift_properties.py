@@ -2,13 +2,17 @@
 
 The lift is a product of lifted phases and adjacent-mode rotations, so it
 is checked against what a representation must satisfy: column lifts equal
-the full lift's columns, a batch lifts each element as a lift of its own, T(UV) = T(U)T(V) on Haar, permutation, sign and
-block-diagonal elements, permutation matrices move weight spaces, and the
-GT columns match the chain vectors built independently in the tensor power.
-Corollary 4 and the duality route are checked on the same non-generic
-elements.
+the full lift's columns, a batch lifts each element as a lift of its own,
+T(UV) = T(U)T(V) on Haar, permutation, sign and block-diagonal elements,
+permutation matrices move weight spaces, and the GT columns match the chain
+vectors built independently in the tensor power.  The block lift equals the
+product of the dense lifts of its factors, and the stacked Givens factoring
+equals a scalar loop kept here as its reference.  Corollary 4 and the
+duality route are checked on the same non-generic elements.
 """
 
+import cmath
+import math
 from itertools import combinations
 
 import numpy as np
@@ -23,12 +27,13 @@ from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
     _givens_factors,
+    givens_factors,
     haar_random_unitaries,
     submatrix,
 )
 from immdfun.sunrep import (
     SUIrrepLabel,
-    _phase_lifts,
+    _phase_diagonals,
     build_rotation_tables,
     dim_weyl,
     lift_batch,
@@ -39,7 +44,7 @@ from immdfun.sunrep import (
 from immdfun.symgroup import partitions_of
 from immdfun.verification import _block_columns, _block_traces
 
-from _generators import all_permutations, permutation_matrix
+from _generators import all_permutations, generator_matrix, permutation_matrix
 from _single import from_matrix, haar_random_unitary, immanant, immanant_via_duality, lift
 from _tensor import apply_tensor_power
 
@@ -168,9 +173,11 @@ def test_columns_match_chain_vectors(row, seed, data):
 
 @pytest.mark.parametrize("row", ROWS)
 def test_rotation_tables_are_read_only(row):
-    [(occ, eigen)] = rotation_tables([SUIrrepLabel(len(row), row)])
-    assert len(eigen) == len(row) - 1
-    for arr in (occ, *(a for entry in eigen for a in entry)):
+    [rotations] = rotation_tables([SUIrrepLabel(len(row), row)])
+    assert len(rotations) == len(row) - 1
+    arrays = [a for blocks in rotations for block in blocks for a in block]
+    assert arrays
+    for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -230,15 +237,15 @@ def test_set_cap_is_checked_before_any_table_is_built(monkeypatch):
 
 
 def test_columns_that_lose_orthonormality_are_refused(monkeypatch):
-    real = sunrep._real_times
-    monkeypatch.setattr(sunrep, "_real_times", lambda *args: 1.001 * real(*args))
+    real = sunrep._block_times
+    monkeypatch.setattr(sunrep, "_block_times", lambda *args: 1.001 * real(*args))
     with pytest.raises(DomainError, match="orthonormality"):
         lift(SUIrrepLabel(3, (2, 1, 0)), haar_random_unitary(3, 5), [0, 3])
 
 
 def test_nan_product_is_refused(monkeypatch):
-    real = sunrep._real_times
-    monkeypatch.setattr(sunrep, "_real_times", lambda *args: np.nan * real(*args))
+    real = sunrep._block_times
+    monkeypatch.setattr(sunrep, "_block_times", lambda *args: np.nan * real(*args))
     u = haar_random_unitary(3, 5)
     for cols in (None, [0, 3]):
         with pytest.raises(DomainError, match="orthonormality"):
@@ -257,7 +264,57 @@ def _mixed_batch(m: int, seed: int) -> list[UnitaryElement]:
 
 
 def _rotation_groups(batch) -> int:
-    return len({tuple(k for k, _ in _givens_factors(u.matrix)[0]) for u in batch})
+    return len({kinds for kinds, _, _ in givens_factors(batch)})
+
+
+def _loop_factors(umat: np.ndarray):
+    """The one-matrix Givens factoring as a scalar loop: the reference the
+    stacked array form is checked against."""
+    a, m = umat.tolist(), len(umat)
+    kinds, thetas, phases, pending = [], [], [], [0.0] * m
+    for j in range(m - 1):
+        for i in range(m - 1, j, -1):
+            top, bottom = a[i - 1][j], a[i][j]
+            if bottom == 0:
+                continue
+            r = math.hypot(abs(top), abs(bottom))
+            upper, lower = a[i - 1], a[i]
+            for c in range(j, m):
+                x, y = upper[c], lower[c]
+                upper[c] = (top.conjugate() * x + bottom.conjugate() * y) / r
+                lower[c] = (top * y - bottom * x) / r
+            alpha, beta = cmath.phase(top), cmath.phase(bottom)
+            pending[i - 1] += alpha - math.pi / 2
+            pending[i] += beta
+            phases.append(pending)
+            kinds.append(i - 1)
+            thetas.append(math.atan2(abs(bottom), abs(top)))
+            pending = [0.0] * m
+            pending[i - 1] = math.pi / 2
+            pending[i] = -(alpha + beta)
+    phases.append([p + cmath.phase(a[j][j]) for j, p in enumerate(pending)])
+    return tuple(kinds), np.array(thetas), np.array(phases).T
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_stacked_factors_are_single_factors(m):
+    # mixed stacks: zero entries skip their rotation, so the sequences differ;
+    # each slice is the one-slice stack bit for bit, and within a few
+    # roundings of the scalar loop, whose branches it must take
+    for seed in (1, 2):
+        batch = _mixed_batch(m, seed)
+        mats = np.array([u.matrix for u in batch])
+        stacked = _givens_factors(mats)
+        assert len({kinds for kinds, _, _ in stacked}) >= 2
+        for s, (kinds, thetas, phases) in enumerate(stacked):
+            [(one_kinds, one_thetas, one_phases)] = _givens_factors(mats[s : s + 1])
+            assert kinds == one_kinds
+            assert thetas.tobytes() == one_thetas.tobytes()
+            assert phases.tobytes() == one_phases.tobytes() and phases.shape == one_phases.shape
+            loop_kinds, loop_thetas, loop_phases = _loop_factors(mats[s])
+            assert kinds == loop_kinds and phases.shape == (m, len(kinds) + 1)
+            assert np.abs(thetas - loop_thetas).max(initial=0.0) <= 1e-14
+            assert np.abs(phases - loop_phases).max() <= 1e-14
 
 
 @FEW
@@ -280,17 +337,19 @@ def test_batch_slices_are_single_lifts(irrep, seed, data):
 
 @pytest.mark.parametrize("row", [(1, 1, 1, 1), (1, 0, 0), (2, 1, 0), (4, 2, 1, 0), (3, 1, 1, 0, 0)])
 def test_stacked_phases_are_single_phases(row):
-    # d = 1 included: there a C-ordered stack of angles would round differently
+    # d = 1 included; the powers of e^{i phi} stay within a few roundings of
+    # one exp of n.phi per entry
     irrep = SUIrrepLabel(len(row), row)
-    [(occ, _)] = rotation_tables([irrep])
-    angles = [u.givens_factors[1] for u in haar_random_unitaries(irrep.m, range(40, 52))]
-    stacked = _phase_lifts(occ, angles)
+    occ = occupations(irrep)
+    elements = haar_random_unitaries(irrep.m, range(40, 52))
+    angles = [phi for _, _, phi in givens_factors(elements)]
+    stacked = _phase_diagonals(occ, angles)
     rotations = irrep.m * (irrep.m - 1) // 2  # Haar samples null every lower entry
     assert stacked.shape == (dim_weyl(irrep), len(angles), rotations + 1)
     assert stacked.flags.c_contiguous
     for s, a in enumerate(angles):
-        assert np.array_equal(stacked[:, s], np.exp(1j * (occ @ a)))
-        assert np.array_equal(stacked[:, s], _phase_lifts(occ, [a])[:, 0])
+        assert np.abs(stacked[:, s] - np.exp(1j * (occ @ a))).max() <= 1e-14
+        assert np.array_equal(stacked[:, s], _phase_diagonals(occ, [a])[:, 0])
 
 
 @pytest.mark.parametrize("row", [(1, 1, 1, 1), (2, 1, 0), (4, 2, 1, 0)])
@@ -371,7 +430,7 @@ def test_batch_refusals_come_before_any_product(monkeypatch):
         raise AssertionError("a product ran before the refusal")
 
     monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
-    for name in ("rotation_tables", "_real_times"):
+    for name in ("rotation_tables", "_block_times"):
         monkeypatch.setattr(sunrep, name, forbidden)
     irrep = SUIrrepLabel(3, (2, 1, 0))
     good = haar_random_unitary(3, 2)
@@ -387,3 +446,46 @@ def test_batch_refusals_come_before_any_product(monkeypatch):
     for batch in ([good, good], []):
         with pytest.raises(ResourceLimitError):
             lift_batch(irrep, batch, [0])
+
+
+def _dense_lift(irrep: SUIrrepLabel, element: UnitaryElement) -> np.ndarray:
+    """The product of the dense lifts of the element's factors: each phase
+    as diag(e^{i n.phi}), each rotation B_k(theta) as exp(-i theta S_k)
+    through one eigh of the dense S_k scattered from the raising triples."""
+    occ = occupations(irrep)
+    kinds, thetas, phases = givens_factors([element])[0]
+    out = np.diag(np.exp(1j * (occ @ phases[:, 0])))
+    for t, (k, theta) in enumerate(zip(kinds, thetas)):
+        raising = generator_matrix(irrep, k + 1, k + 2)
+        w, v = np.linalg.eigh(raising + raising.T)
+        turn = (v * np.exp(-1j * theta * w)) @ v.T
+        out = out @ turn @ np.diag(np.exp(1j * (occ @ phases[:, t + 1])))
+    return out
+
+
+@pytest.mark.parametrize("kind", ("identity", "permutation", "minus_pair", "block", "haar"))
+@pytest.mark.parametrize("row", ROWS)
+def test_block_lift_equals_the_dense_factor_product(row, kind):
+    irrep = SUIrrepLabel(len(row), row)
+    for seed in range(3):
+        u = _element(irrep.m, kind, seed)
+        lifted = lift(irrep, u)
+        if kind == "identity":
+            assert np.array_equal(lifted, np.eye(dim_weyl(irrep)))
+        assert np.abs(lifted - _dense_lift(irrep, u)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("flaw", [0.3, np.nan])
+def test_non_integral_spectrum_is_refused_before_any_product(monkeypatch, flaw):
+    def forbidden(*args):
+        raise AssertionError("a product ran before the refusal")
+
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w + flaw, v))(*real_eigh(a)))
+    monkeypatch.setattr(sunrep, "_ROTATION", {})
+    monkeypatch.setattr(sunrep, "_block_times", forbidden)
+    irrep = SUIrrepLabel(3, (2, 1, 0))
+    message = r"rotation spectrum \d of SU\(3\)\(2, 1, 0\) is not integral"
+    with pytest.raises(DomainError, match=message):
+        lift(irrep, haar_random_unitary(3, 5))
+    assert irrep not in sunrep._ROTATION

@@ -127,15 +127,39 @@ class TestTableSets:
         irreps += [SUIrrepLabel(m, tuple(x + 1 for x in ir.row)) for ir in irreps[::5]]
         for group in (irreps[0::2], irreps[1::2]):
             raising, rotation = build_raising_tables(group), build_rotation_tables(group)
-            for ir, r_set, (occ_set, eigen_set) in zip(group, raising, rotation):
+            for ir, r_set, blocks_set in zip(group, raising, rotation):
                 [r_one] = build_raising_tables([ir])
-                [(occ_one, eigen_one)] = build_rotation_tables([ir])
-                assert len(r_set) == len(r_one) == len(eigen_set) == len(eigen_one) == m - 1
-                assert_same_bits(occ_set, occ_one)
-                for a, b in zip(r_set + eigen_set, r_one + eigen_one):
+                [blocks_one] = build_rotation_tables([ir])
+                assert len(r_set) == len(r_one) == len(blocks_set) == len(blocks_one) == m - 1
+                # each mode pair's (rows, V, w) stacks, one per block size
+                assert [len(b) for b in blocks_set] == [len(b) for b in blocks_one]
+                stacks_set = [arr for blocks in blocks_set for block in blocks for arr in block]
+                stacks_one = [arr for blocks in blocks_one for block in blocks for arr in block]
+                for a, b in zip(r_set + (stacks_set,), r_one + (stacks_one,)):
                     for x, y in zip(a, b):
                         assert_same_bits(x, y)
                         assert not x.flags.writeable
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_blocks_rebuild_the_rotation_generators(self, m):
+        # every irrep with d <= 200: the blocks of mode pair k scatter back to
+        # S_k = C_{k,k+1} + C_{k+1,k} built densely from the raising triples,
+        # each pattern lies in at most one block, and every w is an integer
+        # no larger than r_1 - r_m
+        irreps = irreps_up_to(m, 200)
+        for ir, rotations in zip(irreps, build_rotation_tables(irreps)):
+            d, top = dim_weyl(ir), ir.row[0] - ir.row[-1]
+            for k, blocks in enumerate(rotations, start=1):
+                rebuilt, seen = np.zeros((d, d)), np.zeros(d, dtype=int)
+                for rows, v, w in blocks:
+                    assert w.dtype == np.int64 and np.abs(w).max() <= top
+                    assert rows.shape == w.shape and v.shape == rows.shape + rows.shape[-1:]
+                    for r, vb, wb in zip(rows, v, w):
+                        rebuilt[np.ix_(r, r)] = (vb * wb) @ vb.T
+                        seen[r] += 1
+                raising = generator_matrix(ir, k, k + 1)
+                assert seen.max(initial=0) <= 1
+                assert np.abs(rebuilt - (raising + raising.T)).max(initial=0.0) <= 1e-12
 
     def test_one_pass_builds_every_missing_irrep(self, monkeypatch):
         # a set reaches each builder once, for the irreps not yet built
