@@ -281,7 +281,7 @@ def cmd_dump_dfunctions(args) -> int:
         raise DomainError(f"matrix side {side} != m = {irrep.m}")
     mat = build()
     elements = UnitaryElement.from_matrices(as_square(mat)[None], tol=args.tol)
-    lifted = lift_batch(irrep, elements)[0]
+    lifted = lift_batch([irrep], elements)[0][0]
     # One JSON record per (r, t): {"irrep": row, "r": tag, "t": tag, "value": [re, im]},
     # written from tags encoded once; repr of a finite float is its JSON form.
     tags = [_json(rows) for rows in pattern_rows(irrep)]

@@ -99,7 +99,10 @@ def _block_hop(m: int, n: int, occ_src: tuple[int, ...], i_from: int, i_to: int)
     factor, b = np.nonzero(_digits(m, n)[src].T == i_from - 1)
     dst = src[b] + (i_to - i_from) * _powers(m, n)[factor]
     mat = np.zeros((len(blocks[tuple(occ_dst)]), len(src)))
-    np.add.at(mat, (pos[dst], b), 1.0)
+    if i_from == i_to:  # every factor in mode i_from hits the same entry
+        np.add.at(mat, (pos[dst], b), 1.0)
+    else:  # each factor moves a column to a distinct row
+        mat[pos[dst], b] = 1.0
     return mat
 
 

@@ -14,9 +14,11 @@ rotation through the GT blocks of its generator, which carry su(2)
 representations: a cached eigenbasis per block, with integer eigenvalues.
 No dense d x d product and no exponential per basis vector is taken.  The
 raising triples and rotation blocks of a set of irreps of one m are built
-in one vectorised pass.  The lift may read only some columns, and lifts a
-batch of elements at once: elements with one rotation sequence share each
-block product.
+in one vectorised pass, and such a set is lifted in one pass too, as a
+direct sum: the same-size blocks of every irrep share each product, and
+each rotation applies only the blocks its columns have reached.  The lift
+may read only some columns of each irrep, and lifts a batch of elements
+at once: elements with one rotation sequence share each block product.
 """
 
 from __future__ import annotations
@@ -425,22 +427,23 @@ def rotation_tables(irreps) -> list[RotationTable]:
     return _tables(_ROTATION, build_rotation_tables, irreps)
 
 
-# Complex entries (128 KB) in one working array of a batched lift: a larger
-# batch is cut into chunks of elements, so its scratch memory beyond the
-# (S, d, c) result does not grow with S.
-LIFT_BATCH_ENTRIES = 2**13
+# Complex entries (512 KB) in the shared working array of a set lift: a
+# larger batch is cut into chunks of elements, so its scratch memory beyond
+# the (S, d, c) results does not grow with S.
+LIFT_BATCH_ENTRIES = 2**15
 
 
 def _phase_diagonals(occ: np.ndarray, angles) -> np.ndarray:
     """The diagonals e^{i n.phi} of the lifted phases of S elements, as a
-    (d, S, L+1) array, from the (d, m) integer occupations n and the
-    elements' (m, L+1) phase angles phi: one ``exp`` per angle, raised to
+    (d, S, L) array, from the (d, m) integer occupations n and the
+    elements' (m, L) phase angles phi: one ``exp`` per angle, raised to
     each occupation by products of two lower powers (so z^n carries about
     log2 n roundings), then multiplied mode by mode.  Slice s equals the
-    one-element call of ``angles[s]`` bit for bit."""
-    z = np.exp(1j * np.ascontiguousarray(np.stack(angles, axis=1)))  # (m, S, L+1)
+    one-element call of ``angles[s]`` bit for bit, and each entry depends
+    only on its own row of ``occ`` and column of ``angles``."""
+    z = np.exp(1j * np.ascontiguousarray(np.stack(angles, axis=1)))  # (m, S, L)
     powers = [np.ones_like(z), z]
-    for n in range(2, occ.max() + 1):
+    for n in range(2, occ.max(initial=0) + 1):
         powers.append(powers[n // 2] * powers[n - n // 2])
     powers = np.array(powers)
     diag = powers[occ[:, 0], 0]
@@ -457,81 +460,179 @@ def _block_times(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (v @ flat).view(np.complex128).reshape(z.shape)
 
 
-def lift_batch(irrep: SUIrrepLabel, elements, cols=None) -> np.ndarray:
-    """Columns ``cols`` (distinct basis positions; all of them for None) of
-    the matrices of ``elements`` in the irrep: an (S, d, len(cols)) array,
-    slice s for element s.
+def _set_blocks(tables: list[RotationTable], first) -> list[list[Block]]:
+    """The GT blocks of a set of irreps as one direct sum: for each mode
+    pair, the same-size block stacks of every irrep concatenated, ascending
+    by size, with rows offset to the irrep's first row ``first``."""
+    stacks = []
+    for k in range(len(tables[0])):
+        by_size: dict[int, list[Block]] = {}
+        for table, f in zip(tables, first):
+            for rows, v, w in table[k]:
+                by_size.setdefault(rows.shape[1], []).append((rows + f, v, w))
+        stacks.append(
+            [tuple(np.concatenate(part) for part in zip(*found)) for _, found in sorted(by_size.items())]
+        )
+    return stacks
 
-    Each element is factored into diagonal phases and adjacent-mode
-    rotations once (:func:`~immdfun.linalgimm.givens_factors`: the elements
-    not yet factored as one stack, cached on each element for every later
-    lift), and the factors' lifts are applied right to left to unit
-    columns.  A phase diag(e^{i phi}) lifts to diag(e^{i n.phi}) with the
-    integer occupations n, built from integer powers of e^{i phi_k}
-    (:func:`_phase_diagonals`).  A rotation B_k(theta) lifts block by block
-    through the GT blocks of its generator (:func:`build_rotation_tables`):
-    the rows of each stack of same-size blocks are gathered, turned by V^T,
-    e^{-i theta w} and V as batched (B, s, s) products, and scattered back;
-    patterns outside every block are left as they are.  The eigenvalues w
-    are integers, so the turn factors are looked up in one table of
-    e^{-i theta j}, |j| <= r_1 - r_m, per element and rotation, and no
-    ``exp`` is taken per basis vector.  Elements with the same rotation
-    sequence share each product, S elements at a time within
-    :data:`LIFT_BATCH_ENTRIES`.  No logarithm is taken, so eigenvalues at -1
-    lift exactly, and the identity lifts to exact unit columns.  Columns,
-    elements and the dimension cap are checked before any product, and
-    every chunk of columns is checked orthonormal.
-    """
+
+def _pruned(stacks: list[list[Block]], kinds, support: np.ndarray) -> list[list[Block]]:
+    """The blocks each rotation of the sequence ``kinds`` applies, right to
+    left, starting from the rows ``support`` (a boolean mask) that the lifted
+    columns occupy: a block meets the support its columns have reached so
+    far, or holds exact zeros there and is skipped.  The plan is structural,
+    so it holds for every element with this rotation sequence."""
+    support = support.copy()
+    plan = []
+    for k in reversed(kinds):
+        step = []
+        for rows, v, w in stacks[k]:
+            hit = support[rows].any(axis=1)
+            if hit.all():
+                step.append((rows, v, w))
+            elif hit.any():
+                step.append((rows[hit], v[hit], w[hit]))
+            support[rows[hit]] = True
+        plan.append(step)
+    return plan
+
+
+def _columns(irrep: SUIrrepLabel, cols) -> np.ndarray:
+    """The checked basis positions ``cols`` of the irrep (all of them for None)."""
     d = dim_weyl(irrep)
     if cols is None:
-        idx = np.arange(d)
-    else:
-        cols = list(cols)
-        valid = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in cols)
-        if not (all(valid) and all(0 <= c < d for c in cols)):
-            raise DomainError(f"columns must be integers in 0..{d - 1}, got {cols}")
-        if len(set(cols)) != len(cols):
-            raise DomainError(f"columns must be distinct, got {cols}")
-        idx = np.array(cols, dtype=np.intp)
+        return np.arange(d)
+    cols = list(cols)
+    valid = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in cols)
+    if not (all(valid) and all(0 <= c < d for c in cols)):
+        raise DomainError(f"columns must be integers in 0..{d - 1} for {irrep}, got {cols}")
+    if len(set(cols)) != len(cols):
+        raise DomainError(f"columns must be distinct for {irrep}, got {cols}")
+    return np.array(cols, dtype=np.intp)
+
+
+def _lift_sum(irreps, tables, idxs, outs, factors, groups) -> None:
+    """Lift the checked ``irreps`` as one direct sum into ``outs``, at the
+    columns ``idxs`` (all nonempty), for the factored elements ``factors``
+    grouped by rotation sequence.
+
+    Irrep i's rows sit at its offset and its columns in slots 0..c_i-1 of
+    one shared (sum d, max c, S) array; the same-size block stacks of every
+    irrep are concatenated per mode pair (:func:`_set_blocks`).  A phase
+    diag(e^{i phi}) lifts to diag(e^{i n.phi}) with the integer occupations
+    n of the stacked irreps, the rightmost phase only at the columns read.
+    A rotation B_k(theta) gathers the rows of each stack, turns them by
+    V^T, e^{-i theta w} and V as batched (B, s, s) products, and scatters
+    them back; the integer eigenvalues w look their turn factors up in one
+    table of e^{-i theta j}, |j| <= max (r_1 - r_m), per element and
+    rotation."""
+    dims = [dim_weyl(ir) for ir in irreps]
+    first = np.cumsum(dims) - dims
+    total, width = sum(dims), max(len(idx) for idx in idxs)
+    read = np.concatenate([f + idx for f, idx in zip(first, idxs)])  # rows of the lifted columns
+    slots = np.concatenate([np.arange(len(idx)) for idx in idxs])
+    support = np.zeros(total, dtype=bool)
+    support[read] = True
+    stacks = _set_blocks(tables, first)
+    occ = np.concatenate([occupations(ir) for ir in irreps])
+    top = max(ir.row[0] - ir.row[-1] for ir in irreps)  # every |w| <= max |n_k - n_{k+1}|
+    spins = np.arange(-top, top + 1)
+    step = max(1, LIFT_BATCH_ENTRIES // max(1, total * width))
+    for ks, group in groups.items():
+        plan = _pruned(stacks, ks, support)
+        for at in range(0, len(group), step):
+            members = group[at : at + step]
+            # x is (sum d, max c, S): each column of the chunk's S elements side by side
+            angles = [factors[s][2] for s in members]
+            phases = _phase_diagonals(occ, [a[:, :-1] for a in angles])
+            last = _phase_diagonals(occ[read], [a[:, -1:] for a in angles])
+            thetas = np.array([factors[s][1] for s in members])
+            x = np.zeros((total, width, len(members)), dtype=np.complex128)
+            x[read, slots] = last[:, :, 0]
+            for i, blocks in zip(range(len(ks) - 1, -1, -1), plan):
+                turn = np.exp(-1j * thetas[:, i] * spins[:, None])  # (2 top + 1, S)
+                for rows, v, w in blocks:
+                    y = _block_times(v.transpose(0, 2, 1), x[rows]) * turn[w + top][:, :, None]
+                    x[rows] = _block_times(v, y)
+                if x.size > 1:
+                    x *= phases[:, None, :, i]
+                else:  # numpy multiplies one entry in place by a scalar path
+                    x = x * phases[:, None, :, i]  # that rounds apart from its vector loop
+            for out, f, d, idx in zip(outs, first, dims, idxs):
+                out[members] = x[f : f + d, : len(idx)].transpose(2, 0, 1)
+
+
+def lift_batch(irreps, elements, cols=None) -> list[np.ndarray]:
+    """Columns of the matrices of ``elements`` in each of ``irreps``
+    (distinct irreps of one m): one (S, d_i, len(cols[i])) array per irrep,
+    slice s for element s.  ``cols`` holds one list of distinct basis
+    positions per irrep, or None for all of them; None alone means all
+    columns of every irrep.  A lone irrep is a set of one.
+
+    Each element is factored into diagonal phases and adjacent-mode
+    rotations once (:func:`~immdfun.linalgimm.givens_factors`, cached on
+    each element), and the factors' lifts are applied right to left to unit
+    columns (:func:`_lift_sum`).  Irreps whose column counts lie within a
+    factor of two are lifted as one direct sum, in one shared array whose
+    same-size GT blocks share each product.  A phase lifts through integer
+    powers of e^{i phi_k} (:func:`_phase_diagonals`), a rotation through the
+    blocks of its generator (:func:`build_rotation_tables`) that meet the
+    rows its columns have reached (:func:`_pruned`); no dense d x d product,
+    no ``exp`` per basis vector and no logarithm is taken, so eigenvalues
+    at -1 lift exactly and the identity lifts to exact unit columns.
+    Elements with the same rotation sequence share each product, S elements
+    at a time within :data:`LIFT_BATCH_ENTRIES`.  Slice i of a set lift
+    equals the lift of irrep i alone bit for bit while every GT block has
+    fewer than 16 rows; OpenBLAS may round a column of a larger block
+    product by its position in the batch.  The irreps, every irrep's
+    columns and dimension cap, and the elements are checked before any
+    product, and each irrep's lifted columns are checked orthonormal,
+    element by element, in chunks.
+    """
+    irreps = list(irreps)
+    cols = [None] * len(irreps) if cols is None else list(cols)
+    if len(cols) != len(irreps):
+        raise DomainError(f"{len(cols)} column lists for {len(irreps)} irreps")
+    if len(set(irreps)) != len(irreps):
+        raise DomainError(f"irreps of a set lift must be distinct, got {irreps}")
+    if len({ir.m for ir in irreps}) > 1:
+        raise DomainError(f"irreps of a set lift must share m, got {irreps}")
+    idxs = [_columns(ir, c) for ir, c in zip(irreps, cols)]
     elements = list(elements)
     for element in elements:
         if not isinstance(element, UnitaryElement):
             raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrices)")
-        if element.m != irrep.m:
-            raise DomainError(f"element acts on {element.m} modes, irrep has m = {irrep.m}")
-    check_lift_dim(irrep)
-    c = len(idx)
-    out = np.empty((len(elements), d, c), dtype=np.complex128)
-    if not elements:
-        return out
-    [rotations] = rotation_tables([irrep])
-    top = irrep.row[0] - irrep.row[-1]  # every |w| <= max |n_k - n_{k+1}| = r_1 - r_m
-    spins = np.arange(-top, top + 1)
-    groups: dict[tuple[int, ...], list[int]] = {}
+        if irreps and element.m != irreps[0].m:
+            raise DomainError(f"element acts on {element.m} modes, irrep has m = {irreps[0].m}")
+    for ir in irreps:
+        check_lift_dim(ir)
+    dims = [dim_weyl(ir) for ir in irreps]
+    outs = [np.empty((len(elements), d, len(idx)), dtype=np.complex128) for d, idx in zip(dims, idxs)]
+    if not (elements and irreps):
+        return outs
     factors = givens_factors(elements)
+    groups: dict[tuple[int, ...], list[int]] = {}  # elements by rotation sequence
     for s, (kinds, _, _) in enumerate(factors):
         groups.setdefault(kinds, []).append(s)
-    step = max(1, LIFT_BATCH_ENTRIES // max(1, d * c))
-    batches = [
-        (ks, members[i : i + step])
-        for ks, members in groups.items()
-        for i in range(0, len(members), step)
-    ]
-    for ks, members in batches:
-        # x is (d, S, c): the columns of the chunk's S elements side by side
-        phases = _phase_diagonals(occupations(irrep), [factors[s][2] for s in members])
-        thetas = np.array([factors[s][1] for s in members])
-        x = np.zeros((d, len(members), c), dtype=np.complex128)
-        x[idx, :, np.arange(c)] = phases[idx, :, -1]
-        for i in range(len(ks) - 1, -1, -1):
-            turn = np.exp(-1j * thetas[:, i] * spins[:, None])  # (2 top + 1, S)
-            for rows, v, w in rotations[ks[i]]:
-                y = _block_times(v.transpose(0, 2, 1), x[rows]) * turn[w + top][..., None]
-                x[rows] = _block_times(v, y)
-            x *= phases[:, :, i, None]
-        x = x.transpose(1, 0, 2)
-        out[members] = x
-        defect = np.abs(x.conj().transpose(0, 2, 1) @ x - np.eye(c)).max(initial=0.0)
-        if not defect <= 1e-10:
-            raise DomainError(f"the lift into {irrep} lost orthonormality: defect {defect:.3e}")
-    return out
+    tables = rotation_tables(irreps)
+    # irreps whose column counts lie within a factor of two share one direct
+    # sum: padding a much narrower irrep to a wider one's slots costs more
+    # than its own rounds of block products
+    widest = sorted(range(len(irreps)), key=lambda i: -len(idxs[i]))
+    sums: list[list[int]] = []
+    for i in widest:
+        if sums and 2 * len(idxs[i]) >= len(idxs[sums[-1][0]]):
+            sums[-1].append(i)
+        elif len(idxs[i]):
+            sums.append([i])
+    for part in sums:
+        _lift_sum(*([seq[i] for i in part] for seq in (irreps, tables, idxs, outs)), factors, groups)
+    # each irrep's columns, checked in chunks of at most LIFT_BATCH_ENTRIES entries
+    for ir, out, d, idx in zip(irreps, outs, dims, idxs):
+        unit, span = np.eye(len(idx)), max(1, LIFT_BATCH_ENTRIES // max(1, d * len(idx)))
+        for at in range(0, len(out), span):
+            lifted = out[at : at + span]
+            defect = np.abs(lifted.conj().transpose(0, 2, 1) @ lifted - unit).max(initial=0.0)
+            if not defect <= 1e-10:
+                raise DomainError(f"the lift into {ir} lost orthonormality: defect {defect:.3e}")
+    return outs

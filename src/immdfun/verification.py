@@ -9,7 +9,6 @@ elements are seeded per index and enumeration order is fixed.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -120,10 +119,10 @@ def kostant_suite(
         rotation_tables(labels)
         elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
-        for p, label in zip(parts, labels):
-            cols = _block_columns(label, [full])
-            lifts = lift_batch(label, elements, cols)
-            [(worst, worst_dual)] = _principal_residuals(m, p, [full], mats, lifts, cols)
+        cols = [_block_columns(label, [full]) for label in labels]
+        lifts = lift_batch(labels, elements, cols)
+        for p, lifted, c in zip(parts, lifts, cols):
+            [(worst, worst_dual)] = _principal_residuals(m, p, [full], mats, lifted, c)
             reports.append(
                 VerificationReport(
                     suite="kostant",
@@ -150,16 +149,16 @@ def corollary4_suite(
     reports = []
     for m in m_values:
         parts = [p for size in sizes if size < m for p in partitions_of(size)]
-        rotation_tables([SUIrrepLabel.from_partition(p, m, normalize=False) for p in parts])
+        labels = [SUIrrepLabel.from_partition(p, m, normalize=False) for p in parts]
+        rotation_tables(labels)
         elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
-        for p in parts:
-            label = SUIrrepLabel.from_partition(p, m, normalize=False)
-            keeps = list(combinations(range(1, m + 1), p.n))
-            cols = _block_columns(label, keeps)
-            lifts = lift_batch(label, elements, cols)
-            residuals = _principal_residuals(m, p, keeps, mats, lifts, cols)
-            for keep, (worst, worst_dual) in zip(keeps, residuals):
+        keeps = [list(combinations(range(1, m + 1), p.n)) for p in parts]
+        cols = [_block_columns(label, kk) for label, kk in zip(labels, keeps)]
+        lifts = lift_batch(labels, elements, cols)
+        for p, kk, lifted, c in zip(parts, keeps, lifts, cols):
+            residuals = _principal_residuals(m, p, kk, mats, lifted, c)
+            for keep, (worst, worst_dual) in zip(kk, residuals):
                 reports.append(
                     VerificationReport(
                         suite="corollary4",
@@ -189,8 +188,8 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
     Sums of permanent-times-entry over the four complementary principal
     pairs must equal Imm^{3,1} + Imm^{4}; the same identity is re-evaluated
     through diagonal group-function sums and both residuals are reported.
-    Each irrep is lifted once for all elements, at the columns its block
-    traces read.
+    The four irreps are lifted as one set for all elements, each at the
+    columns its block traces read.
     """
     if any(u.m != 4 for u in elements):
         raise DomainError("the coaxial product identity is stated for 4x4 matrices")
@@ -202,12 +201,12 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
         p31: [full],
         p4: [full],
     }
-    labels = {pp: SUIrrepLabel.from_partition(pp, 4, normalize=False) for pp in keeps}
-    rotation_tables(labels.values())
+    labels = [SUIrrepLabel.from_partition(pp, 4, normalize=False) for pp in keeps]
+    rotation_tables(labels)
+    cols = [_block_columns(label, kk) for label, kk in zip(labels, keeps.values())]
     traces = {}
-    for pp, label in labels.items():
-        cols = _block_columns(label, keeps[pp])
-        stacked = _block_traces(label, lift_batch(label, elements, cols), cols, keeps[pp])
+    for pp, label, lifted, c in zip(keeps, labels, lift_batch(labels, elements, cols), cols):
+        stacked = _block_traces(label, lifted, c, keeps[pp])
         traces.update(((pp, keep), trace) for keep, trace in zip(keeps[pp], stacked.T))
     mats = _matrices(elements, 4)
     imm3 = {keep3: immanant_batch(p3, _submatrices(mats, keep3, keep3)) for keep3 in keeps[p3]}
@@ -311,20 +310,20 @@ def conjecture_scan(
         index_sets = list(combinations(range(1, m + 1), n))
         selectors = [(k, q) for k in index_sets for q in index_sets]
     selectors = [_check_pair(m, p, k, q) for k, q in selectors]
-    return _scan(m, p, selectors, entry_tol, _scan_samples(m, check_samples, seed), seed)
+    samples = _scan_samples(m, check_samples, seed)
+    cols = _block_columns(label, {q for _, q in selectors})  # every col_index of the scan
+    [lifts] = lift_batch([label], samples, [cols])
+    return _scan(m, p, selectors, entry_tol, _matrices(samples, m), lifts, cols, seed)
 
 
-def _scan(m, p, selectors, entry_tol, samples, seed) -> list[VerificationReport]:
-    """The reports of :func:`conjecture_scan` over checked ``selectors``
-    and drawn check ``samples``."""
+def _scan(m, p, selectors, entry_tol, mats, lifts, cols, seed) -> list[VerificationReport]:
+    """The reports of :func:`conjecture_scan` over checked ``selectors``,
+    the check samples' (S, m, m) matrices ``mats`` and their ``lifts`` at
+    the columns ``cols``, which hold every coefficient matrix's col_index."""
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     reports = []
     expected_units = dim_sym(p)
     tags = chain_labels(label)
-    mats = _matrices(samples, m)
-    # the union of the coefficient matrices' col_index, lifted before any is built
-    cols = _block_columns(label, {q for _, q in selectors})
-    lifts = lift_batch(label, samples, cols)
     for k, q in selectors:
         cm = coefficient_matrix(m, p, k, q)
         info = classify_coefficients(cm, entry_tol)
@@ -377,17 +376,20 @@ def conjecture_suite(
             (Partition(2, 1), (2, 3, 5), (1, 3, 4)),
             (Partition(3, 1), (1, 3, 4, 5), (1, 2, 3, 5)),
         ]
-        rotation_tables([SUIrrepLabel.from_partition(pp, 5, normalize=False) for pp, _, _ in named])
-        shared = _scan_samples(5, samples, seed)  # both pairs lift the same factored elements
-        for np_, k, q in named:
-            reports.extend(_scan(5, np_, [(k, q)], entry_tol, shared, seed))
+        labels = [SUIrrepLabel.from_partition(pp, 5, normalize=False) for pp, _, _ in named]
+        cols = [_block_columns(label, [q]) for label, (_, _, q) in zip(labels, named)]
+        shared = _scan_samples(5, samples, seed)  # both labels are lifted as one set
+        lifts = lift_batch(labels, shared, cols)
+        mats = _matrices(shared, 5)
+        for (np_, k, q), lifted, c in zip(named, lifts, cols):
+            reports.extend(_scan(5, np_, [(k, q)], entry_tol, mats, lifted, c, seed))
     return reports
 
 
 # exact coefficient tables for the plethysm suites ---------------------------
 #
 # SU(2), spin 3/2, partition {2,2}: supported J = 4, 2, 0 (keys are 2J).
-SU2_EXPECTED = {8: Fraction(26, 35), 4: Fraction(6, 7), 0: Fraction(2, 5)}
+SU2_EXPECTED = {8: 26 / 35, 4: 6 / 7, 0: 2 / 5}
 
 # SU(3) two-box irrep, permanent of the 6x6 matrix: 17 supported group
 # functions, keyed by (irrep row, 2J_left, 2J_right).  Off-diagonal values
@@ -428,7 +430,7 @@ def plethysm_su2_suite(
     result = fit_decomposition(problem, samples=samples, seed=seed)
     fitted = {cand.irrep.row[0]: val for cand, val in result.coefficients}
     got = {two_j: fitted.get(two_j, 0.0) for two_j in SU2_EXPECTED}
-    worst = _worst(abs(got[two_j] - float(expected)) for two_j, expected in SU2_EXPECTED.items())
+    worst = _worst(abs(got[two_j] - expected) for two_j, expected in SU2_EXPECTED.items())
     detail_coeffs = {
         f"J={two_j // 2}": [float(np.real(v)), float(np.imag(v))] for two_j, v in got.items()
     }

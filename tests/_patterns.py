@@ -8,8 +8,7 @@ no code with the array tables.
 """
 
 import math
-from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -28,13 +27,15 @@ def gt_patterns(row) -> tuple:
             for rest in extend(lower):
                 yield (upper,) + rest
 
+    # rows of one irrep have fixed lengths, so nested tuples compare as
+    # their flattened rows do
     pats = list(extend(tuple(int(x) for x in row)))
-    pats.sort(key=flattened, reverse=True)
+    pats.sort(reverse=True)
     return tuple(pats)
 
 
 def flattened(pattern) -> tuple:
-    return tuple(x for r in pattern for x in r)
+    return tuple(chain.from_iterable(pattern))
 
 
 def occupation(pattern) -> tuple:
@@ -43,10 +44,10 @@ def occupation(pattern) -> tuple:
     return tuple([sums[0]] + [sums[k] - sums[k - 1] for k in range(1, len(pattern))])
 
 
-def chain_label(pattern) -> str:
-    """Occupations, then the round label of each row with 3 or more entries
-    below the top (trailing zeros dropped), then the su(2) J."""
-    occ = occupation(pattern)
+def chain_label(pattern, occ) -> str:
+    """Occupations ``occ`` (:func:`occupation` of the pattern), then the
+    round label of each row with 3 or more entries below the top (trailing
+    zeros dropped), then the su(2) J."""
     occ_str = (
         "".join(str(x) for x in occ)
         if all(x < 10 for x in occ)
@@ -61,7 +62,9 @@ def chain_label(pattern) -> str:
             diffs.pop()
         parts.append("(" + ",".join(str(d) for d in diffs) + ")")
     if len(pattern) >= 2:
-        parts.append(f"({Fraction(pattern[-2][0] - pattern[-2][1], 2)})")
+        two_j = pattern[-2][0] - pattern[-2][1]
+        j, odd = divmod(two_j, 2)
+        parts.append(f"({two_j}/2)" if odd else f"({j})")
     return occ_str + "".join(parts)
 
 

@@ -7,7 +7,7 @@ from immdfun.sunrep import lift_batch
 
 
 def lift(irrep, element, cols=None):
-    return lift_batch(irrep, [element], cols)[0]
+    return lift_batch([irrep], [element], [cols])[0][0]
 
 
 def immanant(p, mat):

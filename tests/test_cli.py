@@ -336,9 +336,12 @@ class TestVerifyCommand:
         # residual and the form agreement must not drop it in a maximum
         real = verification.lift_batch
 
-        def broken(label, elements, cols=None):
-            lifted = real(label, elements, cols)
-            return np.full_like(lifted, math.nan) if label.row == (3, 1, 0, 0) else lifted
+        def broken(labels, elements, cols=None):
+            lifts = real(labels, elements, cols)
+            return [
+                np.full_like(lifted, math.nan) if label.row == (3, 1, 0, 0) else lifted
+                for label, lifted in zip(labels, lifts)
+            ]
 
         monkeypatch.setattr(verification, "lift_batch", broken)
         code, out, _ = run(capsys, "verify", "littlewood", "--samples", "2")

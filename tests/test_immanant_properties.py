@@ -146,7 +146,7 @@ def test_stacked_coefficient_values_equal_their_slices_bit_for_bit():
     cms = [coefficient_matrix(m, p, k, q) for k, q in pairs]
     cols = np.unique(np.concatenate([cm.col_index for cm in cms]))
     elements = [UnitaryElement(mat) for mat in _special_stack(m, 7)]
-    lifts = lift_batch(SUIrrepLabel(m, (2, 1, 0, 0)), elements, cols)
+    [lifts] = lift_batch([SUIrrepLabel(m, (2, 1, 0, 0))], elements, [cols])
     for cm in cms:
         stacked = coefficient_matrix_value(cm, lifts, cols)
         assert list(stacked) == [coefficient_matrix_value(cm, lf, cols) for lf in lifts]
@@ -159,10 +159,10 @@ def test_second_lift_of_the_same_elements_factors_nothing(monkeypatch):
         linalgimm, "_givens_factors", lambda mats: calls.append(len(mats)) or real(mats)
     )
     elements = [haar_random_unitary(3, 40 + i) for i in range(4)]
-    lift_batch(SUIrrepLabel(3, (2, 1, 0)), elements)
+    lift_batch([SUIrrepLabel(3, (2, 1, 0))], elements)
     assert calls == [len(elements)]  # one stack
-    lift_batch(SUIrrepLabel(3, (2, 1, 0)), elements)
-    lift_batch(SUIrrepLabel(3, (3, 0, 0)), elements, [0, 2])
+    lift_batch([SUIrrepLabel(3, (2, 1, 0))], elements)
+    lift_batch([SUIrrepLabel(3, (3, 0, 0))], elements, [[0, 2]])
     assert calls == [len(elements)]
 
 

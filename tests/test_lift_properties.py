@@ -2,8 +2,8 @@
 
 The lift is a product of lifted phases and adjacent-mode rotations, so it
 is checked against what a representation must satisfy: column lifts equal
-the full lift's columns, a batch lifts each element as a lift of its own,
-T(UV) = T(U)T(V) on Haar, permutation, sign and block-diagonal elements,
+the full lift's columns, a batch lifts each element and a set each irrep
+as a lift of its own, T(UV) = T(U)T(V) on Haar, permutation, sign and block-diagonal elements,
 permutation matrices move weight spaces, and the GT columns match the chain
 vectors built independently in the tensor power.  The block lift equals the
 product of the dense lifts of its factors, and the stacked Givens factoring
@@ -42,7 +42,7 @@ from immdfun.sunrep import (
     weight_blocks,
 )
 from immdfun.symgroup import partitions_of
-from immdfun.verification import _block_columns, _block_traces
+from immdfun.verification import _block_columns, _block_traces, corollary4_suite, kostant_suite
 
 from _generators import all_permutations, generator_matrix, permutation_matrix
 from _single import from_matrix, haar_random_unitary, immanant, immanant_via_duality, lift
@@ -326,7 +326,7 @@ def test_batch_slices_are_single_lifts(irrep, seed, data):
     )
     batch = _mixed_batch(irrep.m, seed)
     assert _rotation_groups(batch) >= 2
-    got = lift_batch(irrep, batch, cols)
+    [got] = lift_batch([irrep], batch, [cols])
     width = d if cols is None else len(cols)
     assert got.shape == (len(batch), d, width)
     for lifted, u in zip(got, batch):
@@ -360,7 +360,7 @@ def test_batch_of_phases_is_single_lifts(row):
     for _ in range(6):
         angles = rng.uniform(-np.pi, np.pi, irrep.m)
         batch.append(UnitaryElement(np.diag(np.exp(1j * (angles - angles.mean())))))
-    got = lift_batch(irrep, batch)
+    [got] = lift_batch([irrep], batch)
     for lifted, u in zip(got, batch):
         assert np.array_equal(lifted, lift(irrep, u))
 
@@ -370,9 +370,9 @@ def test_chunked_batch_is_the_whole_batch(monkeypatch, entries):
     # a budget of 1 lifts each element alone, 150 two at a time (d = 8)
     irrep = SUIrrepLabel(3, (2, 1, 0))
     batch = _mixed_batch(3, 5) + _mixed_batch(3, 6)
-    whole = lift_batch(irrep, batch)
+    [whole] = lift_batch([irrep], batch)
     monkeypatch.setattr(sunrep, "LIFT_BATCH_ENTRIES", entries)
-    assert np.abs(lift_batch(irrep, batch) - whole).max() <= 1e-15
+    assert np.abs(lift_batch([irrep], batch)[0] - whole).max() <= 1e-15
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -386,7 +386,7 @@ def test_column_restricted_block_traces(m):
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
             cols = _block_columns(label, keeps)
             every = np.arange(dim_weyl(label))
-            restricted, full = lift_batch(label, batch, cols), lift_batch(label, batch)
+            [restricted], [full] = lift_batch([label], batch, [cols]), lift_batch([label], batch)
             # all keeps from one gather: each equals its keep's trace alone
             stacked = _block_traces(label, restricted, cols, keeps)
             for j, keep in enumerate(keeps):
@@ -422,7 +422,7 @@ def test_principal_identities_on_special_elements(m, kind, seed):
 def test_empty_batch(cols):
     irrep = SUIrrepLabel(3, (2, 1, 0))
     width = 8 if cols is None else len(cols)
-    assert lift_batch(irrep, [], cols).shape == (0, 8, width)
+    assert lift_batch([irrep], [], [cols])[0].shape == (0, 8, width)
 
 
 def test_batch_refusals_come_before_any_product(monkeypatch):
@@ -435,17 +435,121 @@ def test_batch_refusals_come_before_any_product(monkeypatch):
     irrep = SUIrrepLabel(3, (2, 1, 0))
     good = haar_random_unitary(3, 2)
     with pytest.raises(DomainError, match="columns must be"):
-        lift_batch(irrep, [good, good], [0, 8])
+        lift_batch([irrep], [good, good], [[0, 8]])
     with pytest.raises(DomainError, match="columns must be distinct"):
-        lift_batch(irrep, [good], [1, 1])
+        lift_batch([irrep], [good], [[1, 1]])
     with pytest.raises(DomainError, match="UnitaryElement"):
-        lift_batch(irrep, [good, np.eye(3)])
+        lift_batch([irrep], [good, np.eye(3)])
     with pytest.raises(DomainError, match="modes"):
-        lift_batch(irrep, [good, haar_random_unitary(4, 2)])
+        lift_batch([irrep], [good, haar_random_unitary(4, 2)])
     monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
     for batch in ([good, good], []):
         with pytest.raises(ResourceLimitError):
-            lift_batch(irrep, batch, [0])
+            lift_batch([irrep], batch, [[0]])
+
+
+# Sets of distinct irreps of one m: a d = 1 irrep first, then irreps whose
+# GT blocks all have fewer than 16 rows.  OpenBLAS rounds a column of a
+# larger block product by the column's position in the batch, so there a
+# slice may differ from the lift alone in a last bit (SU(3) (6, 3, 0) does).
+SETS = {
+    2: ((1, 1), (1, 0), (4, 0), (3, 1)),
+    3: ((2, 2, 2), (1, 0, 0), (2, 1, 0), (3, 0, 0), (4, 2, 0)),
+    4: ((1, 1, 1, 1), (2, 1, 1, 0), (3, 1, 0, 0), (4, 2, 1, 0)),
+    5: ((1, 1, 1, 1, 1), (1, 0, 0, 0, 0), (2, 1, 1, 0, 0)),
+}
+
+
+def _set_columns(irreps, seed: int) -> list:
+    """All columns of the d = 1 irrep, none of the second, and up to five
+    distinct columns, in drawn order, of each other irrep."""
+    rng = np.random.default_rng(seed)
+    cols = [None, []]
+    for ir in irreps[2:]:
+        d = dim_weyl(ir)
+        cols.append([int(c) for c in rng.choice(d, size=min(d, 5), replace=False)])
+    return cols
+
+
+@pytest.mark.parametrize("m", sorted(SETS))
+def test_set_slices_are_single_irrep_lifts(m):
+    irreps = [SUIrrepLabel(m, row) for row in SETS[m]]
+    for seed in (1, 2):
+        batch = _mixed_batch(m, seed)
+        cols = _set_columns(irreps, seed)
+        for order in (slice(None), slice(None, None, -1)):
+            lifts = lift_batch(irreps[order], batch, cols[order])
+            assert len(lifts) == len(irreps)
+            for ir, c, got in zip(irreps[order], cols[order], lifts):
+                [alone] = lift_batch([ir], batch, [c])
+                d = dim_weyl(ir)
+                assert got.shape == (len(batch), d, d if c is None else len(c))
+                assert got.tobytes() == alone.tobytes()
+        # None alone: every column of every irrep
+        for ir, got in zip(irreps, lift_batch(irreps, batch)):
+            assert got.tobytes() == lift_batch([ir], batch)[0].tobytes()
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_single_column_is_the_full_lifts_column_exactly(row):
+    # the pruned lift of one column skips every block its support has not
+    # reached; those blocks hold exact zeros in the full lift's column
+    irrep = SUIrrepLabel(len(row), row)
+    batch = _mixed_batch(irrep.m, 4)
+    [full] = lift_batch([irrep], batch)
+    d = dim_weyl(irrep)
+    for t in range(0, d, 1 + d // 30):
+        [one] = lift_batch([irrep], batch, [[t]])
+        assert np.array_equal(one[:, :, 0], full[:, :, t])
+
+
+def test_set_refusals_come_before_any_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a product ran before the refusal")
+
+    monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+    for name in ("rotation_tables", "_block_times", "_phase_diagonals"):
+        monkeypatch.setattr(sunrep, name, forbidden)
+    a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
+    good = haar_random_unitary(3, 2)
+    with pytest.raises(DomainError, match=r"columns must be integers in 0..9 for SU\(3\)\(3, 0, 0\)"):
+        lift_batch([a, b], [good], [None, [0, 10]])
+    with pytest.raises(DomainError, match="columns must be distinct"):
+        lift_batch([a, b], [good], [[0], [2, 2]])
+    with pytest.raises(DomainError, match="1 column lists for 2 irreps"):
+        lift_batch([a, b], [good], [None])
+    with pytest.raises(DomainError, match="must share m"):
+        lift_batch([a, SUIrrepLabel(4, (1, 0, 0, 0))], [good])
+    with pytest.raises(DomainError, match="irreps of a set lift must be distinct"):
+        lift_batch([a, b, a], [good])
+    with pytest.raises(DomainError, match="modes"):
+        lift_batch([a, b], [good, haar_random_unitary(4, 2)])
+    monkeypatch.setenv("IMMDFUN_MAX_DIM", "9")  # d = 8 fits, d = 10 does not
+    for batch in ([good], []):
+        with pytest.raises(ResourceLimitError, match="dimension 10"):
+            lift_batch([a, b], batch, [[0], [0]])
+
+
+@pytest.mark.parametrize("scale", [1.001, np.nan])
+def test_set_columns_that_lose_orthonormality_are_refused(monkeypatch, scale):
+    # (1, 1, 1) has no block and lifts to phases alone; (2, 1, 0) is refused
+    real = sunrep._block_times
+    monkeypatch.setattr(sunrep, "_block_times", lambda *args: scale * real(*args))
+    irreps = [SUIrrepLabel(3, (1, 1, 1)), SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))]
+    with pytest.raises(DomainError, match=r"into SU\(3\)\(2, 1, 0\) lost orthonormality"):
+        lift_batch(irreps, _mixed_batch(3, 5), [None, [0, 3], [1]])
+
+
+def test_nothing_to_lift_or_check():
+    # no irrep, or no column of any irrep: no phase is built on an empty
+    # occupation table, and a suite with no configuration reports nothing
+    batch = _mixed_batch(3, 1)
+    assert lift_batch([], batch) == [] and lift_batch([], batch, []) == []
+    irreps = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (1, 1, 1))]
+    lifts = lift_batch(irreps, batch, [[], []])
+    assert [x.shape for x in lifts] == [(len(batch), 8, 0), (len(batch), 1, 0)]
+    assert corollary4_suite(m_values=(4,), sizes=(4, 5)) == []
+    assert kostant_suite(m_values=()) == []
 
 
 def _dense_lift(irrep: SUIrrepLabel, element: UnitaryElement) -> np.ndarray:

@@ -141,15 +141,17 @@ class TestFitMachinery:
 
     def test_each_sample_is_lifted_once(self, monkeypatch):
         # the base irrep is lifted in full, each candidate irrep only at the
-        # columns its candidates read; one (irrep, sample) entry per lift
-        calls = []
+        # columns its candidates read; one (irrep, sample) entry per lift,
+        # and the candidate irreps are lifted as one set
+        calls, sets = [], []
         real = plethysm.lift_batch
-        monkeypatch.setattr(
-            plethysm,
-            "lift_batch",
-            lambda ir, us, cols=None: calls.extend((ir, cols is None) for _ in us)
-            or real(ir, us, cols),
-        )
+
+        def counted(irs, us, cols=None):
+            sets.append(len(irs))
+            calls.extend((ir, c is None) for ir, c in zip(irs, cols or [None] * len(irs)) for _ in us)
+            return real(irs, us, cols)
+
+        monkeypatch.setattr(plethysm, "lift_batch", counted)
         prob = su2_power_problem(3, P(2, 2))
         samples = 30
         result = fit_decomposition(prob, samples=samples, seed=1)
@@ -159,3 +161,4 @@ class TestFitMachinery:
         assert calls.count((prob.base_irrep, True)) == prelim
         assert sum(full for _, full in calls) == prelim
         assert result.sample_count == samples
+        assert sets == [1, len(irreps)]

@@ -102,10 +102,11 @@ class TestGTBasis:
         for ir, raising in zip(irreps, build_raising_tables(irreps)):
             pats = ref.gt_patterns(ir.row)
             assert not gt_array(ir).flags.writeable and not occupations(ir).flags.writeable
+            occs = [ref.occupation(p) for p in pats]
             assert gt_array(ir).tolist() == [list(ref.flattened(p)) for p in pats]
-            assert occupations(ir).tolist() == [list(ref.occupation(p)) for p in pats]
+            assert occupations(ir).tolist() == [list(occ) for occ in occs]
             assert pattern_rows(ir) == pats
-            assert chain_labels(ir) == tuple(ref.chain_label(p) for p in pats)
+            assert chain_labels(ir) == tuple(map(ref.chain_label, pats, occs))
             assert len(raising) == m - 1
             for k, (src, dst, amp) in enumerate(raising, start=1):
                 entries = dict(zip(zip(dst.tolist(), src.tolist()), amp.tolist()))
