@@ -282,17 +282,18 @@ def cmd_dump_dfunctions(args) -> int:
     mat = build()
     elements = UnitaryElement.from_matrices(as_square(mat)[None], tol=args.tol)
     lifted = lift_batch([irrep], elements)[0][0]
-    # One JSON record per (r, t): {"irrep": row, "r": tag, "t": tag, "value": [re, im]},
-    # written from tags encoded once; repr of a finite float is its JSON form.
+    # One line per (r, t): the compact JSON of {"irrep": row, "r": tag, "t": tag,
+    # "value": [re, im]}, keys in that order. Each row r is one % over templates
+    # built once, fed its interleaved real and imaginary parts; %r of a finite
+    # float is the shortest round-trip repr that json.dumps writes. The tags and
+    # head are JSON of integer lists, so they hold no % to misread.
     tags = [_json(rows) for rows in pattern_rows(irrep)]
+    tails = [t_tag + ',"value":[%r,%r]}\n' for t_tag in tags]
     head = '{"irrep":' + _json(list(irrep.row)) + ',"r":'
     with _Output(args.out) as fh:
-        for r_tag, values in zip(tags, lifted):
+        for r_tag, row in zip(tags, lifted.view(np.float64).tolist()):
             prefix = head + r_tag + ',"t":'
-            fh.writelines(
-                f'{prefix}{t_tag},"value":[{val.real!r},{val.imag!r}]}}\n'
-                for t_tag, val in zip(tags, values.tolist())
-            )
+            fh.write(prefix + prefix.join(tails) % tuple(row))
     return EXIT_OK
 
 

@@ -503,6 +503,48 @@ class TestDumpCommand:
         middle = [r for r in records if r["r"] == r["t"] == [[2, 0], [1]]]
         assert middle[0]["value"][0] == pytest.approx(math.cos(beta), abs=1e-12)
 
+    def test_lines_are_json_dumps_of_their_records(self, capsys, tmp_path):
+        # The line format is a contract: compact JSON, keys in this order,
+        # floats as json.dumps writes them (shortest round-trip repr)
+        cases = [
+            ("--row", "2,1,0", "--identity", "3"),  # 1.0 and 0.0
+            ("--row", "2,1,0", "--matrix-file", str(_minus_one_file(tmp_path))),  # negatives
+            ("--row", "1,1,1", "--haar", "3"),  # d = 1
+            ("--row", "0,0,0", "--haar", "3"),
+            ("--row", "3,0", "--euler", "0.3,0.8,1.1"),  # SU(2)
+            ("--row", "6,3,0", "--haar", "3"),  # exponent forms at the default seed
+        ]
+        values = []
+        for argv in cases:
+            code, out, _ = run(capsys, "dump-dfunctions", *argv)
+            assert code == EXIT_OK
+            lines = out.splitlines(keepends=True)
+            assert lines
+            for line in lines:
+                rec = json.loads(line)
+                record = {"irrep": rec["irrep"], "r": rec["r"], "t": rec["t"], "value": rec["value"]}
+                assert line == json.dumps(record, separators=(",", ":")) + "\n", (argv, line)
+                values.append(line.rpartition('"value":')[2])
+        assert any("e" in value for value in values)
+
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        argv = ("dump-dfunctions", "--row", "6,3,0", "--haar", "3")
+        _, out, _ = run(capsys, *argv)
+        path = tmp_path / "dump.jsonl"
+        code, file_out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, file_out, err) == (EXIT_OK, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("row", ["2,1,0", "6,3,0"])  # fails on closing, or mid-stream
+    def test_failed_write_is_usage_error(self, capsys, row):
+        code, out, err = run(
+            capsys, "dump-dfunctions", "--row", row, "--haar", "3", "--out", "/dev/full"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_overflowing_matrix_is_one_usage_error(self, capsys, tmp_path):
         # det and U^H U overflow: one error line, and no numpy warning before it
         path = tmp_path / "big.json"
@@ -700,13 +742,19 @@ class TestOneParserPerProcess:
         assert [code for code, _, _ in together] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
 
 
+def _minus_one_file(tmp_path):
+    """diag(-1, -1, 1) as a matrix file: two eigenvalues at -1."""
+    path = tmp_path / "minus_one.json"
+    diag = [[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
+    path.write_text(
+        json.dumps([[diag[i] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)])
+    )
+    return path
+
+
 class TestMinusOneEigenvalues:
     def test_dump_lifts_exactly(self, capsys, tmp_path):
-        path = tmp_path / "minus_one.json"
-        diag = [[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
-        path.write_text(
-            json.dumps([[diag[i] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)])
-        )
+        path = _minus_one_file(tmp_path)
         code, out, _ = run(capsys, "dump-dfunctions", "--row", "2,1,0", "--matrix-file", str(path))
         assert code == EXIT_OK
         values = [json.loads(line)["value"] for line in out.strip().splitlines()]
