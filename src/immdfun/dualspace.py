@@ -290,11 +290,13 @@ def immanant_via_duality_stack(m: int, p: Partition, pairs, mats) -> np.ndarray:
     return out[:, :, 0]
 
 
-def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray, cols=None):
+def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray, cols=None, rows=None):
     """Contract a coefficient matrix against a lifted irrep matrix whose
-    columns are the ascending basis positions ``cols`` (all d for None):
-    a complex for one (d, c) lift, an (S,) array for an (S, d, c) stack."""
+    columns and rows are the ascending basis positions ``cols`` and
+    ``rows`` (all d for None): a complex for one (r, c) lift, an (S,)
+    array for an (S, r, c) stack."""
     col_pos = cm.col_index if cols is None else np.searchsorted(cols, cm.col_index)
+    row_pos = cm.row_index if rows is None else np.searchsorted(rows, cm.row_index)
     # C order, as one lift's np.ix_ block has: the sum's order follows the layout
-    block = np.ascontiguousarray(lifted[..., cm.row_index[:, None], col_pos])
+    block = np.ascontiguousarray(lifted[..., row_pos[:, None], col_pos])
     return np.sum(cm.entries * block, axis=(-2, -1))

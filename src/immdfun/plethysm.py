@@ -162,17 +162,19 @@ def fit_decomposition(
 
     # One row per Haar sample.  The tables of the base and every candidate
     # irrep are built in one pass; the candidate irreps are lifted as one
-    # set for all samples, each at only the columns t its candidates read.
+    # set for all samples, each at only the rows r and columns t its
+    # candidates read.
     irreps = sorted({c.irrep for c in cands}, key=lambda ir: ir.row)
     rotation_tables([problem.base_irrep, *irreps])
     omegas = haar_random_unitaries(m, range(seed, seed + prelim_samples))
     [base] = lift_batch([problem.base_irrep], omegas)
     y0 = _target_values(problem, base)
     which = [[j for j, c in enumerate(cands) if c.irrep == ir] for ir in irreps]
+    rows = [sorted({cands[j].r for j in js}) for js in which]
     cols = [sorted({cands[j].t for j in js}) for js in which]
     X0 = np.empty((prelim_samples, len(cands)), dtype=np.complex128)
-    for js, c, lifted in zip(which, cols, lift_batch(irreps, omegas, cols)):
-        X0[:, js] = lifted[:, [cands[j].r for j in js], [c.index(cands[j].t) for j in js]]
+    for js, r, c, lifted in zip(which, rows, cols, lift_batch(irreps, omegas, cols, rows)):
+        X0[:, js] = lifted[:, [r.index(cands[j].r) for j in js], [c.index(cands[j].t) for j in js]]
 
     def solve(X, y, subset):
         svals = np.linalg.svd(X, compute_uv=False)

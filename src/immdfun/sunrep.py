@@ -497,24 +497,40 @@ def _pruned(stacks: list[list[Block]], kinds, support: np.ndarray) -> list[list[
     return plan
 
 
-def _columns(irrep: SUIrrepLabel, cols) -> np.ndarray:
-    """The checked basis positions ``cols`` of the irrep (all of them for None)."""
-    d = dim_weyl(irrep)
-    if cols is None:
-        return np.arange(d)
-    cols = list(cols)
-    valid = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in cols)
-    if not (all(valid) and all(0 <= c < d for c in cols)):
-        raise DomainError(f"columns must be integers in 0..{d - 1} for {irrep}, got {cols}")
-    if len(set(cols)) != len(cols):
-        raise DomainError(f"columns must be distinct for {irrep}, got {cols}")
-    return np.array(cols, dtype=np.intp)
+def _positions(irreps, given, what: str) -> list[np.ndarray | None]:
+    """The checked ``what`` (rows or columns) of a set lift: one list of
+    distinct basis positions per irrep, or None for all of them; None alone
+    means all positions of every irrep."""
+    given = [None] * len(irreps) if given is None else list(given)
+    if len(given) != len(irreps):
+        raise DomainError(f"{len(given)} {what[:-1]} lists for {len(irreps)} irreps")
+    checked = []
+    for irrep, pos in zip(irreps, given):
+        if pos is not None:
+            d, pos = dim_weyl(irrep), list(pos)
+            valid = (isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in pos)
+            if not (all(valid) and all(0 <= c < d for c in pos)):
+                raise DomainError(f"{what} must be integers in 0..{d - 1} for {irrep}, got {pos}")
+            if len(set(pos)) != len(pos):
+                raise DomainError(f"{what} must be distinct for {irrep}, got {pos}")
+            pos = np.array(pos, dtype=np.intp)
+        checked.append(pos)
+    return checked
 
 
-def _lift_sum(irreps, tables, idxs, outs, factors, groups) -> None:
+def _defect(lifted: np.ndarray) -> float:
+    """The worst |L^H L - 1| over a C-contiguous (S, d, c) stack of lifted
+    columns L (0.0 for none), NaN if any entry is NaN."""
+    unit = np.eye(lifted.shape[2])
+    return float(np.abs(lifted.conj().transpose(0, 2, 1) @ lifted - unit).max(initial=0.0))
+
+
+def _lift_sum(irreps, tables, idxs, picks, outs, factors, groups) -> list[float]:
     """Lift the checked ``irreps`` as one direct sum into ``outs``, at the
-    columns ``idxs`` (all nonempty), for the factored elements ``factors``
-    grouped by rotation sequence.
+    columns ``idxs`` (all nonempty) and the rows ``picks`` (None for all),
+    for the factored elements ``factors`` grouped by rotation sequence, and
+    return each irrep's orthonormality defect: the first that exceeds
+    1e-10, or the last.
 
     Irrep i's rows sit at its offset and its columns in slots 0..c_i-1 of
     one shared (sum d, max c, S) array; the same-size block stacks of every
@@ -525,7 +541,9 @@ def _lift_sum(irreps, tables, idxs, outs, factors, groups) -> None:
     V^T, e^{-i theta w} and V as batched (B, s, s) products, and scatters
     them back; the integer eigenvalues w look their turn factors up in one
     table of e^{-i theta j}, |j| <= max (r_1 - r_m), per element and
-    rotation."""
+    rotation.  Each chunk's full columns are checked orthonormal as one
+    C-contiguous (S, d, c) slab, the output itself where no rows are
+    picked, before the picked rows are written out."""
     dims = [dim_weyl(ir) for ir in irreps]
     first = np.cumsum(dims) - dims
     total, width = sum(dims), max(len(idx) for idx in idxs)
@@ -538,6 +556,7 @@ def _lift_sum(irreps, tables, idxs, outs, factors, groups) -> None:
     top = max(ir.row[0] - ir.row[-1] for ir in irreps)  # every |w| <= max |n_k - n_{k+1}|
     spins = np.arange(-top, top + 1)
     step = max(1, LIFT_BATCH_ENTRIES // max(1, total * width))
+    defects = [0.0] * len(irreps)
     for ks, group in groups.items():
         plan = _pruned(stacks, ks, support)
         for at in range(0, len(group), step):
@@ -558,16 +577,29 @@ def _lift_sum(irreps, tables, idxs, outs, factors, groups) -> None:
                     x *= phases[:, None, :, i]
                 else:  # numpy multiplies one entry in place by a scalar path
                     x = x * phases[:, None, :, i]  # that rounds apart from its vector loop
-            for out, f, d, idx in zip(outs, first, dims, idxs):
-                out[members] = x[f : f + d, : len(idx)].transpose(2, 0, 1)
+            at = members  # a run of consecutive elements is a slice, so out[at] is a view
+            if members[-1] - members[0] == len(members) - 1:
+                at = slice(members[0], members[-1] + 1)
+            for i, (out, f, d, idx, pick) in enumerate(zip(outs, first, dims, idxs, picks)):
+                lifted = x[f : f + d, : len(idx)].transpose(2, 0, 1)
+                if pick is None:
+                    out[at] = lifted
+                    lifted = out[at]
+                else:
+                    lifted = np.ascontiguousarray(lifted)
+                    out[at] = lifted[:, pick]
+                if defects[i] <= 1e-10:
+                    defects[i] = _defect(lifted)
+    return defects
 
 
-def lift_batch(irreps, elements, cols=None) -> list[np.ndarray]:
-    """Columns of the matrices of ``elements`` in each of ``irreps``
-    (distinct irreps of one m): one (S, d_i, len(cols[i])) array per irrep,
-    slice s for element s.  ``cols`` holds one list of distinct basis
-    positions per irrep, or None for all of them; None alone means all
-    columns of every irrep.  A lone irrep is a set of one.
+def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
+    """Blocks of the matrices of ``elements`` in each of ``irreps``
+    (distinct irreps of one m): one (S, len(rows[i]), len(cols[i])) array
+    per irrep, slice s for element s.  ``cols`` and ``rows`` each hold one
+    list of distinct basis positions per irrep, or None for all of them;
+    None alone means all columns (rows) of every irrep.  A lone irrep is a
+    set of one.
 
     Each element is factored into diagonal phases and adjacent-mode
     rotations once (:func:`~immdfun.linalgimm.givens_factors`, cached on
@@ -581,23 +613,22 @@ def lift_batch(irreps, elements, cols=None) -> list[np.ndarray]:
     no ``exp`` per basis vector and no logarithm is taken, so eigenvalues
     at -1 lift exactly and the identity lifts to exact unit columns.
     Elements with the same rotation sequence share each product, S elements
-    at a time within :data:`LIFT_BATCH_ENTRIES`.  Slice i of a set lift
-    equals the lift of irrep i alone bit for bit while every GT block has
-    fewer than 16 rows; OpenBLAS may round a column of a larger block
-    product by its position in the batch.  The irreps, every irrep's
-    columns and dimension cap, and the elements are checked before any
-    product, and each irrep's lifted columns are checked orthonormal,
-    element by element, in chunks.
+    at a time within :data:`LIFT_BATCH_ENTRIES`, and only the picked rows
+    of each chunk are kept: every entry equals the entry of the whole
+    columns bit for bit.  Slice i of a set lift equals the lift of irrep i
+    alone bit for bit while every GT block has fewer than 16 rows; OpenBLAS
+    may round a column of a larger block product by its position in the
+    batch.  The irreps, every irrep's columns, rows and dimension cap, and
+    the elements are checked before any product, and each irrep's full
+    lifted columns are checked orthonormal, element by element, chunk by
+    chunk; a failure names the first such irrep in ``irreps``.
     """
     irreps = list(irreps)
-    cols = [None] * len(irreps) if cols is None else list(cols)
-    if len(cols) != len(irreps):
-        raise DomainError(f"{len(cols)} column lists for {len(irreps)} irreps")
+    idxs, picks = _positions(irreps, cols, "columns"), _positions(irreps, rows, "rows")
     if len(set(irreps)) != len(irreps):
         raise DomainError(f"irreps of a set lift must be distinct, got {irreps}")
     if len({ir.m for ir in irreps}) > 1:
         raise DomainError(f"irreps of a set lift must share m, got {irreps}")
-    idxs = [_columns(ir, c) for ir, c in zip(irreps, cols)]
     elements = list(elements)
     for element in elements:
         if not isinstance(element, UnitaryElement):
@@ -607,7 +638,11 @@ def lift_batch(irreps, elements, cols=None) -> list[np.ndarray]:
     for ir in irreps:
         check_lift_dim(ir)
     dims = [dim_weyl(ir) for ir in irreps]
-    outs = [np.empty((len(elements), d, len(idx)), dtype=np.complex128) for d, idx in zip(dims, idxs)]
+    idxs = [np.arange(d) if idx is None else idx for d, idx in zip(dims, idxs)]
+    outs = [
+        np.empty((len(elements), d if pick is None else len(pick), len(idx)), dtype=np.complex128)
+        for d, idx, pick in zip(dims, idxs, picks)
+    ]
     if not (elements and irreps):
         return outs
     factors = givens_factors(elements)
@@ -625,14 +660,12 @@ def lift_batch(irreps, elements, cols=None) -> list[np.ndarray]:
             sums[-1].append(i)
         elif len(idxs[i]):
             sums.append([i])
+    defects = {}
     for part in sums:
-        _lift_sum(*([seq[i] for i in part] for seq in (irreps, tables, idxs, outs)), factors, groups)
-    # each irrep's columns, checked in chunks of at most LIFT_BATCH_ENTRIES entries
-    for ir, out, d, idx in zip(irreps, outs, dims, idxs):
-        unit, span = np.eye(len(idx)), max(1, LIFT_BATCH_ENTRIES // max(1, d * len(idx)))
-        for at in range(0, len(out), span):
-            lifted = out[at : at + span]
-            defect = np.abs(lifted.conj().transpose(0, 2, 1) @ lifted - unit).max(initial=0.0)
-            if not defect <= 1e-10:
-                raise DomainError(f"the lift into {ir} lost orthonormality: defect {defect:.3e}")
+        args = ([seq[i] for i in part] for seq in (irreps, tables, idxs, picks, outs))
+        defects.update(zip(part, _lift_sum(*args, factors, groups)))
+    for i in sorted(defects):  # the first irrep that fails, in the caller's order
+        if not defects[i] <= 1e-10:
+            defect = defects[i]
+            raise DomainError(f"the lift into {irreps[i]} lost orthonormality: defect {defect:.3e}")
     return outs

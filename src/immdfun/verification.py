@@ -68,21 +68,22 @@ def _submatrices(mats: np.ndarray, rows, cols) -> np.ndarray:
 
 def _block_columns(label: SUIrrepLabel, keeps) -> np.ndarray:
     """Ascending basis positions of the weight blocks of the kept-mode sets
-    ``keeps``: the only columns their block traces read."""
+    ``keeps``: the only rows and columns their block traces read."""
     blocks = weight_blocks(label)
     cols = {int(i) for keep in keeps for i in blocks[state_weight(label.m, keep).cartan]}
     return np.array(sorted(cols), dtype=np.intp)
 
 
-def _block_traces(label: SUIrrepLabel, lifted: np.ndarray, cols: np.ndarray, keeps) -> np.ndarray:
+def _block_traces(label: SUIrrepLabel, lifted: np.ndarray, rows, cols, keeps) -> np.ndarray:
     """Sum, in basis order, of the lifted diagonal over the patterns at the
     weight of each kept-mode set of ``keeps`` (all of one size, so their
     blocks are of one size too), from one gather: a (K,) array for one
-    (d, c) lift, an (S, K) array for an (S, d, c) stack.  ``lifted`` holds
-    the columns ``cols`` (see :func:`_block_columns`)."""
+    (r, c) lift, an (S, K) array for an (S, r, c) stack.  ``lifted`` holds
+    the ascending basis positions ``rows`` x ``cols`` (see
+    :func:`_block_columns`)."""
     blocks = weight_blocks(label)
     idx = np.array([blocks[state_weight(label.m, keep).cartan] for keep in keeps])
-    diagonal = lifted[..., idx, np.searchsorted(cols, idx)]
+    diagonal = lifted[..., np.searchsorted(rows, idx), np.searchsorted(cols, idx)]
     return sum(np.moveaxis(diagonal, -1, 0), 0j)
 
 
@@ -90,15 +91,15 @@ def _principal_residuals(m, p, keeps, mats, lifts, cols) -> list[tuple[float, fl
     """Worst |Imm^{p} - diagonal D-sum| and worst |Imm^{p} - duality route|
     of the principal submatrix on each kept-mode set of ``keeps`` (all of
     one size) over the (S, m, m) sample stack ``mats``, whose lifts into the
-    irrep dual to ``p`` at the columns ``cols`` are ``lifts``.  Each route
-    is evaluated for all K keeps at once: one character sum over the
-    (K S, n, n) stack of submatrices, one duality contraction and one trace
-    gather."""
+    irrep dual to ``p`` at the rows and columns ``cols`` are ``lifts``.
+    Each route is evaluated for all K keeps at once: one character sum over
+    the (K S, n, n) stack of submatrices, one duality contraction and one
+    trace gather."""
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     sel = np.array(keeps) - 1
     subs = mats[:, sel[:, :, None], sel[:, None, :]].transpose(1, 0, 2, 3)
     direct = immanant_batch(p, subs.reshape(-1, *subs.shape[2:])).reshape(len(keeps), -1)
-    traces = _block_traces(label, lifts, cols, keeps).T
+    traces = _block_traces(label, lifts, cols, cols, keeps).T
     dual = immanant_via_duality_stack(m, p, [(keep, keep) for keep in keeps], mats)
     return [(_worst_gap(a, t), _worst_gap(a, u)) for a, t, u in zip(direct, traces, dual)]
 
@@ -120,7 +121,7 @@ def kostant_suite(
         elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
         cols = [_block_columns(label, [full]) for label in labels]
-        lifts = lift_batch(labels, elements, cols)
+        lifts = lift_batch(labels, elements, cols, cols)
         for p, lifted, c in zip(parts, lifts, cols):
             [(worst, worst_dual)] = _principal_residuals(m, p, [full], mats, lifted, c)
             reports.append(
@@ -155,7 +156,7 @@ def corollary4_suite(
         mats = _matrices(elements, m)
         keeps = [list(combinations(range(1, m + 1), p.n)) for p in parts]
         cols = [_block_columns(label, kk) for label, kk in zip(labels, keeps)]
-        lifts = lift_batch(labels, elements, cols)
+        lifts = lift_batch(labels, elements, cols, cols)
         for p, kk, lifted, c in zip(parts, keeps, lifts, cols):
             residuals = _principal_residuals(m, p, kk, mats, lifted, c)
             for keep, (worst, worst_dual) in zip(kk, residuals):
@@ -189,7 +190,7 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
     pairs must equal Imm^{3,1} + Imm^{4}; the same identity is re-evaluated
     through diagonal group-function sums and both residuals are reported.
     The four irreps are lifted as one set for all elements, each at the
-    columns its block traces read.
+    weight blocks its block traces read.
     """
     if any(u.m != 4 for u in elements):
         raise DomainError("the coaxial product identity is stated for 4x4 matrices")
@@ -205,8 +206,8 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
     rotation_tables(labels)
     cols = [_block_columns(label, kk) for label, kk in zip(labels, keeps.values())]
     traces = {}
-    for pp, label, lifted, c in zip(keeps, labels, lift_batch(labels, elements, cols), cols):
-        stacked = _block_traces(label, lifted, c, keeps[pp])
+    for pp, label, lifted, c in zip(keeps, labels, lift_batch(labels, elements, cols, cols), cols):
+        stacked = _block_traces(label, lifted, c, c, keeps[pp])
         traces.update(((pp, keep), trace) for keep, trace in zip(keeps[pp], stacked.T))
     mats = _matrices(elements, 4)
     imm3 = {keep3: immanant_batch(p3, _submatrices(mats, keep3, keep3)) for keep3 in keeps[p3]}
@@ -311,15 +312,17 @@ def conjecture_scan(
         selectors = [(k, q) for k in index_sets for q in index_sets]
     selectors = [_check_pair(m, p, k, q) for k, q in selectors]
     samples = _scan_samples(m, check_samples, seed)
-    cols = _block_columns(label, {q for _, q in selectors})  # every col_index of the scan
-    [lifts] = lift_batch([label], samples, [cols])
-    return _scan(m, p, selectors, entry_tol, _matrices(samples, m), lifts, cols, seed)
+    rows = _block_columns(label, {k for k, _ in selectors})  # every row_index of the scan
+    cols = _block_columns(label, {q for _, q in selectors})  # every col_index
+    [lifts] = lift_batch([label], samples, [cols], [rows])
+    return _scan(m, p, selectors, entry_tol, _matrices(samples, m), lifts, rows, cols, seed)
 
 
-def _scan(m, p, selectors, entry_tol, mats, lifts, cols, seed) -> list[VerificationReport]:
+def _scan(m, p, selectors, entry_tol, mats, lifts, rows, cols, seed) -> list[VerificationReport]:
     """The reports of :func:`conjecture_scan` over checked ``selectors``,
     the check samples' (S, m, m) matrices ``mats`` and their ``lifts`` at
-    the columns ``cols``, which hold every coefficient matrix's col_index."""
+    the rows ``rows`` and columns ``cols``, which hold every coefficient
+    matrix's row_index and col_index."""
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     reports = []
     expected_units = dim_sym(p)
@@ -328,7 +331,7 @@ def _scan(m, p, selectors, entry_tol, mats, lifts, cols, seed) -> list[Verificat
         cm = coefficient_matrix(m, p, k, q)
         info = classify_coefficients(cm, entry_tol)
         direct = immanant_batch(p, _submatrices(mats, k, q))
-        worst = _worst_gap(direct, coefficient_matrix_value(cm, lifts, cols))
+        worst = _worst_gap(direct, coefficient_matrix_value(cm, lifts, cols, rows))
         total = cm.entries.size
         ok = (
             info["unit_entries"] == expected_units
@@ -377,12 +380,13 @@ def conjecture_suite(
             (Partition(3, 1), (1, 3, 4, 5), (1, 2, 3, 5)),
         ]
         labels = [SUIrrepLabel.from_partition(pp, 5, normalize=False) for pp, _, _ in named]
+        rows = [_block_columns(label, [k]) for label, (_, k, _) in zip(labels, named)]
         cols = [_block_columns(label, [q]) for label, (_, _, q) in zip(labels, named)]
         shared = _scan_samples(5, samples, seed)  # both labels are lifted as one set
-        lifts = lift_batch(labels, shared, cols)
+        lifts = lift_batch(labels, shared, cols, rows)
         mats = _matrices(shared, 5)
-        for (np_, k, q), lifted, c in zip(named, lifts, cols):
-            reports.extend(_scan(5, np_, [(k, q)], entry_tol, mats, lifted, c, seed))
+        for (np_, k, q), lifted, r, c in zip(named, lifts, rows, cols):
+            reports.extend(_scan(5, np_, [(k, q)], entry_tol, mats, lifted, r, c, seed))
     return reports
 
 

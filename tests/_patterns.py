@@ -4,7 +4,8 @@ the integer-array basis of :mod:`immdfun.sunrep` against.
 A pattern is a tuple of rows, from the irrep row (m entries) down to the
 single entry, with rows[k][i] >= rows[k+1][i] >= rows[k][i+1].  Every
 function here walks patterns one at a time in plain Python, so it shares
-no code with the array tables.
+no code with the array tables.  :func:`irreps_up_to` lists the small
+irrep labels that table and lift tests sweep.
 """
 
 import math
@@ -13,6 +14,7 @@ from itertools import chain, product
 import numpy as np
 
 from immdfun.errors import DomainError
+from immdfun.sunrep import SUIrrepLabel, dim_weyl
 
 
 def gt_patterns(row) -> tuple:
@@ -113,3 +115,25 @@ def raising_entries(pats, k: int) -> dict:
             if target in index:
                 entries[index[target], col] = raising_entry(pat, k, j)
     return entries
+
+
+def irreps_up_to(m: int, max_d: int) -> list[SUIrrepLabel]:
+    """Every SU(m) label (last entry 0) of dimension at most ``max_d``.
+
+    The dimension grows with each gap row[i] - row[i+1], so each gap is
+    raised until the label with all later gaps at 0 is too large.
+    """
+
+    def grow(gaps):
+        label = SUIrrepLabel(m, tuple(sum(gaps[i:]) for i in range(m)))
+        if dim_weyl(label) > max_d:
+            return []
+        if len(gaps) == m - 1:
+            return [label]
+        found, gap = [], 0
+        while more := grow(gaps + (gap,)):
+            found += more
+            gap += 1
+        return found
+
+    return grow(())

@@ -336,8 +336,8 @@ class TestVerifyCommand:
         # residual and the form agreement must not drop it in a maximum
         real = verification.lift_batch
 
-        def broken(labels, elements, cols=None):
-            lifts = real(labels, elements, cols)
+        def broken(labels, elements, cols=None, rows=None):
+            lifts = real(labels, elements, cols, rows)
             return [
                 np.full_like(lifted, math.nan) if label.row == (3, 1, 0, 0) else lifted
                 for label, lifted in zip(labels, lifts)

@@ -45,6 +45,7 @@ from immdfun.symgroup import partitions_of
 from immdfun.verification import _block_columns, _block_traces, corollary4_suite, kostant_suite
 
 from _generators import all_permutations, generator_matrix, permutation_matrix
+from _patterns import irreps_up_to
 from _single import from_matrix, haar_random_unitary, immanant, immanant_via_duality, lift
 from _tensor import apply_tensor_power
 
@@ -377,8 +378,8 @@ def test_chunked_batch_is_the_whole_batch(monkeypatch, entries):
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_column_restricted_block_traces(m):
-    # every principal block trace read from the columns of its weight blocks
-    # equals the trace read from the full lift
+    # every principal block trace read from the rows and columns of its
+    # weight blocks equals the trace read from the full lift
     batch = _mixed_batch(m, 11)
     for size in range(1, m + 1):
         keeps = list(combinations(range(1, m + 1), size))
@@ -386,15 +387,16 @@ def test_column_restricted_block_traces(m):
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
             cols = _block_columns(label, keeps)
             every = np.arange(dim_weyl(label))
-            [restricted], [full] = lift_batch([label], batch, [cols]), lift_batch([label], batch)
+            [restricted] = lift_batch([label], batch, [cols], [cols])
+            [full] = lift_batch([label], batch)
             # all keeps from one gather: each equals its keep's trace alone
-            stacked = _block_traces(label, restricted, cols, keeps)
+            stacked = _block_traces(label, restricted, cols, cols, keeps)
             for j, keep in enumerate(keeps):
-                alone = _block_traces(label, restricted, cols, [keep])[:, 0]
+                alone = _block_traces(label, restricted, cols, cols, [keep])[:, 0]
                 assert list(stacked[:, j]) == list(alone)
                 for s in range(len(batch)):
-                    got = _block_traces(label, restricted[s], cols, [keep])[0]
-                    want = _block_traces(label, full[s], every, [keep])[0]
+                    got = _block_traces(label, restricted[s], cols, cols, [keep])[0]
+                    want = _block_traces(label, full[s], every, every, [keep])[0]
                     assert got == stacked[s, j]
                     assert abs(got - want) <= 1e-15
 
@@ -538,6 +540,97 @@ def test_set_columns_that_lose_orthonormality_are_refused(monkeypatch, scale):
     irreps = [SUIrrepLabel(3, (1, 1, 1)), SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))]
     with pytest.raises(DomainError, match=r"into SU\(3\)\(2, 1, 0\) lost orthonormality"):
         lift_batch(irreps, _mixed_batch(3, 5), [None, [0, 3], [1]])
+
+
+def _draw(rng, d: int, most: int):
+    """Up to ``most`` distinct basis positions of 0..d-1, in drawn order."""
+    return [int(c) for c in rng.choice(d, size=int(rng.integers(1, min(d, most) + 1)), replace=False)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_row_blocks_are_the_gathered_column_lifts(m):
+    # every irrep with d <= 200, alone and in two interleaved sets of mixed
+    # sizes, at random rows (every third irrep of a set at rows None): the
+    # block equals the column lift of the same set gathered at those rows,
+    # byte for byte
+    irreps = irreps_up_to(m, 200)
+    batch = _mixed_batch(m, 7)
+    rng = np.random.default_rng(m)
+    cols = [_draw(rng, dim_weyl(ir), 5) for ir in irreps]
+    rows = [None if i % 3 == 2 else _draw(rng, dim_weyl(ir), 6) for i, ir in enumerate(irreps)]
+    for ir, c, r in zip(irreps, cols, rows):
+        [whole] = lift_batch([ir], batch, [c])
+        [block] = lift_batch([ir], batch, [c], [r])
+        want = whole if r is None else whole[:, r]
+        assert block.shape == want.shape and block.tobytes() == want.tobytes()
+    for part in (slice(0, None, 2), slice(1, None, 2)):
+        wholes = lift_batch(irreps[part], batch, cols[part])
+        blocks = lift_batch(irreps[part], batch, cols[part], rows[part])
+        for whole, block, r in zip(wholes, blocks, rows[part]):
+            want = whole if r is None else whole[:, r]
+            assert block.shape == want.shape and block.tobytes() == want.tobytes()
+    # rows None alone: every row of every irrep
+    few = irreps[:4]
+    for whole, block in zip(lift_batch(few, batch, cols[:4]), lift_batch(few, batch, cols[:4], None)):
+        assert block.tobytes() == whole.tobytes()
+
+
+def test_row_refusals_come_before_any_table_or_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a table or product was built before the refusal")
+
+    monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+    for name in ("rotation_tables", "build_rotation_tables", "_block_times", "_phase_diagonals"):
+        monkeypatch.setattr(sunrep, name, forbidden)
+    a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
+    good = haar_random_unitary(3, 2)
+    with pytest.raises(DomainError, match=r"rows must be integers in 0..9 for SU\(3\)\(3, 0, 0\)"):
+        lift_batch([a, b], [good], None, [None, [0, 10]])
+    with pytest.raises(DomainError, match=r"rows must be integers in 0..7 for SU\(3\)\(2, 1, 0\)"):
+        lift_batch([a, b], [good], [[0], [1]], [[-1], None])
+    for bad in ([1.0], [True], ["0"], [np.float64(2)]):
+        with pytest.raises(DomainError, match="rows must be integers"):
+            lift_batch([a], [good, good], None, [bad])
+    with pytest.raises(DomainError, match="rows must be distinct"):
+        lift_batch([a, b], [good], [[0], [1]], [[0], [2, 2]])
+    with pytest.raises(DomainError, match="1 row lists for 2 irreps"):
+        lift_batch([a, b], [good], None, [None])
+    with pytest.raises(DomainError, match="3 row lists for 2 irreps"):
+        lift_batch([a, b], [], None, [[0], [0], [0]])
+
+
+def test_a_fault_outside_the_requested_row_is_refused(monkeypatch):
+    # one SU(2) rotation lifted into (2, 0), whose three patterns form one
+    # GT block: V's row at pattern 2 scaled, so column 0 loses its norm
+    # only at row 2.  The requested row 0 never meets the fault (with the
+    # check muted it equals the unbroken lift bit for bit), so only the
+    # full columns can show it, and the lift is still refused.
+    irrep = SUIrrepLabel(2, (2, 0))
+    batch = haar_random_unitaries(2, range(3))
+    assert {kinds for kinds, _, _ in givens_factors(batch)} == {(0,)}
+    [clean] = lift_batch([irrep], batch, [[0]], [[0]])
+    real = sunrep.rotation_tables
+
+    def skewed(irreps):
+        tables = []
+        for table in real(irreps):
+            pairs = []
+            for blocks in table:
+                found = []
+                for rows, v, w in blocks:
+                    v = v.copy()
+                    v[rows == 2] *= 1.001
+                    found.append((rows, v, w))
+                pairs.append(tuple(found))
+            tables.append(tuple(pairs))
+        return tables
+
+    monkeypatch.setattr(sunrep, "rotation_tables", skewed)
+    with pytest.raises(DomainError, match=r"into SU\(2\)\(2, 0\) lost orthonormality"):
+        lift_batch([irrep], batch, [[0]], [[0]])
+    monkeypatch.setattr(sunrep, "_defect", lambda lifted: 0.0)
+    [broken] = lift_batch([irrep], batch, [[0]], [[0]])
+    assert broken.tobytes() == clean.tobytes()
 
 
 def test_nothing_to_lift_or_check():

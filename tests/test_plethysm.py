@@ -141,15 +141,19 @@ class TestFitMachinery:
 
     def test_each_sample_is_lifted_once(self, monkeypatch):
         # the base irrep is lifted in full, each candidate irrep only at the
-        # columns its candidates read; one (irrep, sample) entry per lift,
-        # and the candidate irreps are lifted as one set
+        # rows and columns its candidates read; one (irrep, sample) entry per
+        # lift, and the candidate irreps are lifted as one set
         calls, sets = [], []
         real = plethysm.lift_batch
 
-        def counted(irs, us, cols=None):
+        def counted(irs, us, cols=None, rows=None):
             sets.append(len(irs))
             calls.extend((ir, c is None) for ir, c in zip(irs, cols or [None] * len(irs)) for _ in us)
-            return real(irs, us, cols)
+            lifts = real(irs, us, cols, rows)
+            if rows is not None:  # each candidate irrep comes back as (S, r_i, c_i)
+                for r, c, lifted in zip(rows, cols, lifts):
+                    assert lifted.shape == (len(us), len(r), len(c))
+            return lifts
 
         monkeypatch.setattr(plethysm, "lift_batch", counted)
         prob = su2_power_problem(3, P(2, 2))

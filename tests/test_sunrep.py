@@ -24,32 +24,11 @@ from immdfun.sunrep import (
 )
 
 import _patterns as ref
+from _patterns import irreps_up_to
 from _generators import all_permutations, generator_matrix, permutation_matrix
 from _single import from_matrix, haar_random_unitary, lift
 
 P = Partition
-
-
-def irreps_up_to(m: int, max_d: int) -> list[SUIrrepLabel]:
-    """Every SU(m) label (last entry 0) of dimension at most ``max_d``.
-
-    The dimension grows with each gap row[i] - row[i+1], so each gap is
-    raised until the label with all later gaps at 0 is too large.
-    """
-
-    def grow(gaps):
-        label = SUIrrepLabel(m, tuple(sum(gaps[i:]) for i in range(m)))
-        if dim_weyl(label) > max_d:
-            return []
-        if len(gaps) == m - 1:
-            return [label]
-        found, gap = [], 0
-        while more := grow(gaps + (gap,)):
-            found += more
-            gap += 1
-        return found
-
-    return grow(())
 
 
 class TestLabels:
