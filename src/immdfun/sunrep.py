@@ -529,8 +529,8 @@ def _lift_sum(irreps, tables, idxs, picks, outs, factors, groups) -> list[float]
     """Lift the checked ``irreps`` as one direct sum into ``outs``, at the
     columns ``idxs`` (all nonempty) and the rows ``picks`` (None for all),
     for the factored elements ``factors`` grouped by rotation sequence, and
-    return each irrep's orthonormality defect: the first that exceeds
-    1e-10, or the last.
+    return each irrep's orthonormality defect where rows are picked: the
+    first that exceeds 1e-10, or the last (0.0 where none are).
 
     Irrep i's rows sit at its offset and its columns in slots 0..c_i-1 of
     one shared (sum d, max c, S) array; the same-size block stacks of every
@@ -541,9 +541,10 @@ def _lift_sum(irreps, tables, idxs, picks, outs, factors, groups) -> list[float]
     V^T, e^{-i theta w} and V as batched (B, s, s) products, and scatters
     them back; the integer eigenvalues w look their turn factors up in one
     table of e^{-i theta j}, |j| <= max (r_1 - r_m), per element and
-    rotation.  Each chunk's full columns are checked orthonormal as one
-    C-contiguous (S, d, c) slab, the output itself where no rows are
-    picked, before the picked rows are written out."""
+    rotation.  Where rows are picked, each chunk's full columns are checked
+    orthonormal as one C-contiguous (S, d, c) slab before the picked rows
+    are written out; whole columns are checked in the output by
+    :func:`lift_batch`."""
     dims = [dim_weyl(ir) for ir in irreps]
     first = np.cumsum(dims) - dims
     total, width = sum(dims), max(len(idx) for idx in idxs)
@@ -577,19 +578,14 @@ def _lift_sum(irreps, tables, idxs, picks, outs, factors, groups) -> list[float]
                     x *= phases[:, None, :, i]
                 else:  # numpy multiplies one entry in place by a scalar path
                     x = x * phases[:, None, :, i]  # that rounds apart from its vector loop
-            at = members  # a run of consecutive elements is a slice, so out[at] is a view
-            if members[-1] - members[0] == len(members) - 1:
-                at = slice(members[0], members[-1] + 1)
             for i, (out, f, d, idx, pick) in enumerate(zip(outs, first, dims, idxs, picks)):
                 lifted = x[f : f + d, : len(idx)].transpose(2, 0, 1)
-                if pick is None:
-                    out[at] = lifted
-                    lifted = out[at]
-                else:
+                if pick is not None:  # the full columns exist only here
                     lifted = np.ascontiguousarray(lifted)
-                    out[at] = lifted[:, pick]
-                if defects[i] <= 1e-10:
-                    defects[i] = _defect(lifted)
+                    if defects[i] <= 1e-10:
+                        defects[i] = _defect(lifted)
+                    lifted = lifted[:, pick]
+                out[members] = lifted
     return defects
 
 
@@ -665,6 +661,11 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
         args = ([seq[i] for i in part] for seq in (irreps, tables, idxs, picks, outs))
         defects.update(zip(part, _lift_sum(*args, factors, groups)))
     for i in sorted(defects):  # the first irrep that fails, in the caller's order
+        if picks[i] is None:  # whole columns: checked in the output, after every product
+            span = max(1, LIFT_BATCH_ENTRIES // outs[i][0].size)
+            for at in range(0, len(outs[i]), span):
+                if defects[i] <= 1e-10:
+                    defects[i] = _defect(outs[i][at : at + span])
         if not defects[i] <= 1e-10:
             defect = defects[i]
             raise DomainError(f"the lift into {irreps[i]} lost orthonormality: defect {defect:.3e}")

@@ -74,16 +74,17 @@ def _block_columns(label: SUIrrepLabel, keeps) -> np.ndarray:
     return np.array(sorted(cols), dtype=np.intp)
 
 
-def _block_traces(label: SUIrrepLabel, lifted: np.ndarray, rows, cols, keeps) -> np.ndarray:
+def _block_traces(label: SUIrrepLabel, lifted: np.ndarray, cols: np.ndarray, keeps) -> np.ndarray:
     """Sum, in basis order, of the lifted diagonal over the patterns at the
     weight of each kept-mode set of ``keeps`` (all of one size, so their
     blocks are of one size too), from one gather: a (K,) array for one
-    (r, c) lift, an (S, K) array for an (S, r, c) stack.  ``lifted`` holds
-    the ascending basis positions ``rows`` x ``cols`` (see
-    :func:`_block_columns`)."""
+    (c, c) lift, an (S, K) array for an (S, c, c) stack.  ``lifted`` holds
+    the square block at the ascending basis positions ``cols`` x ``cols``
+    (see :func:`_block_columns`)."""
     blocks = weight_blocks(label)
     idx = np.array([blocks[state_weight(label.m, keep).cartan] for keep in keeps])
-    diagonal = lifted[..., np.searchsorted(rows, idx), np.searchsorted(cols, idx)]
+    pos = np.searchsorted(cols, idx)
+    diagonal = lifted[..., pos, pos]
     return sum(np.moveaxis(diagonal, -1, 0), 0j)
 
 
@@ -99,7 +100,7 @@ def _principal_residuals(m, p, keeps, mats, lifts, cols) -> list[tuple[float, fl
     sel = np.array(keeps) - 1
     subs = mats[:, sel[:, :, None], sel[:, None, :]].transpose(1, 0, 2, 3)
     direct = immanant_batch(p, subs.reshape(-1, *subs.shape[2:])).reshape(len(keeps), -1)
-    traces = _block_traces(label, lifts, cols, cols, keeps).T
+    traces = _block_traces(label, lifts, cols, keeps).T
     dual = immanant_via_duality_stack(m, p, [(keep, keep) for keep in keeps], mats)
     return [(_worst_gap(a, t), _worst_gap(a, u)) for a, t, u in zip(direct, traces, dual)]
 
@@ -207,7 +208,7 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
     cols = [_block_columns(label, kk) for label, kk in zip(labels, keeps.values())]
     traces = {}
     for pp, label, lifted, c in zip(keeps, labels, lift_batch(labels, elements, cols, cols), cols):
-        stacked = _block_traces(label, lifted, c, c, keeps[pp])
+        stacked = _block_traces(label, lifted, c, keeps[pp])
         traces.update(((pp, keep), trace) for keep, trace in zip(keeps[pp], stacked.T))
     mats = _matrices(elements, 4)
     imm3 = {keep3: immanant_batch(p3, _submatrices(mats, keep3, keep3)) for keep3 in keeps[p3]}

@@ -390,13 +390,13 @@ def test_column_restricted_block_traces(m):
             [restricted] = lift_batch([label], batch, [cols], [cols])
             [full] = lift_batch([label], batch)
             # all keeps from one gather: each equals its keep's trace alone
-            stacked = _block_traces(label, restricted, cols, cols, keeps)
+            stacked = _block_traces(label, restricted, cols, keeps)
             for j, keep in enumerate(keeps):
-                alone = _block_traces(label, restricted, cols, cols, [keep])[:, 0]
+                alone = _block_traces(label, restricted, cols, [keep])[:, 0]
                 assert list(stacked[:, j]) == list(alone)
                 for s in range(len(batch)):
-                    got = _block_traces(label, restricted[s], cols, cols, [keep])[0]
-                    want = _block_traces(label, full[s], every, every, [keep])[0]
+                    got = _block_traces(label, restricted[s], cols, [keep])[0]
+                    want = _block_traces(label, full[s], every, [keep])[0]
                     assert got == stacked[s, j]
                     assert abs(got - want) <= 1e-15
 
