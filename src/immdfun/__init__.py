@@ -25,7 +25,6 @@ from .symgroup import (
 )
 from .sunrep import (
     SUIrrepLabel,
-    WeightVector,
     dim_weyl,
     gt_array,
     lift_batch,
@@ -42,7 +41,6 @@ __all__ = [
     "SUIrrepLabel",
     "SubmatrixSelector",
     "UnitaryElement",
-    "WeightVector",
     "character",
     "dim_sym",
     "dim_weyl",

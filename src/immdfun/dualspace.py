@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .symgroup import Partition, character_weights, dim_sym, sn_tables
-from .sunrep import SUIrrepLabel, WeightVector, occupations, raising_tables, weight_blocks
+from .sunrep import SUIrrepLabel, occupations, raising_tables, weight_block
 
 TENSOR_SIZE_CAP = 10**6
 
@@ -115,12 +115,12 @@ def _mode_index(m: int, modes: tuple[int, ...]) -> int:
     return idx
 
 
-def state_weight(m: int, modes: tuple[int, ...]) -> WeightVector:
-    """Occupation weight of a computational basis state."""
+def state_weight(m: int, modes: tuple[int, ...]) -> tuple[int, ...]:
+    """Mode occupations of a computational basis state."""
     occ = [0] * m
     for k in modes:
         occ[k - 1] += 1
-    return WeightVector(tuple(occ))
+    return tuple(occ)
 
 
 def immanant_projector(p: Partition) -> np.ndarray:
@@ -168,9 +168,8 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
 
     level_of = lambda o: sum(o[k] * (m - 1 - k) for k in range(m))
     by_level: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
-    for idx in weight_blocks(label).values():
-        here = tuple(occ[idx[0]].tolist())
-        by_level.setdefault(level_of(row) - level_of(here), {})[here] = idx
+    for here in dict.fromkeys(map(tuple, occ.tolist())):
+        by_level.setdefault(level_of(row) - level_of(here), {})[here] = weight_block(label, here)
 
     for lev in sorted(by_level)[1:]:
         for occ_here, idx in by_level[lev].items():
@@ -248,8 +247,7 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     n = len(k)
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     vectors = _chain_vectors(m, n, label.row)  # refuses an over-cap tensor space first
-    blocks = weight_blocks(label)
-    row_index, col_index = blocks[state_weight(m, k).cartan], blocks[state_weight(m, q).cartan]
+    row_index, col_index = (weight_block(label, state_weight(m, sel)) for sel in (k, q))
     _, pos = _weight_blocks(m, n)
     pos_k, pos_q = pos[_mode_index(m, k)], pos[_mode_index(m, q)]
     left = np.array([vectors[i][pos_k] for i in row_index])

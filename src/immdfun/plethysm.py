@@ -25,7 +25,7 @@ from .sunrep import (
     lift_batch,
     occupations,
     rotation_tables,
-    weight_blocks,
+    weight_block,
 )
 
 
@@ -75,12 +75,6 @@ class DecompositionResult:
         return sum(v for c, v in self.coefficients if c.diagonal)
 
 
-def _diagonal_product_weight(base: SUIrrepLabel) -> tuple[int, ...]:
-    """Cartan weight of the product-over-all-basis-states tensor state."""
-    occ = occupations(base).sum(axis=0).tolist()
-    return tuple(a - b for a, b in zip(occ, occ[1:]))
-
-
 def torus_candidates(base: SUIrrepLabel, irreps: list[SUIrrepLabel]) -> list[DCandidate]:
     """All D^{(irrep)}_{rt} whose left/right Cartan weights match the target.
 
@@ -88,10 +82,10 @@ def torus_candidates(base: SUIrrepLabel, irreps: list[SUIrrepLabel]) -> list[DCa
     the weight of the diagonal product state on both sides, so only pattern
     pairs at that Cartan weight can carry nonzero coefficients.
     """
-    target = _diagonal_product_weight(base)
+    target = occupations(base).sum(axis=0)
     cands = []
     for ir in irreps:
-        pats = [int(i) for i in weight_blocks(ir).get(target, ())]
+        pats = weight_block(ir, target).tolist()
         for r in pats:
             for t in pats:
                 cands.append(DCandidate(ir, r, t))

@@ -24,10 +24,8 @@ at once: elements with one rotation sequence share each block product.
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -95,27 +93,6 @@ class SUIrrepLabel:
         return f"SU({self.m}){self.row}"
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Mode occupations n plus the derived Cartan weight [n_1-n_2, ...]."""
-
-    occupation: tuple[int, ...]
-
-    def __post_init__(self):
-        occ = tuple(int(x) for x in self.occupation)
-        object.__setattr__(self, "occupation", occ)
-        if any(x < 0 for x in occ):
-            raise DomainError(f"occupations must be nonnegative: {occ}")
-
-    @property
-    def cartan(self) -> tuple[int, ...]:
-        occ = self.occupation
-        return tuple(occ[i] - occ[i + 1] for i in range(len(occ) - 1))
-
-    def __repr__(self):
-        return f"Weight(n={self.occupation}, h={list(self.cartan)})"
-
-
 def dim_weyl(irrep: SUIrrepLabel) -> int:
     """Weyl dimension formula: prod_{i<j} (r_i - r_j + j - i) / (j - i)."""
     row, m = irrep.row, irrep.m
@@ -171,13 +148,9 @@ def occupations(irrep: SUIrrepLabel) -> np.ndarray:
 
 
 @cache
-def weight_blocks(irrep: SUIrrepLabel) -> Mapping[tuple[int, ...], np.ndarray]:
-    """Ascending basis positions of each Cartan weight.
-
-    Keys are Cartan weights (n_1 - n_2, ...), so occupations shifted by the
-    (1, ..., 1) direction select the same block.  The mapping and its arrays
-    are read-only.
-    """
+def _weight_index(irrep: SUIrrepLabel) -> dict[tuple[int, ...], np.ndarray]:
+    """Read-only ascending basis positions of each Cartan weight
+    (n_1 - n_2, ...); :func:`weight_block` reads it."""
     occ = occupations(irrep)
     blocks = {}
     for i, weight in enumerate(map(tuple, (occ[:, :-1] - occ[:, 1:]).tolist())):
@@ -185,7 +158,21 @@ def weight_blocks(irrep: SUIrrepLabel) -> Mapping[tuple[int, ...], np.ndarray]:
     for weight, idx in blocks.items():
         blocks[weight] = np.array(idx, dtype=np.intp)
         blocks[weight].flags.writeable = False
-    return MappingProxyType(blocks)
+    return blocks
+
+
+_NO_BLOCK = np.empty(0, dtype=np.intp)
+_NO_BLOCK.flags.writeable = False
+
+
+def weight_block(irrep: SUIrrepLabel, occupation) -> np.ndarray:
+    """Read-only ascending basis positions of the patterns at the mode
+    occupations ``occupation`` (m counts), up to a shift along (1, ..., 1),
+    which SU normalization absorbs; empty if the irrep has no such weight."""
+    occ = tuple(int(x) for x in occupation)
+    if len(occ) != irrep.m:
+        raise DomainError(f"occupation {occ} must have m = {irrep.m} entries")
+    return _weight_index(irrep).get(tuple(a - b for a, b in zip(occ, occ[1:])), _NO_BLOCK)
 
 
 @cache

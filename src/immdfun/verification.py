@@ -37,8 +37,7 @@ from .sunrep import (
     check_lift_dim,
     lift_batch,
     pattern_rows,
-    rotation_tables,
-    weight_blocks,
+    weight_block,
 )
 
 DUALITY_TOL = 1e-10
@@ -67,42 +66,50 @@ def _submatrices(mats: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def _block_columns(label: SUIrrepLabel, keeps) -> np.ndarray:
-    """Ascending basis positions of the weight blocks of the kept-mode sets
-    ``keeps``: the only rows and columns their block traces read."""
-    blocks = weight_blocks(label)
-    cols = {int(i) for keep in keeps for i in blocks[state_weight(label.m, keep).cartan]}
+    """Ascending basis positions of the weight blocks of the mode sets
+    ``keeps``."""
+    cols = {int(i) for keep in keeps for i in weight_block(label, state_weight(label.m, keep))}
     return np.array(sorted(cols), dtype=np.intp)
 
 
-def _block_traces(label: SUIrrepLabel, lifted: np.ndarray, cols: np.ndarray, keeps) -> np.ndarray:
-    """Sum, in basis order, of the lifted diagonal over the patterns at the
-    weight of each kept-mode set of ``keeps`` (all of one size, so their
-    blocks are of one size too), from one gather: a (K,) array for one
-    (c, c) lift, an (S, K) array for an (S, c, c) stack.  ``lifted`` holds
-    the square block at the ascending basis positions ``cols`` x ``cols``
-    (see :func:`_block_columns`)."""
-    blocks = weight_blocks(label)
-    idx = np.array([blocks[state_weight(label.m, keep).cartan] for keep in keeps])
-    pos = np.searchsorted(cols, idx)
-    diagonal = lifted[..., pos, pos]
-    return sum(np.moveaxis(diagonal, -1, 0), 0j)
+def _block_lifts(m: int, pairs, elements) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lift ``elements`` as one set into the irrep dual to each partition
+    of the mapping ``pairs`` (partition -> its selector pairs (k, q)), at
+    only the rows of the weight blocks of its k's and the columns of its
+    q's: one (lifts, rows, cols) per partition, in the mapping's order."""
+    labels = [SUIrrepLabel.from_partition(p, m, normalize=False) for p in pairs]
+    rows = [_block_columns(label, {k for k, _ in kq}) for label, kq in zip(labels, pairs.values())]
+    cols = [_block_columns(label, {q for _, q in kq}) for label, kq in zip(labels, pairs.values())]
+    return list(zip(lift_batch(labels, elements, cols, rows), rows, cols))
 
 
-def _principal_residuals(m, p, keeps, mats, lifts, cols) -> list[tuple[float, float]]:
+def _block_traces(m: int, keeps, elements) -> dict[Partition, np.ndarray]:
+    """The principal block traces of ``elements`` for each partition of the
+    mapping ``keeps`` (partition -> its kept-mode sets, all of one size, so
+    their blocks are of one size too): an (S, K) array, each entry the sum,
+    in basis order, of the lifted diagonal over the patterns at the weight
+    of one keep, from one gather of one set lift (:func:`_block_lifts`)."""
+    lifts = _block_lifts(m, {p: [(keep, keep) for keep in kk] for p, kk in keeps.items()}, elements)
+    traces = {}
+    for (p, kk), (lifted, rows, _) in zip(keeps.items(), lifts):
+        label = SUIrrepLabel.from_partition(p, m, normalize=False)
+        pos = np.searchsorted(rows, [weight_block(label, state_weight(m, keep)) for keep in kk])
+        traces[p] = sum(np.moveaxis(lifted[..., pos, pos], -1, 0), 0j)
+    return traces
+
+
+def _principal_residuals(m, p, keeps, mats, traces) -> list[tuple[float, float]]:
     """Worst |Imm^{p} - diagonal D-sum| and worst |Imm^{p} - duality route|
     of the principal submatrix on each kept-mode set of ``keeps`` (all of
-    one size) over the (S, m, m) sample stack ``mats``, whose lifts into the
-    irrep dual to ``p`` at the rows and columns ``cols`` are ``lifts``.
-    Each route is evaluated for all K keeps at once: one character sum over
-    the (K S, n, n) stack of submatrices, one duality contraction and one
-    trace gather."""
-    label = SUIrrepLabel.from_partition(p, m, normalize=False)
+    one size) over the (S, m, m) sample stack ``mats``, whose (S, K) block
+    traces in the irrep dual to ``p`` are ``traces``.  Each route is
+    evaluated for all K keeps at once: one character sum over the
+    (K S, n, n) stack of submatrices and one duality contraction."""
     sel = np.array(keeps) - 1
     subs = mats[:, sel[:, :, None], sel[:, None, :]].transpose(1, 0, 2, 3)
     direct = immanant_batch(p, subs.reshape(-1, *subs.shape[2:])).reshape(len(keeps), -1)
-    traces = _block_traces(label, lifts, cols, keeps).T
     dual = immanant_via_duality_stack(m, p, [(keep, keep) for keep in keeps], mats)
-    return [(_worst_gap(a, t), _worst_gap(a, u)) for a, t, u in zip(direct, traces, dual)]
+    return [(_worst_gap(a, t), _worst_gap(a, u)) for a, t, u in zip(direct, traces.T, dual)]
 
 
 def kostant_suite(
@@ -116,15 +123,11 @@ def kostant_suite(
     reports = []
     for m in m_values:
         full = tuple(range(1, m + 1))
-        parts = partitions_of(m)
-        labels = [SUIrrepLabel.from_partition(p, m, normalize=False) for p in parts]
-        rotation_tables(labels)
         elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
-        cols = [_block_columns(label, [full]) for label in labels]
-        lifts = lift_batch(labels, elements, cols, cols)
-        for p, lifted, c in zip(parts, lifts, cols):
-            [(worst, worst_dual)] = _principal_residuals(m, p, [full], mats, lifted, c)
+        traces = _block_traces(m, {p: [full] for p in partitions_of(m)}, elements)
+        for p, stacked in traces.items():
+            [(worst, worst_dual)] = _principal_residuals(m, p, [full], mats, stacked)
             reports.append(
                 VerificationReport(
                     suite="kostant",
@@ -150,16 +153,17 @@ def corollary4_suite(
     weight subspace, for every principal selector and partition."""
     reports = []
     for m in m_values:
-        parts = [p for size in sizes if size < m for p in partitions_of(size)]
-        labels = [SUIrrepLabel.from_partition(p, m, normalize=False) for p in parts]
-        rotation_tables(labels)
+        keeps = {
+            p: list(combinations(range(1, m + 1), size))
+            for size in sizes
+            if size < m
+            for p in partitions_of(size)
+        }
         elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
-        keeps = [list(combinations(range(1, m + 1), p.n)) for p in parts]
-        cols = [_block_columns(label, kk) for label, kk in zip(labels, keeps)]
-        lifts = lift_batch(labels, elements, cols, cols)
-        for p, kk, lifted, c in zip(parts, keeps, lifts, cols):
-            residuals = _principal_residuals(m, p, kk, mats, lifted, c)
+        traces = _block_traces(m, keeps, elements)
+        for p, kk in keeps.items():
+            residuals = _principal_residuals(m, p, kk, mats, traces[p])
             for keep, (worst, worst_dual) in zip(kk, residuals):
                 reports.append(
                     VerificationReport(
@@ -173,7 +177,7 @@ def corollary4_suite(
                         passed=worst < tol and worst_dual < DUALITY_TOL,
                         details={
                             "samples": samples,
-                            "weight": list(state_weight(m, keep).occupation),
+                            "weight": list(state_weight(m, keep)),
                             "duality_residual": worst_dual,
                         },
                     )
@@ -203,13 +207,11 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
         p31: [full],
         p4: [full],
     }
-    labels = [SUIrrepLabel.from_partition(pp, 4, normalize=False) for pp in keeps]
-    rotation_tables(labels)
-    cols = [_block_columns(label, kk) for label, kk in zip(labels, keeps.values())]
-    traces = {}
-    for pp, label, lifted, c in zip(keeps, labels, lift_batch(labels, elements, cols, cols), cols):
-        stacked = _block_traces(label, lifted, c, keeps[pp])
-        traces.update(((pp, keep), trace) for keep, trace in zip(keeps[pp], stacked.T))
+    traces = {
+        (pp, keep): trace
+        for pp, stacked in _block_traces(4, keeps, elements).items()
+        for keep, trace in zip(keeps[pp], stacked.T)
+    }
     mats = _matrices(elements, 4)
     imm3 = {keep3: immanant_batch(p3, _submatrices(mats, keep3, keep3)) for keep3 in keeps[p3]}
     imm31, imm4 = immanant_batch(p31, mats), immanant_batch(p4, mats)
@@ -313,10 +315,8 @@ def conjecture_scan(
         selectors = [(k, q) for k in index_sets for q in index_sets]
     selectors = [_check_pair(m, p, k, q) for k, q in selectors]
     samples = _scan_samples(m, check_samples, seed)
-    rows = _block_columns(label, {k for k, _ in selectors})  # every row_index of the scan
-    cols = _block_columns(label, {q for _, q in selectors})  # every col_index
-    [lifts] = lift_batch([label], samples, [cols], [rows])
-    return _scan(m, p, selectors, entry_tol, _matrices(samples, m), lifts, rows, cols, seed)
+    [lifted] = _block_lifts(m, {p: selectors}, samples)  # every row_index and col_index
+    return _scan(m, p, selectors, entry_tol, _matrices(samples, m), *lifted, seed)
 
 
 def _scan(m, p, selectors, entry_tol, mats, lifts, rows, cols, seed) -> list[VerificationReport]:
@@ -376,18 +376,14 @@ def conjecture_suite(
         m, p, selectors=selectors, entry_tol=entry_tol, check_samples=samples, seed=seed
     )
     if m == 4 and partition is None and selectors is None:
-        named = [
-            (Partition(2, 1), (2, 3, 5), (1, 3, 4)),
-            (Partition(3, 1), (1, 3, 4, 5), (1, 2, 3, 5)),
-        ]
-        labels = [SUIrrepLabel.from_partition(pp, 5, normalize=False) for pp, _, _ in named]
-        rows = [_block_columns(label, [k]) for label, (_, k, _) in zip(labels, named)]
-        cols = [_block_columns(label, [q]) for label, (_, _, q) in zip(labels, named)]
+        named = {
+            Partition(2, 1): [((2, 3, 5), (1, 3, 4))],
+            Partition(3, 1): [((1, 3, 4, 5), (1, 2, 3, 5))],
+        }
         shared = _scan_samples(5, samples, seed)  # both labels are lifted as one set
-        lifts = lift_batch(labels, shared, cols, rows)
         mats = _matrices(shared, 5)
-        for (np_, k, q), lifted, r, c in zip(named, lifts, rows, cols):
-            reports.extend(_scan(5, np_, [(k, q)], entry_tol, mats, lifted, r, c, seed))
+        for (np_, pairs), lifted in zip(named.items(), _block_lifts(5, named, shared)):
+            reports.extend(_scan(5, np_, pairs, entry_tol, mats, *lifted, seed))
     return reports
 
 

@@ -18,7 +18,7 @@ from immdfun.symgroup import (
     character,
     partitions_of,
 )
-from immdfun.sunrep import SUIrrepLabel, dim_weyl, gt_array, weight_blocks
+from immdfun.sunrep import SUIrrepLabel, dim_weyl, gt_array, weight_block
 from immdfun.verification import (
     SU2_EXPECTED,
     conjecture_scan,
@@ -79,8 +79,8 @@ def test_criterion_2_kostant_trace():
 def test_criterion_3_su3_identities():
     irrep_per = SUIrrepLabel(3, (3, 0, 0))
     irrep_mixed = SUIrrepLabel(3, (2, 1, 0))
-    per_states = weight_blocks(irrep_per)[(0, 0)]  # occupations (1, 1, 1)
-    mixed_states = weight_blocks(irrep_mixed)[(0, 0)]
+    per_states = weight_block(irrep_per, (1, 1, 1))
+    mixed_states = weight_block(irrep_mixed, (1, 1, 1))
     assert len(per_states) == 1 and len(mixed_states) == 2
     per_pos = per_states[0]
     mixed_pos = list(mixed_states)
@@ -106,7 +106,9 @@ def test_criterion_4_corollary4_principal_submatrices():
     target = next(
         r for r in reports if r.m == 5 and r.selector_rows == (1, 2, 4) and r.partition == (2, 1)
     )
-    weight_ok = state_weight(5, (1, 2, 4)).cartan == (0, 1, -1, 1)
+    occ = state_weight(5, (1, 2, 4))
+    weight_ok = occ == (1, 1, 0, 1, 0) == tuple(target.details["weight"])
+    weight_ok = weight_ok and tuple(-np.diff(occ)) == (0, 1, -1, 1)  # the Cartan weight
     ok = (
         all(r.passed for r in reports)
         and worst < 1e-9

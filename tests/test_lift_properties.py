@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immdfun import linalgimm, sunrep
+from immdfun import linalgimm, sunrep, verification
 from immdfun.dualspace import _chain_vectors, _weight_blocks, state_weight
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
@@ -39,10 +39,16 @@ from immdfun.sunrep import (
     lift_batch,
     occupations,
     rotation_tables,
-    weight_blocks,
+    weight_block,
 )
-from immdfun.symgroup import partitions_of
-from immdfun.verification import _block_columns, _block_traces, corollary4_suite, kostant_suite
+from immdfun.symgroup import Partition, partitions_of
+from immdfun.verification import (
+    _block_traces,
+    conjecture_suite,
+    corollary4_suite,
+    kostant_suite,
+    littlewood_suite,
+)
 
 from _generators import all_permutations, generator_matrix, permutation_matrix
 from _patterns import irreps_up_to
@@ -379,26 +385,72 @@ def test_chunked_batch_is_the_whole_batch(monkeypatch, entries):
 @pytest.mark.parametrize("m", [3, 4])
 def test_column_restricted_block_traces(m):
     # every principal block trace read from the rows and columns of its
-    # weight blocks equals the trace read from the full lift
+    # weight blocks equals the diagonal sum, in basis order, of the full lift
     batch = _mixed_batch(m, 11)
     for size in range(1, m + 1):
         keeps = list(combinations(range(1, m + 1), size))
-        for p in partitions_of(size):
+        parts = partitions_of(size)
+        # all partitions as one set and all keeps from one gather: each
+        # equals its keep's trace alone, lifted at that keep's block alone
+        traces = _block_traces(m, {p: keeps for p in parts}, batch)
+        for p in parts:
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
-            cols = _block_columns(label, keeps)
-            every = np.arange(dim_weyl(label))
-            [restricted] = lift_batch([label], batch, [cols], [cols])
             [full] = lift_batch([label], batch)
-            # all keeps from one gather: each equals its keep's trace alone
-            stacked = _block_traces(label, restricted, cols, keeps)
             for j, keep in enumerate(keeps):
-                alone = _block_traces(label, restricted, cols, [keep])[:, 0]
-                assert list(stacked[:, j]) == list(alone)
-                for s in range(len(batch)):
-                    got = _block_traces(label, restricted[s], cols, [keep])[0]
-                    want = _block_traces(label, full[s], every, [keep])[0]
-                    assert got == stacked[s, j]
-                    assert abs(got - want) <= 1e-15
+                alone = _block_traces(m, {p: [keep]}, batch)[p][:, 0]
+                assert list(traces[p][:, j]) == list(alone)
+                idx = weight_block(label, state_weight(m, keep))
+                want = sum((full[:, t, t] for t in idx), 0j)
+                assert np.abs(alone - want).max() <= 1e-15
+
+
+def test_each_identity_suite_lifts_one_set(monkeypatch):
+    # which irreps share a set lift fixes the lifts' last bits, and so the
+    # report streams: each suite lifts its irreps in one call per m, in
+    # partition order, at the weight blocks its selectors read
+    calls = []
+    real = verification.lift_batch
+
+    def recorded(labels, elements, cols=None, rows=None):
+        listed = lambda picks: [np.asarray(pick).tolist() for pick in picks]
+        calls.append(([label.row for label in labels], len(elements), listed(cols), listed(rows)))
+        return real(labels, elements, cols, rows)
+
+    def at(row, keep=None):
+        # the basis positions at the modes ``keep``, or at any distinct modes
+        occ = occupations(SUIrrepLabel(len(row), row))
+        if keep is None:
+            return np.flatnonzero(occ.max(axis=1) <= 1).tolist()
+        return np.flatnonzero((occ == state_weight(len(row), keep)).all(axis=1)).tolist()
+
+    def distinct(m, parts, count):
+        # a call whose rows and columns are every weight of distinct modes
+        rows = [SUIrrepLabel.from_partition(p, m, normalize=False).row for p in parts]
+        return rows, count, [at(row) for row in rows], [at(row) for row in rows]
+
+    monkeypatch.setattr(verification, "lift_batch", recorded)
+    kostant_suite()
+    corollary4_suite()
+    littlewood_suite(samples=3)
+    conjecture_suite(samples=3)
+    named = [((2, 1, 0, 0, 0), (2, 3, 5), (1, 3, 4)), ((3, 1, 0, 0, 0), (1, 3, 4, 5), (1, 2, 3, 5))]
+    assert calls == [
+        *(distinct(m, partitions_of(m), 25) for m in (2, 3, 4)),
+        *(distinct(m, [p for n in (2, 3, 4) if n < m for p in partitions_of(n)], 10) for m in (4, 5)),
+        distinct(4, [Partition(3), Partition(1), Partition(3, 1), Partition(4)], 3),
+        distinct(4, [Partition(2, 1)], 3),
+        (
+            [row for row, _, _ in named],
+            3,
+            [at(row, q) for row, _, q in named],
+            [at(row, k) for row, k, _ in named],
+        ),
+    ]
+    # a repeated size gives each partition once, not a repeated irrep
+    twice = corollary4_suite(m_values=(4,), sizes=(2, 2), samples=2)
+    assert [r.to_json_line() for r in twice] == [
+        r.to_json_line() for r in corollary4_suite(m_values=(4,), sizes=(2,), samples=2)
+    ]
 
 
 @settings(FEW, max_examples=30)
@@ -412,10 +464,10 @@ def test_principal_identities_on_special_elements(m, kind, seed):
         keeps = list(combinations(range(1, m + 1), size))
         for p in partitions_of(size):
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
-            lifted, blocks = lift(label, u), weight_blocks(label)
+            lifted = lift(label, u)
             for keep in keeps:
                 direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(keep, keep)))
-                idx = blocks[state_weight(m, keep).cartan]
+                idx = weight_block(label, state_weight(m, keep))
                 assert abs(direct - np.trace(lifted[np.ix_(idx, idx)])) <= 1e-12
                 assert abs(direct - immanant_via_duality(m, p, keep, keep, u)) <= 1e-12
 

@@ -11,7 +11,6 @@ from immdfun.linalgimm import UnitaryElement, su2_euler
 from immdfun.symgroup import Partition
 from immdfun.sunrep import (
     SUIrrepLabel,
-    WeightVector,
     build_raising_tables,
     build_rotation_tables,
     chain_labels,
@@ -20,7 +19,7 @@ from immdfun.sunrep import (
     occupations,
     pattern_rows,
     raising_tables,
-    weight_blocks,
+    weight_block,
 )
 
 import _patterns as ref
@@ -158,6 +157,11 @@ class TestTableSets:
         assert len(calls) == 4
 
 
+def _cartan(occupation) -> tuple[int, ...]:
+    """The Cartan weight (n_1 - n_2, ...) of a mode occupation."""
+    return tuple(int(a - b) for a, b in zip(occupation, occupation[1:]))
+
+
 class TestWeights:
     def test_highest_weight_occupation(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
@@ -165,12 +169,12 @@ class TestWeights:
 
     def test_zero_weight_pair(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        pats = weight_blocks(ir)[WeightVector((1, 1, 1)).cartan]
+        pats = weight_block(ir, (1, 1, 1))
         assert len(pats) == 2
-        assert all(WeightVector(occupations(ir)[i]).cartan == (0, 0) for i in pats)
+        assert all(_cartan(occupations(ir)[i]) == (0, 0) for i in pats)
 
     def test_single_permanent_state(self):
-        pats = weight_blocks(SUIrrepLabel(3, (3, 0, 0)))[WeightVector((1, 1, 1)).cartan]
+        pats = weight_block(SUIrrepLabel(3, (3, 0, 0)), (1, 1, 1))
         assert len(pats) == 1
 
     def test_total_is_box_count(self):
@@ -179,28 +183,33 @@ class TestWeights:
             assert sum(occ) == 4
 
     def test_outside_diagram_empty(self):
-        assert weight_blocks(SUIrrepLabel(2, (2, 0))).get(WeightVector((5, 0)).cartan, ()) == ()
+        assert weight_block(SUIrrepLabel(2, (2, 0)), (5, 0)).tolist() == []
 
     @pytest.mark.parametrize(
         "row", [(4, 0), (2, 1, 0), (4, 2, 0), (3, 1, 0, 0), (2, 1, 1, 0, 0)]
     )
     def test_weight_blocks_partition_the_basis(self, row):
         ir = SUIrrepLabel(len(row), row)
-        blocks = weight_blocks(ir)
-        assert sorted(i for idx in blocks.values() for i in idx) == list(range(dim_weyl(ir)))
         occ = occupations(ir).tolist()
-        for cartan, idx in blocks.items():
-            assert list(idx) == sorted(idx) and not idx.flags.writeable
-            assert all(WeightVector(occ[i]).cartan == cartan for i in idx)
+        found = {tuple(n): weight_block(ir, n) for n in occ}  # one block per weight
+        assert sorted(i for idx in found.values() for i in idx.tolist()) == list(range(dim_weyl(ir)))
+        blocks = {}  # the basis positions of each Cartan weight, grouped here
+        for i, n in enumerate(occ):
+            blocks.setdefault(_cartan(n), []).append(i)
+        for n in occ:
             for shift in (0, 1, 3):
-                shifted = tuple(n + shift for n in occ[idx[0]])
-                assert np.array_equal(blocks[WeightVector(shifted).cartan], idx)
-        with pytest.raises(TypeError):
-            blocks[(9,) * (ir.m - 1)] = idx
+                got = weight_block(ir, [x + shift for x in n])
+                assert got.tolist() == blocks[_cartan(n)] and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0
+        empty = weight_block(SUIrrepLabel(2, (2, 0)), (5, 0))
+        assert empty.size == 0 and not empty.flags.writeable
+        with pytest.raises(DomainError, match="m = 2 entries"):
+            weight_block(SUIrrepLabel(2, (2, 0)), (1, 1, 0))
 
     def test_chain_label_format(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        labels = [chain_labels(ir)[i] for i in weight_blocks(ir)[WeightVector((1, 1, 1)).cartan]]
+        labels = [chain_labels(ir)[i] for i in weight_block(ir, (1, 1, 1))]
         assert labels == ["111(1)", "111(0)"]
 
     @pytest.mark.parametrize(
