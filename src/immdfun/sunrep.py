@@ -23,7 +23,6 @@ at once: elements with one rotation sequence share each block product.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 
@@ -33,24 +32,9 @@ from .errors import DomainError, ResourceLimitError
 from .linalgimm import UnitaryElement, givens_factors
 from .symgroup import Partition
 
-DEFAULT_MAX_LIFT_DIM = 512
-
-
-def max_lift_dim() -> int:
-    """Dense-lift dimension cap: IMMDFUN_MAX_DIM, a positive integer, if set."""
-    env = os.environ.get("IMMDFUN_MAX_DIM", "")
-    if not env:
-        return DEFAULT_MAX_LIFT_DIM
-    if not (env.isdecimal() and int(env) > 0):
-        raise DomainError(f"IMMDFUN_MAX_DIM must be a positive integer, got {env!r}")
-    return int(env)
-
-
-def check_lift_dim(irrep: SUIrrepLabel) -> None:
-    """Refuse an irrep whose dimension exceeds :func:`max_lift_dim`."""
-    d, cap = dim_weyl(irrep), max_lift_dim()
-    if d > cap:
-        raise ResourceLimitError(f"irrep dimension {d} exceeds the dense-lift cap {cap}")
+# The most entries an array that grows with the irrep may hold: a GT array, or
+# a set lift's results and its largest working array together.
+ENTRY_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -114,18 +98,29 @@ def gt_array(irrep: SUIrrepLabel) -> np.ndarray:
     report: the rows descend lexicographically, so the highest-weight
     pattern comes first.  Each entry is enumerated, descending, between its
     two neighbours in the row above, so betweenness holds by construction
-    and the enumeration order is already the sorted one.
+    and the enumeration order is already the sorted one.  Each column is
+    kept as its values and their parents one column before, and composed
+    at the end; an array over :data:`ENTRY_CAP` entries is refused first.
     """
-    m = irrep.m
-    pats = np.array([irrep.row], dtype=np.int64)
-    upper = 0  # first column of the row above the one being filled
-    for length in range(m - 1, 0, -1):
+    m, d, width = irrep.m, dim_weyl(irrep), irrep.m * (irrep.m + 1) // 2
+    if d * width > ENTRY_CAP:
+        raise ResourceLimitError(
+            f"the GT array of {irrep} holds {d} x {width} entries, over the entry cap {ENTRY_CAP}"
+        )
+    above, columns = np.array([irrep.row], dtype=np.int64), []
+    for length in range(m - 1, 0, -1):  # above: the row above, then the row being filled
         for i in range(length):
-            hi, lo = pats[:, upper + i], pats[:, upper + i + 1]
+            hi, lo = above[:, i], above[:, i + 1]
             counts = hi - lo + 1
-            step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-            pats = np.column_stack([np.repeat(pats, counts, axis=0), np.repeat(hi, counts) - step])
-        upper += length + 1
+            parent = np.repeat(np.arange(len(hi)), counts)
+            value = hi[parent] - (np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent])
+            columns.append((value, parent))
+            above = np.column_stack([above[parent], value])
+        above = above[:, length + 1 :]
+    pats, at = np.empty((d, width), dtype=np.int64), np.arange(d)
+    pats[:, :m] = irrep.row
+    for j, (value, parent) in zip(range(width - 1, m - 1, -1), reversed(columns)):
+        pats[:, j], at = value[at], parent[at]
     pats.flags.writeable = False
     return pats
 
@@ -405,13 +400,8 @@ def raising_tables(irreps) -> list[tuple[Triples, ...]]:
 
 
 def rotation_tables(irreps) -> list[RotationTable]:
-    """The cached :func:`build_rotation_tables` of each of ``irreps``.  The
-    dense-lift cap of every irrep is checked before any table is built, so
-    a suite that hands over all its irreps first refuses before any work."""
-    irreps = list(irreps)
-    for ir in irreps:
-        check_lift_dim(ir)
-    return _tables(_ROTATION, build_rotation_tables, irreps)
+    """The cached :func:`build_rotation_tables` of each of ``irreps``."""
+    return _tables(_ROTATION, build_rotation_tables, list(irreps))
 
 
 # Complex entries (512 KB) in the shared working array of a set lift: a
@@ -601,10 +591,13 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     columns bit for bit.  Slice i of a set lift equals the lift of irrep i
     alone bit for bit while every GT block has fewer than 16 rows; OpenBLAS
     may round a column of a larger block product by its position in the
-    batch.  The irreps, every irrep's columns, rows and dimension cap, and
-    the elements are checked before any product, and each irrep's full
-    lifted columns are checked orthonormal, element by element, chunk by
-    chunk; a failure names the first such irrep in ``irreps``.
+    batch.  The irreps, every irrep's columns and rows, the elements and
+    the set's allocation are checked before any table, factor or product:
+    the returned S sum_i r_i c_i entries and one chunk's working array
+    (:data:`LIFT_BATCH_ENTRIES`, or one element's (sum d, max c) array if
+    larger; none for an empty batch) hold at most :data:`ENTRY_CAP`.  Each
+    irrep's full lifted columns are checked orthonormal, element by element,
+    chunk by chunk; a failure names the first such irrep in ``irreps``.
     """
     irreps = list(irreps)
     idxs, picks = _positions(irreps, cols, "columns"), _positions(irreps, rows, "rows")
@@ -618,14 +611,30 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
             raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrices)")
         if irreps and element.m != irreps[0].m:
             raise DomainError(f"element acts on {element.m} modes, irrep has m = {irreps[0].m}")
-    for ir in irreps:
-        check_lift_dim(ir)
     dims = [dim_weyl(ir) for ir in irreps]
     idxs = [np.arange(d) if idx is None else idx for d, idx in zip(dims, idxs)]
-    outs = [
-        np.empty((len(elements), d if pick is None else len(pick), len(idx)), dtype=np.complex128)
+    shapes = [
+        (len(elements), d if pick is None else len(pick), len(idx))
         for d, idx, pick in zip(dims, idxs, picks)
     ]
+    # irreps whose column counts lie within a factor of two share one direct
+    # sum: padding a much narrower irrep to a wider one's slots costs more
+    # than its own rounds of block products
+    sums: list[list[int]] = []
+    for i in sorted(range(len(irreps)), key=lambda i: -len(idxs[i])):
+        if sums and 2 * len(idxs[i]) >= len(idxs[sums[-1][0]]):
+            sums[-1].append(i)
+        elif len(idxs[i]):
+            sums.append([i])
+    returned = sum(s * r * c for s, r, c in shapes)
+    shared = [sum(dims[i] for i in part) * len(idxs[part[0]]) for part in sums]
+    working = max([LIFT_BATCH_ENTRIES, *shared]) if elements and sums else 0
+    if returned + working > ENTRY_CAP:
+        raise ResourceLimitError(
+            f"lifting a batch of {len(elements)} into irreps of dimensions {dims} takes"
+            f" {returned} returned + {working} working entries, over the entry cap {ENTRY_CAP}"
+        )
+    outs = [np.empty(shape, dtype=np.complex128) for shape in shapes]
     if not (elements and irreps):
         return outs
     factors = givens_factors(elements)
@@ -633,16 +642,6 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     for s, (kinds, _, _) in enumerate(factors):
         groups.setdefault(kinds, []).append(s)
     tables = rotation_tables(irreps)
-    # irreps whose column counts lie within a factor of two share one direct
-    # sum: padding a much narrower irrep to a wider one's slots costs more
-    # than its own rounds of block products
-    widest = sorted(range(len(irreps)), key=lambda i: -len(idxs[i]))
-    sums: list[list[int]] = []
-    for i in widest:
-        if sums and 2 * len(idxs[i]) >= len(idxs[sums[-1][0]]):
-            sums[-1].append(i)
-        elif len(idxs[i]):
-            sums.append([i])
     defects = {}
     for part in sums:
         args = ([seq[i] for i in part] for seq in (irreps, tables, idxs, picks, outs))

@@ -34,7 +34,6 @@ from .symgroup import Partition, dim_sym, partitions_of
 from .sunrep import (
     SUIrrepLabel,
     chain_labels,
-    check_lift_dim,
     lift_batch,
     pattern_rows,
     weight_block,
@@ -72,14 +71,14 @@ def _block_columns(label: SUIrrepLabel, keeps) -> np.ndarray:
     return np.array(sorted(cols), dtype=np.intp)
 
 
-def _block_lifts(m: int, pairs, elements) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _block_lifts(m: int, blocks, elements) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Lift ``elements`` as one set into the irrep dual to each partition
-    of the mapping ``pairs`` (partition -> its selector pairs (k, q)), at
-    only the rows of the weight blocks of its k's and the columns of its
-    q's: one (lifts, rows, cols) per partition, in the mapping's order."""
-    labels = [SUIrrepLabel.from_partition(p, m, normalize=False) for p in pairs]
-    rows = [_block_columns(label, {k for k, _ in kq}) for label, kq in zip(labels, pairs.values())]
-    cols = [_block_columns(label, {q for _, q in kq}) for label, kq in zip(labels, pairs.values())]
+    of the mapping ``blocks`` (partition -> (row keeps, column keeps)), at
+    only the rows and columns of the weight blocks of those keeps: one
+    (lifts, rows, cols) per partition, in the mapping's order."""
+    labels = [SUIrrepLabel.from_partition(p, m, normalize=False) for p in blocks]
+    rows = [_block_columns(label, ks) for label, (ks, _) in zip(labels, blocks.values())]
+    cols = [_block_columns(label, qs) for label, (_, qs) in zip(labels, blocks.values())]
     return list(zip(lift_batch(labels, elements, cols, rows), rows, cols))
 
 
@@ -89,7 +88,7 @@ def _block_traces(m: int, keeps, elements) -> dict[Partition, np.ndarray]:
     their blocks are of one size too): an (S, K) array, each entry the sum,
     in basis order, of the lifted diagonal over the patterns at the weight
     of one keep, from one gather of one set lift (:func:`_block_lifts`)."""
-    lifts = _block_lifts(m, {p: [(keep, keep) for keep in kk] for p, kk in keeps.items()}, elements)
+    lifts = _block_lifts(m, {p: (kk, kk) for p, kk in keeps.items()}, elements)
     traces = {}
     for (p, kk), (lifted, rows, _) in zip(keeps.items(), lifts):
         label = SUIrrepLabel.from_partition(p, m, normalize=False)
@@ -307,15 +306,16 @@ def conjecture_scan(
     evidence reporting: a report passes when its own pair shows exactly
     dim{p} unit entries and zeros elsewhere, and that residual is below 1e-9.
     """
-    n = p.n
-    label = SUIrrepLabel.from_partition(p, m, normalize=False)
-    check_lift_dim(label)  # before the C(m, n)^2 default pairs are even listed
-    if selectors is None:
-        index_sets = list(combinations(range(1, m + 1), n))
-        selectors = [(k, q) for k in index_sets for q in index_sets]
-    selectors = [_check_pair(m, p, k, q) for k, q in selectors]
+    if selectors is None:  # lifted before its C(m, n)^2 pairs are listed
+        index_sets = list(combinations(range(1, m + 1), p.n))
+        keeps = (index_sets, index_sets)
+    else:
+        selectors = [_check_pair(m, p, k, q) for k, q in selectors]
+        keeps = ([k for k, _ in selectors], [q for _, q in selectors])
     samples = _scan_samples(m, check_samples, seed)
-    [lifted] = _block_lifts(m, {p: selectors}, samples)  # every row_index and col_index
+    [lifted] = _block_lifts(m, {p: keeps}, samples)  # every row_index and col_index
+    if selectors is None:
+        selectors = [(k, q) for k in index_sets for q in index_sets]
     return _scan(m, p, selectors, entry_tol, _matrices(samples, m), *lifted, seed)
 
 
@@ -382,7 +382,8 @@ def conjecture_suite(
         }
         shared = _scan_samples(5, samples, seed)  # both labels are lifted as one set
         mats = _matrices(shared, 5)
-        for (np_, pairs), lifted in zip(named.items(), _block_lifts(5, named, shared)):
+        keeps = {np_: ([k for k, _ in kq], [q for _, q in kq]) for np_, kq in named.items()}
+        for (np_, pairs), lifted in zip(named.items(), _block_lifts(5, keeps, shared)):
             reports.extend(_scan(5, np_, pairs, entry_tol, mats, *lifted, seed))
     return reports
 

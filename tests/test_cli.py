@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import immdfun
-from immdfun import cli, dualspace, plethysm, verification
+from immdfun import cli, dualspace, linalgimm, plethysm, sunrep, verification
 from immdfun.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
 from immdfun.errors import MatrixParseError
 from immdfun.symgroup import Partition
@@ -238,11 +238,12 @@ class TestVerifyCommand:
             raise AssertionError("a coefficient matrix was built before the refusal")
 
         monkeypatch.setattr(verification, "coefficient_matrix", forbidden)
-        monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
+        # the GT array of SU(4) {2,1} fits; the lift's working array alone does not
+        monkeypatch.setattr(sunrep, "ENTRY_CAP", sunrep.LIFT_BATCH_ENTRIES)
         code, out, err = run(capsys, "verify", "conjecture")
         assert code == EXIT_RESOURCE
         assert out == ""
-        assert "dense-lift cap 7" in err
+        assert "working entries, over the entry cap 32768" in err
 
     def test_conjecture_refuses_a_capped_lift_before_checking_any_pair(
         self, monkeypatch, capsys
@@ -252,11 +253,38 @@ class TestVerifyCommand:
             raise AssertionError("a selector pair was checked before the refusal")
 
         monkeypatch.setattr(verification, "_check_pair", forbidden)
-        monkeypatch.delenv("IMMDFUN_MAX_DIM", raising=False)
         code, out, err = run(capsys, "verify", "conjecture", "--m", "12")
         assert code == EXIT_RESOURCE
         assert out == ""
-        assert "irrep dimension 572 exceeds the dense-lift cap 512" in err
+        # 25 samples x 440 rows x 440 columns, and one element's 572 x 440 working array
+        message = "takes 4840000 returned + 251680 working entries, over the entry cap 4194304"
+        assert message in err
+
+    def test_kostant_passes_past_d_512(self, capsys):
+        # SU(6) irreps of partitions of 6 reach d = 1134; no variable is needed
+        code, out, _ = run(capsys, "verify", "kostant", "--m", "6")
+        assert code == EXIT_OK
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert len(reports) == 11 and all(r["pass"] for r in reports)
+        assert {r["m"] for r in reports} == {6}
+
+    def test_kostant_m8_is_refused_before_any_rotation_table(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a rotation table was built before the refusal")
+
+        monkeypatch.setattr(sunrep, "build_rotation_tables", forbidden)
+        monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+        code, out, err = run(capsys, "verify", "kostant", "--m", "8")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert "takes 1008000 returned + 16680600 working entries, over the entry cap" in err
+        # drop the GT arrays of SU(8) that the suite built before the refusal
+        for cached in (sunrep.gt_array, sunrep.occupations, sunrep._weight_index):
+            cached.cache_clear()
+
+    def test_kostant_m10_is_refused_at_its_first_gt_array(self, capsys):
+        code, out, err = run(capsys, "verify", "kostant", "--m", "10")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert "the GT array of SU(10)(10, 0, 0, 0, 0, 0, 0, 0, 0, 0) holds 92378 x 55" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -553,8 +581,7 @@ class TestDumpCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_capped_dump_writes_no_output_file(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("IMMDFUN_MAX_DIM", raising=False)
+    def test_capped_dump_writes_no_output_file(self, capsys, tmp_path):
         path = tmp_path / "dump.jsonl"
         code, _, _ = run(
             capsys, "dump-dfunctions", "--row", "40,20,0", "--identity", "3", "--out", str(path)
@@ -562,21 +589,18 @@ class TestDumpCommand:
         assert code == EXIT_RESOURCE
         assert not path.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "-5"])
-    def test_invalid_max_dim(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("IMMDFUN_MAX_DIM", value)
-        code, out, err = run(capsys, "dump-dfunctions", "--row", "2,1,0", "--identity", "3")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == f"error: IMMDFUN_MAX_DIM must be a positive integer, got {value!r}\n"
-
     def test_dimension_cap_resource_error(self, capsys, monkeypatch):
-        monkeypatch.delenv("IMMDFUN_MAX_DIM", raising=False)
+        # (40, 20, 0) has d = 9261: its whole lift takes 2 x 9261^2 entries
         code, _, err = run(capsys, "dump-dfunctions", "--row", "40,20,0", "--identity", "3")
         assert code == EXIT_RESOURCE
-        monkeypatch.setenv("IMMDFUN_MAX_DIM", "1000")
+        assert "takes 85766121 returned + 85766121 working entries, over the entry cap" in err
+        # (16, 8, 0) has d = 729, past the old d = 512 cap: 2 x 729^2 entries fit
         code2, out, _ = run(capsys, "dump-dfunctions", "--row", "16,8,0", "--identity", "3")
-        assert code2 == EXIT_OK
+        assert code2 == EXIT_OK and len(out.splitlines()) == 729**2
+        monkeypatch.setattr(sunrep, "ENTRY_CAP", 2 * 729**2 - 1)
+        code3, out, err = run(capsys, "dump-dfunctions", "--row", "16,8,0", "--identity", "3")
+        assert (code3, out) == (EXIT_RESOURCE, "")
+        assert "takes 531441 returned + 531441 working entries, over the entry cap 1062881" in err
 
 
 class TestRejectedFlags:

@@ -13,6 +13,7 @@ duality route are checked on the same non-generic elements.
 
 import cmath
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -198,8 +199,10 @@ def test_bad_column_is_domain_error(cols):
 
 
 def test_column_lift_cap(monkeypatch):
-    monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
-    with pytest.raises(ResourceLimitError):
+    # every lift's working array holds LIFT_BATCH_ENTRIES, so a cap of that
+    # size refuses even one column
+    monkeypatch.setattr(sunrep, "ENTRY_CAP", sunrep.LIFT_BATCH_ENTRIES)
+    with pytest.raises(ResourceLimitError, match=r"takes 8 returned \+ 32768 working entries"):
         lift(SUIrrepLabel(3, (2, 1, 0)), UnitaryElement(np.eye(3)), [0])
 
 
@@ -234,13 +237,67 @@ def test_set_cap_is_checked_before_any_table_is_built(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a table was built before the refusal")
 
-    for name in ("gt_array", "build_raising_tables", "build_rotation_tables"):
+    # every table starts from the GT arrays, and _row_keys is its first use
+    for name in ("build_raising_tables", "_row_keys"):
         monkeypatch.setattr(sunrep, name, forbidden)
-    monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
-    # (9, 9, 9) fits the cap and comes first; (10, 9, 8) has d = 8
-    with pytest.raises(ResourceLimitError, match="dimension 8"):
+    monkeypatch.setattr(sunrep, "_ROTATION", {})
+    sunrep.gt_array.cache_clear()
+    # (9, 9, 9) fits the cap and comes first; (10, 9, 8) has 8 patterns of 6 entries
+    monkeypatch.setattr(sunrep, "ENTRY_CAP", 47)
+    message = r"GT array of SU\(3\)\(10, 9, 8\) holds 8 x 6 entries, over the entry cap 47"
+    with pytest.raises(ResourceLimitError, match=message):
         rotation_tables([SUIrrepLabel(3, (9, 9, 9)), SUIrrepLabel(3, (10, 9, 8))])
-    assert SUIrrepLabel(3, (9, 9, 9)) not in sunrep._ROTATION
+    assert not sunrep._ROTATION
+    monkeypatch.setattr(sunrep, "ENTRY_CAP", 48)
+    assert sunrep.gt_array(SUIrrepLabel(3, (10, 9, 8))).shape == (8, 6)
+
+
+@pytest.mark.parametrize("chunk", [16, 100])
+@pytest.mark.parametrize(
+    "cols, rows, returned, widest",
+    [
+        # one direct sum: 2 x (8 x 2 + 10 x 3) entries, working (8 + 10) x 3
+        ([[0, 1], [0, 1, 2]], None, 92, 54),
+        # two sums, (10) x 3 the wider; rows pick 3 of (2, 1, 0)'s 8
+        ([[0], [0, 1, 2]], [[5, 6, 7], None], 66, 30),
+    ],
+)
+def test_set_cap_boundary(monkeypatch, chunk, cols, rows, returned, widest):
+    def forbidden(*args):
+        raise AssertionError("a table or product was built")
+
+    monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+    for name in ("build_rotation_tables", "_block_times"):
+        monkeypatch.setattr(sunrep, name, forbidden)
+    monkeypatch.setattr(sunrep, "LIFT_BATCH_ENTRIES", chunk)
+    irreps = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))]
+    batch = [UnitaryElement(np.eye(3)) for _ in range(2)]  # not yet factored
+    working = max(chunk, widest)
+    monkeypatch.setattr(sunrep, "ENTRY_CAP", returned + working)
+    with pytest.raises(AssertionError, match="a table or product was built"):  # admitted
+        lift_batch(irreps, batch, cols, rows)
+    monkeypatch.setattr(sunrep, "ENTRY_CAP", returned + working - 1)
+    message = f"takes {returned} returned \\+ {working} working entries, over the entry cap"
+    with pytest.raises(ResourceLimitError, match=message):
+        lift_batch(irreps, batch, cols, rows)
+
+
+def test_identity_suites_refuse_before_building_every_table():
+    # SU(20) {3,1} has d = 21,945, and its GT array of 21,945 x 210 entries
+    # is refused when it is sized, after only the GT arrays of the
+    # partitions before it (about 25 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as refusal:
+            corollary4_suite(m_values=(20,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert "GT array of SU(20)(3, 1, 0, " in str(refusal.value)
+    assert "holds 21945 x 210 entries" in str(refusal.value)
+    for cached in (sunrep.gt_array, sunrep.occupations, sunrep._weight_index):
+        cached.cache_clear()
 
 
 def test_columns_that_lose_orthonormality_are_refused(monkeypatch):
@@ -496,10 +553,11 @@ def test_batch_refusals_come_before_any_product(monkeypatch):
         lift_batch([irrep], [good, np.eye(3)])
     with pytest.raises(DomainError, match="modes"):
         lift_batch([irrep], [good, haar_random_unitary(4, 2)])
-    monkeypatch.setenv("IMMDFUN_MAX_DIM", "7")
-    for batch in ([good, good], []):
-        with pytest.raises(ResourceLimitError):
-            lift_batch([irrep], batch, [[0]])
+    monkeypatch.setattr(sunrep, "ENTRY_CAP", sunrep.LIFT_BATCH_ENTRIES)
+    with pytest.raises(ResourceLimitError, match=r"takes 16 returned \+ 32768 working entries"):
+        lift_batch([irrep], [good, good], [[0]])
+    # an empty batch allocates nothing, so no cap refuses it
+    assert lift_batch([irrep], [], [[0]])[0].shape == (0, 8, 1)
 
 
 # Sets of distinct irreps of one m: a d = 1 irrep first, then irreps whose
@@ -578,10 +636,12 @@ def test_set_refusals_come_before_any_product(monkeypatch):
         lift_batch([a, b, a], [good])
     with pytest.raises(DomainError, match="modes"):
         lift_batch([a, b], [good, haar_random_unitary(4, 2)])
-    monkeypatch.setenv("IMMDFUN_MAX_DIM", "9")  # d = 8 fits, d = 10 does not
-    for batch in ([good], []):
-        with pytest.raises(ResourceLimitError, match="dimension 10"):
-            lift_batch([a, b], batch, [[0], [0]])
+    monkeypatch.setattr(sunrep, "ENTRY_CAP", sunrep.LIFT_BATCH_ENTRIES)
+    message = r"dimensions \[8, 10\] takes 74 returned \+ 32768 working entries"
+    with pytest.raises(ResourceLimitError, match=message):
+        lift_batch([a, b], [good], [None, [0]])
+    # an empty batch allocates nothing, so no cap refuses it
+    assert [x.shape for x in lift_batch([a, b], [], [None, [0]])] == [(0, 8, 8), (0, 10, 1)]
 
 
 @pytest.mark.parametrize("scale", [1.001, np.nan])

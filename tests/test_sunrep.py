@@ -389,15 +389,21 @@ class TestLift:
             assert np.abs(lift(ir, vp) - t_v @ t_p).max() < 1e-12
 
     def test_dimension_cap(self, monkeypatch):
+        # the whole lift of d = 9261 takes 2 x 9261^2 entries; one column fits
         big = SUIrrepLabel(3, (40, 20, 0))
-        assert dim_weyl(big) > 512
-        with pytest.raises(ResourceLimitError):
+        assert dim_weyl(big) == 9261
+        with pytest.raises(ResourceLimitError, match="takes 85766121 returned"):
             lift(big, UnitaryElement(np.eye(3)))
-        monkeypatch.setenv("IMMDFUN_MAX_DIM", "100000")
-        # now permitted by the env override (construction cost is the guard)
-        from immdfun.sunrep import max_lift_dim
-
-        assert max_lift_dim() == 100000
+        column = lift(big, UnitaryElement(np.eye(3)), [0])
+        assert np.array_equal(column, np.eye(9261, 1))
+        # a GT array over the cap is refused before any pattern is enumerated
+        huge = SUIrrepLabel(2, (3_000_000, 0))
+        with pytest.raises(ResourceLimitError, match="holds 3000001 x 3 entries, over the entry cap"):
+            sunrep.gt_array(huge)
+        monkeypatch.setattr(sunrep, "ENTRY_CAP", 9261 * 6 - 1)
+        sunrep.gt_array.cache_clear()
+        with pytest.raises(ResourceLimitError, match=r"SU\(3\)\(40, 20, 0\) holds 9261 x 6"):
+            sunrep.gt_array(big)
 
     def test_shift_invariance_of_dfunctions(self):
         # adding (1,1,1) to the row leaves every group function unchanged
