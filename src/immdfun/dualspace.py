@@ -153,7 +153,7 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
         return ()
     label = SUIrrepLabel(m, row)
     occ = occupations(label)
-    raising = raising_tables([label])[0]
+    raising = raising_tables((label,))
     # highest-weight vectors: common null space of the simple raisings
     # (C_{i,i+1} moves an excitation from mode i+1 to mode i)
     stacked = [_block_hop(m, factors, row, i + 1, i) for i in range(1, m) if row[i] != 0]

@@ -24,7 +24,6 @@ from .sunrep import (
     dim_weyl,
     lift_batch,
     occupations,
-    rotation_tables,
     weight_block,
 )
 
@@ -154,12 +153,10 @@ def fit_decomposition(
     m = problem.base_irrep.m
     prelim_samples = max(samples, 3 * len(cands))
 
-    # One row per Haar sample.  The tables of the base and every candidate
-    # irrep are built in one pass; the candidate irreps are lifted as one
-    # set for all samples, each at only the rows r and columns t its
-    # candidates read.
+    # One row per Haar sample.  The candidate irreps are lifted as one set
+    # for all samples, each at only the rows r and columns t its candidates
+    # read.
     irreps = sorted({c.irrep for c in cands}, key=lambda ir: ir.row)
-    rotation_tables([problem.base_irrep, *irreps])
     omegas = haar_random_unitaries(m, range(seed, seed + prelim_samples))
     [base] = lift_batch([problem.base_irrep], omegas)
     y0 = _target_values(problem, base)

@@ -12,11 +12,11 @@ it is factored into diagonal phases and real rotations of adjacent modes
 integer powers of e^{i phi} through the pattern occupations, and each
 rotation through the GT blocks of its generator, which carry su(2)
 representations: a cached eigenbasis per block, with integer eigenvalues.
-No dense d x d product and no exponential per basis vector is taken.  The
-raising triples and rotation blocks of a set of irreps of one m are built
-in one vectorised pass, and such a set is lifted in one pass too, as a
-direct sum: the same-size blocks of every irrep share each product, and
-each rotation applies only the blocks its columns have reached.  The lift
+No dense d x d product and no exponential per basis vector is taken.  A
+set of irreps of one m is lifted in one pass, as a direct sum: its raising
+triples and rotation blocks are built in one vectorised pass and cached per
+sum, the same-size blocks of every irrep share each product, and each
+rotation applies only the blocks its columns have reached.  The lift
 may read only some columns of each irrep, and lifts a batch of elements
 at once: elements with one rotation sequence share each block product.
 """
@@ -205,15 +205,17 @@ def chain_labels(irrep: SUIrrepLabel) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# raising and rotation tables, built for a set of irreps at once
+# raising and rotation tables, cached per direct sum
 # ---------------------------------------------------------------------------
 #
-# Each builder takes distinct irreps of one m and makes one vectorised pass
-# over their stacked gt_array rows.  A pattern's first row is its irrep row,
-# so rows of two irreps never compare equal, and no raised pattern or block
-# mixes irreps.  Rows are grouped by sorting byte keys: a 1-D np.unique must
-# not appear on a cold path, since its first call imports numpy.ma
-# (10-15 ms with numpy 2.4 on a 2-CPU x86 host).
+# Each builder takes a tuple of distinct irreps of one m, the summands of one
+# direct sum, and caches its tables per tuple in the stacked basis: irrep i's
+# rows follow those of irreps 0..i-1.  It makes one vectorised pass over the
+# stacked gt_array rows.  A pattern's first row is its irrep row, so rows of
+# two irreps never compare equal, and no raised pattern or block mixes
+# irreps.  Rows are grouped by sorting byte keys: a 1-D np.unique must not
+# appear on a cold path, since its first call imports numpy.ma (10-15 ms
+# with numpy 2.4 on a 2-CPU x86 host).
 
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
 Block = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows (B, s), V (B, s, s), w (B, s)
@@ -226,36 +228,33 @@ def _row_keys(pats: np.ndarray) -> np.ndarray:
     return pats.view(np.dtype((np.void, pats.itemsize * pats.shape[1])))[:, 0]
 
 
-def _stacked(irreps: list[SUIrrepLabel]):
-    """The gt_array rows of ``irreps`` stacked, each row's irrep index and
-    position within its irrep, and each irrep's first row and dimension."""
+def _stacked(irreps: tuple[SUIrrepLabel, ...]):
+    """The gt_array rows of ``irreps`` stacked, and each row's irrep index."""
     pats = [gt_array(ir) for ir in irreps]
-    dims = np.array([len(p) for p in pats])
-    first = np.cumsum(dims) - dims
-    owner = np.repeat(np.arange(len(irreps)), dims)
-    return np.concatenate(pats), owner, np.arange(dims.sum()) - first[owner], first, dims
+    return np.concatenate(pats), np.repeat(np.arange(len(irreps)), [len(p) for p in pats])
 
 
-def build_raising_tables(irreps) -> list[tuple[Triples, ...]]:
-    """The simple raisings C_{k,k+1}, k = 1..m-1, of distinct irreps of one
-    m, uncached: entry k-1 of an irrep's tuple holds C_{k,k+1} as read-only
-    triples (src, dst, amp), one per nonzero matrix element amp > 0 at basis
-    positions (dst, src).
+@cache
+def raising_tables(irreps: tuple[SUIrrepLabel, ...]) -> tuple[Triples, ...]:
+    """The simple raisings C_{k,k+1}, k = 1..m-1, of the direct sum of
+    ``irreps`` (distinct irreps of one m): entry k-1 holds C_{k,k+1} as
+    read-only triples (src, dst, amp), one per nonzero matrix element
+    amp > 0 at stacked basis positions (dst, src), ascending in src.
 
     Raising entry j of the k-entry row by one keeps the pattern valid unless
     it reaches entry j of the row above or entry j-1 of the row below.  With
     l_i = x_i - i (1-based i) on each row, the amplitude is
     sqrt(-prod_i (l_i^{k+1} - l_j^k) prod_i (l_i^{k-1} - l_j^k - 1)
     / prod_{i != j} (l_i^k - l_j^k)(l_i^k - l_j^k - 1)), multiplied factor by
-    factor in that order for every entry j of every pattern at once, and one
-    key search over all patterns finds every raised pattern.
+    factor in that order for every entry j of every pattern at once, and a
+    search of the sorted pattern keys finds every raised pattern.
     """
-    irreps = list(irreps)
     m = irreps[0].m
-    if m == 1:
-        return [() for _ in irreps]
-    pats, owner, local, _, _ = _stacked(irreps)
-    src, kind, amp, raised = [], [], [], []
+    pats, owner = _stacked(irreps)
+    keys = _row_keys(pats)
+    order = np.argsort(keys)
+    keys = keys[order]
+    tables = []
     for k in range(1, m):
         up, row, low = (pats[:, _row(m, n)] for n in (k + 1, k, k - 1))
         l_up, l_row, l_low = (x - np.arange(1, x.shape[1] + 1) for x in (up, row, low))
@@ -280,27 +279,17 @@ def build_raising_tables(irreps) -> list[tuple[Triples, ...]]:
             )
         target = pats[p]
         target[np.arange(len(p)), _row(m, k).start + j] += 1
-        src.append(p)
-        kind.append(np.full(len(p), k - 1))
-        amp.append(np.sqrt(ratio))
-        raised.append(target)
-    src, kind, amp = np.concatenate(src), np.concatenate(kind), np.concatenate(amp)
-    keys = _row_keys(pats)
-    order = np.argsort(keys)
-    dst = order[np.searchsorted(keys[order], _row_keys(np.concatenate(raised)))]
-    group = owner[src] * (m - 1) + kind  # triples of one irrep and mode pair
-    by_group = np.argsort(group, kind="stable")
-    bounds = np.cumsum(np.bincount(group, minlength=len(irreps) * (m - 1)))[:-1]
-    parts = [np.split(x[by_group], bounds) for x in (local[src], local[dst], amp)]
-    for x in parts[0] + parts[1] + parts[2]:
-        x.flags.writeable = False
-    triples = list(zip(*parts))
-    return [tuple(triples[i * (m - 1) : (i + 1) * (m - 1)]) for i in range(len(irreps))]
+        triples = p, order[np.searchsorted(keys, _row_keys(target))], np.sqrt(ratio)
+        for x in triples:
+            x.flags.writeable = False
+        tables.append(triples)
+    return tuple(tables)
 
 
-def build_rotation_tables(irreps) -> list[RotationTable]:
-    """The GT blocks of every adjacent-mode rotation generator of distinct
-    irreps of one m, uncached and read-only.
+@cache
+def rotation_tables(irreps: tuple[SUIrrepLabel, ...]) -> RotationTable:
+    """The GT blocks of every adjacent-mode rotation generator of the direct
+    sum of ``irreps`` (distinct irreps of one m), read-only.
 
     The real orthogonal V diagonalises the symmetric S_k = C_{k,k+1} + C_{k+1,k}
     with eigenvalues w, so B_k(theta) lifts to V diag(e^{-i theta w}) V^T.
@@ -311,13 +300,15 @@ def build_rotation_tables(irreps) -> list[RotationTable]:
     integer.  A block of one pattern is zero and is not stored; the larger
     ones of one size, across all irreps and mode pairs, are diagonalised in
     one stacked ``eigh``, and each is checked orthogonal, and its spectrum
-    integral, on its own.  Entry k of an irrep's table holds S_k's blocks
-    as (rows, V, w) stacks of shapes (B, s), (B, s, s) and (B, s), one per
-    block size s, ascending, with w exact integers.
+    integral, on its own.  Entry k holds S_k's blocks as (rows, V, w) stacks
+    of shapes (B, s), (B, s, s) and (B, s), one per block size s, ascending,
+    with rows in the stacked basis and w exact integers.  Within a stack the
+    blocks run irrep by irrep, in the order of ``irreps``, and each irrep's
+    in key order, so an irrep's slice of its rows, shifted back by its
+    offset, is its table alone.
     """
-    irreps = list(irreps)
     m = irreps[0].m
-    pats, owner, local, first, _ = _stacked(irreps)
+    pats, owner = _stacked(irreps)
     n = len(pats)
     blocks: dict[int, list[tuple[int, np.ndarray]]] = {}  # size -> (mode pair, (B, size) rows)
     for k in range(m - 1):
@@ -336,21 +327,22 @@ def build_rotation_tables(irreps) -> list[RotationTable]:
     for size, found in sorted(blocks.items()):  # ascending sizes, as the tables keep them
         ks = np.concatenate([np.full(len(rows), k) for k, rows in found])
         rows = np.concatenate([rows for _, rows in found])
+        # each mode pair's blocks are in key order, and every key starts with
+        # the irrep row, so a stable sort by mode pair and irrep keeps each
+        # irrep's blocks in key order
+        by_group = np.argsort(ks * len(irreps) + owner[rows[:, 0]], kind="stable")
+        ks, rows = ks[by_group], rows[by_group]
         base[ks[:, None], rows] = total + size * size * np.arange(len(rows))[:, None]
         width[ks[:, None], rows] = size
         place[ks[:, None], rows] = np.arange(size)
         stacks.append((size, ks, rows, total))
         total += size * size * len(rows)
     flat = np.zeros(total)
-    raising = raising_tables(irreps)
-    for k in range(m - 1):
-        src = np.concatenate([table[k][0] + f for table, f in zip(raising, first)])
-        dst = np.concatenate([table[k][1] + f for table, f in zip(raising, first)])
-        amp = np.concatenate([table[k][2] for table in raising])
+    for k, (src, dst, amp) in enumerate(raising_tables(irreps)):
         at, step = base[k, src], width[k, src]
         flat[at + place[k, dst] * step + place[k, src]] = amp
         flat[at + place[k, src] * step + place[k, dst]] = amp
-    kept: list[list[dict[int, Block]]] = [[{} for _ in range(m - 1)] for _ in irreps]
+    table: list[list[Block]] = [[] for _ in range(m - 1)]
     for size, ks, rows, at in stacks:
         w, vecs = np.linalg.eigh(flat[at : at + size * size * len(rows)].reshape(-1, size, size))
         spins = np.rint(w)
@@ -367,41 +359,13 @@ def build_rotation_tables(irreps) -> list[RotationTable]:
                     f"rotation {what} {ks[b]} of {irreps[owner[rows[b, 0]]]} "
                     f"is not {flaw}: {bad[b]:.3e}"
                 )
-        # each mode pair's blocks are in key order, and every key starts with
-        # the irrep row, so the blocks of one irrep and mode pair are adjacent
-        block = local[rows], vecs, spins.astype(np.int64)
+        block = rows, vecs, spins.astype(np.int64)
         for arr in block:
             arr.flags.writeable = False
-        group = owner[rows[:, 0]] * (m - 1) + ks
-        bounds = np.flatnonzero(np.diff(group, prepend=-1, append=-1)).tolist()
+        bounds = np.flatnonzero(np.diff(ks, prepend=-1, append=-1)).tolist()
         for lo, hi in zip(bounds, bounds[1:]):
-            i, k = divmod(int(group[lo]), m - 1)
-            kept[i][k][size] = tuple(arr[lo:hi] for arr in block)
-    return [tuple(tuple(kept[i][k].values()) for k in range(m - 1)) for i in range(len(irreps))]
-
-
-_RAISING: dict[SUIrrepLabel, tuple[Triples, ...]] = {}
-_ROTATION: dict[SUIrrepLabel, RotationTable] = {}
-
-
-def _tables(store: dict, build, irreps: list[SUIrrepLabel]) -> list:
-    """The tables of ``irreps`` in ``store``; the missing irreps of each m
-    are built together, in one ``build`` pass, and kept."""
-    missing = list(dict.fromkeys(ir for ir in irreps if ir not in store))
-    for m in sorted({ir.m for ir in missing}):
-        group = [ir for ir in missing if ir.m == m]
-        store.update(zip(group, build(group)))
-    return [store[ir] for ir in irreps]
-
-
-def raising_tables(irreps) -> list[tuple[Triples, ...]]:
-    """The cached :func:`build_raising_tables` of each of ``irreps``."""
-    return _tables(_RAISING, build_raising_tables, list(irreps))
-
-
-def rotation_tables(irreps) -> list[RotationTable]:
-    """The cached :func:`build_rotation_tables` of each of ``irreps``."""
-    return _tables(_ROTATION, build_rotation_tables, list(irreps))
+            table[ks[lo]].append(tuple(arr[lo:hi] for arr in block))
+    return tuple(map(tuple, table))
 
 
 # Complex entries (512 KB) in the shared working array of a set lift: a
@@ -437,23 +401,7 @@ def _block_times(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (v @ flat).view(np.complex128).reshape(z.shape)
 
 
-def _set_blocks(tables: list[RotationTable], first) -> list[list[Block]]:
-    """The GT blocks of a set of irreps as one direct sum: for each mode
-    pair, the same-size block stacks of every irrep concatenated, ascending
-    by size, with rows offset to the irrep's first row ``first``."""
-    stacks = []
-    for k in range(len(tables[0])):
-        by_size: dict[int, list[Block]] = {}
-        for table, f in zip(tables, first):
-            for rows, v, w in table[k]:
-                by_size.setdefault(rows.shape[1], []).append((rows + f, v, w))
-        stacks.append(
-            [tuple(np.concatenate(part) for part in zip(*found)) for _, found in sorted(by_size.items())]
-        )
-    return stacks
-
-
-def _pruned(stacks: list[list[Block]], kinds, support: np.ndarray) -> list[list[Block]]:
+def _pruned(table: RotationTable, kinds, support: np.ndarray) -> list[list[Block]]:
     """The blocks each rotation of the sequence ``kinds`` applies, right to
     left, starting from the rows ``support`` (a boolean mask) that the lifted
     columns occupy: a block meets the support its columns have reached so
@@ -463,7 +411,7 @@ def _pruned(stacks: list[list[Block]], kinds, support: np.ndarray) -> list[list[
     plan = []
     for k in reversed(kinds):
         step = []
-        for rows, v, w in stacks[k]:
+        for rows, v, w in table[k]:
             hit = support[rows].any(axis=1)
             if hit.all():
                 step.append((rows, v, w))
@@ -502,16 +450,16 @@ def _defect(lifted: np.ndarray) -> float:
     return float(np.abs(lifted.conj().transpose(0, 2, 1) @ lifted - unit).max(initial=0.0))
 
 
-def _lift_sum(irreps, tables, idxs, picks, outs, factors, groups) -> list[float]:
-    """Lift the checked ``irreps`` as one direct sum into ``outs``, at the
+def _lift_sum(table, irreps, idxs, picks, outs, factors, groups) -> list[float]:
+    """Lift the checked ``irreps`` as one direct sum, whose rotation tables
+    are ``table`` (:func:`rotation_tables`), into ``outs``, at the
     columns ``idxs`` (all nonempty) and the rows ``picks`` (None for all),
     for the factored elements ``factors`` grouped by rotation sequence, and
     return each irrep's orthonormality defect where rows are picked: the
     first that exceeds 1e-10, or the last (0.0 where none are).
 
-    Irrep i's rows sit at its offset and its columns in slots 0..c_i-1 of
-    one shared (sum d, max c, S) array; the same-size block stacks of every
-    irrep are concatenated per mode pair (:func:`_set_blocks`).  A phase
+    Irrep i's rows sit at its offset, as in ``table``, and its columns in
+    slots 0..c_i-1 of one shared (sum d, max c, S) array.  A phase
     diag(e^{i phi}) lifts to diag(e^{i n.phi}) with the integer occupations
     n of the stacked irreps, the rightmost phase only at the columns read.
     A rotation B_k(theta) gathers the rows of each stack, turns them by
@@ -529,14 +477,13 @@ def _lift_sum(irreps, tables, idxs, picks, outs, factors, groups) -> list[float]
     slots = np.concatenate([np.arange(len(idx)) for idx in idxs])
     support = np.zeros(total, dtype=bool)
     support[read] = True
-    stacks = _set_blocks(tables, first)
     occ = np.concatenate([occupations(ir) for ir in irreps])
     top = max(ir.row[0] - ir.row[-1] for ir in irreps)  # every |w| <= max |n_k - n_{k+1}|
     spins = np.arange(-top, top + 1)
     step = max(1, LIFT_BATCH_ENTRIES // max(1, total * width))
     defects = [0.0] * len(irreps)
     for ks, group in groups.items():
-        plan = _pruned(stacks, ks, support)
+        plan = _pruned(table, ks, support)
         for at in range(0, len(group), step):
             members = group[at : at + step]
             # x is (sum d, max c, S): each column of the chunk's S elements side by side
@@ -579,10 +526,12 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     each element), and the factors' lifts are applied right to left to unit
     columns (:func:`_lift_sum`).  Irreps whose column counts lie within a
     factor of two are lifted as one direct sum, in one shared array whose
-    same-size GT blocks share each product.  A phase lifts through integer
-    powers of e^{i phi_k} (:func:`_phase_diagonals`), a rotation through the
-    blocks of its generator (:func:`build_rotation_tables`) that meet the
-    rows its columns have reached (:func:`_pruned`); no dense d x d product,
+    same-size GT blocks share each product; the cached tables of every sum
+    (:func:`rotation_tables`) are fetched before the first product, so a bad
+    table of any sum is refused before any is lifted.  A phase lifts through
+    integer powers of e^{i phi_k} (:func:`_phase_diagonals`), a rotation
+    through the blocks of its generator that meet the rows its columns have
+    reached (:func:`_pruned`); no dense d x d product,
     no ``exp`` per basis vector and no logarithm is taken, so eigenvalues
     at -1 lift exactly and the identity lifts to exact unit columns.
     Elements with the same rotation sequence share each product, S elements
@@ -641,11 +590,11 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     groups: dict[tuple[int, ...], list[int]] = {}  # elements by rotation sequence
     for s, (kinds, _, _) in enumerate(factors):
         groups.setdefault(kinds, []).append(s)
-    tables = rotation_tables(irreps)
+    tables = [rotation_tables(tuple(irreps[i] for i in part)) for part in sums]
     defects = {}
-    for part in sums:
-        args = ([seq[i] for i in part] for seq in (irreps, tables, idxs, picks, outs))
-        defects.update(zip(part, _lift_sum(*args, factors, groups)))
+    for part, table in zip(sums, tables):
+        args = ([seq[i] for i in part] for seq in (irreps, idxs, picks, outs))
+        defects.update(zip(part, _lift_sum(table, *args, factors, groups)))
     for i in sorted(defects):  # the first irrep that fails, in the caller's order
         if picks[i] is None:  # whole columns: checked in the output, after every product
             span = max(1, LIFT_BATCH_ENTRIES // outs[i][0].size)

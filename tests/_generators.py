@@ -31,7 +31,7 @@ def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
     if i > j:
         return generator_matrix(irrep, j, i).T
     if j == i + 1:
-        src, dst, amp = raising_tables([irrep])[0][i - 1]
+        src, dst, amp = raising_tables((irrep,))[i - 1]
         mat = np.zeros((dim_weyl(irrep), dim_weyl(irrep)))
         mat[dst, src] = amp
         return mat

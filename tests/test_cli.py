@@ -272,10 +272,11 @@ class TestVerifyCommand:
         def forbidden(*args):
             raise AssertionError("a rotation table was built before the refusal")
 
-        monkeypatch.setattr(sunrep, "build_rotation_tables", forbidden)
         monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+        tables = sunrep.rotation_tables.cache_info()
         code, out, err = run(capsys, "verify", "kostant", "--m", "8")
         assert (code, out) == (EXIT_RESOURCE, "")
+        assert sunrep.rotation_tables.cache_info() == tables  # not even looked up
         assert "takes 1008000 returned + 16680600 working entries, over the entry cap" in err
         # drop the GT arrays of SU(8) that the suite built before the refusal
         for cached in (sunrep.gt_array, sunrep.occupations, sunrep._weight_index):

@@ -14,6 +14,7 @@ duality route are checked on the same non-generic elements.
 import cmath
 import math
 import tracemalloc
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -35,7 +36,6 @@ from immdfun.linalgimm import (
 from immdfun.sunrep import (
     SUIrrepLabel,
     _phase_diagonals,
-    build_rotation_tables,
     dim_weyl,
     lift_batch,
     occupations,
@@ -181,7 +181,7 @@ def test_columns_match_chain_vectors(row, seed, data):
 
 @pytest.mark.parametrize("row", ROWS)
 def test_rotation_tables_are_read_only(row):
-    [rotations] = rotation_tables([SUIrrepLabel(len(row), row)])
+    rotations = rotation_tables((SUIrrepLabel(len(row), row),))
     assert len(rotations) == len(row) - 1
     arrays = [a for blocks in rotations for block in blocks for a in block]
     assert arrays
@@ -209,12 +209,13 @@ def test_column_lift_cap(monkeypatch):
 def test_non_orthogonal_eigenbasis_is_refused(monkeypatch):
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w, 1.001 * v))(*real_eigh(a)))
+    build = rotation_tables.__wrapped__  # uncached
     with pytest.raises(DomainError, match="not orthogonal"):
-        build_rotation_tables([SUIrrepLabel(3, (2, 1, 0))])
-    # through a set: the refusal names a block's mode pair and irrep
-    irreps = [SUIrrepLabel(3, (1, 0, 0)), SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 2, 1))]
+        build((SUIrrepLabel(3, (2, 1, 0)),))
+    # through a direct sum: the refusal names a block's mode pair and irrep
+    irreps = (SUIrrepLabel(3, (1, 0, 0)), SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 2, 1)))
     with pytest.raises(DomainError, match=r"rotation eigenbasis \d of SU\(3\).* is not orthogonal"):
-        build_rotation_tables(irreps)
+        build(irreps)
 
 
 def test_non_positive_raising_ratio_is_refused(monkeypatch):
@@ -227,27 +228,28 @@ def test_non_positive_raising_ratio_is_refused(monkeypatch):
         "gt_array",
         lambda ir: np.vstack([real(ir), [3, 2, 0]]) if ir == broken else real(ir),
     )
-    irreps = [SUIrrepLabel(2, (1, 0)), broken, SUIrrepLabel(2, (4, 0))]
+    irreps = (SUIrrepLabel(2, (1, 0)), broken, SUIrrepLabel(2, (4, 0)))
     message = r"raising entry 0 of row 1 of SU\(2\)\(3, 2\) has a ratio <= 0"
     with pytest.raises(DomainError, match=message):
-        sunrep.build_raising_tables(irreps)
+        sunrep.raising_tables.__wrapped__(irreps)  # uncached
 
 
 def test_set_cap_is_checked_before_any_table_is_built(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a table was built before the refusal")
 
-    # every table starts from the GT arrays, and _row_keys is its first use
-    for name in ("build_raising_tables", "_row_keys"):
+    # every table starts from the GT arrays, and _row_keys is its first use;
+    # the rotation tables get an empty cache of their own
+    for name in ("raising_tables", "_row_keys"):
         monkeypatch.setattr(sunrep, name, forbidden)
-    monkeypatch.setattr(sunrep, "_ROTATION", {})
+    monkeypatch.setattr(sunrep, "rotation_tables", cache(rotation_tables.__wrapped__))
     sunrep.gt_array.cache_clear()
     # (9, 9, 9) fits the cap and comes first; (10, 9, 8) has 8 patterns of 6 entries
     monkeypatch.setattr(sunrep, "ENTRY_CAP", 47)
     message = r"GT array of SU\(3\)\(10, 9, 8\) holds 8 x 6 entries, over the entry cap 47"
     with pytest.raises(ResourceLimitError, match=message):
-        rotation_tables([SUIrrepLabel(3, (9, 9, 9)), SUIrrepLabel(3, (10, 9, 8))])
-    assert not sunrep._ROTATION
+        sunrep.rotation_tables((SUIrrepLabel(3, (9, 9, 9)), SUIrrepLabel(3, (10, 9, 8))))
+    assert sunrep.rotation_tables.cache_info().currsize == 0
     monkeypatch.setattr(sunrep, "ENTRY_CAP", 48)
     assert sunrep.gt_array(SUIrrepLabel(3, (10, 9, 8))).shape == (8, 6)
 
@@ -267,7 +269,7 @@ def test_set_cap_boundary(monkeypatch, chunk, cols, rows, returned, widest):
         raise AssertionError("a table or product was built")
 
     monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
-    for name in ("build_rotation_tables", "_block_times"):
+    for name in ("rotation_tables", "_block_times"):
         monkeypatch.setattr(sunrep, name, forbidden)
     monkeypatch.setattr(sunrep, "LIFT_BATCH_ENTRIES", chunk)
     irreps = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))]
@@ -692,7 +694,7 @@ def test_row_refusals_come_before_any_table_or_product(monkeypatch):
         raise AssertionError("a table or product was built before the refusal")
 
     monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
-    for name in ("rotation_tables", "build_rotation_tables", "_block_times", "_phase_diagonals"):
+    for name in ("rotation_tables", "_block_times", "_phase_diagonals"):
         monkeypatch.setattr(sunrep, name, forbidden)
     a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
     good = haar_random_unitary(3, 2)
@@ -724,18 +726,15 @@ def test_a_fault_outside_the_requested_row_is_refused(monkeypatch):
     real = sunrep.rotation_tables
 
     def skewed(irreps):
-        tables = []
-        for table in real(irreps):
-            pairs = []
-            for blocks in table:
-                found = []
-                for rows, v, w in blocks:
-                    v = v.copy()
-                    v[rows == 2] *= 1.001
-                    found.append((rows, v, w))
-                pairs.append(tuple(found))
-            tables.append(tuple(pairs))
-        return tables
+        pairs = []
+        for blocks in real(irreps):
+            found = []
+            for rows, v, w in blocks:
+                v = v.copy()
+                v[rows == 2] *= 1.001
+                found.append((rows, v, w))
+            pairs.append(tuple(found))
+        return tuple(pairs)
 
     monkeypatch.setattr(sunrep, "rotation_tables", skewed)
     with pytest.raises(DomainError, match=r"into SU\(2\)\(2, 0\) lost orthonormality"):
@@ -791,10 +790,43 @@ def test_non_integral_spectrum_is_refused_before_any_product(monkeypatch, flaw):
 
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w + flaw, v))(*real_eigh(a)))
-    monkeypatch.setattr(sunrep, "_ROTATION", {})
+    monkeypatch.setattr(sunrep, "rotation_tables", cache(rotation_tables.__wrapped__))
     monkeypatch.setattr(sunrep, "_block_times", forbidden)
     irrep = SUIrrepLabel(3, (2, 1, 0))
     message = r"rotation spectrum \d of SU\(3\)\(2, 1, 0\) is not integral"
     with pytest.raises(DomainError, match=message):
         lift(irrep, haar_random_unitary(3, 5))
-    assert irrep not in sunrep._ROTATION
+    assert sunrep.rotation_tables.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("flaw", ["orthogonal", "integral"])
+def test_a_bad_table_of_the_second_sum_is_refused_before_any_product(monkeypatch, flaw):
+    # (2, 1, 0) at all 8 columns and (3, 0, 0) at one are two direct sums;
+    # the first sum's table is built, then the eigenbases are broken, so only
+    # the second sum's table is bad.  Every sum's table is fetched before the
+    # first product, so the lift is refused before any.
+    def forbidden(*args):
+        raise AssertionError("a product ran before the refusal")
+
+    a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
+    batch, cols = _mixed_batch(3, 6), [None, [0]]
+    monkeypatch.setattr(sunrep, "rotation_tables", cache(rotation_tables.__wrapped__))
+    first = sunrep.rotation_tables((a,))
+    real_eigh = np.linalg.eigh
+    breaks = {"orthogonal": lambda w, v: (w, 1.001 * v), "integral": lambda w, v: (w + 0.3, v)}
+    with monkeypatch.context() as broken:
+        broken.setattr(np.linalg, "eigh", lambda x: breaks[flaw](*real_eigh(x)))
+        for name in ("_block_times", "_phase_diagonals"):
+            broken.setattr(sunrep, name, forbidden)
+        message = rf"rotation \w+ \d of SU\(3\)\(3, 0, 0\) is not {flaw}"
+        with pytest.raises(DomainError, match=message):
+            lift_batch([a, b], batch, cols)
+    assert sunrep.rotation_tables.cache_info().currsize == 1
+    # intact, the set lifts; lifting it again builds no table and moves no bit
+    once = lift_batch([a, b], batch, cols)
+    misses = sunrep.rotation_tables.cache_info().misses
+    twice = lift_batch([a, b], batch, cols)
+    assert sunrep.rotation_tables.cache_info().misses == misses
+    assert sunrep.rotation_tables.cache_info().currsize == 2
+    assert sunrep.rotation_tables((a,)) is first
+    assert [x.tobytes() for x in once] == [x.tobytes() for x in twice]

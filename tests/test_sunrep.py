@@ -1,5 +1,6 @@
 import json
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -11,14 +12,13 @@ from immdfun.linalgimm import UnitaryElement, su2_euler
 from immdfun.symgroup import Partition
 from immdfun.sunrep import (
     SUIrrepLabel,
-    build_raising_tables,
-    build_rotation_tables,
     chain_labels,
     dim_weyl,
     gt_array,
     occupations,
     pattern_rows,
     raising_tables,
+    rotation_tables,
     weight_block,
 )
 
@@ -74,10 +74,12 @@ class TestGTBasis:
     def test_tables_equal_the_reference(self, m):
         # every irrep with d <= 500: the array basis and every table read from
         # it equal the pattern-by-pattern reference exactly.  The raising
-        # tables are built uncached, as one set, and compared entry by entry.
+        # tables are built uncached, as one direct sum, split by owner and
+        # compared entry by entry.
         irreps = irreps_up_to(m, 500)
         assert irreps
-        for ir, raising in zip(irreps, build_raising_tables(irreps)):
+        split = split_tables(irreps, raising_tables.__wrapped__(tuple(irreps)))
+        for ir, (raising, _) in zip(irreps, split):
             pats = ref.gt_patterns(ir.row)
             assert not gt_array(ir).flags.writeable and not occupations(ir).flags.writeable
             occs = [ref.occupation(p) for p in pats]
@@ -91,6 +93,36 @@ class TestGTBasis:
                 assert len(entries) == len(amp) and entries == ref.raising_entries(pats, k)
 
 
+def split_tables(irreps, raising, rotation=()) -> list:
+    """Each irrep's slice of a direct sum's raising triples and rotation
+    blocks, shifted back by the irrep's offset: one (triples per mode pair,
+    blocks per mode pair) pair per irrep.  Each slice is checked contiguous:
+    the sum's triples, and its blocks of each stack, run irrep by irrep."""
+    dims = [dim_weyl(ir) for ir in irreps]
+    ends = np.cumsum(dims)
+    first = (ends - dims).tolist()
+
+    def slices(pos):
+        owner = np.searchsorted(ends, pos, side="right")
+        assert np.all(np.diff(owner) >= 0)
+        bounds = np.searchsorted(owner, np.arange(len(irreps) + 1)).tolist()
+        return list(zip(first, bounds, bounds[1:]))
+
+    triples = [[] for _ in irreps]
+    for src, dst, amp in raising:
+        for mine, (f, lo, hi) in zip(triples, slices(src)):
+            mine.append((src[lo:hi] - f, dst[lo:hi] - f, amp[lo:hi]))
+    blocks = [[] for _ in irreps]
+    for stacks in rotation:
+        for mine in blocks:
+            mine.append([])
+        for rows, v, w in stacks:
+            for mine, (f, lo, hi) in zip(blocks, slices(rows[:, 0])):
+                if hi > lo:
+                    mine[-1].append((rows[lo:hi] - f, v[lo:hi], w[lo:hi]))
+    return [(tuple(t), tuple(map(tuple, b))) for t, b in zip(triples, blocks)]
+
+
 def assert_same_bits(a: np.ndarray, b: np.ndarray):
     """np.array_equal, and equal bytes too, so that signed zeros agree."""
     assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
@@ -100,24 +132,30 @@ class TestTableSets:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_set_tables_equal_single_tables(self, m):
         # every irrep with d <= 200 and the unnormalised shift by (1, ..., 1)
-        # of every fifth one, in two interleaved sets of mixed sizes: each
-        # table built from a set equals the table built from the irrep alone
+        # of every fifth one, in two interleaved direct sums of mixed sizes:
+        # each irrep's slice of a sum's tables, shifted back by its offset,
+        # equals the tables of the irrep alone.  All are built uncached.
         irreps = irreps_up_to(m, 200)
         irreps += [SUIrrepLabel(m, tuple(x + 1 for x in ir.row)) for ir in irreps[::5]]
-        for group in (irreps[0::2], irreps[1::2]):
-            raising, rotation = build_raising_tables(group), build_rotation_tables(group)
-            for ir, r_set, blocks_set in zip(group, raising, rotation):
-                [r_one] = build_raising_tables([ir])
-                [blocks_one] = build_rotation_tables([ir])
+        for group in (tuple(irreps[0::2]), tuple(irreps[1::2])):
+            raising = raising_tables.__wrapped__(group)
+            rotation = rotation_tables.__wrapped__(group)
+            blocks = [block for stacks in rotation for block in stacks]
+            for arr in [a for part in list(raising) + blocks for a in part]:
+                assert not arr.flags.writeable
+            for ir, (r_set, blocks_set) in zip(group, split_tables(group, raising, rotation)):
+                r_one = raising_tables.__wrapped__((ir,))
+                blocks_one = rotation_tables.__wrapped__((ir,))
                 assert len(r_set) == len(r_one) == len(blocks_set) == len(blocks_one) == m - 1
                 # each mode pair's (rows, V, w) stacks, one per block size
                 assert [len(b) for b in blocks_set] == [len(b) for b in blocks_one]
                 stacks_set = [arr for blocks in blocks_set for block in blocks for arr in block]
                 stacks_one = [arr for blocks in blocks_one for block in blocks for arr in block]
                 for a, b in zip(r_set + (stacks_set,), r_one + (stacks_one,)):
+                    assert len(a) == len(b)
                     for x, y in zip(a, b):
                         assert_same_bits(x, y)
-                        assert not x.flags.writeable
+                        assert not y.flags.writeable
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_blocks_rebuild_the_rotation_generators(self, m):
@@ -125,8 +163,9 @@ class TestTableSets:
         # S_k = C_{k,k+1} + C_{k+1,k} built densely from the raising triples,
         # each pattern lies in at most one block, and every w is an integer
         # no larger than r_1 - r_m
-        irreps = irreps_up_to(m, 200)
-        for ir, rotations in zip(irreps, build_rotation_tables(irreps)):
+        irreps = tuple(irreps_up_to(m, 200))
+        tables = split_tables(irreps, (), rotation_tables.__wrapped__(irreps))
+        for ir, (_, rotations) in zip(irreps, tables):
             d, top = dim_weyl(ir), ir.row[0] - ir.row[-1]
             for k, blocks in enumerate(rotations, start=1):
                 rebuilt, seen = np.zeros((d, d)), np.zeros(d, dtype=int)
@@ -141,20 +180,26 @@ class TestTableSets:
                 assert np.abs(rebuilt - (raising + raising.T)).max(initial=0.0) <= 1e-12
 
     def test_one_pass_builds_every_missing_irrep(self, monkeypatch):
-        # a set reaches each builder once, for the irreps not yet built
-        calls = []
-        for name in ("build_raising_tables", "build_rotation_tables"):
-            real = getattr(sunrep, name)
-            monkeypatch.setattr(sunrep, name, lambda irs, real=real: calls.append(irs) or real(irs))
-        monkeypatch.setattr(sunrep, "_RAISING", {})
-        monkeypatch.setattr(sunrep, "_ROTATION", {})
-        first = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 2, 1)), SUIrrepLabel(3, (2, 1, 0))]
-        sunrep.rotation_tables(first)
-        assert calls == [first[:2], first[:2]]
-        tables = sunrep.rotation_tables([SUIrrepLabel(3, (4, 0, 0)), first[1]])
-        assert calls[2:] == [[SUIrrepLabel(3, (4, 0, 0))]] * 2
-        assert tables[1] is sunrep.rotation_tables([first[1]])[0]
-        assert len(calls) == 4
+        # one direct sum is one pass of each builder over its stacked GT
+        # rows, cached per tuple: the same tuple again is the same object,
+        # and a new tuple is one new pass of each.  Both builders get empty
+        # caches of their own.
+        passes = []
+        real = sunrep._stacked
+        monkeypatch.setattr(sunrep, "_stacked", lambda irs: passes.append(irs) or real(irs))
+        for name in ("raising_tables", "rotation_tables"):
+            monkeypatch.setattr(sunrep, name, cache(getattr(sunrep, name).__wrapped__))
+        builders = (sunrep.raising_tables, sunrep.rotation_tables)
+        first = (SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 2, 1)))
+        tables = sunrep.rotation_tables(first)
+        assert passes == [first, first]
+        assert [b.cache_info().misses for b in builders] == [1, 1]
+        assert sunrep.rotation_tables(first) is tables
+        second = (SUIrrepLabel(3, (4, 0, 0)), first[1])
+        sunrep.rotation_tables(second)
+        assert passes[2:] == [second, second]
+        assert [b.cache_info().misses for b in builders] == [2, 2]
+        assert sunrep.rotation_tables.cache_info().hits == 1
 
 
 def _cartan(occupation) -> tuple[int, ...]:
@@ -266,7 +311,7 @@ class TestGenerators:
 
     def test_generator_tables_are_read_only(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        for triples in raising_tables([ir])[0]:
+        for triples in raising_tables((ir,)):
             for arr in triples:
                 with pytest.raises(ValueError):
                     arr[0] = 1
@@ -281,7 +326,7 @@ class TestGenerators:
         index = {p: i for i, p in enumerate(pats)}
         tables = [
             dict(zip(zip(dst.tolist(), src.tolist()), amp.tolist()))
-            for src, dst, amp in raising_tables([ir])[0]
+            for src, dst, amp in raising_tables((ir,))
         ]
         raises = 0
         for pat in pats:
