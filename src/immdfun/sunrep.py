@@ -369,20 +369,22 @@ def rotation_tables(irreps: tuple[SUIrrepLabel, ...]) -> RotationTable:
 
 
 # Complex entries (512 KB) in the shared working array of a set lift: a
-# larger batch is cut into chunks of elements, so its scratch memory beyond
-# the (S, d, c) results does not grow with S.
+# larger batch is cut into chunks of elements, and each phase is lifted when
+# it is applied, so its scratch memory beyond the (S, d, c) results and the
+# elements' factors is a fixed multiple of one chunk, whatever the element
+# and rotation counts.
 LIFT_BATCH_ENTRIES = 2**15
 
 
-def _phase_diagonals(occ: np.ndarray, angles) -> np.ndarray:
-    """The diagonals e^{i n.phi} of the lifted phases of S elements, as a
-    (d, S, L) array, from the (d, m) integer occupations n and the
-    elements' (m, L) phase angles phi: one ``exp`` per angle, raised to
-    each occupation by products of two lower powers (so z^n carries about
-    log2 n roundings), then multiplied mode by mode.  Slice s equals the
-    one-element call of ``angles[s]`` bit for bit, and each entry depends
-    only on its own row of ``occ`` and column of ``angles``."""
-    z = np.exp(1j * np.ascontiguousarray(np.stack(angles, axis=1)))  # (m, S, L)
+def _phase_diagonal(occ: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The diagonals e^{i n.phi} of one lifted phase of S elements, as a
+    (d, S) array, from the (d, m) integer occupations n and the phase's
+    (m, S) angles phi: one ``exp`` per angle, raised to each occupation by
+    products of two lower powers (so z^n carries about log2 n roundings),
+    then multiplied mode by mode.  Column s equals the one-element call of
+    ``angles[:, s:s+1]`` bit for bit, and each entry depends only on its
+    own row of ``occ`` and column of ``angles``."""
+    z = np.exp(1j * np.ascontiguousarray(angles))  # (m, S)
     powers = [np.ones_like(z), z]
     for n in range(2, occ.max(initial=0) + 1):
         powers.append(powers[n // 2] * powers[n - n // 2])
@@ -461,7 +463,8 @@ def _lift_sum(table, irreps, idxs, picks, outs, factors, groups) -> list[float]:
     Irrep i's rows sit at its offset, as in ``table``, and its columns in
     slots 0..c_i-1 of one shared (sum d, max c, S) array.  A phase
     diag(e^{i phi}) lifts to diag(e^{i n.phi}) with the integer occupations
-    n of the stacked irreps, the rightmost phase only at the columns read.
+    n of the stacked irreps (:func:`_phase_diagonal`), each built when it is
+    applied, the rightmost phase only at the columns read.
     A rotation B_k(theta) gathers the rows of each stack, turns them by
     V^T, e^{-i theta w} and V as batched (B, s, s) products, and scatters
     them back; the integer eigenvalues w look their turn factors up in one
@@ -487,21 +490,20 @@ def _lift_sum(table, irreps, idxs, picks, outs, factors, groups) -> list[float]:
         for at in range(0, len(group), step):
             members = group[at : at + step]
             # x is (sum d, max c, S): each column of the chunk's S elements side by side
-            angles = [factors[s][2] for s in members]
-            phases = _phase_diagonals(occ, [a[:, :-1] for a in angles])
-            last = _phase_diagonals(occ[read], [a[:, -1:] for a in angles])
+            angles = np.stack([factors[s][2] for s in members], axis=1)  # (m, S, L + 1)
             thetas = np.array([factors[s][1] for s in members])
             x = np.zeros((total, width, len(members)), dtype=np.complex128)
-            x[read, slots] = last[:, :, 0]
+            x[read, slots] = _phase_diagonal(occ[read], angles[:, :, -1])
             for i, blocks in zip(range(len(ks) - 1, -1, -1), plan):
                 turn = np.exp(-1j * thetas[:, i] * spins[:, None])  # (2 top + 1, S)
                 for rows, v, w in blocks:
                     y = _block_times(v.transpose(0, 2, 1), x[rows]) * turn[w + top][:, :, None]
                     x[rows] = _block_times(v, y)
                 if x.size > 1:
-                    x *= phases[:, None, :, i]
+                    x *= _phase_diagonal(occ, angles[:, :, i])[:, None]
                 else:  # numpy multiplies one entry in place by a scalar path
-                    x = x * phases[:, None, :, i]  # that rounds apart from its vector loop
+                    # that rounds apart from its vector loop
+                    x = x * _phase_diagonal(occ, angles[:, :, i])[:, None]
             for i, (out, f, d, idx, pick) in enumerate(zip(outs, first, dims, idxs, picks)):
                 lifted = x[f : f + d, : len(idx)].transpose(2, 0, 1)
                 if pick is not None:  # the full columns exist only here
@@ -528,12 +530,12 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     factor of two are lifted as one direct sum, in one shared array whose
     same-size GT blocks share each product; the cached tables of every sum
     (:func:`rotation_tables`) are fetched before the first product, so a bad
-    table of any sum is refused before any is lifted.  A phase lifts through
-    integer powers of e^{i phi_k} (:func:`_phase_diagonals`), a rotation
-    through the blocks of its generator that meet the rows its columns have
-    reached (:func:`_pruned`); no dense d x d product,
-    no ``exp`` per basis vector and no logarithm is taken, so eigenvalues
-    at -1 lift exactly and the identity lifts to exact unit columns.
+    table of any sum is refused before any is lifted.  A phase lifts when it
+    is applied, through integer powers of e^{i phi_k} (:func:`_phase_diagonal`),
+    a rotation through the blocks of its generator that meet the rows its
+    columns have reached (:func:`_pruned`); no dense d x d product, no ``exp``
+    per basis vector and no logarithm is taken, so eigenvalues at -1 lift
+    exactly and the identity lifts to exact unit columns.
     Elements with the same rotation sequence share each product, S elements
     at a time within :data:`LIFT_BATCH_ENTRIES`, and only the picked rows
     of each chunk are kept: every entry equals the entry of the whole

@@ -34,8 +34,8 @@ from .symgroup import Partition, dim_sym, partitions_of
 from .sunrep import (
     SUIrrepLabel,
     chain_labels,
+    gt_array,
     lift_batch,
-    pattern_rows,
     weight_block,
 )
 
@@ -463,8 +463,8 @@ def plethysm_su2_suite(
 
 def _two_j(irrep: SUIrrepLabel, i: int) -> int:
     """Twice the su(2) angular momentum of basis vector i: the spread of
-    its two-entry pattern row."""
-    top, bottom = pattern_rows(irrep)[i][-2]
+    its two-entry pattern row (:func:`gt_array` columns -3 and -2)."""
+    top, bottom = gt_array(irrep)[i, -3:-1].tolist()
     return top - bottom
 
 

@@ -35,7 +35,7 @@ from immdfun.linalgimm import (
 )
 from immdfun.sunrep import (
     SUIrrepLabel,
-    _phase_diagonals,
+    _phase_diagonal,
     dim_weyl,
     lift_batch,
     occupations,
@@ -404,18 +404,38 @@ def test_batch_slices_are_single_lifts(irrep, seed, data):
 @pytest.mark.parametrize("row", [(1, 1, 1, 1), (1, 0, 0), (2, 1, 0), (4, 2, 1, 0), (3, 1, 1, 0, 0)])
 def test_stacked_phases_are_single_phases(row):
     # d = 1 included; the powers of e^{i phi} stay within a few roundings of
-    # one exp of n.phi per entry
+    # one exp of n.phi per entry, phase by phase
     irrep = SUIrrepLabel(len(row), row)
     occ = occupations(irrep)
     elements = haar_random_unitaries(irrep.m, range(40, 52))
-    angles = [phi for _, _, phi in givens_factors(elements)]
-    stacked = _phase_diagonals(occ, angles)
+    angles = np.stack([phi for _, _, phi in givens_factors(elements)], axis=1)
     rotations = irrep.m * (irrep.m - 1) // 2  # Haar samples null every lower entry
-    assert stacked.shape == (dim_weyl(irrep), len(angles), rotations + 1)
-    assert stacked.flags.c_contiguous
-    for s, a in enumerate(angles):
-        assert np.abs(stacked[:, s] - np.exp(1j * (occ @ a))).max() <= 1e-14
-        assert np.array_equal(stacked[:, s], _phase_diagonals(occ, [a])[:, 0])
+    assert angles.shape == (irrep.m, len(elements), rotations + 1)
+    for i in range(rotations + 1):
+        stacked = _phase_diagonal(occ, angles[:, :, i])
+        assert stacked.shape == (dim_weyl(irrep), len(elements))
+        assert stacked.flags.c_contiguous
+        for s in range(len(elements)):
+            assert np.abs(stacked[:, s] - np.exp(1j * (occ @ angles[:, s, i]))).max() <= 1e-14
+            assert np.array_equal(stacked[:, s], _phase_diagonal(occ, angles[:, s : s + 1, i])[:, 0])
+
+
+def test_lift_working_memory_is_bounded_by_its_chunk():
+    # each phase's diagonal is built when it is applied, so a chunk's scratch
+    # memory does not grow with its rotation count: 600 Haar elements of
+    # SU(5), 10 rotations each, lifted at one column of (5, 0, 0, 0, 0)
+    irrep = SUIrrepLabel(5, (5, 0, 0, 0, 0))
+    elements = haar_random_unitaries(5, range(600))
+    givens_factors(elements)
+    lift_batch([irrep], elements[:1], [[0]])  # builds the tables
+    tracemalloc.start()
+    try:
+        [lifted] = lift_batch([irrep], elements, [[0]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lifted.shape == (600, 126, 1)
+    assert peak - lifted.nbytes <= 8 * sunrep.LIFT_BATCH_ENTRIES * 16
 
 
 @pytest.mark.parametrize("row", [(1, 1, 1, 1), (2, 1, 0), (4, 2, 1, 0)])
@@ -622,7 +642,7 @@ def test_set_refusals_come_before_any_product(monkeypatch):
         raise AssertionError("a product ran before the refusal")
 
     monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
-    for name in ("rotation_tables", "_block_times", "_phase_diagonals"):
+    for name in ("rotation_tables", "_block_times", "_phase_diagonal"):
         monkeypatch.setattr(sunrep, name, forbidden)
     a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
     good = haar_random_unitary(3, 2)
@@ -694,7 +714,7 @@ def test_row_refusals_come_before_any_table_or_product(monkeypatch):
         raise AssertionError("a table or product was built before the refusal")
 
     monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
-    for name in ("rotation_tables", "_block_times", "_phase_diagonals"):
+    for name in ("rotation_tables", "_block_times", "_phase_diagonal"):
         monkeypatch.setattr(sunrep, name, forbidden)
     a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
     good = haar_random_unitary(3, 2)
@@ -816,7 +836,7 @@ def test_a_bad_table_of_the_second_sum_is_refused_before_any_product(monkeypatch
     breaks = {"orthogonal": lambda w, v: (w, 1.001 * v), "integral": lambda w, v: (w + 0.3, v)}
     with monkeypatch.context() as broken:
         broken.setattr(np.linalg, "eigh", lambda x: breaks[flaw](*real_eigh(x)))
-        for name in ("_block_times", "_phase_diagonals"):
+        for name in ("_block_times", "_phase_diagonal"):
             broken.setattr(sunrep, name, forbidden)
         message = rf"rotation \w+ \d of SU\(3\)\(3, 0, 0\) is not {flaw}"
         with pytest.raises(DomainError, match=message):
