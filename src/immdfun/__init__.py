@@ -21,7 +21,6 @@ from .symgroup import (
     character,
     dim_sym,
     partitions_of,
-    young_tables,
 )
 from .sunrep import (
     SUIrrepLabel,
@@ -52,5 +51,4 @@ __all__ = [
     "permanent_ryser_batch",
     "su2_euler",
     "submatrix",
-    "young_tables",
 ]

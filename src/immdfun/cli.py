@@ -43,7 +43,7 @@ from .linalgimm import (
 )
 from .reports import CSV_FIELDS, to_csv_row
 from .symgroup import Partition
-from .sunrep import SUIrrepLabel, lift_batch, pattern_rows
+from .sunrep import ENTRY_CAP, SUIrrepLabel, lift_batch, pattern_rows
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -107,7 +107,8 @@ def _matrix_source(args) -> tuple[int | None, Callable[[], np.ndarray]]:
     A file is read and an Euler matrix built at once, and the function
     returns them; an identity or a Haar sample, whose side is the user's,
     is built only when the function is called, so that a command can
-    refuse that side first.
+    refuse that side first, and the function refuses a side whose matrix
+    would hold more than ``ENTRY_CAP`` entries before allocating it.
     """
     sources = [
         args.matrix_file is not None,
@@ -131,10 +132,20 @@ def _matrix_source(args) -> tuple[int | None, Callable[[], np.ndarray]]:
     if args.identity is not None:
         if args.identity < 1:
             raise DomainError(f"--identity must be >= 1, got {args.identity}")
-        return args.identity, lambda: np.eye(args.identity, dtype=np.complex128)
-    if args.haar < 2:
-        raise DomainError(f"--haar must be >= 2, got {args.haar}")
-    return args.haar, lambda: haar_random_unitaries(args.haar, [args.seed])[0].matrix
+        side, make = args.identity, lambda: np.eye(args.identity, dtype=np.complex128)
+    else:
+        if args.haar < 2:
+            raise DomainError(f"--haar must be >= 2, got {args.haar}")
+        side, make = args.haar, lambda: haar_random_unitaries(args.haar, [args.seed])[0].matrix
+
+    def build():
+        if side * side > ENTRY_CAP:
+            raise ResourceLimitError(
+                f"a {side} x {side} matrix holds {side * side} entries, over the entry cap {ENTRY_CAP}"
+            )
+        return make()
+
+    return side, build
 
 
 def _json(obj) -> str:

@@ -8,10 +8,11 @@ every other C_ij with i < j follows by index gap from the commutator
 
 The symmetric group one element at a time: :class:`Permutation` objects,
 all of S_n in ``itertools.permutations`` order, their permutation matrices,
-the size of each conjugacy class, and :func:`young_matrix`, which picks one
-permutation's matrix out of :func:`~immdfun.symgroup.young_tables`.  The
-brute-force oracles build on :class:`Permutation`, whose cycle type is its
-own cycle walk, so they share no code with :func:`~immdfun.symgroup.sn_tables`.
+the size of each conjugacy class, and :func:`young_matrix`, Young's
+orthogonal matrix of one permutation from the bubble-sort reference in
+:mod:`_tableaux`.  The brute-force oracles build on :class:`Permutation`,
+whose cycle type is its own cycle walk, so they share no code with
+:func:`~immdfun.symgroup.sn_tables`.
 """
 
 import math
@@ -21,7 +22,9 @@ import numpy as np
 
 from immdfun.errors import DomainError
 from immdfun.sunrep import SUIrrepLabel, dim_weyl, occupations, raising_tables
-from immdfun.symgroup import Partition, young_tables
+from immdfun.symgroup import Partition
+
+from _tableaux import young_orthogonal
 
 
 def generator_matrix(irrep: SUIrrepLabel, i: int, j: int) -> np.ndarray:
@@ -128,10 +131,6 @@ def class_size(cls: Partition) -> int:
 
 
 def young_matrix(p: Partition, s: Permutation) -> np.ndarray:
-    """Young's orthogonal matrix of s in the irrep {p}: the row of
-    :func:`~immdfun.symgroup.young_tables` at the lexicographic rank of s."""
-    rank = 0
-    for i, img in enumerate(s.images):
-        later_smaller = sum(1 for x in s.images[i + 1 :] if x < img)
-        rank += later_smaller * math.factorial(s.n - 1 - i)
-    return young_tables(p)[rank]
+    """Young's orthogonal matrix of s in the irrep {p}, in the last-letter
+    order of the standard tableaux of p."""
+    return young_orthogonal(p, s)

@@ -1,11 +1,11 @@
 """Standard tableaux as nested tuples and Young's orthogonal form one
-permutation at a time: the reference the tests hold the array tables of
-:mod:`immdfun.symgroup` against.
+permutation at a time: the matrices the tests check characters and the
+homomorphism property against.
 
 A tableau is a tuple of rows of the letters 1..n.  A permutation is a
 :class:`_generators.Permutation`, factored by bubble sort into adjacent
 transpositions whose matrices are multiplied in turn, so nothing here
-shares code with ``tableau_words`` or ``young_tables``.
+shares code with :mod:`immdfun.symgroup`.
 """
 
 import math

@@ -728,6 +728,18 @@ class TestSideRefusedBeforeBuilding:
         code, out, err = run(capsys, "immanant", "--partition", "12", "--identity", "12")
         assert (code, out) == (EXIT_RESOURCE, "") and "capped" in err
 
+    @pytest.mark.parametrize("flag", ["--identity", "--haar"])
+    def test_side_over_the_entry_cap_builds_nothing(self, capsys, monkeypatch, flag):
+        # the selector passes every check, so only the matrix size is left to refuse
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the matrix was built before the refusal")
+
+        monkeypatch.setattr(cli, "haar_random_unitaries", forbidden)
+        monkeypatch.setattr(cli.np, "eye", forbidden)
+        got = run(capsys, "immanant", "--partition", "2", flag, "2049", "--rows", "1,2", "--cols", "1,2")
+        message = "a 2049 x 2049 matrix holds 4198401 entries, over the entry cap 4194304"
+        assert got == (EXIT_RESOURCE, "", f"resource limit: {message}\n")
+
     @pytest.mark.parametrize(
         "argv, side, message",
         [

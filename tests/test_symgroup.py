@@ -3,18 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from immdfun.errors import DomainError, ResourceLimitError
+from immdfun.errors import DomainError
 from immdfun.symgroup import (
-    YOUNG_TABLE_CAP,
     Partition,
-    _adjacent_matrices,
     character,
     character_weights,
     dim_sym,
     partitions_of,
     sn_tables,
-    tableau_words,
-    young_tables,
 )
 
 import _tableaux as ref
@@ -80,7 +76,7 @@ class TestDims:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_counts_tableaux(self, n):
         for p in partitions_of(n):
-            assert dim_sym(p) == len(tableau_words(p))
+            assert dim_sym(p) == len(ref.standard_tableaux(p))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sum_of_squares(self, n):
@@ -134,6 +130,14 @@ class TestCharacter:
                     class_size(c) * character(a, c) * character(b, c) for c in parts
                 )
                 assert total == (math.factorial(n) if a == b else 0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_weights_follow_the_permutation_order(self, n):
+        perms = all_permutations(n)
+        assert [list(s.images) for s in perms] == (sn_tables(n)[0] + 1).tolist()
+        classes = [s.cycle_type() for s in perms]
+        for p in partitions_of(n):
+            assert character_weights(p).tolist() == [character(p, c) for c in classes]
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_orthogonal_trace(self, n):
@@ -192,42 +196,3 @@ class TestYoungOrthogonal:
                 round(float(np.trace(young_matrix(p, s))), 9)
             )
         assert all(len(v) == 1 for v in traces.values())
-
-
-class TestYoungTables:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_words_and_adjacent_matrices_equal_the_reference(self, n):
-        for p in partitions_of(n):
-            tabs = ref.standard_tableaux(p)
-            assert not tableau_words(p).flags.writeable
-            assert tableau_words(p).tolist() == [ref.word(t) for t in tabs]
-            adjacent = _adjacent_matrices(p)
-            assert adjacent.shape == (n - 1, len(tabs), len(tabs))
-            for k in range(1, n):
-                assert np.array_equal(adjacent[k - 1], ref.adjacent_matrix(p, k))
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_tables_equal_the_reference(self, n):
-        # every permutation, in sn_tables order, against the product of its
-        # bubble-sort factors; the two multiply in different orders
-        perms = all_permutations(n)
-        assert [list(s.images) for s in perms] == (sn_tables(n)[0] + 1).tolist()
-        for p in partitions_of(n):
-            tables = young_tables(p)
-            assert not tables.flags.writeable
-            assert tables.shape == (len(perms),) + (dim_sym(p),) * 2
-            for table, s in zip(tables, perms):
-                assert np.abs(table - ref.young_orthogonal(p, s)).max() <= 1e-14
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_traces_are_characters(self, n):
-        for p in partitions_of(n):
-            traces = np.trace(young_tables(p), axis1=1, axis2=2)
-            assert np.abs(traces - character_weights(p)).max() < 1e-12
-
-    def test_cap_refuses_large_tables(self):
-        p = P(4, 2, 1, 1)
-        assert math.factorial(8) * dim_sym(p) ** 2 > YOUNG_TABLE_CAP
-        with pytest.raises(ResourceLimitError):
-            young_tables(p)
-        assert young_tables(P(8)).shape == (math.factorial(8), 1, 1)
