@@ -196,3 +196,41 @@ class TestYoungOrthogonal:
                 round(float(np.trace(young_matrix(p, s))), 9)
             )
         assert all(len(v) == 1 for v in traces.values())
+
+
+def reference_tables(p):
+    """Young's orthogonal matrix of every permutation, in sn_tables order,
+    each the product of its own bubble-sort factors."""
+    images = sn_tables(p.n)[0]
+    return np.array([ref.young_orthogonal(p, Permutation(row + 1)) for row in images])
+
+
+class TestYoungTables:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tables_equal_the_reference(self, n):
+        # every permutation, in sn_tables order, against the table of s o s_k
+        # times the matrix of s_k; the two multiply in different orders
+        perms = all_permutations(n)
+        images = sn_tables(n)[0]
+        assert [list(s.images) for s in perms] == (images + 1).tolist()
+        index = {tuple(row): a for a, row in enumerate(images.tolist())}
+        for p in partitions_of(n):
+            tables = reference_tables(p)
+            assert tables.shape == (len(perms),) + (dim_sym(p),) * 2
+            assert np.array_equal(tables[0], np.eye(dim_sym(p)))
+            for k in range(1, n):
+                swap = list(range(n))
+                swap[k - 1], swap[k] = k, k - 1
+                for a, row in enumerate(images):
+                    b = index[tuple(row[swap].tolist())]
+                    product = tables[b] @ ref.adjacent_matrix(p, k)
+                    assert np.abs(tables[a] - product).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_traces_are_characters(self, n):
+        images = sn_tables(n)[0]
+        for p in partitions_of(n):
+            traces = np.array(
+                [np.trace(ref.young_orthogonal(p, Permutation(row + 1))) for row in images]
+            )
+            assert np.abs(traces - character_weights(p)).max() < 1e-12
