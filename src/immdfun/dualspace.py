@@ -27,6 +27,7 @@ from functools import cache
 
 import numpy as np
 
+from . import sunrep
 from .errors import DomainError, ResourceLimitError
 from .symgroup import Partition, character_weights, dim_sym, sn_tables
 from .sunrep import SUIrrepLabel, occupations, raising_tables, weight_block
@@ -146,7 +147,10 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
     Entry i, for basis position i, is a read-only (blocksize, n_copies)
     array on the computational block of ``occupations(label)[i]`` (see
     :func:`_weight_blocks`); its column alpha belongs to copy alpha.  An
-    irrep whose box count is not N has no copies and an empty tuple.
+    irrep whose box count is not N has no copies and an empty tuple.  A
+    weight whose stacked system (equations x block size x copies) holds
+    more than ``sunrep.ENTRY_CAP`` entries is refused before its right-hand
+    sides are built.
     """
     blocks, _ = _weight_blocks(m, factors)
     if row not in blocks:
@@ -175,7 +179,7 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
         for occ_here, idx in by_level[lev].items():
             # lowering the level above gives, per upper pattern r, one known
             # GT combination of this block's chain vectors; solve for them
-            arows, brows = [], []
+            kept = []  # per lowering: mode i, the upper weight, its patterns r, their rows
             for i in range(1, m):
                 occ_up = list(occ_here)
                 occ_up[i - 1] += 1
@@ -183,19 +187,30 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
                 upper = by_level.get(lev - 1, {}).get(tuple(occ_up))
                 if upper is None:
                     continue
-                hop = _block_hop(m, factors, tuple(occ_up), i, i + 1)  # C_{i+1,i}
                 # C_{i,i+1} from this block's patterns, which it raises into upper
                 src, dst, amp = raising[i - 1]
                 at = np.minimum(np.searchsorted(idx, src), len(idx) - 1)
                 hit = idx[at] == src
                 raise_block = np.zeros((len(upper), len(idx)))
                 raise_block[np.searchsorted(upper, dst[hit]), at[hit]] = amp[hit]
-                for r, arow in zip(upper, raise_block):
-                    if arow.any():
-                        arows.append(arow)
-                        brows.append(hop @ table[r])
+                live = raise_block.any(axis=1)
+                if live.any():
+                    kept.append((i, tuple(occ_up), upper[live], raise_block[live]))
+            arows = np.vstack([rows for *_, rows in kept])
+            blocksize = len(blocks[occ_here])
+            entries = len(arows) * blocksize * n_copies
+            if entries > sunrep.ENTRY_CAP:  # read at call time
+                raise ResourceLimitError(
+                    f"the chain vectors of {label} at weight {occ_here} solve"
+                    f" {len(arows)} x {blocksize} x {n_copies} = {entries} entries,"
+                    f" over the entry cap {sunrep.ENTRY_CAP}"
+                )
+            brows = []
+            for i, occ_up, upper, _ in kept:
+                hop = _block_hop(m, factors, occ_up, i, i + 1)  # C_{i+1,i}
+                brows += [hop @ table[r] for r in upper]
             bmat = np.stack(brows, axis=0)  # (n_eq, blocksize, n_copies)
-            sol, *_ = np.linalg.lstsq(np.array(arows), bmat.reshape(len(brows), -1), rcond=None)
+            sol, *_ = np.linalg.lstsq(arows, bmat.reshape(len(brows), -1), rcond=None)
             sol = sol.reshape(len(idx), -1, n_copies)
             for c, s in enumerate(idx):
                 table[s] = sol[c]

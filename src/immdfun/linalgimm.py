@@ -1,9 +1,10 @@
-"""Complex matrices, special-unitary elements, submatrix selection, and
-immanant evaluation.
+"""Complex matrices, special-unitary elements, their Givens factoring,
+submatrix selection, and immanant evaluation.
 
 The immanant is always the exact character-weighted permutation sum; the
 Ryser permanent is an independent fast path, used on its own and as the
-oracle for the {n} immanant.
+oracle for the {n} immanant.  Both sums run in vectorized numpy over a
+stack of matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, ResourceLimitError
 from .symgroup import Partition, character_weights, sn_tables
 
@@ -74,7 +74,7 @@ class UnitaryElement:
 
     def __post_init__(self):
         mat = as_square(self.matrix).copy()
-        mat.flags.writeable = False  # the cached factors below must stay valid
+        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         _check_special_unitary(mat[None], self.unitarity_tol)
 
@@ -115,19 +115,7 @@ class UnitaryElement:
 Factors = tuple[tuple[int, ...], np.ndarray, np.ndarray]  # (k_1..k_L), theta (L,), phi (m, L+1)
 
 
-def givens_factors(elements) -> list[Factors]:
-    """:func:`_givens_factors` of each element (all of one m), computed once
-    per element: the elements not yet factored are factored as one stack,
-    and each keeps its factors for every later lift, into any irrep."""
-    elements = list(elements)
-    todo = list({id(e): e for e in elements if "_factors" not in vars(e)}.values())
-    if todo:
-        for element, factors in zip(todo, _givens_factors(np.array([e.matrix for e in todo]))):
-            object.__setattr__(element, "_factors", factors)
-    return [vars(e)["_factors"] for e in elements]
-
-
-def _givens_factors(mats: np.ndarray) -> list[Factors]:
+def givens_factors(mats: np.ndarray) -> list[Factors]:
     """Adjacent rotations and phases with U = P_0 B_{k_1}(theta_1) P_1 ... B_{k_L}(theta_L) P_L
     for every U of an (S, m, m) stack, each as ((k_1, ..., k_L), theta, phi).
 
@@ -274,20 +262,50 @@ def immanant_batch(p: Partition, mats) -> np.ndarray:
     (S,) complex array.
 
     Deterministic for fixed input: terms are accumulated in the fixed
-    ``itertools.permutations`` order, and slice s equals the one-slice
-    stack of ``mats[s]`` bit for bit.
+    ``itertools.permutations`` order, permutations of weight 0 skipped.
+    The products of every matrix run over one (S * P, n) array and each sum
+    is its own dot product, so slice s equals the one-slice stack of
+    ``mats[s]`` bit for bit.
     """
-    arr = _as_stack(mats)
-    check_immanant_side(p, arr.shape[-1])
-    perms, _, _ = sn_tables(arr.shape[-1])
-    return _kernels.imm_sum_batch(arr, perms, character_weights(p))
+    arr = np.ascontiguousarray(_as_stack(mats))
+    n = arr.shape[-1]
+    check_immanant_side(p, n)
+    perms, _, _ = sn_tables(n)
+    weights = character_weights(p)
+    live = np.nonzero(weights)[0]
+    gathered = arr[:, np.arange(n)[None, :], perms[live]].reshape(-1, n)
+    prods = np.prod(gathered, axis=1).reshape(len(arr), live.size)
+    w = weights[live]
+    return np.array([np.dot(w, row) for row in prods], dtype=np.complex128)
 
 
 def permanent_ryser_batch(mats) -> np.ndarray:
     """Permanent of every matrix of an (S, n, n) stack via Ryser
-    inclusion-exclusion over column subsets, as an (S,) complex array whose
-    slice s equals the one-slice stack of ``mats[s]`` bit for bit."""
-    arr = _as_stack(mats)
-    if arr.shape[-1] > RYSER_CAP:
+    inclusion-exclusion over column subsets in binary order, as an (S,)
+    complex array.
+
+    The subsets run in blocks of B = 2^min(n, 16), and each block's row
+    sums are formed for 2^16 / B matrices at a time (at least one), so the
+    scratch memory does not grow with S.  The products run over one
+    (S' * B, n) array and each block sum is its own dot product, so slice s
+    equals the one-slice stack of ``mats[s]`` bit for bit.
+    """
+    arr = np.ascontiguousarray(_as_stack(mats))
+    n = arr.shape[-1]
+    if n > RYSER_CAP:
         raise ResourceLimitError(f"Ryser permanent capped at n = {RYSER_CAP}")
-    return _kernels.ryser_permanent_batch(arr)
+    totals = np.zeros(len(arr), dtype=np.complex128)
+    chunk = 1 << min(n, 16)
+    per = max(1, (1 << 16) // chunk)
+    subsets = np.arange(1, 1 << n, dtype=np.int64)
+    for start in range(0, subsets.size, chunk):
+        block = subsets[start : start + chunk]
+        masks = ((block[:, None] >> np.arange(n)) & 1).astype(np.float64)
+        signs = np.where(masks.sum(axis=1).astype(np.int64) % 2 == 0, 1.0, -1.0)
+        for first in range(0, len(arr), per):
+            group = arr[first : first + per]
+            rowsums = masks @ group.transpose(0, 2, 1)
+            prods = np.prod(rowsums.reshape(-1, n), axis=1).reshape(len(group), -1)
+            for s, row in enumerate(prods, first):
+                totals[s] += np.dot(signs, row)
+    return -totals if n % 2 else totals

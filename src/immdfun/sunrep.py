@@ -523,11 +523,12 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     None alone means all columns (rows) of every irrep.  A lone irrep is a
     set of one.
 
-    Each element is factored into diagonal phases and adjacent-mode
-    rotations once (:func:`~immdfun.linalgimm.givens_factors`, cached on
-    each element), and the factors' lifts are applied right to left to unit
-    columns (:func:`_lift_sum`).  Irreps whose column counts lie within a
-    factor of two are lifted as one direct sum, in one shared array whose
+    The elements are factored into diagonal phases and adjacent-mode
+    rotations once per call, as one stack
+    (:func:`~immdfun.linalgimm.givens_factors`), and the factors' lifts are
+    applied right to left to unit columns (:func:`_lift_sum`).  Irreps
+    whose column counts lie within a factor of two are lifted as one
+    direct sum, in one shared array whose
     same-size GT blocks share each product; the cached tables of every sum
     (:func:`rotation_tables`) are fetched before the first product, so a bad
     table of any sum is refused before any is lifted.  A phase lifts when it
@@ -588,7 +589,7 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     outs = [np.empty(shape, dtype=np.complex128) for shape in shapes]
     if not (elements and irreps):
         return outs
-    factors = givens_factors(elements)
+    factors = givens_factors(np.array([e.matrix for e in elements]))
     groups: dict[tuple[int, ...], list[int]] = {}  # elements by rotation sequence
     for s, (kinds, _, _) in enumerate(factors):
         groups.setdefault(kinds, []).append(s)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import immdfun
-from immdfun import cli, dualspace, linalgimm, plethysm, sunrep, verification
+from immdfun import cli, dualspace, plethysm, sunrep, verification
 from immdfun.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, load_matrix_file, main
 from immdfun.errors import MatrixParseError
 from immdfun.symgroup import Partition
@@ -272,7 +272,7 @@ class TestVerifyCommand:
         def forbidden(*args):
             raise AssertionError("a rotation table was built before the refusal")
 
-        monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+        monkeypatch.setattr(sunrep, "givens_factors", forbidden)
         tables = sunrep.rotation_tables.cache_info()
         code, out, err = run(capsys, "verify", "kostant", "--m", "8")
         assert (code, out) == (EXIT_RESOURCE, "")

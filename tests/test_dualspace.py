@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from immdfun.symgroup import (
     dim_sym,
     partitions_of,
 )
-from immdfun import linalgimm, sunrep, symgroup, verification
+from immdfun import dualspace, sunrep, symgroup, verification
 from immdfun.sunrep import (
     SUIrrepLabel,
     occupations,
@@ -483,15 +484,15 @@ class TestConjectureScan:
     def test_default_suite_draws_and_factors_the_su5_samples_once(self, monkeypatch):
         # the two named SU(5) pairs lift one shared draw, factored once
         draws, factored = [], []
-        real_draw, real_factors = verification.haar_random_unitaries, linalgimm._givens_factors
+        real_draw, real_factors = verification.haar_random_unitaries, sunrep.givens_factors
         monkeypatch.setattr(
             verification,
             "haar_random_unitaries",
             lambda m, seeds: draws.append((m, list(seeds))) or real_draw(m, seeds),
         )
         monkeypatch.setattr(
-            linalgimm,
-            "_givens_factors",
+            sunrep,
+            "givens_factors",
             lambda mats: factored.append(mats.shape[:2]) or real_factors(mats),
         )
         reports = verification.conjecture_suite(samples=3)
@@ -547,3 +548,30 @@ class TestResourceCaps:
         with pytest.raises(ResourceLimitError):
             immanant_projector(P(8))
         assert symgroup.sn_tables.cache_info().misses == misses
+
+    def test_chain_vector_system_over_the_entry_cap_is_refused(self, monkeypatch):
+        # SU(4) {2,1,1} in (C^4)^(x4) has 3 copies; its widest system is the
+        # weight (1, 1, 1, 1): 3 equations on a block of 24 states.  The cap
+        # is read at call time, and a refused irrep leaves no cache entry.
+        full = (1, 2, 3, 4)
+        want = coefficient_matrix(4, P(2, 1, 1), full, full).entries
+        sunrep.gt_array(SUIrrepLabel(4, (2, 1, 1, 0)))  # built under the full cap
+        monkeypatch.setattr(dualspace, "_chain_vectors", cache(_chain_vectors.__wrapped__))
+        monkeypatch.setattr(sunrep, "ENTRY_CAP", 215)
+        message = r"SU\(4\)\(2, 1, 1, 0\) at weight \(1, 1, 1, 1\) solve 3 x 24 x 3 = 216 entries"
+        with pytest.raises(ResourceLimitError, match=message):
+            coefficient_matrix(4, P(2, 1, 1), full, full)
+        assert dualspace._chain_vectors.cache_info().currsize == 0
+        monkeypatch.setattr(sunrep, "ENTRY_CAP", 216)
+        assert np.array_equal(coefficient_matrix(4, P(2, 1, 1), full, full).entries, want)
+        # below the first level's system nothing is solved
+        dualspace._chain_vectors.cache_clear()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chain-vector system was solved before the refusal")
+
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        monkeypatch.setattr(sunrep, "ENTRY_CAP", 35)
+        with pytest.raises(ResourceLimitError, match=r"weight \(1, 2, 1, 0\) solve 1 x 12 x 3 = 36"):
+            coefficient_matrix(4, P(2, 1, 1), full, full)
+        assert dualspace._chain_vectors.cache_info().currsize == 0

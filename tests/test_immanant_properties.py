@@ -5,8 +5,8 @@ random selectors, against Ryser and LU at the two one-dimensional
 characters, and the character table against its column orthogonality.
 The duality route's projector is checked against its defining sum over
 relabelled basis states.  The stacked evaluations equal their one-element
-slices bit for bit, the evaluations of many selectors at once equal each
-selector's own, and an element is factored once for all its lifts.
+slices bit for bit, and the evaluations of many selectors at once equal
+each selector's own.
 Example counts stay small so the whole file runs in a few seconds.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immdfun import linalgimm
 from immdfun.dualspace import (
     _mode_index,
     coefficient_matrix,
@@ -150,20 +149,6 @@ def test_stacked_coefficient_values_equal_their_slices_bit_for_bit():
     for cm in cms:
         stacked = coefficient_matrix_value(cm, lifts, cols)
         assert list(stacked) == [coefficient_matrix_value(cm, lf, cols) for lf in lifts]
-
-
-def test_second_lift_of_the_same_elements_factors_nothing(monkeypatch):
-    calls = []
-    real = linalgimm._givens_factors
-    monkeypatch.setattr(
-        linalgimm, "_givens_factors", lambda mats: calls.append(len(mats)) or real(mats)
-    )
-    elements = [haar_random_unitary(3, 40 + i) for i in range(4)]
-    lift_batch([SUIrrepLabel(3, (2, 1, 0))], elements)
-    assert calls == [len(elements)]  # one stack
-    lift_batch([SUIrrepLabel(3, (2, 1, 0))], elements)
-    lift_batch([SUIrrepLabel(3, (3, 0, 0))], elements, [[0, 2]])
-    assert calls == [len(elements)]
 
 
 @FEW

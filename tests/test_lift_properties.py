@@ -22,13 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immdfun import linalgimm, sunrep, verification
+from immdfun import sunrep, verification
 from immdfun.dualspace import _chain_vectors, _weight_blocks, state_weight
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
     UnitaryElement,
-    _givens_factors,
     givens_factors,
     haar_random_unitaries,
     submatrix,
@@ -268,12 +267,12 @@ def test_set_cap_boundary(monkeypatch, chunk, cols, rows, returned, widest):
     def forbidden(*args):
         raise AssertionError("a table or product was built")
 
-    monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+    monkeypatch.setattr(sunrep, "givens_factors", forbidden)
     for name in ("rotation_tables", "_block_times"):
         monkeypatch.setattr(sunrep, name, forbidden)
     monkeypatch.setattr(sunrep, "LIFT_BATCH_ENTRIES", chunk)
     irreps = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))]
-    batch = [UnitaryElement(np.eye(3)) for _ in range(2)]  # not yet factored
+    batch = [UnitaryElement(np.eye(3)) for _ in range(2)]
     working = max(chunk, widest)
     monkeypatch.setattr(sunrep, "ENTRY_CAP", returned + working)
     with pytest.raises(AssertionError, match="a table or product was built"):  # admitted
@@ -329,8 +328,13 @@ def _mixed_batch(m: int, seed: int) -> list[UnitaryElement]:
     return batch
 
 
+def _factors(elements) -> list:
+    """The Givens factors of each element, factored as one stack."""
+    return givens_factors(np.array([e.matrix for e in elements]))
+
+
 def _rotation_groups(batch) -> int:
-    return len({kinds for kinds, _, _ in givens_factors(batch)})
+    return len({kinds for kinds, _, _ in _factors(batch)})
 
 
 def _loop_factors(umat: np.ndarray):
@@ -370,10 +374,10 @@ def test_stacked_factors_are_single_factors(m):
     for seed in (1, 2):
         batch = _mixed_batch(m, seed)
         mats = np.array([u.matrix for u in batch])
-        stacked = _givens_factors(mats)
+        stacked = givens_factors(mats)
         assert len({kinds for kinds, _, _ in stacked}) >= 2
         for s, (kinds, thetas, phases) in enumerate(stacked):
-            [(one_kinds, one_thetas, one_phases)] = _givens_factors(mats[s : s + 1])
+            [(one_kinds, one_thetas, one_phases)] = givens_factors(mats[s : s + 1])
             assert kinds == one_kinds
             assert thetas.tobytes() == one_thetas.tobytes()
             assert phases.tobytes() == one_phases.tobytes() and phases.shape == one_phases.shape
@@ -408,7 +412,7 @@ def test_stacked_phases_are_single_phases(row):
     irrep = SUIrrepLabel(len(row), row)
     occ = occupations(irrep)
     elements = haar_random_unitaries(irrep.m, range(40, 52))
-    angles = np.stack([phi for _, _, phi in givens_factors(elements)], axis=1)
+    angles = np.stack([phi for _, _, phi in _factors(elements)], axis=1)
     rotations = irrep.m * (irrep.m - 1) // 2  # Haar samples null every lower entry
     assert angles.shape == (irrep.m, len(elements), rotations + 1)
     for i in range(rotations + 1):
@@ -426,7 +430,6 @@ def test_lift_working_memory_is_bounded_by_its_chunk():
     # SU(5), 10 rotations each, lifted at one column of (5, 0, 0, 0, 0)
     irrep = SUIrrepLabel(5, (5, 0, 0, 0, 0))
     elements = haar_random_unitaries(5, range(600))
-    givens_factors(elements)
     lift_batch([irrep], elements[:1], [[0]])  # builds the tables
     tracemalloc.start()
     try:
@@ -562,7 +565,7 @@ def test_batch_refusals_come_before_any_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a product ran before the refusal")
 
-    monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+    monkeypatch.setattr(sunrep, "givens_factors", forbidden)
     for name in ("rotation_tables", "_block_times"):
         monkeypatch.setattr(sunrep, name, forbidden)
     irrep = SUIrrepLabel(3, (2, 1, 0))
@@ -624,6 +627,32 @@ def test_set_slices_are_single_irrep_lifts(m):
             assert got.tobytes() == lift_batch([ir], batch)[0].tobytes()
 
 
+def test_a_set_lift_factors_its_stack_once_per_call(monkeypatch):
+    # (2, 1, 0) at every column and (3, 0, 0) at one lift as two direct
+    # sums; both read the call's one factoring of the whole stack, repeated
+    # element included, and no element keeps anything of it
+    stacks, sums = [], []
+    real_factors, real_tables = sunrep.givens_factors, sunrep.rotation_tables
+    monkeypatch.setattr(
+        sunrep, "givens_factors", lambda mats: stacks.append(mats.copy()) or real_factors(mats)
+    )
+    monkeypatch.setattr(
+        sunrep, "rotation_tables", lambda irreps: sums.append(irreps) or real_tables(irreps)
+    )
+    batch = _mixed_batch(3, 3)
+    batch.append(batch[1])
+    before = [dict(vars(u)) for u in batch]
+    irreps = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))]
+    for call in (1, 2):
+        lift_batch(irreps, batch, [None, [0]])
+        assert len(stacks) == call and len(sums) == 2 * call
+        assert np.array_equal(stacks[-1], np.array([u.matrix for u in batch]))
+    assert sums[:2] == [(irreps[0],), (irreps[1],)]
+    for u, was in zip(batch, before):
+        assert vars(u).keys() == was.keys()
+        assert all(vars(u)[key] is value for key, value in was.items())
+
+
 @pytest.mark.parametrize("row", ROWS)
 def test_single_column_is_the_full_lifts_column_exactly(row):
     # the pruned lift of one column skips every block its support has not
@@ -641,7 +670,7 @@ def test_set_refusals_come_before_any_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a product ran before the refusal")
 
-    monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+    monkeypatch.setattr(sunrep, "givens_factors", forbidden)
     for name in ("rotation_tables", "_block_times", "_phase_diagonal"):
         monkeypatch.setattr(sunrep, name, forbidden)
     a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
@@ -713,7 +742,7 @@ def test_row_refusals_come_before_any_table_or_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a table or product was built before the refusal")
 
-    monkeypatch.setattr(linalgimm, "_givens_factors", forbidden)
+    monkeypatch.setattr(sunrep, "givens_factors", forbidden)
     for name in ("rotation_tables", "_block_times", "_phase_diagonal"):
         monkeypatch.setattr(sunrep, name, forbidden)
     a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
@@ -741,7 +770,7 @@ def test_a_fault_outside_the_requested_row_is_refused(monkeypatch):
     # full columns can show it, and the lift is still refused.
     irrep = SUIrrepLabel(2, (2, 0))
     batch = haar_random_unitaries(2, range(3))
-    assert {kinds for kinds, _, _ in givens_factors(batch)} == {(0,)}
+    assert {kinds for kinds, _, _ in _factors(batch)} == {(0,)}
     [clean] = lift_batch([irrep], batch, [[0]], [[0]])
     real = sunrep.rotation_tables
 
@@ -781,7 +810,7 @@ def _dense_lift(irrep: SUIrrepLabel, element: UnitaryElement) -> np.ndarray:
     as diag(e^{i n.phi}), each rotation B_k(theta) as exp(-i theta S_k)
     through one eigh of the dense S_k scattered from the raising triples."""
     occ = occupations(irrep)
-    kinds, thetas, phases = givens_factors([element])[0]
+    [(kinds, thetas, phases)] = _factors([element])
     out = np.diag(np.exp(1j * (occ @ phases[:, 0])))
     for t, (k, theta) in enumerate(zip(kinds, thetas)):
         raising = generator_matrix(irrep, k + 1, k + 2)

@@ -5,7 +5,7 @@ dead code, and fails this test.
 The walk is static.  A reached function, class or constant reaches every
 name its source refers to: a bare name defined in its module or imported
 from the package, or an attribute of a package module imported whole
-(``_kernels.imm_sum_batch``).
+(``sunrep.ENTRY_CAP``).
 """
 
 import ast
