@@ -16,7 +16,10 @@ Its entries are overlaps of the kept-mode basis states with chain vectors:
 the highest-weight vectors of each irrep copy, lowered with the simple
 lowering operators whose matrix elements are pinned to the Gelfand-Tsetlin
 values of :mod:`immdfun.sunrep`.  The chain vectors therefore reproduce that
-module's group functions entrywise, phases included.
+module's group functions entrywise, phases included.  They are held one
+computational weight block of (C^m)^(x N) at a time: :func:`_block` lists
+the codes of the states with given mode counts, :func:`_block_hop` moves
+one excitation between two blocks, and no table spans all m^N states.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import sunrep
 from .errors import DomainError, ResourceLimitError
-from .symgroup import Partition, character_weights, dim_sym, sn_tables
+from .symgroup import Partition, character_weights, dim_sym
 from .sunrep import SUIrrepLabel, occupations, raising_tables, weight_block
 
 TENSOR_SIZE_CAP = 10**6
@@ -45,65 +48,35 @@ def _tensor_size(m: int, n: int) -> int:
 
 
 @cache
-def _digits(m: int, n: int) -> np.ndarray:
-    """Read-only (m^n, n) table of the 0-based mode of each factor in every
-    basis state i; ``i = _digits(m, n)[i] @ _powers(m, n)``."""
-    size = _tensor_size(m, n)
-    idx = np.arange(size, dtype=np.int64)
-    out = np.empty((size, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        out[:, j] = idx % m
-        idx //= m
+def _block(m: int, occ: tuple[int, ...]) -> np.ndarray:
+    """Ascending codes (row-major, first factor most significant) of the
+    basis states of (C^m)^(x N), N = sum(occ), whose mode counts are
+    ``occ``; read-only.  The states whose first factor is in mode a are
+    a m^(N-1) plus the block with one excitation of mode a removed, so the
+    block costs its own size given the blocks one excitation smaller."""
+    n = sum(occ)
+    parts = [
+        a * m ** (n - 1) + _block(m, occ[:a] + (occ[a] - 1,) + occ[a + 1 :])
+        for a in range(m)
+        if occ[a]
+    ]
+    out = np.concatenate(parts) if parts else np.zeros(1, dtype=np.int64)
     out.flags.writeable = False
     return out
 
 
-@cache
-def _powers(m: int, n: int) -> np.ndarray:
-    out = np.array([m ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-    out.flags.writeable = False
-    return out
-
-
-@cache
-def _weight_blocks(m: int, n: int) -> tuple[dict[tuple[int, ...], np.ndarray], np.ndarray]:
-    """Computational weight blocks of (C^m)^(x n).
-
-    Returns ``blocks``, mapping each occupation tuple to the ascending basis
-    indices with those mode counts, and ``pos``, the position of every basis
-    index within its block.  The arrays are read-only; the dict is shared
-    and must not be mutated.
-    """
-    digits = _digits(m, n)
-    counts = np.stack([(digits == mode).sum(axis=1) for mode in range(m)], axis=1)
-    occs, label = np.unique(counts, axis=0, return_inverse=True)
-    label = label.reshape(-1)
-    by_block = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
-    pos = np.empty(m**n, dtype=np.int64)
-    blocks = {}
-    for occ, block in zip(occs.tolist(), by_block):
-        block.flags.writeable = False
-        pos[block] = np.arange(block.size)
-        blocks[tuple(occ)] = block
-    pos.flags.writeable = False
-    return blocks, pos
-
-
-def _block_hop(m: int, n: int, occ_src: tuple[int, ...], i_from: int, i_to: int) -> np.ndarray:
-    """Matrix of sum_t |..i_to..><..i_from..| (modes 1-based, t over factors)
-    from the computational block ``occ_src`` to the block it moves to."""
-    blocks, pos = _weight_blocks(m, n)
-    occ_dst = list(occ_src)
+def _block_hop(m: int, occ: tuple[int, ...], i_from: int, i_to: int) -> np.ndarray:
+    """Matrix of sum_t |..i_to..><..i_from..| (modes 1-based and distinct,
+    t over factors) from the computational block ``occ`` to the block it
+    moves to; each factor in mode i_from moves a column to a distinct row."""
+    occ_dst = list(occ)
     occ_dst[i_from - 1] -= 1
     occ_dst[i_to - 1] += 1
-    src = blocks[occ_src]
-    factor, b = np.nonzero(_digits(m, n)[src].T == i_from - 1)
-    dst = src[b] + (i_to - i_from) * _powers(m, n)[factor]
-    mat = np.zeros((len(blocks[tuple(occ_dst)]), len(src)))
-    if i_from == i_to:  # every factor in mode i_from hits the same entry
-        np.add.at(mat, (pos[dst], b), 1.0)
-    else:  # each factor moves a column to a distinct row
-        mat[pos[dst], b] = 1.0
+    src, dst = _block(m, occ), _block(m, tuple(occ_dst))
+    powers = m ** np.arange(sum(occ) - 1, -1, -1)
+    factor, b = np.nonzero(src // powers[:, None] % m == i_from - 1)
+    mat = np.zeros((len(dst), len(src)))
+    mat[np.searchsorted(dst, src[b] + (i_to - i_from) * powers[factor]), b] = 1.0
     return mat
 
 
@@ -129,14 +102,15 @@ def immanant_projector(p: Partition) -> np.ndarray:
     states; unnormalized (the sum squares to (N!/dim p) itself).
 
     P(s) carries the excitation of factor j to factor s(j), so the basis
-    state reached by s has modes ``argsort(s) + 1``; the modes never
-    repeat, so each s reaches its own state.  N^N is capped at
-    :data:`TENSOR_SIZE_CAP` (N <= 7), checked before S_N is built.
+    state reached by s has modes s^-1 + 1, and each s reaches its own
+    state of the (1, .., 1) block.  That block, ascending, lists S_N in
+    lexicographic order, the order of ``character_weights``, and
+    chi(s^-1) = chi(s).  N^N is capped at :data:`TENSOR_SIZE_CAP`
+    (N <= 7), checked before S_N is built.
     """
     n = p.n
     out = np.zeros(_tensor_size(n, n), dtype=np.complex128)
-    sigmas, _, _ = sn_tables(n)
-    out[np.argsort(sigmas, axis=1) @ _powers(n, n)] = character_weights(p)
+    out[_block(n, (1,) * n)] = character_weights(p)
     return out
 
 
@@ -146,23 +120,26 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
 
     Entry i, for basis position i, is a read-only (blocksize, n_copies)
     array on the computational block of ``occupations(label)[i]`` (see
-    :func:`_weight_blocks`); its column alpha belongs to copy alpha.  An
-    irrep whose box count is not N has no copies and an empty tuple.  A
+    :func:`_block`); its column alpha belongs to copy alpha.  The tensor
+    power is read only through :func:`_block` and :func:`_block_hop`, one
+    weight block at a time, after m^N is checked against
+    :data:`TENSOR_SIZE_CAP`.  An irrep whose box count is not N has no
+    copies and an empty tuple.  A
     weight whose stacked system (equations x block size x copies) holds
     more than ``sunrep.ENTRY_CAP`` entries is refused before its right-hand
     sides are built.
     """
-    blocks, _ = _weight_blocks(m, factors)
-    if row not in blocks:
+    _tensor_size(m, factors)
+    if sum(row) != factors:
         return ()
     label = SUIrrepLabel(m, row)
     occ = occupations(label)
     raising = raising_tables((label,))
     # highest-weight vectors: common null space of the simple raisings
     # (C_{i,i+1} moves an excitation from mode i+1 to mode i)
-    stacked = [_block_hop(m, factors, row, i + 1, i) for i in range(1, m) if row[i] != 0]
+    stacked = [_block_hop(m, row, i + 1, i) for i in range(1, m) if row[i] != 0]
     if not stacked:
-        null = np.eye(len(blocks[row]))
+        null = np.eye(len(_block(m, row)))
     else:
         _, svals, vh = np.linalg.svd(np.vstack(stacked))
         rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
@@ -197,7 +174,7 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
                 if live.any():
                     kept.append((i, tuple(occ_up), upper[live], raise_block[live]))
             arows = np.vstack([rows for *_, rows in kept])
-            blocksize = len(blocks[occ_here])
+            blocksize = len(_block(m, occ_here))
             entries = len(arows) * blocksize * n_copies
             if entries > sunrep.ENTRY_CAP:  # read at call time
                 raise ResourceLimitError(
@@ -207,7 +184,7 @@ def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarr
                 )
             brows = []
             for i, occ_up, upper, _ in kept:
-                hop = _block_hop(m, factors, occ_up, i, i + 1)  # C_{i+1,i}
+                hop = _block_hop(m, occ_up, i, i + 1)  # C_{i+1,i}
                 brows += [hop @ table[r] for r in upper]
             bmat = np.stack(brows, axis=0)  # (n_eq, blocksize, n_copies)
             sol, *_ = np.linalg.lstsq(arows, bmat.reshape(len(brows), -1), rcond=None)
@@ -263,8 +240,9 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
     vectors = _chain_vectors(m, n, label.row)  # refuses an over-cap tensor space first
     row_index, col_index = (weight_block(label, state_weight(m, sel)) for sel in (k, q))
-    _, pos = _weight_blocks(m, n)
-    pos_k, pos_q = pos[_mode_index(m, k)], pos[_mode_index(m, q)]
+    pos_k, pos_q = (
+        np.searchsorted(_block(m, state_weight(m, sel)), _mode_index(m, sel)) for sel in (k, q)
+    )
     left = np.array([vectors[i][pos_k] for i in row_index])
     right = np.array([vectors[i][pos_q] for i in col_index])
     return CoefficientMatrix(
@@ -303,13 +281,12 @@ def immanant_via_duality_stack(m: int, p: Partition, pairs, mats) -> np.ndarray:
     return out[:, :, 0]
 
 
-def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray, cols=None, rows=None):
+def coefficient_matrix_value(cm: CoefficientMatrix, lifted: np.ndarray, cols, rows):
     """Contract a coefficient matrix against a lifted irrep matrix whose
     columns and rows are the ascending basis positions ``cols`` and
-    ``rows`` (all d for None): a complex for one (r, c) lift, an (S,)
-    array for an (S, r, c) stack."""
-    col_pos = cm.col_index if cols is None else np.searchsorted(cols, cm.col_index)
-    row_pos = cm.row_index if rows is None else np.searchsorted(rows, cm.row_index)
+    ``rows``: a complex for one (r, c) lift, an (S,) array for an
+    (S, r, c) stack."""
+    col_pos, row_pos = np.searchsorted(cols, cm.col_index), np.searchsorted(rows, cm.row_index)
     # C order, as one lift's np.ix_ block has: the sum's order follows the layout
     block = np.ascontiguousarray(lifted[..., row_pos[:, None], col_pos])
     return np.sum(cm.entries * block, axis=(-2, -1))

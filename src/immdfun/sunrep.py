@@ -457,8 +457,8 @@ def _lift_sum(table, irreps, idxs, picks, outs, factors, groups) -> list[float]:
     are ``table`` (:func:`rotation_tables`), into ``outs``, at the
     columns ``idxs`` (all nonempty) and the rows ``picks`` (None for all),
     for the factored elements ``factors`` grouped by rotation sequence, and
-    return each irrep's orthonormality defect where rows are picked: the
-    first that exceeds 1e-10, or the last (0.0 where none are).
+    return each irrep's orthonormality defect: the first that exceeds
+    1e-10, or the last.
 
     Irrep i's rows sit at its offset, as in ``table``, and its columns in
     slots 0..c_i-1 of one shared (sum d, max c, S) array.  A phase
@@ -469,10 +469,9 @@ def _lift_sum(table, irreps, idxs, picks, outs, factors, groups) -> list[float]:
     V^T, e^{-i theta w} and V as batched (B, s, s) products, and scatters
     them back; the integer eigenvalues w look their turn factors up in one
     table of e^{-i theta j}, |j| <= max (r_1 - r_m), per element and
-    rotation.  Where rows are picked, each chunk's full columns are checked
-    orthonormal as one C-contiguous (S, d, c) slab before the picked rows
-    are written out; whole columns are checked in the output by
-    :func:`lift_batch`."""
+    rotation.  Each chunk's full columns are checked orthonormal as one
+    C-contiguous (S, d, c) slab before they, or their picked rows, are
+    written out."""
     dims = [dim_weyl(ir) for ir in irreps]
     first = np.cumsum(dims) - dims
     total, width = sum(dims), max(len(idx) for idx in idxs)
@@ -505,13 +504,10 @@ def _lift_sum(table, irreps, idxs, picks, outs, factors, groups) -> list[float]:
                     # that rounds apart from its vector loop
                     x = x * _phase_diagonal(occ, angles[:, :, i])[:, None]
             for i, (out, f, d, idx, pick) in enumerate(zip(outs, first, dims, idxs, picks)):
-                lifted = x[f : f + d, : len(idx)].transpose(2, 0, 1)
-                if pick is not None:  # the full columns exist only here
-                    lifted = np.ascontiguousarray(lifted)
-                    if defects[i] <= 1e-10:
-                        defects[i] = _defect(lifted)
-                    lifted = lifted[:, pick]
-                out[members] = lifted
+                lifted = np.ascontiguousarray(x[f : f + d, : len(idx)].transpose(2, 0, 1))
+                if defects[i] <= 1e-10:
+                    defects[i] = _defect(lifted)
+                out[members] = lifted if pick is None else lifted[:, pick]
     return defects
 
 
@@ -599,11 +595,6 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
         args = ([seq[i] for i in part] for seq in (irreps, idxs, picks, outs))
         defects.update(zip(part, _lift_sum(table, *args, factors, groups)))
     for i in sorted(defects):  # the first irrep that fails, in the caller's order
-        if picks[i] is None:  # whole columns: checked in the output, after every product
-            span = max(1, LIFT_BATCH_ENTRIES // outs[i][0].size)
-            for at in range(0, len(outs[i]), span):
-                if defects[i] <= 1e-10:
-                    defects[i] = _defect(outs[i][at : at + span])
         if not defects[i] <= 1e-10:
             defect = defects[i]
             raise DomainError(f"the lift into {irreps[i]} lost orthonormality: defect {defect:.3e}")

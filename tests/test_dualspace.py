@@ -1,16 +1,17 @@
 import math
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immdfun.dualspace import (
+    _block,
     _block_hop,
     _chain_vectors,
-    _digits,
     _mode_index,
-    _powers,
-    _weight_blocks,
     coefficient_matrix,
     coefficient_matrix_value,
     immanant_projector,
@@ -25,8 +26,10 @@ from immdfun.linalgimm import (
 from immdfun.symgroup import (
     Partition,
     character,
+    character_weights,
     dim_sym,
     partitions_of,
+    sn_tables,
 )
 from immdfun import dualspace, sunrep, symgroup, verification
 from immdfun.sunrep import (
@@ -65,28 +68,53 @@ def relabelled(modes, s):
     return tuple(out)
 
 
+def modes_of(m, n, code):
+    """Modes (1-based) of the basis state with row-major index ``code``."""
+    return tuple(int(d) + 1 for d in np.unravel_index(code, (m,) * n))
+
+
+def weights(m, n):
+    """Every occupation tuple of n excitations in m modes, zero counts included."""
+    return [occ for occ in product(range(n + 1), repeat=m) if sum(occ) == n]
+
+
+def position(m, modes):
+    """Position of the basis state ``modes`` within its computational block."""
+    return int(np.searchsorted(_block(m, state_weight(m, modes)), _mode_index(m, modes)))
+
+
 def dense(m, n, row, i, alpha):
     """Chain vector of pattern i, copy alpha, as m^n amplitudes."""
-    blocks, _ = _weight_blocks(m, n)
     label = SUIrrepLabel(m, row)
     out = np.zeros(m**n, dtype=np.complex128)
-    out[blocks[tuple(occupations(label)[i].tolist())]] = _chain_vectors(m, n, row)[i][:, alpha]
+    out[_block(m, tuple(occupations(label)[i].tolist()))] = _chain_vectors(m, n, row)[i][:, alpha]
     return out
 
 
 def collective(m, n, i, j):
     """Dense m^n x m^n matrix of sum_t E_ij on factor t, assembled from the
-    block-restricted hops that lower and raise chain vectors."""
-    blocks, _ = _weight_blocks(m, n)
+    block-restricted hops that lower and raise chain vectors; the diagonal
+    E_ii, which no hop carries, is the count of mode i on each block."""
     out = np.zeros((m**n, m**n))
-    for occ, src in blocks.items():
+    for occ in weights(m, n):
+        src = _block(m, occ)
+        if i == j:
+            out[src, src] = occ[i - 1]
+            continue
         if occ[j - 1] == 0:
             continue
         dst = list(occ)
         dst[j - 1] -= 1
         dst[i - 1] += 1
-        out[np.ix_(blocks[tuple(dst)], src)] = _block_hop(m, n, occ, j, i)
+        out[np.ix_(_block(m, tuple(dst)), src)] = _block_hop(m, occ, j, i)
     return out
+
+
+def commutator_on_block(m, n, i, j, occ):
+    """[sum_t E_ij, sum_t E_ji] restricted to the block ``occ``, from the hops alone."""
+    cij, cji = collective(m, n, i, j), collective(m, n, j, i)
+    block = _block(m, occ)
+    return (cij @ cji - cji @ cij)[np.ix_(block, block)]
 
 
 def random_state(m, n, seed):
@@ -150,13 +178,21 @@ class TestProjector:
     def test_projector_algebra(self, p):
         # Pi^p applied to Pi^p|modes>, by linearity over its basis states
         factor = math.factorial(3) / dim_sym(p)
-        digits = _digits(3, 3)
         for modes in [(1, 2, 3), (2, 1, 3), (3, 1, 2)]:
             once = projected(p, modes)
-            twice = sum(
-                once[t] * projected(p, tuple(digits[t] + 1)) for t in np.nonzero(once)[0]
-            )
+            twice = sum(once[t] * projected(p, modes_of(3, 3, t)) for t in _block(3, (1, 1, 1)))
             assert np.abs(twice - factor * once).max() < 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_inverse_permutation_scatter(self, n):
+        # s reaches the state with modes s^-1 + 1: scattering each weight
+        # there, in sn_tables order, gives the same array bit for bit
+        sigmas, _, _ = sn_tables(n)
+        codes = np.argsort(sigmas, axis=1) @ (n ** np.arange(n - 1, -1, -1))
+        for p in partitions_of(n):
+            want = np.zeros(n**n, dtype=np.complex128)
+            want[codes] = character_weights(p)
+            assert np.array_equal(immanant_projector(p), want)
 
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
@@ -171,6 +207,20 @@ class TestProjector:
                 for s in all_permutations(n):
                     want += character(p, s.cycle_type()) * basis(n, relabelled(modes, s))
                 assert np.abs(projected(p, modes) - want).max() < 1e-12
+
+
+class TestWeightBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 4), st.data())
+    def test_block_lists_the_states_with_its_counts(self, m, n, data):
+        # every weight, zero counts (and N = 0) included, against a scan of all m^N codes
+        occ = data.draw(st.sampled_from(weights(m, n)))
+        block = _block(m, occ)
+        assert block.tolist() == [
+            i for i in range(m**n) if state_weight(m, modes_of(m, n, i)) == occ
+        ]
+        with pytest.raises(ValueError):
+            block[0] = 0
 
 
 class TestCollectiveOperators:
@@ -189,15 +239,15 @@ class TestCollectiveOperators:
             assert np.abs(got - want.reshape(-1)).max() < 1e-12
 
     def test_diagonal_counts(self):
-        for i, count in ((1, 2), (2, 0), (3, 1)):
-            hop = _block_hop(3, 3, (2, 0, 1), i, i)
-            assert np.array_equal(hop, count * np.eye(3))
+        # [E_ij, E_ji] = E_ii - E_jj: the hops alone recover the mode counts
+        occ = (2, 0, 1)
+        for (i, j), count in (((1, 2), 2), ((2, 3), -1), ((1, 3), 1)):
+            assert np.array_equal(commutator_on_block(3, 3, i, j, occ), count * np.eye(3))
 
     def test_cartan_annihilates_uniform_state(self):
+        # E_ii - E_{i+1,i+1} vanishes where every mode holds one excitation
         for i in range(1, 4):
-            upper = _block_hop(4, 4, (1, 1, 1, 1), i, i)
-            lower = _block_hop(4, 4, (1, 1, 1, 1), i + 1, i + 1)
-            assert np.array_equal(upper, lower)
+            assert not commutator_on_block(4, 4, i, i + 1, (1, 1, 1, 1)).any()
 
     def test_commutation_relations_on_random_states(self):
         m, n = 3, 3
@@ -247,13 +297,10 @@ class TestChainSubspace:
     def test_vectors_are_weight_eigenstates(self):
         # each chain vector is supported on the block of its pattern's occupation
         row = (2, 1, 0)
-        blocks, _ = _weight_blocks(3, 3)
-        digits = _digits(3, 3)
         for vec, occ in zip(_chain_vectors(3, 3, row), occupations(SUIrrepLabel(3, row)).tolist()):
-            block = blocks[tuple(occ)]
+            block = _block(3, tuple(occ))
             assert vec.shape[0] == len(block)
-            counts = [(digits[block] == mode).sum(axis=1) for mode in range(3)]
-            assert all((c == o).all() for c, o in zip(counts, occ))
+            assert all(state_weight(3, modes_of(3, 3, code)) == tuple(occ) for code in block)
 
     def test_dblock_matches_lifted_matrix(self):
         # the chain vectors must reproduce the GT group functions entrywise
@@ -273,23 +320,23 @@ class TestChainSubspace:
                         assert abs(got - want) < 1e-10
 
     def test_weight_block_computed_once(self):
-        # Two irreps of one tensor power read one table, built on one miss.
+        # Two irreps of one tensor power share its blocks: each is built on
+        # one miss, and the second irrep reads the first one's.
         _chain_vectors.cache_clear()
-        _weight_blocks.cache_clear()
+        _block.cache_clear()
         _chain_vectors(3, 3, (2, 1, 0))
+        first = _block.cache_info()
         _chain_vectors(3, 3, (3, 0, 0))
-        assert _weight_blocks.cache_info().misses == 1
-        blocks, pos = _weight_blocks(3, 3)
-        block = blocks[(1, 1, 1)]
+        info = _block.cache_info()
+        assert info.hits > first.hits and info.misses == info.currsize
         expected = sorted(_mode_index(3, s.images) for s in all_permutations(3))
-        assert block.tolist() == expected
-        assert pos[block].tolist() == list(range(6))
-        assert sum(len(b) for b in blocks.values()) == 27
+        assert _block(3, (1, 1, 1)).tolist() == expected
+        codes = np.concatenate([_block(3, occ) for occ in weights(3, 3)])
+        assert sorted(codes.tolist()) == list(range(27))
 
     def test_shared_tables_are_read_only(self):
-        blocks, pos = _weight_blocks(3, 2)
         vecs = _chain_vectors(3, 2, (1, 1, 0))
-        for table in (_digits(3, 2), _powers(3, 2), blocks[(1, 1, 0)], pos, *vecs):
+        for table in (_block(3, (1, 1, 0)), *vecs):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -333,8 +380,7 @@ class TestCoefficientMatrix:
             (n_copies, n_copies)
         )
         rot, _ = np.linalg.qr(g)
-        _, pos = _weight_blocks(m, 3)
-        pos_k, pos_q = pos[_mode_index(m, k)], pos[_mode_index(m, q)]
+        pos_k, pos_q = position(m, k), position(m, q)
         scale = math.factorial(3) / dim_sym(p)
         rebuilt = np.zeros_like(cm.entries)
         for a, r in enumerate(cm.row_index):
@@ -352,7 +398,9 @@ class TestCoefficientMatrix:
         for i in range(25):
             u = haar_random_unitary(m, 300 + i)
             direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
-            via = coefficient_matrix_value(cm, lift(label, u))
+            lifted = lift(label, u)
+            whole = np.arange(len(lifted))  # every row and column
+            via = coefficient_matrix_value(cm, lifted, whole, whole)
             assert abs(direct - via) < 1e-9
 
     def test_incompatible_selectors(self):
@@ -405,12 +453,11 @@ class TestTheorem3AndNormalization:
         # ||Pi^p |Psi_{1..N}>||^2 = (N!/dim p)^2 sum |<psi|Psi>|^2
         m = 3
         modes = (1, 2, 3)
-        _, pos = _weight_blocks(m, m)
         for p in partitions_of(m):
             row = SUIrrepLabel.from_partition(p, m, normalize=False).row
             vecs = _chain_vectors(m, m, row)
             overlap_sq = sum(
-                np.sum(np.abs(vecs[i][pos[_mode_index(m, modes)]]) ** 2)
+                np.sum(np.abs(vecs[i][position(m, modes)]) ** 2)
                 for i in at_weight(m, row, (1, 1, 1))
             )
             factor = math.factorial(m) / dim_sym(p)

@@ -146,9 +146,10 @@ def test_stacked_coefficient_values_equal_their_slices_bit_for_bit():
     cols = np.unique(np.concatenate([cm.col_index for cm in cms]))
     elements = [UnitaryElement(mat) for mat in _special_stack(m, 7)]
     [lifts] = lift_batch([SUIrrepLabel(m, (2, 1, 0, 0))], elements, [cols])
+    rows = np.arange(lifts.shape[1])  # every row
     for cm in cms:
-        stacked = coefficient_matrix_value(cm, lifts, cols)
-        assert list(stacked) == [coefficient_matrix_value(cm, lf, cols) for lf in lifts]
+        stacked = coefficient_matrix_value(cm, lifts, cols, rows)
+        assert list(stacked) == [coefficient_matrix_value(cm, lf, cols, rows) for lf in lifts]
 
 
 @FEW

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from immdfun import sunrep, verification
-from immdfun.dualspace import _chain_vectors, _weight_blocks, state_weight
+from immdfun.dualspace import _block, _chain_vectors, state_weight
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
@@ -167,14 +167,13 @@ def test_columns_match_chain_vectors(row, seed, data):
     m, n = len(row), sum(row)
     irrep = SUIrrepLabel(m, row)
     vecs = _chain_vectors(m, n, row)
-    blocks, _ = _weight_blocks(m, n)
     occ = [tuple(o) for o in occupations(irrep).tolist()]
     t = data.draw(st.integers(0, len(vecs) - 1))
     u = haar_random_unitary(m, seed)
     start = np.zeros(m**n, dtype=np.complex128)
-    start[blocks[occ[t]]] = vecs[t][:, 0]
+    start[_block(m, occ[t])] = vecs[t][:, 0]
     moved = apply_tensor_power(u.matrix, start, n)
-    want = [np.vdot(vecs[r][:, 0], moved[blocks[occ[r]]]) for r in range(len(vecs))]
+    want = [np.vdot(vecs[r][:, 0], moved[_block(m, occ[r])]) for r in range(len(vecs))]
     assert np.abs(lift(irrep, u, [t])[:, 0] - want).max() < 1e-12
 
 
