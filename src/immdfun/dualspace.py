@@ -20,6 +20,9 @@ module's group functions entrywise, phases included.  They are held one
 computational weight block of (C^m)^(x N) at a time: :func:`_block` lists
 the codes of the states with given mode counts, :func:`_block_hop` moves
 one excitation between two blocks, and no table spans all m^N states.
+Each weight's chain vectors are solved and cached once
+(:func:`_chain_block`), and a coefficient matrix solves only the weights
+it reads and those above them (:func:`_chain_vectors`).
 """
 
 from __future__ import annotations
@@ -115,86 +118,124 @@ def immanant_projector(p: Partition) -> np.ndarray:
 
 
 @cache
-def _chain_vectors(m: int, factors: int, row: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Chain vectors of every copy of the u(m) irrep ``row`` in (C^m)^(x N).
+def _lowering_order(m: int, row: tuple[int, ...]):
+    """The label of the u(m) irrep ``row``, its raising triples, and the
+    pattern positions of each of its weights, in lowering order: by level
+    (simple lowerings below the top), then by first pattern."""
+    label = SUIrrepLabel(m, row)
+    depth = lambda o: -sum(o[k] * (m - 1 - k) for k in range(m))
+    weights = sorted(dict.fromkeys(map(tuple, occupations(label).tolist())), key=depth)
+    return label, raising_tables((label,)), {o: weight_block(label, o) for o in weights}
 
-    Entry i, for basis position i, is a read-only (blocksize, n_copies)
-    array on the computational block of ``occupations(label)[i]`` (see
-    :func:`_block`); its column alpha belongs to copy alpha.  The tensor
-    power is read only through :func:`_block` and :func:`_block_hop`, one
-    weight block at a time, after m^N is checked against
-    :data:`TENSOR_SIZE_CAP`.  An irrep whose box count is not N has no
-    copies and an empty tuple.  A
-    weight whose stacked system (equations x block size x copies) holds
-    more than ``sunrep.ENTRY_CAP`` entries is refused before its right-hand
-    sides are built.
+
+@cache
+def _lowering_system(m: int, row: tuple[int, ...], occ: tuple[int, ...]):
+    """The equations that fix the chain vectors at weight ``occ`` below the
+    top: per simple lowering C_{i+1,i} from a weight occ + e_i - e_{i+1} of
+    the irrep, (i, that weight, the positions in its block of the patterns
+    that C_{i,i+1} reaches), and the stacked rows of C_{i,i+1} on them,
+    read-only."""
+    _, raising, blocks = _lowering_order(m, row)
+    idx = blocks[occ]
+    kept, rows = [], []
+    for i in range(1, m):
+        occ_up = list(occ)
+        occ_up[i - 1] += 1
+        occ_up[i] -= 1
+        upper = blocks.get(tuple(occ_up))
+        if upper is None:
+            continue
+        # C_{i,i+1} from this block's patterns, which it raises into upper
+        src, dst, amp = raising[i - 1]
+        at = np.minimum(np.searchsorted(idx, src), len(idx) - 1)
+        hit = idx[at] == src
+        raise_block = np.zeros((len(upper), len(idx)))
+        raise_block[np.searchsorted(upper, dst[hit]), at[hit]] = amp[hit]
+        live = raise_block.any(axis=1)
+        if live.any():
+            kept.append((i, tuple(occ_up), np.flatnonzero(live)))
+            rows.append(raise_block[live])
+    arows = np.vstack(rows)
+    arows.flags.writeable = False
+    return tuple(kept), arows
+
+
+@cache
+def _chain_block(m: int, row: tuple[int, ...], occ: tuple[int, ...]) -> np.ndarray:
+    """Chain vectors of the irrep ``row`` at weight ``occ``: a read-only
+    (patterns, block size, copies) array, entry j on the computational
+    block ``occ`` for the pattern ``weight_block(label, occ)[j]``.
+
+    Lowering the blocks above gives, per upper pattern, one known GT
+    combination of this block's chain vectors; they are solved for by least
+    squares.  Called by :func:`_chain_vectors` in lowering order, so every
+    block above is already cached when it is read.
+    """
+    if occ == row:
+        # highest-weight vectors: common null space of the simple raisings
+        # (C_{i,i+1} moves an excitation from mode i+1 to mode i)
+        stacked = [_block_hop(m, row, i + 1, i) for i in range(1, m) if row[i] != 0]
+        if not stacked:
+            null = np.eye(len(_block(m, row)))
+        else:
+            _, svals, vh = np.linalg.svd(np.vstack(stacked))
+            rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
+            null = vh[rank:].conj().T
+        out = null.astype(np.complex128)[None]
+    else:
+        kept, arows = _lowering_system(m, row, occ)
+        # read before this block's arrays exist (a cache hit in lowering order)
+        uppers = [_chain_block(m, row, occ_up) for _, occ_up, _ in kept]
+        brows = []
+        for (i, occ_up, live), upper in zip(kept, uppers):
+            hop = _block_hop(m, occ_up, i, i + 1)  # C_{i+1,i}
+            brows += [hop @ upper[j] for j in live]
+        bmat = np.stack(brows, axis=0)  # (n_eq, blocksize, n_copies)
+        sol, *_ = np.linalg.lstsq(arows, bmat.reshape(len(brows), -1), rcond=None)
+        out = sol.reshape(arows.shape[1], *bmat.shape[1:])
+    out.flags.writeable = False
+    return out
+
+
+def _chain_vectors(
+    m: int, factors: int, row: tuple[int, ...], weights
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Chain vectors of every copy of the u(m) irrep ``row`` in (C^m)^(x N)
+    at each weight (mode counts) of ``weights``, as :func:`_chain_block`
+    arrays; column alpha of each belongs to copy alpha.
+
+    Only the upper closure of ``weights`` is solved: the weights nu of the
+    irrep for which nu - mu is a nonnegative sum of simple roots
+    e_i - e_{i+1} for some mu of ``weights``, the blocks the lowering to mu
+    reads.  The tensor power is read only through :func:`_block` and
+    :func:`_block_hop`, one weight block at a time.  m^N is checked against
+    :data:`TENSOR_SIZE_CAP` first; an irrep whose box count is not N has no
+    copies and an empty dict.  Then every closure weight's stacked system
+    (equations x block size x copies, the f_p copies of Schur-Weyl
+    duality) is checked against ``sunrep.ENTRY_CAP`` in lowering order,
+    before the first is solved, so a refused call caches no block.
     """
     _tensor_size(m, factors)
     if sum(row) != factors:
-        return ()
-    label = SUIrrepLabel(m, row)
-    occ = occupations(label)
-    raising = raising_tables((label,))
-    # highest-weight vectors: common null space of the simple raisings
-    # (C_{i,i+1} moves an excitation from mode i+1 to mode i)
-    stacked = [_block_hop(m, row, i + 1, i) for i in range(1, m) if row[i] != 0]
-    if not stacked:
-        null = np.eye(len(_block(m, row)))
-    else:
-        _, svals, vh = np.linalg.svd(np.vstack(stacked))
-        rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
-        null = vh[rank:].conj().T
-    n_copies = null.shape[1]
-    table = {0: null.astype(np.complex128)}  # the top pattern comes first
-
-    level_of = lambda o: sum(o[k] * (m - 1 - k) for k in range(m))
-    by_level: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
-    for here in dict.fromkeys(map(tuple, occ.tolist())):
-        by_level.setdefault(level_of(row) - level_of(here), {})[here] = weight_block(label, here)
-
-    for lev in sorted(by_level)[1:]:
-        for occ_here, idx in by_level[lev].items():
-            # lowering the level above gives, per upper pattern r, one known
-            # GT combination of this block's chain vectors; solve for them
-            kept = []  # per lowering: mode i, the upper weight, its patterns r, their rows
-            for i in range(1, m):
-                occ_up = list(occ_here)
-                occ_up[i - 1] += 1
-                occ_up[i] -= 1
-                upper = by_level.get(lev - 1, {}).get(tuple(occ_up))
-                if upper is None:
-                    continue
-                # C_{i,i+1} from this block's patterns, which it raises into upper
-                src, dst, amp = raising[i - 1]
-                at = np.minimum(np.searchsorted(idx, src), len(idx) - 1)
-                hit = idx[at] == src
-                raise_block = np.zeros((len(upper), len(idx)))
-                raise_block[np.searchsorted(upper, dst[hit]), at[hit]] = amp[hit]
-                live = raise_block.any(axis=1)
-                if live.any():
-                    kept.append((i, tuple(occ_up), upper[live], raise_block[live]))
-            arows = np.vstack([rows for *_, rows in kept])
-            blocksize = len(_block(m, occ_here))
-            entries = len(arows) * blocksize * n_copies
-            if entries > sunrep.ENTRY_CAP:  # read at call time
-                raise ResourceLimitError(
-                    f"the chain vectors of {label} at weight {occ_here} solve"
-                    f" {len(arows)} x {blocksize} x {n_copies} = {entries} entries,"
-                    f" over the entry cap {sunrep.ENTRY_CAP}"
-                )
-            brows = []
-            for i, occ_up, upper, _ in kept:
-                hop = _block_hop(m, occ_up, i, i + 1)  # C_{i+1,i}
-                brows += [hop @ table[r] for r in upper]
-            bmat = np.stack(brows, axis=0)  # (n_eq, blocksize, n_copies)
-            sol, *_ = np.linalg.lstsq(arows, bmat.reshape(len(brows), -1), rcond=None)
-            sol = sol.reshape(len(idx), -1, n_copies)
-            for c, s in enumerate(idx):
-                table[s] = sol[c]
-    vectors = tuple(table[s] for s in range(len(occ)))
-    for vec in vectors:
-        vec.flags.writeable = False
-    return vectors
+        return {}
+    label, _, blocks = _lowering_order(m, row)
+    # nu - mu is such a sum exactly when each partial sum of nu covers mu's
+    above = np.cumsum(list(blocks), axis=1)[:, None] >= np.cumsum(np.reshape(weights, (-1, m)), 1)
+    closure = [nu for nu, up in zip(blocks, above.all(axis=2).any(axis=1)) if up]
+    copies = dim_sym(Partition([x for x in row if x]))
+    for occ in closure[1:]:  # the top weight solves no system
+        _, arows = _lowering_system(m, row, occ)
+        blocksize = len(_block(m, occ))
+        entries = len(arows) * blocksize * copies
+        if entries > sunrep.ENTRY_CAP:  # read at call time
+            raise ResourceLimitError(
+                f"the chain vectors of {label} at weight {occ} solve"
+                f" {len(arows)} x {blocksize} x {copies} = {entries} entries,"
+                f" over the entry cap {sunrep.ENTRY_CAP}"
+            )
+    for occ in closure:
+        _chain_block(m, row, occ)
+    return {mu: _chain_block(m, row, mu) for mu in weights}
 
 
 @dataclass
@@ -238,13 +279,11 @@ def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:
     k, q = _check_pair(m, p, k, q)
     n = len(k)
     label = SUIrrepLabel.from_partition(p, m, normalize=False)
-    vectors = _chain_vectors(m, n, label.row)  # refuses an over-cap tensor space first
-    row_index, col_index = (weight_block(label, state_weight(m, sel)) for sel in (k, q))
-    pos_k, pos_q = (
-        np.searchsorted(_block(m, state_weight(m, sel)), _mode_index(m, sel)) for sel in (k, q)
-    )
-    left = np.array([vectors[i][pos_k] for i in row_index])
-    right = np.array([vectors[i][pos_q] for i in col_index])
+    wk, wq = state_weight(m, k), state_weight(m, q)
+    blocks = _chain_vectors(m, n, label.row, (wk, wq))  # refuses an over-cap tensor space first
+    row_index, col_index = weight_block(label, wk), weight_block(label, wq)
+    pos_k, pos_q = (np.searchsorted(_block(m, w), _mode_index(m, s)) for w, s in ((wk, k), (wq, q)))
+    left, right = np.array(blocks[wk][:, pos_k]), np.array(blocks[wq][:, pos_q])
     return CoefficientMatrix(
         label=label,
         row_index=row_index,

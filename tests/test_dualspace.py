@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from immdfun.dualspace import (
     _block,
     _block_hop,
+    _chain_block,
     _chain_vectors,
     _mode_index,
     coefficient_matrix,
@@ -35,13 +36,14 @@ from immdfun import dualspace, sunrep, symgroup, verification
 from immdfun.sunrep import (
     SUIrrepLabel,
     occupations,
+    raising_tables,
     weight_block,
 )
 from immdfun.verification import _littlewood_reports, classify_coefficients, conjecture_scan
 
 from _generators import Permutation, all_permutations, permutation_matrix
 from _single import from_matrix, haar_random_unitary, immanant, immanant_via_duality, lift
-from _tensor import apply_tensor_power
+from _tensor import apply_tensor_power, pattern_chain_vectors
 
 P = Partition
 
@@ -85,9 +87,9 @@ def position(m, modes):
 
 def dense(m, n, row, i, alpha):
     """Chain vector of pattern i, copy alpha, as m^n amplitudes."""
-    label = SUIrrepLabel(m, row)
+    occ = tuple(occupations(SUIrrepLabel(m, row))[i].tolist())
     out = np.zeros(m**n, dtype=np.complex128)
-    out[_block(m, tuple(occupations(label)[i].tolist()))] = _chain_vectors(m, n, row)[i][:, alpha]
+    out[_block(m, occ)] = pattern_chain_vectors(m, n, row)[i][:, alpha]
     return out
 
 
@@ -125,6 +127,96 @@ def random_state(m, n, seed):
 def at_weight(m, row, occ):
     """Basis positions of the irrep ``row`` at occupation ``occ``."""
     return weight_block(SUIrrepLabel(m, row), occ)
+
+
+@cache
+def full_lowering(m, n, row):
+    """Reference: the chain vectors of every pattern from one lowering of the
+    whole irrep, level by level and in pattern order within a level, each
+    weight's system solved as one least-squares problem (the route's whole-
+    irrep form, kept test-side)."""
+    label = SUIrrepLabel(m, row)
+    occ = occupations(label)
+    raising = raising_tables((label,))
+    stacked = [_block_hop(m, row, i + 1, i) for i in range(1, m) if row[i] != 0]
+    if not stacked:
+        null = np.eye(len(_block(m, row)))
+    else:
+        _, svals, vh = np.linalg.svd(np.vstack(stacked))
+        rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
+        null = vh[rank:].conj().T
+    n_copies = null.shape[1]
+    table = {0: null.astype(np.complex128)}
+    level_of = lambda o: sum(o[k] * (m - 1 - k) for k in range(m))
+    by_level = {}
+    for here in dict.fromkeys(map(tuple, occ.tolist())):
+        by_level.setdefault(level_of(row) - level_of(here), {})[here] = weight_block(label, here)
+    for lev in sorted(by_level)[1:]:
+        for occ_here, idx in by_level[lev].items():
+            kept = []
+            for i in range(1, m):
+                occ_up = list(occ_here)
+                occ_up[i - 1] += 1
+                occ_up[i] -= 1
+                upper = by_level.get(lev - 1, {}).get(tuple(occ_up))
+                if upper is None:
+                    continue
+                src, dst, amp = raising[i - 1]
+                at = np.minimum(np.searchsorted(idx, src), len(idx) - 1)
+                hit = idx[at] == src
+                raise_block = np.zeros((len(upper), len(idx)))
+                raise_block[np.searchsorted(upper, dst[hit]), at[hit]] = amp[hit]
+                live = raise_block.any(axis=1)
+                if live.any():
+                    kept.append((i, tuple(occ_up), upper[live], raise_block[live]))
+            arows = np.vstack([rows for *_, rows in kept])
+            brows = []
+            for i, occ_up, upper, _ in kept:
+                hop = _block_hop(m, occ_up, i, i + 1)
+                brows += [hop @ table[r] for r in upper]
+            bmat = np.stack(brows, axis=0)
+            sol, *_ = np.linalg.lstsq(arows, bmat.reshape(len(brows), -1), rcond=None)
+            sol = sol.reshape(len(idx), -1, n_copies)
+            for c, t in enumerate(idx):
+                table[t] = sol[c]
+    return tuple(table[t] for t in range(len(occ)))
+
+
+def raised_closure(m, row, mu):
+    """The weights of the irrep ``row`` reached from ``mu`` by adding simple
+    roots e_i - e_{i+1}, staying among its weights at every step."""
+    present = {tuple(o) for o in occupations(SUIrrepLabel(m, row)).tolist()}
+    found, todo = {mu}, [mu]
+    while todo:
+        occ = todo.pop()
+        for i in range(m - 1):
+            up = occ[:i] + (occ[i] + 1, occ[i + 1] - 1) + occ[i + 2 :]
+            if up in present and up not in found:
+                found.add(up)
+                todo.append(up)
+    return found
+
+
+def recording_blocks(monkeypatch):
+    """Route ``_chain_block`` through a fresh cache that logs each solve."""
+    solved = []
+
+    def record(m, row, occ):
+        solved.append(occ)
+        return _chain_block.__wrapped__(m, row, occ)
+
+    monkeypatch.setattr(dualspace, "_chain_block", cache(record))
+    return solved
+
+
+def assert_blocks_match_reference(m, n, row, occs):
+    label, reference = SUIrrepLabel(m, row), full_lowering(m, n, row)
+    for occ in occs:
+        block = dualspace._chain_block(m, row, occ)
+        idx = weight_block(label, occ)
+        assert len(block) == len(idx)
+        for vec, t in zip(block, idx):
+            assert np.array_equal(vec, reference[t])
 
 
 class TestBasisStates:
@@ -265,17 +357,17 @@ class TestCollectiveOperators:
 
 class TestChainSubspace:
     def test_mixed_tensor_counts(self):
-        vecs = _chain_vectors(3, 3, (2, 1, 0))
+        block = _chain_vectors(3, 3, (2, 1, 0), [(1, 1, 1)])[(1, 1, 1)]
         idx = at_weight(3, (2, 1, 0), (1, 1, 1))
-        assert len(idx) == 2 and all(vecs[i].shape[1] == 2 for i in idx)  # 2 patterns x 2 copies
+        assert len(idx) == len(block) == 2 and block.shape[2] == 2  # 2 patterns x 2 copies
 
     def test_symmetric_single_copy(self):
-        vecs = _chain_vectors(3, 3, (3, 0, 0))
+        block = _chain_vectors(3, 3, (3, 0, 0), [(1, 1, 1)])[(1, 1, 1)]
         idx = at_weight(3, (3, 0, 0), (1, 1, 1))
-        assert len(idx) == 1 and vecs[idx[0]].shape[1] == 1
+        assert len(idx) == len(block) == 1 and block.shape[2] == 1
 
     def test_singlet(self):
-        vecs = _chain_vectors(2, 2, (1, 1))
+        vecs = pattern_chain_vectors(2, 2, (1, 1))
         assert len(vecs) == 1 and vecs[0].shape[1] == 1
         v = dense(2, 2, (1, 1), 0, 0)
         expect = np.zeros(4, complex)
@@ -285,19 +377,21 @@ class TestChainSubspace:
 
     def test_absent_irrep_is_empty(self):
         # two boxes cannot sit in the three-fold tensor power
-        assert _chain_vectors(3, 3, (1, 1, 0)) == ()
+        assert _chain_vectors(3, 3, (1, 1, 0), [(1, 1, 0)]) == {}
+        assert pattern_chain_vectors(3, 3, (1, 1, 0)) == ()
 
     def test_orthonormality(self):
         row = (2, 1, 0, 0)
-        vecs = _chain_vectors(4, 3, row)
-        block = np.hstack([vecs[i] for i in at_weight(4, row, (1, 1, 1, 0))])
+        vecs = _chain_vectors(4, 3, row, [(1, 1, 1, 0)])[(1, 1, 1, 0)]
+        assert len(vecs) == len(at_weight(4, row, (1, 1, 1, 0)))
+        block = np.hstack(list(vecs))
         assert block.shape[1] == 4
         assert np.abs(block.conj().T @ block - np.eye(block.shape[1])).max() < 1e-10
 
     def test_vectors_are_weight_eigenstates(self):
         # each chain vector is supported on the block of its pattern's occupation
         row = (2, 1, 0)
-        for vec, occ in zip(_chain_vectors(3, 3, row), occupations(SUIrrepLabel(3, row)).tolist()):
+        for vec, occ in zip(pattern_chain_vectors(3, 3, row), occupations(SUIrrepLabel(3, row)).tolist()):
             block = _block(3, tuple(occ))
             assert vec.shape[0] == len(block)
             assert all(state_weight(3, modes_of(3, 3, code)) == tuple(occ) for code in block)
@@ -306,7 +400,7 @@ class TestChainSubspace:
         # the chain vectors must reproduce the GT group functions entrywise
         row = (2, 1, 0)
         label = SUIrrepLabel(3, row)
-        n_copies = _chain_vectors(3, 3, row)[0].shape[1]
+        n_copies = pattern_chain_vectors(3, 3, row)[0].shape[1]
         u = haar_random_unitary(3, 17)
         lifted = lift(label, u)
         for alpha in range(n_copies):
@@ -322,11 +416,11 @@ class TestChainSubspace:
     def test_weight_block_computed_once(self):
         # Two irreps of one tensor power share its blocks: each is built on
         # one miss, and the second irrep reads the first one's.
-        _chain_vectors.cache_clear()
+        _chain_block.cache_clear()
         _block.cache_clear()
-        _chain_vectors(3, 3, (2, 1, 0))
+        pattern_chain_vectors(3, 3, (2, 1, 0))
         first = _block.cache_info()
-        _chain_vectors(3, 3, (3, 0, 0))
+        pattern_chain_vectors(3, 3, (3, 0, 0))
         info = _block.cache_info()
         assert info.hits > first.hits and info.misses == info.currsize
         expected = sorted(_mode_index(3, s.images) for s in all_permutations(3))
@@ -335,10 +429,42 @@ class TestChainSubspace:
         assert sorted(codes.tolist()) == list(range(27))
 
     def test_shared_tables_are_read_only(self):
-        vecs = _chain_vectors(3, 2, (1, 1, 0))
-        for table in (_block(3, (1, 1, 0)), *vecs):
+        blocks = _chain_vectors(3, 2, (1, 1, 0), [(1, 0, 1)])
+        vecs = pattern_chain_vectors(3, 2, (1, 1, 0))
+        for table in (_block(3, (1, 1, 0)), *blocks.values(), *vecs):
             with pytest.raises(ValueError):
                 table[0] = 0
+
+
+class TestUpperClosure:
+    @pytest.mark.parametrize(
+        ("m", "p", "k", "q", "count"),
+        [(5, P(3, 1), (1, 3, 4, 5), (1, 2, 3, 5), 27), (5, P(2, 1), (2, 3, 5), (1, 3, 4), 17)],
+    )
+    def test_coefficient_matrix_solves_only_its_closure(self, monkeypatch, m, p, k, q, count):
+        # 27 of 65 weights of SU(5)(3,1), 17 of 30 of SU(5)(2,1)
+        solved = recording_blocks(monkeypatch)
+        cm = coefficient_matrix(m, p, k, q)
+        row = cm.label.row
+        assert len(solved) == len(set(solved)) == count
+        closure = raised_closure(m, row, state_weight(m, k)) | raised_closure(m, row, state_weight(m, q))
+        assert set(solved) == closure
+        assert_blocks_match_reference(m, p.n, row, solved)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_each_weight_solves_its_closure_bit_for_bit(self, monkeypatch, m):
+        for n in range(1, 5):
+            for p in partitions_of(n):
+                if len(p) > m:
+                    continue
+                row = tuple(p) + (0,) * (m - len(p))
+                for mu in dict.fromkeys(map(tuple, occupations(SUIrrepLabel(m, row)).tolist())):
+                    solved = recording_blocks(monkeypatch)
+                    blocks = _chain_vectors(m, n, row, [mu])
+                    assert len(solved) == len(set(solved))
+                    assert set(solved) == raised_closure(m, row, mu)
+                    assert list(blocks) == [mu] and blocks[mu] is dualspace._chain_block(m, row, mu)
+                    assert_blocks_match_reference(m, n, row, solved)
 
 
 class TestCoefficientMatrix:
@@ -373,7 +499,7 @@ class TestCoefficientMatrix:
         # exported entries must not depend on the orthonormal alpha choice
         m, p, k, q = 4, P(2, 1), (2, 3, 4), (1, 3, 4)
         cm = coefficient_matrix(m, p, k, q)
-        vecs = _chain_vectors(m, 3, (2, 1, 0, 0))
+        vecs = pattern_chain_vectors(m, 3, (2, 1, 0, 0))
         n_copies = vecs[0].shape[1]
         rng = np.random.default_rng(5)
         g = rng.standard_normal((n_copies, n_copies)) + 1j * rng.standard_normal(
@@ -455,11 +581,9 @@ class TestTheorem3AndNormalization:
         modes = (1, 2, 3)
         for p in partitions_of(m):
             row = SUIrrepLabel.from_partition(p, m, normalize=False).row
-            vecs = _chain_vectors(m, m, row)
-            overlap_sq = sum(
-                np.sum(np.abs(vecs[i][position(m, modes)]) ** 2)
-                for i in at_weight(m, row, (1, 1, 1))
-            )
+            vecs = _chain_vectors(m, m, row, [(1, 1, 1)])[(1, 1, 1)]
+            assert len(vecs) == len(at_weight(m, row, (1, 1, 1)))
+            overlap_sq = sum(np.sum(np.abs(vec[position(m, modes)]) ** 2) for vec in vecs)
             factor = math.factorial(m) / dim_sym(p)
             assert np.linalg.norm(immanant_projector(p)) ** 2 == pytest.approx(
                 factor**2 * overlap_sq, rel=1e-10
@@ -599,26 +723,26 @@ class TestResourceCaps:
     def test_chain_vector_system_over_the_entry_cap_is_refused(self, monkeypatch):
         # SU(4) {2,1,1} in (C^4)^(x4) has 3 copies; its widest system is the
         # weight (1, 1, 1, 1): 3 equations on a block of 24 states.  The cap
-        # is read at call time, and a refused irrep leaves no cache entry.
+        # is read at call time, every system the call needs is sized before
+        # the first is solved, and a refused call leaves no block cached.
         full = (1, 2, 3, 4)
         want = coefficient_matrix(4, P(2, 1, 1), full, full).entries
         sunrep.gt_array(SUIrrepLabel(4, (2, 1, 1, 0)))  # built under the full cap
-        monkeypatch.setattr(dualspace, "_chain_vectors", cache(_chain_vectors.__wrapped__))
-        monkeypatch.setattr(sunrep, "ENTRY_CAP", 215)
-        message = r"SU\(4\)\(2, 1, 1, 0\) at weight \(1, 1, 1, 1\) solve 3 x 24 x 3 = 216 entries"
-        with pytest.raises(ResourceLimitError, match=message):
-            coefficient_matrix(4, P(2, 1, 1), full, full)
-        assert dualspace._chain_vectors.cache_info().currsize == 0
-        monkeypatch.setattr(sunrep, "ENTRY_CAP", 216)
-        assert np.array_equal(coefficient_matrix(4, P(2, 1, 1), full, full).entries, want)
-        # below the first level's system nothing is solved
-        dualspace._chain_vectors.cache_clear()
+        monkeypatch.setattr(dualspace, "_chain_block", cache(_chain_block.__wrapped__))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a chain-vector system was solved before the refusal")
 
-        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
-        monkeypatch.setattr(sunrep, "ENTRY_CAP", 35)
-        with pytest.raises(ResourceLimitError, match=r"weight \(1, 2, 1, 0\) solve 1 x 12 x 3 = 36"):
-            coefficient_matrix(4, P(2, 1, 1), full, full)
-        assert dualspace._chain_vectors.cache_info().currsize == 0
+        refusals = [
+            (215, r"SU\(4\)\(2, 1, 1, 0\) at weight \(1, 1, 1, 1\) solve 3 x 24 x 3 = 216 entries"),
+            (35, r"weight \(1, 2, 1, 0\) solve 1 x 12 x 3 = 36"),  # the first level's system
+        ]
+        with monkeypatch.context() as solving:
+            solving.setattr(np.linalg, "lstsq", forbidden)
+            for cap, message in refusals:
+                solving.setattr(sunrep, "ENTRY_CAP", cap)
+                with pytest.raises(ResourceLimitError, match=message):
+                    coefficient_matrix(4, P(2, 1, 1), full, full)
+                assert dualspace._chain_block.cache_info().currsize == 0
+        monkeypatch.setattr(sunrep, "ENTRY_CAP", 216)
+        assert np.array_equal(coefficient_matrix(4, P(2, 1, 1), full, full).entries, want)

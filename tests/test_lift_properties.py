@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from immdfun import sunrep, verification
-from immdfun.dualspace import _block, _chain_vectors, state_weight
+from immdfun.dualspace import _block, state_weight
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
@@ -53,7 +53,7 @@ from immdfun.verification import (
 from _generators import all_permutations, generator_matrix, permutation_matrix
 from _patterns import irreps_up_to
 from _single import from_matrix, haar_random_unitary, immanant, immanant_via_duality, lift
-from _tensor import apply_tensor_power
+from _tensor import apply_tensor_power, pattern_chain_vectors
 
 ROWS = (
     (1, 0),
@@ -166,7 +166,7 @@ def test_columns_match_chain_vectors(row, seed, data):
     # <r|U^(x)N|t> over one copy of the irrep inside (C^m)^(x)N
     m, n = len(row), sum(row)
     irrep = SUIrrepLabel(m, row)
-    vecs = _chain_vectors(m, n, row)
+    vecs = pattern_chain_vectors(m, n, row)
     occ = [tuple(o) for o in occupations(irrep).tolist()]
     t = data.draw(st.integers(0, len(vecs) - 1))
     u = haar_random_unitary(m, seed)
