@@ -239,30 +239,19 @@ def cmd_immanant(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Every suite reads --seed, --samples and --tol; the rest are suite specific.
-    if args.m is not None and args.suite not in ("kostant", "corollary4", "conjecture"):
-        raise DomainError(f"--m does not apply to verify {args.suite}")
+    # Each flag given is the suite keyword of its own name; run_suite refuses
+    # one that the suite does not take.
     if args.m is not None and args.m < 2:
         raise DomainError(f"--m must be >= 2, got {args.m}")
-    for flag in ("partition", "rows", "cols"):
-        if getattr(args, flag) is not None and args.suite != "conjecture":
-            raise DomainError(f"--{flag} applies only to verify conjecture")
     if (args.rows is None) != (args.cols is None):
         raise DomainError("--rows and --cols must be supplied together")
-    kwargs = {"seed": args.seed}
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    if args.tol is not None:
-        kwargs["entry_tol" if args.suite == "conjecture" else "tol"] = args.tol
-    if args.m is not None and args.suite == "conjecture":
-        kwargs["m"] = args.m
-    elif args.m is not None:
-        kwargs["m_values"] = (args.m,)
+    flags = ("m", "partition", "rows", "cols", "samples", "tol")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     if args.partition is not None:
-        kwargs["partition"] = Partition(_parse_ints(args.partition))
+        given["partition"] = Partition(_parse_ints(args.partition))
     if args.rows is not None:
-        kwargs["selectors"] = [(_parse_ints(args.rows), _parse_ints(args.cols))]
-    reports = run_suite(args.suite, **kwargs)
+        given["rows"], given["cols"] = _parse_ints(args.rows), _parse_ints(args.cols)
+    reports = run_suite(args.suite, seed=args.seed, **given)
     if not reports:
         raise DomainError(f"verify {args.suite} has nothing to check with these flags")
     with _Output(args.out) as fh:

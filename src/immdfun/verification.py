@@ -8,6 +8,7 @@ elements are seeded per index and enumeration order is fixed.
 
 from __future__ import annotations
 
+import inspect
 import math
 from itertools import combinations
 
@@ -16,6 +17,7 @@ import numpy as np
 from .dualspace import (
     CoefficientMatrix,
     _check_pair,
+    _tensor_size,
     coefficient_matrix,
     coefficient_matrix_value,
     immanant_via_duality_stack,
@@ -112,15 +114,15 @@ def _principal_residuals(m, p, keeps, mats, traces) -> list[tuple[float, float]]
 
 
 def kostant_suite(
-    m_values=(2, 3, 4),
+    m: int | None = None,
     samples: int = 25,
     seed: int = DEFAULT_SEED,
     tol: float = 1e-9,
 ) -> list[VerificationReport]:
     """Immanant of the defining matrix = trace over zero-weight diagonal
-    group functions, for every partition of m."""
+    group functions, for every partition of m (m = 2, 3 and 4 by default)."""
     reports = []
-    for m in m_values:
+    for m in (2, 3, 4) if m is None else (m,):
         full = tuple(range(1, m + 1))
         elements = haar_random_unitaries(m, range(seed, seed + samples))
         mats = _matrices(elements, m)
@@ -142,16 +144,17 @@ def kostant_suite(
 
 
 def corollary4_suite(
-    m_values=(4, 5),
-    sizes=(2, 3, 4),
+    m: int | None = None,
     samples: int = 10,
     seed: int = DEFAULT_SEED,
     tol: float = 1e-9,
+    sizes=(2, 3, 4),
 ) -> list[VerificationReport]:
     """Principal submatrix immanants = diagonal D-sums over the selector's
-    weight subspace, for every principal selector and partition."""
+    weight subspace, for every principal selector and partition (m = 4 and
+    5 by default)."""
     reports = []
-    for m in m_values:
+    for m in (4, 5) if m is None else (m,):
         keeps = {
             p: list(combinations(range(1, m + 1), size))
             for size in sizes
@@ -283,108 +286,96 @@ def classify_coefficients(cm: CoefficientMatrix, tol: float = 1e-8) -> dict:
     }
 
 
-def _scan_samples(m: int, check_samples: int, seed: int):
-    """The Haar check samples of a conjecture scan: every 1000th seed."""
-    return haar_random_unitaries(m, range(seed, seed + 1000 * check_samples, 1000))
+def _scans(m: int, selections, tol: float, samples: int, seed: int) -> list[VerificationReport]:
+    """The unit-coefficient reports of SU(m), partition by partition of the
+    mapping ``selections`` (partition -> its selector pairs (k, q), or None
+    for every pair of size-n selectors).
 
-
-def conjecture_scan(
-    m: int,
-    p: Partition,
-    selectors=None,
-    entry_tol: float = 1e-8,
-    check_samples: int = 25,
-    seed: int = DEFAULT_SEED,
-) -> list[VerificationReport]:
-    """Scan submatrix selector pairs for the unit-coefficient pattern.
-
-    For each (k, q) pair the coefficient matrix is classified: how many
-    entries equal +1, how many vanish, and anything else is listed as a
-    violation (with the modulus-only tally reported separately).  Each
-    report also carries the worst residual of the reconstructed immanant
-    against the character sum over ``check_samples`` Haar samples.  This is
-    evidence reporting: a report passes when its own pair shows exactly
-    dim{p} unit entries and zeros elsewhere, and that residual is below 1e-9.
+    The pairs, and m^N against the tensor-space cap, are checked before
+    the ``samples`` Haar samples (every 1000th seed) are drawn, once for
+    all partitions, and lifted as one set (:func:`_block_lifts`); a full
+    grid's C(m, n)^2 pairs are listed only after the lift.  Each pair's
+    coefficient matrix is classified (:func:`classify_coefficients`) and
+    its reconstructed immanant compared with the character sum over the
+    samples.  This is evidence reporting: a report passes when its pair
+    shows exactly dim{p} unit entries and zeros elsewhere, and the worst
+    residual is below 1e-9.
     """
-    if selectors is None:  # lifted before its C(m, n)^2 pairs are listed
-        index_sets = list(combinations(range(1, m + 1), p.n))
-        keeps = (index_sets, index_sets)
-    else:
-        selectors = [_check_pair(m, p, k, q) for k, q in selectors]
-        keeps = ([k for k, _ in selectors], [q for _, q in selectors])
-    samples = _scan_samples(m, check_samples, seed)
-    [lifted] = _block_lifts(m, {p: keeps}, samples)  # every row_index and col_index
-    if selectors is None:
-        selectors = [(k, q) for k in index_sets for q in index_sets]
-    return _scan(m, p, selectors, entry_tol, _matrices(samples, m), *lifted, seed)
-
-
-def _scan(m, p, selectors, entry_tol, mats, lifts, rows, cols, seed) -> list[VerificationReport]:
-    """The reports of :func:`conjecture_scan` over checked ``selectors``,
-    the check samples' (S, m, m) matrices ``mats`` and their ``lifts`` at
-    the rows ``rows`` and columns ``cols``, which hold every coefficient
-    matrix's row_index and col_index."""
-    label = SUIrrepLabel.from_partition(p, m, normalize=False)
+    keeps = {}
+    for p, pairs in selections.items():
+        if pairs is None:
+            index_sets = list(combinations(range(1, m + 1), p.n))
+            keeps[p] = (index_sets, index_sets)
+        else:
+            pairs = [_check_pair(m, p, k, q) for k, q in pairs]
+            keeps[p] = ([k for k, _ in pairs], [q for _, q in pairs])
+        if keeps[p][0]:  # a grid of n > m modes has no pair to refuse
+            _tensor_size(m, p.n)
+    elements = haar_random_unitaries(m, range(seed, seed + 1000 * samples, 1000))
+    mats, lifted = _matrices(elements, m), _block_lifts(m, keeps, elements)
     reports = []
-    expected_units = dim_sym(p)
-    tags = chain_labels(label)
-    for k, q in selectors:
-        cm = coefficient_matrix(m, p, k, q)
-        info = classify_coefficients(cm, entry_tol)
-        direct = immanant_batch(p, _submatrices(mats, k, q))
-        worst = _worst_gap(direct, coefficient_matrix_value(cm, lifts, cols, rows))
-        total = cm.entries.size
-        ok = (
-            info["unit_entries"] == expected_units
-            and info["zero_entries"] == total - expected_units
-            and not info["violations"]
-            and worst < 1e-9
-        )
-        info["max_cross_residual"] = float(worst)
-        info["expected_units"] = expected_units
-        info["row_tags"] = [tags[i] for i in cm.row_index]
-        info["col_tags"] = [tags[i] for i in cm.col_index]
-        reports.append(
-            VerificationReport(
-                suite="conjecture",
-                m=m,
-                partition=p.parts,
-                selector_rows=k,
-                selector_cols=q,
-                seed=seed,
-                residual=float(worst),
-                passed=bool(ok),
-                details=info,
+    for (p, pairs), (lifts, rows, cols) in zip(selections.items(), lifted):
+        ks, qs = keeps[p]
+        pairs = [(k, q) for k in ks for q in qs] if pairs is None else list(zip(ks, qs))
+        label = SUIrrepLabel.from_partition(p, m, normalize=False)
+        expected_units = dim_sym(p)
+        tags = chain_labels(label)
+        for k, q in pairs:
+            cm = coefficient_matrix(m, p, k, q)
+            info = classify_coefficients(cm, tol)
+            direct = immanant_batch(p, _submatrices(mats, k, q))
+            worst = _worst_gap(direct, coefficient_matrix_value(cm, lifts, cols, rows))
+            total = cm.entries.size
+            ok = (
+                info["unit_entries"] == expected_units
+                and info["zero_entries"] == total - expected_units
+                and not info["violations"]
+                and worst < 1e-9
             )
-        )
+            info["max_cross_residual"] = float(worst)
+            info["expected_units"] = expected_units
+            info["row_tags"] = [tags[i] for i in cm.row_index]
+            info["col_tags"] = [tags[i] for i in cm.col_index]
+            reports.append(
+                VerificationReport(
+                    suite="conjecture",
+                    m=m,
+                    partition=p.parts,
+                    selector_rows=k,
+                    selector_cols=q,
+                    seed=seed,
+                    residual=float(worst),
+                    passed=bool(ok),
+                    details=info,
+                )
+            )
     return reports
 
 
 def conjecture_suite(
-    m: int = 4,
+    m: int | None = None,
     partition: Partition | None = None,
-    selectors=None,
-    entry_tol: float = 1e-8,
+    rows=None,
+    cols=None,
     samples: int = 25,
     seed: int = DEFAULT_SEED,
+    tol: float = 1e-8,
 ) -> list[VerificationReport]:
-    """Unit-coefficient evidence scan; by default the full 3x3 selector grid
-    of SU(4) for {2,1} plus the two named SU(5) pairs, which only the
-    default run, with no ``partition`` and no ``selectors``, appends."""
+    """Unit-coefficient evidence scan (:func:`_scans`) of SU(m), m = 4 by
+    default, for ``partition`` ({2,1} by default) over every pair of
+    selectors, or over the one pair ``rows``, ``cols``.  ``tol`` is the
+    classification tolerance of a coefficient entry.  The default run, at
+    m = 4 with no ``partition`` and no ``rows``, also scans the two named
+    SU(5) pairs, both labels as one set."""
+    m = 4 if m is None else m
     p = partition if partition is not None else Partition(2, 1)
-    reports = conjecture_scan(
-        m, p, selectors=selectors, entry_tol=entry_tol, check_samples=samples, seed=seed
-    )
-    if m == 4 and partition is None and selectors is None:
+    reports = _scans(m, {p: None if rows is None else [(rows, cols)]}, tol, samples, seed)
+    if m == 4 and partition is None and rows is None:
         named = {
             Partition(2, 1): [((2, 3, 5), (1, 3, 4))],
             Partition(3, 1): [((1, 3, 4, 5), (1, 2, 3, 5))],
         }
-        shared = _scan_samples(5, samples, seed)  # both labels are lifted as one set
-        mats = _matrices(shared, 5)
-        keeps = {np_: ([k for k, _ in kq], [q for _, q in kq]) for np_, kq in named.items()}
-        for (np_, pairs), lifted in zip(named.items(), _block_lifts(5, keeps, shared)):
-            reports.extend(_scan(5, np_, pairs, entry_tol, mats, *lifted, seed))
+        reports += _scans(5, named, tol, samples, seed)
     return reports
 
 
@@ -513,6 +504,14 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> list[VerificationReport]:
+    """The reports of the suite ``name`` called with ``kwargs``.  ``verify``
+    passes each flag given under its own name, so a suite's keyword
+    parameters are its flags; the first keyword that the suite's signature
+    does not name is refused, unless the suite takes ``**kwargs``."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    params = inspect.signature(SUITES[name]).parameters
+    unknown = [key for key in kwargs if key not in params]
+    if unknown and all(param.kind is not param.VAR_KEYWORD for param in params.values()):
+        raise DomainError(f"--{unknown[0]} does not apply to verify {name}")
     return SUITES[name](**kwargs)

@@ -21,7 +21,7 @@ from immdfun.symgroup import (
 from immdfun.sunrep import SUIrrepLabel, dim_weyl, gt_array, weight_block
 from immdfun.verification import (
     SU2_EXPECTED,
-    conjecture_scan,
+    conjecture_suite,
     corollary4_suite,
     kostant_suite,
     plethysm_su2_suite,
@@ -64,7 +64,7 @@ def test_criterion_1_su2_closed_forms():
 
 def test_criterion_2_kostant_trace():
     t0 = time.time()
-    reports = kostant_suite(m_values=(2, 3, 4), samples=25, seed=SEED, tol=1e-9)
+    reports = kostant_suite(m=None, samples=25, seed=SEED, tol=1e-9)
     elapsed = time.time() - t0
     worst = max(r.residual for r in reports)
     ok = all(r.passed for r in reports) and worst < 1e-9 and elapsed < 30.0
@@ -100,7 +100,7 @@ def test_criterion_3_su3_identities():
 
 def test_criterion_4_corollary4_principal_submatrices():
     t0 = time.time()
-    reports = corollary4_suite(m_values=(4, 5), sizes=(2, 3, 4), samples=10, seed=SEED, tol=1e-9)
+    reports = corollary4_suite(m=None, samples=10, seed=SEED, tol=1e-9, sizes=(2, 3, 4))
     elapsed = time.time() - t0
     worst = max(r.residual for r in reports)
     target = next(
@@ -140,23 +140,24 @@ def test_criterion_5_littlewood_relation():
 
 
 def test_criterion_6_conjecture_scan():
-    su4 = conjecture_scan(4, P(2, 1), entry_tol=1e-8, check_samples=25, seed=SEED)
+    su4 = conjecture_suite(m=4, partition=P(2, 1), samples=25, seed=SEED, tol=1e-8)
     ok4 = len(su4) == 16 and all(
         r.details["unit_entries"] == 2
         and r.details["zero_entries"] == 2
         and not r.details["violations"]
         for r in su4
     )
-    su5_21 = conjecture_scan(
-        5, P(2, 1), selectors=[((2, 3, 5), (1, 3, 4))], entry_tol=1e-8, check_samples=25, seed=SEED
+    su5_21 = conjecture_suite(
+        m=5, partition=P(2, 1), rows=(2, 3, 5), cols=(1, 3, 4), samples=25, seed=SEED, tol=1e-8
     )[0]
-    su5_31 = conjecture_scan(
-        5,
-        P(3, 1),
-        selectors=[((1, 3, 4, 5), (1, 2, 3, 5))],
-        entry_tol=1e-8,
-        check_samples=25,
+    su5_31 = conjecture_suite(
+        m=5,
+        partition=P(3, 1),
+        rows=(1, 3, 4, 5),
+        cols=(1, 2, 3, 5),
+        samples=25,
         seed=SEED,
+        tol=1e-8,
     )[0]
     ok5 = su5_21.details["unit_entries"] == 2 and su5_31.details["unit_entries"] == 3
     ok5 = ok5 and not su5_21.details["violations"] and not su5_31.details["violations"]

@@ -1,6 +1,7 @@
 import cmath
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -260,6 +261,25 @@ class TestVerifyCommand:
         message = "takes 4840000 returned + 251680 working entries, over the entry cap 4194304"
         assert message in err
 
+    def test_conjecture_refuses_the_tensor_space_before_drawing(self, monkeypatch, capsys):
+        # 11^6 amplitudes: refused before any sample is drawn or lifted
+        def forbidden(*args):
+            raise AssertionError("a sample was drawn or lifted before the refusal")
+
+        monkeypatch.setattr(verification, "haar_random_unitaries", forbidden)
+        monkeypatch.setattr(verification, "lift_batch", forbidden)
+        argv = ("verify", "conjecture", "--m", "11", "--partition", "6", "--samples", "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == "resource limit: tensor space 11^6 = 1771561 amplitudes exceeds cap 1000000\n"
+
+    def test_conjecture_m4_is_the_default_run(self, capsys):
+        # --m 4 is the bare run, the two named SU(5) pairs included
+        code, bare, _ = run(capsys, "verify", "conjecture")
+        assert code == EXIT_OK
+        assert [json.loads(line)["m"] for line in bare.splitlines()][-2:] == [5, 5]
+        assert run(capsys, "verify", "conjecture", "--m", "4") == (EXIT_OK, bare, "")
+
     def test_kostant_passes_past_d_512(self, capsys):
         # SU(6) irreps of partitions of 6 reach d = 1134; no variable is needed
         code, out, _ = run(capsys, "verify", "kostant", "--m", "6")
@@ -447,13 +467,13 @@ class TestVerifyCommand:
             pytest.param(
                 ("--m", "2", "--samples", "2", "--seed", "3", "--tol", "1e-8"),
                 verification.kostant_suite,
-                dict(m_values=(2,), samples=2, seed=3, tol=1e-8),
+                dict(m=2, samples=2, seed=3, tol=1e-8),
                 id="kostant",
             ),
             pytest.param(
                 ("--m", "4", "--samples", "2", "--seed", "3", "--tol", "1e-8"),
                 verification.corollary4_suite,
-                dict(m_values=(4,), samples=2, seed=3, tol=1e-8),
+                dict(m=4, samples=2, seed=3, tol=1e-8),
                 id="corollary4",
             ),
             pytest.param(
@@ -471,10 +491,11 @@ class TestVerifyCommand:
                 dict(
                     m=4,
                     partition=Partition(2, 1),
-                    selectors=[((2, 3, 4), (1, 3, 4))],
+                    rows=(2, 3, 4),
+                    cols=(1, 3, 4),
                     samples=2,
                     seed=3,
-                    entry_tol=1e-7,
+                    tol=1e-7,
                 ),
                 id="conjecture",
             ),
@@ -621,9 +642,9 @@ class TestRejectedFlags:
             (("verify", "littlewood", "--partition", "x"), "expected comma-separated integers"),
             (("verify", "littlewood", "--m", "7"), "--m does not apply to verify littlewood"),
             (("verify", "plethysm-su2", "--m", "3"), "--m does not apply"),
-            (("verify", "littlewood", "--partition", "5"), "--partition applies only to"),
-            (("verify", "kostant", "--rows", "1,2", "--cols", "1,2"), "--rows applies only to"),
-            (("verify", "corollary4", "--cols", "1,2"), "--cols applies only to"),
+            (("verify", "littlewood", "--partition", "5"), "--partition does not apply to"),
+            (("verify", "kostant", "--rows", "1,2", "--cols", "1,2"), "--rows does not apply to"),
+            (("verify", "corollary4", "--cols", "1,2"), "--rows and --cols must be supplied"),
             (("verify", "conjecture", "--rows", "1,2,3"), "--rows and --cols must be supplied"),
             (("verify", "kostant", "--tol", "nan"), "tolerance must be positive and finite"),
             (
@@ -676,6 +697,27 @@ class TestRejectedFlags:
         assert code == EXIT_USAGE
         assert out == ""
         assert message in err
+
+    # every suite against every verify flag that its signature does not name
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            pytest.param(name, flags, id=f"{name}{flags[0]}")
+            for name, suite in verification.SUITES.items()
+            for flags in (
+                ("--m", "4"),
+                ("--partition", "2,1"),
+                ("--rows", "1,2,3", "--cols", "1,2,3"),
+                ("--samples", "2"),
+                ("--tol", "1e-7"),
+            )
+            if flags[0][2:] not in inspect.signature(suite).parameters
+        ],
+    )
+    def test_a_flag_the_suite_does_not_name(self, capsys, suite, flags):
+        code, out, err = run(capsys, "verify", suite, *flags)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {flags[0]} does not apply to verify {suite}\n"
 
     def test_nothing_to_check_writes_no_output_file(self, capsys, tmp_path):
         path = tmp_path / "reports.jsonl"

@@ -39,7 +39,7 @@ from immdfun.sunrep import (
     raising_tables,
     weight_block,
 )
-from immdfun.verification import _littlewood_reports, classify_coefficients, conjecture_scan
+from immdfun.verification import _littlewood_reports, classify_coefficients, conjecture_suite
 
 from _generators import Permutation, all_permutations, permutation_matrix
 from _single import from_matrix, haar_random_unitary, immanant, immanant_via_duality, lift
@@ -637,7 +637,7 @@ class TestLittlewood:
 
 class TestConjectureScan:
     def test_su4_all_3x3(self):
-        reports = conjecture_scan(4, P(2, 1), check_samples=5)
+        reports = conjecture_suite(m=4, partition=P(2, 1), samples=5)
         assert len(reports) == 16
         for r in reports:
             assert r.passed
@@ -645,10 +645,10 @@ class TestConjectureScan:
             assert r.details["modulus_unit_entries"] == 2
 
     def test_named_su5_cases(self):
-        r21 = conjecture_scan(5, P(2, 1), selectors=[((2, 3, 5), (1, 3, 4))], check_samples=5)[0]
+        r21 = conjecture_suite(m=5, partition=P(2, 1), rows=(2, 3, 5), cols=(1, 3, 4), samples=5)[0]
         assert r21.passed and r21.details["unit_entries"] == 2
-        r31 = conjecture_scan(
-            5, P(3, 1), selectors=[((1, 3, 4, 5), (1, 2, 3, 5))], check_samples=5
+        r31 = conjecture_suite(
+            m=5, partition=P(3, 1), rows=(1, 3, 4, 5), cols=(1, 2, 3, 5), samples=5
         )[0]
         assert r31.passed and r31.details["unit_entries"] == 3
 
@@ -672,7 +672,7 @@ class TestConjectureScan:
         assert factored == [(3, 4), (3, 5)]  # one stack of 3 samples per m
 
     def test_report_shape(self):
-        r = conjecture_scan(4, P(3), selectors=[((1, 2, 3), (1, 2, 3))], check_samples=3)[0]
+        r = conjecture_suite(m=4, partition=P(3), rows=(1, 2, 3), cols=(1, 2, 3), samples=3)[0]
         assert r.suite == "conjecture"
         assert r.details["row_tags"] and r.details["col_tags"]
 
@@ -681,7 +681,7 @@ class TestConjectureScan:
         # the unit-coefficient pattern holds throughout the scanned sets
         for m, size in [(4, 3), (5, 3), (5, 4)]:
             for p in partitions_of(size):
-                reports = conjecture_scan(m, p, check_samples=2)
+                reports = conjecture_suite(m=m, partition=p, samples=2)
                 assert all(r.passed for r in reports), (m, p)
                 assert all(
                     r.details["unit_entries"] == dim_sym(p) for r in reports

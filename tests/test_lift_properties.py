@@ -289,7 +289,7 @@ def test_identity_suites_refuse_before_building_every_table():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError) as refusal:
-            corollary4_suite(m_values=(20,))
+            corollary4_suite(m=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -528,9 +528,9 @@ def test_each_identity_suite_lifts_one_set(monkeypatch):
         ),
     ]
     # a repeated size gives each partition once, not a repeated irrep
-    twice = corollary4_suite(m_values=(4,), sizes=(2, 2), samples=2)
+    twice = corollary4_suite(m=4, sizes=(2, 2), samples=2)
     assert [r.to_json_line() for r in twice] == [
-        r.to_json_line() for r in corollary4_suite(m_values=(4,), sizes=(2,), samples=2)
+        r.to_json_line() for r in corollary4_suite(m=4, sizes=(2,), samples=2)
     ]
 
 
@@ -800,8 +800,7 @@ def test_nothing_to_lift_or_check():
     irreps = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (1, 1, 1))]
     lifts = lift_batch(irreps, batch, [[], []])
     assert [x.shape for x in lifts] == [(len(batch), 8, 0), (len(batch), 1, 0)]
-    assert corollary4_suite(m_values=(4,), sizes=(4, 5)) == []
-    assert kostant_suite(m_values=()) == []
+    assert corollary4_suite(m=4, sizes=(4, 5)) == []
 
 
 def _dense_lift(irrep: SUIrrepLabel, element: UnitaryElement) -> np.ndarray:
