@@ -9,7 +9,7 @@ from .errors import (
 )
 from .linalgimm import (
     SubmatrixSelector,
-    UnitaryElement,
+    UnitaryElements,
     haar_random_unitaries,
     immanant_batch,
     permanent_ryser_batch,
@@ -39,7 +39,7 @@ __all__ = [
     "ResourceLimitError",
     "SUIrrepLabel",
     "SubmatrixSelector",
-    "UnitaryElement",
+    "UnitaryElements",
     "character",
     "dim_sym",
     "dim_weyl",

@@ -33,7 +33,7 @@ from .errors import DomainError, MatrixParseError, ResourceLimitError
 from .linalgimm import (
     DEFAULT_SEED,
     SubmatrixSelector,
-    UnitaryElement,
+    UnitaryElements,
     as_square,
     check_immanant_side,
     haar_random_unitaries,
@@ -127,7 +127,7 @@ def _matrix_source(args) -> tuple[int | None, Callable[[], np.ndarray]]:
         angles = _parse_floats(args.euler)
         if len(angles) != 3:
             raise DomainError("--euler needs three comma-separated angles")
-        mat = su2_euler(*angles).matrix
+        mat = su2_euler(*angles).matrices[0]
         return None, lambda: mat
     if args.identity is not None:
         if args.identity < 1:
@@ -136,7 +136,7 @@ def _matrix_source(args) -> tuple[int | None, Callable[[], np.ndarray]]:
     else:
         if args.haar < 2:
             raise DomainError(f"--haar must be >= 2, got {args.haar}")
-        side, make = args.haar, lambda: haar_random_unitaries(args.haar, [args.seed])[0].matrix
+        side, make = args.haar, lambda: haar_random_unitaries(args.haar, [args.seed]).matrices[0]
 
     def build():
         if side * side > ENTRY_CAP:
@@ -219,7 +219,7 @@ def cmd_immanant(args) -> int:
     exit_code = EXIT_OK
     if args.duality:
         m = mat.shape[0]
-        UnitaryElement.from_matrices(mat[None], tol=args.tol)  # refuses a non-unitary matrix
+        UnitaryElements(mat[None], tol=args.tol)  # refuses a non-unitary matrix
         k = rows if rows is not None else tuple(range(1, m + 1))
         q = cols if cols is not None else tuple(range(1, m + 1))
         dual = complex(immanant_via_duality_stack(m, partition, [(k, q)], mat[None])[0, 0])
@@ -280,7 +280,7 @@ def cmd_dump_dfunctions(args) -> int:
     if side != irrep.m:
         raise DomainError(f"matrix side {side} != m = {irrep.m}")
     mat = build()
-    elements = UnitaryElement.from_matrices(as_square(mat)[None], tol=args.tol)
+    elements = UnitaryElements(as_square(mat)[None], tol=args.tol)
     lifted = lift_batch([irrep], elements)[0][0]
     # One line per (r, t): the compact JSON of {"irrep": row, "r": tag, "t": tag,
     # "value": [re, im]}, keys in that order. Each row r is one % over templates
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_imm = sub.add_parser("immanant", help="evaluate one immanant")
     p_imm.add_argument("--partition", required=True, help="e.g. 2,1")
-    p_imm.add_argument("--rows", help="kept rows (1-based, increasing)")
+    p_imm.add_argument("--rows", help="kept rows (1-based, distinct)")
     p_imm.add_argument("--cols", help="kept columns (1-based, distinct)")
     p_imm.add_argument("--check-duality", action="store_true", dest="duality")
     add_element_args(p_imm)

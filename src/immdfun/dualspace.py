@@ -35,6 +35,7 @@ import numpy as np
 
 from . import sunrep
 from .errors import DomainError, ResourceLimitError
+from .linalgimm import SubmatrixSelector, _check_range
 from .symgroup import Partition, character_weights, dim_sym
 from .sunrep import SUIrrepLabel, occupations, raising_tables, weight_block
 
@@ -254,20 +255,14 @@ class CoefficientMatrix:
     entries: np.ndarray
 
 
-def _check_pair(m: int, p: Partition, k: tuple[int, ...], q: tuple[int, ...]):
-    k = tuple(int(x) for x in k)
-    q = tuple(int(x) for x in q)
-    n = len(k)
-    if len(q) != n:
-        raise DomainError("row and column selections must have equal length")
-    if p.n != n:
-        raise DomainError(f"partition {p} is not a partition of the selector size {n}")
-    for idx in k + q:
-        if not 1 <= idx <= m:
-            raise DomainError(f"selector index {idx} outside 1..{m}")
-    if len(set(k)) != n or len(set(q)) != n:
-        raise DomainError("selector indices must be distinct")
-    return k, q
+def _check_pair(m: int, p: Partition, k, q) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The selector pair (k, q) as int tuples, refused unless it is a
+    :class:`SubmatrixSelector` within 1..m whose size p partitions."""
+    sel = SubmatrixSelector(k, q)
+    if p.n != sel.size:
+        raise DomainError(f"partition {p} is not a partition of the selector size {sel.size}")
+    _check_range(sel, m)
+    return sel.rows, sel.cols
 
 
 def coefficient_matrix(m: int, p: Partition, k, q) -> CoefficientMatrix:

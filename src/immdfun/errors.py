@@ -6,7 +6,10 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A request exceeds a configured cap (factorial sum size, irrep dimension, tensor size)."""
+    """A request exceeds a configured cap: ``sunrep.ENTRY_CAP`` (entries of
+    an array), ``linalgimm.IMMANANT_CAP`` and ``RYSER_CAP`` (matrix side of
+    a character sum or a Ryser permanent), or ``dualspace.TENSOR_SIZE_CAP``
+    (states of a tensor power)."""
 
 
 class RankDeficiencyError(RuntimeError):

@@ -24,7 +24,7 @@ RYSER_CAP = 24
 
 
 def as_square(mat) -> np.ndarray:
-    arr = np.asarray(getattr(mat, "matrix", mat), dtype=np.complex128)
+    arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -61,33 +61,18 @@ def _check_special_unitary(mats: np.ndarray, tol: float) -> None:
             )
 
 
-@dataclass(frozen=True)
-class UnitaryElement:
-    """Square matrix that is special-unitary within ``unitarity_tol``.
+class UnitaryElements:
+    """A stack of S special-unitary m x m matrices: ``matrices`` is a
+    read-only (S, m, m) copy of ``mats``, S >= 0.
 
-    The matrix is a read-only copy, refused on construction by the same
-    stacked check that :meth:`from_matrices` runs once over a whole stack.
+    A matrix with |det| = 1 but det != 1 (within ``tol``) is multiplied by
+    e^{-i phi/m}, where phi is the phase of det (``cmath.phase``, slice by
+    slice).  The fixed stack is then checked once, so one matrix that is not
+    unitary refuses the whole stack, and slice s equals the one-slice stack
+    of ``mats[s]`` bit for bit.
     """
 
-    matrix: np.ndarray
-    unitarity_tol: float = 1e-10
-
-    def __post_init__(self):
-        mat = as_square(self.matrix).copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        _check_special_unitary(mat[None], self.unitarity_tol)
-
-    @classmethod
-    def from_matrices(cls, mats, tol: float = 1e-10) -> list[UnitaryElement]:
-        """Wrap each unitary matrix of an (S, m, m) stack, fixing a global
-        phase so that det = 1.
-
-        A matrix with |det| = 1 but det != 1 is multiplied by e^{-i phi/m},
-        where phi is the phase of det (``cmath.phase``, slice by slice).  The
-        fixed stack is checked once and made read-only, and its slices are
-        wrapped without a second check.
-        """
+    def __init__(self, mats, tol: float = 1e-10):
         mats = _as_stack(mats).copy()
         m = mats.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses
@@ -99,17 +84,18 @@ class UnitaryElement:
                 mats[s] = mats[s] * cmath.exp(-1j * cmath.phase(det) / m)
         _check_special_unitary(mats, tol)
         mats.flags.writeable = False
-        elements = []
-        for mat in mats:  # already copied and checked: bypass __post_init__
-            element = object.__new__(cls)
-            object.__setattr__(element, "matrix", mat)
-            object.__setattr__(element, "unitarity_tol", tol)
-            elements.append(element)
-        return elements
+        self._matrices = mats
+
+    @property
+    def matrices(self) -> np.ndarray:
+        return self._matrices
 
     @property
     def m(self) -> int:
-        return self.matrix.shape[0]
+        return self._matrices.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self._matrices)
 
 
 Factors = tuple[tuple[int, ...], np.ndarray, np.ndarray]  # (k_1..k_L), theta (L,), phi (m, L+1)
@@ -165,10 +151,10 @@ def givens_factors(mats: np.ndarray) -> list[Factors]:
     return factors
 
 
-def haar_random_unitaries(m: int, seeds) -> list[UnitaryElement]:
-    """Haar samples of SU(m), one per seed: QR of a complex Gaussian with
-    the phases of R's diagonal moved into Q (Mezzadri, Notices AMS 54
-    (2007)), then pushed to det = 1.
+def haar_random_unitaries(m: int, seeds) -> UnitaryElements:
+    """Haar samples of SU(m), one per seed, as one stack: QR of a complex
+    Gaussian with the phases of R's diagonal moved into Q (Mezzadri, Notices
+    AMS 54 (2007)), then pushed to det = 1 by :class:`UnitaryElements`.
 
     Each seed draws its Gaussian from its own ``default_rng(seed)``; the QR,
     the determinants and the special-unitary check each run once over the
@@ -187,11 +173,12 @@ def haar_random_unitaries(m: int, seeds) -> list[UnitaryElement]:
         z[s] = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
-    return UnitaryElement.from_matrices(q * (d / np.abs(d))[:, None, :], tol=1e-12)
+    return UnitaryElements(q * (d / np.abs(d))[:, None, :], tol=1e-12)
 
 
-def su2_euler(alpha: float, beta: float, gamma: float) -> UnitaryElement:
-    """SU(2) element in zyz Euler angles (the standard spin-1/2 matrix)."""
+def su2_euler(alpha: float, beta: float, gamma: float) -> UnitaryElements:
+    """SU(2) element in zyz Euler angles (the standard spin-1/2 matrix), as
+    a one-slice stack."""
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     mat = np.array(
         [
@@ -199,12 +186,12 @@ def su2_euler(alpha: float, beta: float, gamma: float) -> UnitaryElement:
             [cmath.exp(0.5j * (alpha - gamma)) * s, cmath.exp(0.5j * (alpha + gamma)) * c],
         ]
     )
-    return UnitaryElement(mat, unitarity_tol=1e-12)
+    return UnitaryElements(mat[None], tol=1e-12)
 
 
 @dataclass(frozen=True)
 class SubmatrixSelector:
-    """Kept rows (strictly increasing) and columns (distinct, any order)."""
+    """Kept rows and columns, each distinct, in any order."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
@@ -216,10 +203,9 @@ class SubmatrixSelector:
         object.__setattr__(self, "cols", cols)
         if len(rows) != len(cols) or not rows:
             raise DomainError("row and column selections must be nonempty, equal length")
-        if any(rows[i] >= rows[i + 1] for i in range(len(rows) - 1)):
-            raise DomainError(f"row indices must be strictly increasing: {rows}")
-        if len(set(cols)) != len(cols):
-            raise DomainError(f"column indices must be distinct: {cols}")
+        for name, idx in (("row", rows), ("column", cols)):
+            if len(set(idx)) != len(idx):
+                raise DomainError(f"{name} indices must be distinct: {idx}")
         if min(rows + cols) < 1:
             raise DomainError("indices are 1-based")
 

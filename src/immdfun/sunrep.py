@@ -29,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .linalgimm import UnitaryElement, givens_factors
+from .linalgimm import UnitaryElements, givens_factors
 from .symgroup import Partition
 
 # The most entries an array that grows with the irrep may hold: a GT array, or
@@ -512,17 +512,18 @@ def _lift_sum(table, irreps, idxs, picks, outs, factors, groups) -> list[float]:
 
 
 def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
-    """Blocks of the matrices of ``elements`` in each of ``irreps``
+    """Blocks of the S matrices of ``elements``, one
+    :class:`~immdfun.linalgimm.UnitaryElements` stack, in each of ``irreps``
     (distinct irreps of one m): one (S, len(rows[i]), len(cols[i])) array
     per irrep, slice s for element s.  ``cols`` and ``rows`` each hold one
     list of distinct basis positions per irrep, or None for all of them;
     None alone means all columns (rows) of every irrep.  A lone irrep is a
     set of one.
 
-    The elements are factored into diagonal phases and adjacent-mode
-    rotations once per call, as one stack
-    (:func:`~immdfun.linalgimm.givens_factors`), and the factors' lifts are
-    applied right to left to unit columns (:func:`_lift_sum`).  Irreps
+    The stack is factored into diagonal phases and adjacent-mode rotations
+    once per call (:func:`~immdfun.linalgimm.givens_factors`), and the
+    factors' lifts are applied right to left to unit columns
+    (:func:`_lift_sum`).  Irreps
     whose column counts lie within a factor of two are lifted as one
     direct sum, in one shared array whose
     same-size GT blocks share each product; the cached tables of every sum
@@ -539,8 +540,8 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     columns bit for bit.  Slice i of a set lift equals the lift of irrep i
     alone bit for bit while every GT block has fewer than 16 rows; OpenBLAS
     may round a column of a larger block product by its position in the
-    batch.  The irreps, every irrep's columns and rows, the elements and
-    the set's allocation are checked before any table, factor or product:
+    batch.  The irreps, every irrep's columns and rows, the elements' type
+    and m, and the set's allocation are checked before any table, factor or product:
     the returned S sum_i r_i c_i entries and one chunk's working array
     (:data:`LIFT_BATCH_ENTRIES`, or one element's (sum d, max c) array if
     larger; none for an empty batch) hold at most :data:`ENTRY_CAP`.  Each
@@ -553,12 +554,10 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
         raise DomainError(f"irreps of a set lift must be distinct, got {irreps}")
     if len({ir.m for ir in irreps}) > 1:
         raise DomainError(f"irreps of a set lift must share m, got {irreps}")
-    elements = list(elements)
-    for element in elements:
-        if not isinstance(element, UnitaryElement):
-            raise DomainError("lift expects a UnitaryElement (use UnitaryElement.from_matrices)")
-        if irreps and element.m != irreps[0].m:
-            raise DomainError(f"element acts on {element.m} modes, irrep has m = {irreps[0].m}")
+    if not isinstance(elements, UnitaryElements):
+        raise DomainError("lift_batch expects UnitaryElements, one checked (S, m, m) stack")
+    if irreps and elements.m != irreps[0].m:
+        raise DomainError(f"elements act on {elements.m} modes, irrep has m = {irreps[0].m}")
     dims = [dim_weyl(ir) for ir in irreps]
     idxs = [np.arange(d) if idx is None else idx for d, idx in zip(dims, idxs)]
     shapes = [
@@ -585,7 +584,7 @@ def lift_batch(irreps, elements, cols=None, rows=None) -> list[np.ndarray]:
     outs = [np.empty(shape, dtype=np.complex128) for shape in shapes]
     if not (elements and irreps):
         return outs
-    factors = givens_factors(np.array([e.matrix for e in elements]))
+    factors = givens_factors(elements.matrices)
     groups: dict[tuple[int, ...], list[int]] = {}  # elements by rotation sequence
     for s, (kinds, _, _) in enumerate(factors):
         groups.setdefault(kinds, []).append(s)

@@ -56,11 +56,6 @@ def _worst_gap(a: np.ndarray, b: np.ndarray) -> float:
     return _worst(abs(z) for z in (a - b).tolist())
 
 
-def _matrices(elements, m: int) -> np.ndarray:
-    """The (S, m, m) stack of the elements' matrices."""
-    return np.array([u.matrix for u in elements], dtype=np.complex128).reshape(-1, m, m)
-
-
 def _submatrices(mats: np.ndarray, rows, cols) -> np.ndarray:
     """The (S, n, n) stack of the (1-based) ``rows`` x ``cols`` submatrices."""
     return mats[:, np.array(rows)[:, None] - 1, np.array(cols) - 1]
@@ -125,10 +120,9 @@ def kostant_suite(
     for m in (2, 3, 4) if m is None else (m,):
         full = tuple(range(1, m + 1))
         elements = haar_random_unitaries(m, range(seed, seed + samples))
-        mats = _matrices(elements, m)
         traces = _block_traces(m, {p: [full] for p in partitions_of(m)}, elements)
         for p, stacked in traces.items():
-            [(worst, worst_dual)] = _principal_residuals(m, p, [full], mats, stacked)
+            [(worst, worst_dual)] = _principal_residuals(m, p, [full], elements.matrices, stacked)
             reports.append(
                 VerificationReport(
                     suite="kostant",
@@ -162,10 +156,9 @@ def corollary4_suite(
             for p in partitions_of(size)
         }
         elements = haar_random_unitaries(m, range(seed, seed + samples))
-        mats = _matrices(elements, m)
         traces = _block_traces(m, keeps, elements)
         for p, kk in keeps.items():
-            residuals = _principal_residuals(m, p, kk, mats, traces[p])
+            residuals = _principal_residuals(m, p, kk, elements.matrices, traces[p])
             for keep, (worst, worst_dual) in zip(kk, residuals):
                 reports.append(
                     VerificationReport(
@@ -199,7 +192,7 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
     The four irreps are lifted as one set for all elements, each at the
     weight blocks its block traces read.
     """
-    if any(u.m != 4 for u in elements):
+    if elements.m != 4:
         raise DomainError("the coaxial product identity is stated for 4x4 matrices")
     p3, p1, p31, p4 = Partition(3), Partition(1), Partition(3, 1), Partition(4)
     full = (1, 2, 3, 4)
@@ -214,7 +207,7 @@ def _littlewood_reports(elements, seeds, tol: float) -> list[VerificationReport]
         for pp, stacked in _block_traces(4, keeps, elements).items()
         for keep, trace in zip(keeps[pp], stacked.T)
     }
-    mats = _matrices(elements, 4)
+    mats = elements.matrices
     imm3 = {keep3: immanant_batch(p3, _submatrices(mats, keep3, keep3)) for keep3 in keeps[p3]}
     imm31, imm4 = immanant_batch(p31, mats), immanant_batch(p4, mats)
     reports = []
@@ -312,7 +305,7 @@ def _scans(m: int, selections, tol: float, samples: int, seed: int) -> list[Veri
         if keeps[p][0]:  # a grid of n > m modes has no pair to refuse
             _tensor_size(m, p.n)
     elements = haar_random_unitaries(m, range(seed, seed + 1000 * samples, 1000))
-    mats, lifted = _matrices(elements, m), _block_lifts(m, keeps, elements)
+    lifted = _block_lifts(m, keeps, elements)
     reports = []
     for (p, pairs), (lifts, rows, cols) in zip(selections.items(), lifted):
         ks, qs = keeps[p]
@@ -323,7 +316,7 @@ def _scans(m: int, selections, tol: float, samples: int, seed: int) -> list[Veri
         for k, q in pairs:
             cm = coefficient_matrix(m, p, k, q)
             info = classify_coefficients(cm, tol)
-            direct = immanant_batch(p, _submatrices(mats, k, q))
+            direct = immanant_batch(p, _submatrices(elements.matrices, k, q))
             worst = _worst_gap(direct, coefficient_matrix_value(cm, lifts, cols, rows))
             total = cm.entries.size
             ok = (

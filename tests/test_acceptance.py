@@ -55,8 +55,8 @@ def test_criterion_1_su2_closed_forms():
     for _ in range(50):
         alpha, beta, gamma = rng.uniform(-math.pi, math.pi, 3)
         u = su2_euler(alpha, beta, gamma)
-        worst = max(worst, abs(immanant(P(2), u.matrix) - math.cos(beta)))
-        worst = max(worst, abs(immanant(P(1, 1), u.matrix) - 1.0))
+        worst = max(worst, abs(immanant(P(2), u.matrices[0]) - math.cos(beta)))
+        worst = max(worst, abs(immanant(P(1, 1), u.matrices[0]) - 1.0))
     elapsed = time.time() - t0
     ok = worst < 1e-12 and elapsed < 1.0
     report(1, ok, f"SU(2) closed forms over 50 Euler triples: residual {worst:.2e}, {elapsed:.2f}s")
@@ -91,9 +91,9 @@ def test_criterion_3_su3_identities():
         lift_mixed = lift(irrep_mixed, u)
         per_d = lift_per[per_pos, per_pos]
         mixed_d = sum(lift_mixed[t, t] for t in mixed_pos)
-        worst = max(worst, abs(permanent_ryser(u.matrix) - per_d))
-        worst = max(worst, abs(immanant(P(2, 1), u.matrix) - mixed_d))
-        worst = max(worst, abs(np.linalg.det(u.matrix) - 1.0))
+        worst = max(worst, abs(permanent_ryser(u.matrices[0]) - per_d))
+        worst = max(worst, abs(immanant(P(2, 1), u.matrices[0]) - mixed_d))
+        worst = max(worst, abs(np.linalg.det(u.matrices[0]) - 1.0))
     ok = worst < 1e-10
     report(3, ok, f"SU(3) permanent/mixed/determinant identities, 25 samples: residual {worst:.2e}")
 
@@ -128,7 +128,7 @@ def test_criterion_5_littlewood_relation():
     worst = 0.0
     for i in range(100):
         u = haar_random_unitary(4, SEED + i)
-        rep = _littlewood_reports([u], [None], 1e-9)[0]
+        rep = _littlewood_reports(u, [None], 1e-9)[0]
         worst = max(worst, rep.residual)
     ok = worst < 1e-9
     report(
@@ -207,8 +207,8 @@ def test_criterion_9_oracle_equivalence():
 
     def check(m, p, k, q, u):
         nonlocal worst
-        a = immanant_via_duality(m, p, k, q, u)
-        b = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
+        a = immanant_via_duality(m, p, k, q, u.matrices[0])
+        b = immanant(p, submatrix(u.matrices[0], SubmatrixSelector(k, q)))
         worst = max(worst, abs(a - b))
 
     # criterion 2 configurations: full principal, m = 2..4, all partitions
@@ -310,7 +310,7 @@ def test_criterion_10_structural_suites():
             lifted = lift(ir, u1)
             if np.abs(lifted.conj().T @ lifted - np.eye(d)).max() >= 1e-10:
                 failures.append(f"unitarity {row}")
-            prod = from_matrix(u1.matrix @ u2.matrix, tol=1e-9)
+            prod = from_matrix(u1.matrices[0] @ u2.matrices[0], tol=1e-9)
             hom = lift(ir, prod) - lifted @ lift(ir, u2)
             if np.abs(hom).max() >= 1e-9:
                 failures.append(f"lift homomorphism {row}")

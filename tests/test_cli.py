@@ -48,7 +48,7 @@ class TestImmanantCommand:
         assert code == EXIT_OK
         from _single import haar_random_unitary, permanent_ryser
 
-        expected = permanent_ryser(haar_random_unitary(4, 7).matrix)
+        expected = permanent_ryser(haar_random_unitary(4, 7).matrices[0])
         record = json.loads(out)
         assert record["value"][0] == pytest.approx(expected.real, abs=1e-10)
         assert record["value"][1] == pytest.approx(expected.imag, abs=1e-10)
@@ -73,6 +73,19 @@ class TestImmanantCommand:
         record = json.loads(out)
         assert record["pass"] is True
         assert record["duality_residual"] < 1e-10
+
+    def test_rows_in_any_order(self, capsys):
+        # rows follow the column rule: distinct, in any order
+        argv = ("--partition", "2,1", "--haar", "4", "--rows", "2,1,3", "--cols", "1,2,3")
+        code, out, _ = run(capsys, "immanant", *argv, "--check-duality")
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["pass"] is True and record["duality_residual"] < 1e-10
+        from _single import haar_random_unitary, immanant
+
+        u = haar_random_unitary(4, cli.DEFAULT_SEED).matrices[0]
+        sub = u[np.ix_([1, 0, 2], [0, 1, 2])]
+        assert complex(*record["value"]) == immanant(Partition(2, 1), sub)
 
     def test_one_mode_duality_check(self, capsys):
         # m = 1: a single amplitude, so N must not be read off m^N
@@ -219,6 +232,18 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         record = json.loads(out.strip())
         assert record["details"]["unit_entries"] == 2
+
+    def test_conjecture_unsorted_rows(self, capsys):
+        # rows 2,1,3 against columns 1,2,3: the coefficient matrix is
+        # orthogonal with one -1 entry, and the reconstruction still holds
+        argv = ("--m", "4", "--partition", "2,1", "--rows", "2,1,3", "--cols", "1,2,3")
+        code, out, _ = run(capsys, "verify", "conjecture", *argv, "--samples", "2")
+        assert code == EXIT_FAIL
+        [record] = [json.loads(line) for line in out.splitlines()]
+        assert record["selector_rows"] == [2, 1, 3] and record["pass"] is False
+        [violation] = record["details"]["violations"]
+        assert abs(complex(*violation["value"]) + 1.0) < 1e-12
+        assert record["details"]["max_cross_residual"] < 1e-9
 
     def test_conjecture_partition_reports_only_that_partition(self, capsys):
         # the named SU(5) pairs belong to the default run only
@@ -537,7 +562,7 @@ class TestDumpCommand:
         assert code == EXIT_OK
         from _single import haar_random_unitary
 
-        u = haar_random_unitary(3, 5).matrix
+        u = haar_random_unitary(3, 5).matrices[0]
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert len(records) == 9
         top = records[0]
@@ -636,8 +661,8 @@ class TestRejectedFlags:
                 "tolerance must be positive",
             ),
             (
-                ("verify", "conjecture", "--rows", "3,2,1", "--cols", "1,2,3"),
-                "row indices must be strictly increasing",
+                ("verify", "conjecture", "--rows", "1,1,2", "--cols", "1,2,3"),
+                "row indices must be distinct",
             ),
             (("verify", "littlewood", "--partition", "x"), "expected comma-separated integers"),
             (("verify", "littlewood", "--m", "7"), "--m does not apply to verify littlewood"),
@@ -839,11 +864,10 @@ class TestMinusOneEigenvalues:
         values = [json.loads(line)["value"] for line in out.strip().splitlines()]
         got = np.array([complex(re, im) for re, im in values]).reshape(8, 8)
 
-        from immdfun.linalgimm import UnitaryElement
         from immdfun.sunrep import SUIrrepLabel
-        from _single import lift
+        from _single import from_matrix, lift
 
-        root = UnitaryElement(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
+        root = from_matrix(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
         cube = np.linalg.matrix_power(lift(SUIrrepLabel(3, (2, 1, 0)), root), 3)
         assert np.abs(got - cube).max() < 1e-12
 

@@ -21,7 +21,6 @@ from immdfun.dualspace import (
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
-    UnitaryElement,
     submatrix,
 )
 from immdfun.symgroup import (
@@ -239,7 +238,7 @@ class TestBasisStates:
         with pytest.raises(DomainError):
             coefficient_matrix(2, P(1, 1), (1, 3), (1, 2))
         with pytest.raises(DomainError):
-            immanant_via_duality(2, P(1, 1), (1, 2), (1, 3), UnitaryElement(np.eye(2)))
+            immanant_via_duality(2, P(1, 1), (1, 2), (1, 3), np.eye(2))
 
 
 class TestPermutationAction:
@@ -288,7 +287,7 @@ class TestProjector:
 
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
-            immanant_via_duality(3, P(2), (1, 2, 3), (1, 2, 3), UnitaryElement(np.eye(3)))
+            immanant_via_duality(3, P(2), (1, 2, 3), (1, 2, 3), np.eye(3))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_equals_character_weighted_permutations(self, n):
@@ -408,7 +407,7 @@ class TestChainSubspace:
                 for r in range(4):
                     vr = dense(3, 3, row, r, alpha)
                     for s in range(4):
-                        moved = apply_tensor_power(u.matrix, dense(3, 3, row, s, beta), 3)
+                        moved = apply_tensor_power(u.matrices[0], dense(3, 3, row, s, beta), 3)
                         got = np.vdot(vr, moved)
                         want = lifted[r, s] if alpha == beta else 0.0
                         assert abs(got - want) < 1e-10
@@ -523,7 +522,7 @@ class TestCoefficientMatrix:
         label = SUIrrepLabel(m, (2, 1, 0, 0))
         for i in range(25):
             u = haar_random_unitary(m, 300 + i)
-            direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
+            direct = immanant(p, submatrix(u.matrices[0], SubmatrixSelector(k, q)))
             lifted = lift(label, u)
             whole = np.arange(len(lifted))  # every row and column
             via = coefficient_matrix_value(cm, lifted, whole, whole)
@@ -540,15 +539,15 @@ class TestDualityOracle:
     def test_full_principal_equals_immanant(self):
         u = haar_random_unitary(4, 40)
         for p in partitions_of(4):
-            a = immanant_via_duality(4, p, (1, 2, 3, 4), (1, 2, 3, 4), u)
-            b = immanant(p, u.matrix)
+            a = immanant_via_duality(4, p, (1, 2, 3, 4), (1, 2, 3, 4), u.matrices[0])
+            b = immanant(p, u.matrices[0])
             assert abs(a - b) < 1e-10
 
     def test_identity_element_structure(self):
         # only permutations matching the two mode sets contribute at U = 1
-        val = immanant_via_duality(4, P(2, 1), (1, 2, 3), (1, 2, 3), UnitaryElement(np.eye(4)))
+        val = immanant_via_duality(4, P(2, 1), (1, 2, 3), (1, 2, 3), np.eye(4))
         assert val == pytest.approx(dim_sym(P(2, 1)), abs=1e-12)
-        off = immanant_via_duality(4, P(2, 1), (1, 2, 3), (1, 2, 4), UnitaryElement(np.eye(4)))
+        off = immanant_via_duality(4, P(2, 1), (1, 2, 3), (1, 2, 4), np.eye(4))
         assert off == pytest.approx(0.0, abs=1e-12)
 
     def test_all_3x3_submatrices_random_su4(self):
@@ -558,8 +557,8 @@ class TestDualityOracle:
         p = P(2, 1)
         for k in combinations(range(1, 5), 3):
             for q in combinations(range(1, 5), 3):
-                a = immanant_via_duality(4, p, k, q, u)
-                b = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
+                a = immanant_via_duality(4, p, k, q, u.matrices[0])
+                b = immanant(p, submatrix(u.matrices[0], SubmatrixSelector(k, q)))
                 assert abs(a - b) < 1e-10
 
 
@@ -573,7 +572,7 @@ class TestTheorem3AndNormalization:
                 lifted = lift(label, u)
                 occ = occupations(label).tolist()
                 dsum = sum(lifted[a, a] for a, n in enumerate(occ) if n == [1] * m)
-                assert abs(immanant(p, u.matrix) - dsum) < 1e-9
+                assert abs(immanant(p, u.matrices[0]) - dsum) < 1e-9
 
     def test_projection_norm_factor(self):
         # ||Pi^p |Psi_{1..N}>||^2 = (N!/dim p)^2 sum |<psi|Psi>|^2
@@ -621,18 +620,18 @@ class TestTheorem3AndNormalization:
 
 class TestLittlewood:
     def test_identity_element(self):
-        report = _littlewood_reports([UnitaryElement(np.eye(4))], [None], 1e-9)[0]
+        report = _littlewood_reports(from_matrix(np.eye(4)), [None], 1e-9)[0]
         assert report.passed and report.residual < 1e-12
 
     def test_haar_samples(self):
         for i in range(10):
-            report = _littlewood_reports([haar_random_unitary(4, 600 + i)], [None], 1e-9)[0]
+            report = _littlewood_reports(haar_random_unitary(4, 600 + i), [None], 1e-9)[0]
             assert report.passed, report.details
             assert report.residual < 1e-9
 
     def test_wrong_side(self):
         with pytest.raises(DomainError):
-            _littlewood_reports([haar_random_unitary(3, 1)], [None], 1e-9)
+            _littlewood_reports(haar_random_unitary(3, 1), [None], 1e-9)
 
 
 class TestConjectureScan:
@@ -708,8 +707,8 @@ class TestResourceCaps:
         # refused, and (m, N) = (8, 7) builds 7^7
         full = tuple(range(1, 9))
         with pytest.raises(ResourceLimitError):
-            immanant_via_duality(8, P(8), full, full, UnitaryElement(np.eye(8)))
-        val = immanant_via_duality(8, P(7), full[:7], full[:7], UnitaryElement(np.eye(8)))
+            immanant_via_duality(8, P(8), full, full, np.eye(8))
+        val = immanant_via_duality(8, P(7), full[:7], full[:7], np.eye(8))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_projector_cap_builds_no_sn_tables(self):

@@ -26,7 +26,8 @@ from immdfun.dualspace import (
 )
 from immdfun.linalgimm import (
     SubmatrixSelector,
-    UnitaryElement,
+    UnitaryElements,
+    haar_random_unitaries,
     immanant_batch,
     submatrix,
 )
@@ -39,7 +40,6 @@ from immdfun.symgroup import (
 
 from _generators import all_permutations, class_size, permutation_matrix
 from _single import (
-    from_matrix,
     haar_random_unitary,
     immanant,
     immanant_via_duality,
@@ -60,38 +60,31 @@ def _complex_matrix(n: int, seed: int) -> np.ndarray:
 def test_character_sum_matches_duality_route(m, seed, data):
     n = data.draw(st.integers(1, min(m, 6)))
     modes = st.lists(st.integers(1, m), min_size=n, max_size=n, unique=True)
-    k = tuple(sorted(data.draw(modes)))
-    q = tuple(data.draw(modes))
+    k, q = tuple(data.draw(modes)), tuple(data.draw(modes))
     p = data.draw(st.sampled_from(partitions_of(n)))
     u = haar_random_unitary(m, seed)
-    direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(k, q)))
-    assert abs(direct - immanant_via_duality(m, p, k, q, u)) < 1e-10
+    direct = immanant(p, submatrix(u.matrices[0], SubmatrixSelector(k, q)))
+    assert abs(direct - immanant_via_duality(m, p, k, q, u.matrices[0])) < 1e-10
 
 
-def _special_stack(m: int, seed: int) -> np.ndarray:
-    """Matrices of two Haar samples, the identity, a phase-normalised mode
-    permutation, diag(-1, -1, 1, ...) and a Haar SU(2) block on two modes
-    (exact zeros elsewhere), as one (6, m, m) stack."""
+def _special_elements(m: int, seed: int) -> UnitaryElements:
+    """Two Haar samples, the identity, a phase-normalised mode permutation,
+    diag(-1, -1, 1, ...) and a Haar SU(2) block on two modes (exact zeros
+    elsewhere), as one six-slice stack."""
     rng = np.random.default_rng(seed)
     perm = all_permutations(m)[rng.integers(math.factorial(m))]
     a, b = sorted(rng.choice(m, size=2, replace=False))
     block = np.eye(m, dtype=np.complex128)
-    block[np.ix_([a, b], [a, b])] = haar_random_unitary(2, seed).matrix
-    elements = [
-        haar_random_unitary(m, seed),
-        haar_random_unitary(m, seed + 1),
-        UnitaryElement(np.eye(m)),
-        from_matrix(permutation_matrix(perm)),
-        UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (m - 2))),
-        UnitaryElement(block),
-    ]
-    return np.array([u.matrix for u in elements])
+    block[np.ix_([a, b], [a, b])] = haar_random_unitary(2, seed).matrices[0]
+    special = [np.eye(m), permutation_matrix(perm), np.diag([-1.0, -1.0] + [1.0] * (m - 2)), block]
+    haar = haar_random_unitaries(m, [seed, seed + 1]).matrices
+    return UnitaryElements(np.concatenate([haar, special]))
 
 
 @settings(max_examples=6, deadline=None)
 @given(st.integers(3, 5), st.integers(0, 2**31))
 def test_stacked_routes_equal_their_slices_bit_for_bit(m, seed):
-    mats = _special_stack(m, seed)
+    mats = _special_elements(m, seed).matrices
     for size in range(1, m + 1):
         for keep in combinations(range(1, m + 1), size):
             idx = np.array(keep) - 1
@@ -122,7 +115,7 @@ def test_stacked_selectors_equal_their_slices_bit_for_bit(m, seed):
     # all C(m, size) keeps at once, as corollary 4 evaluates them: one
     # character sum over the (K S, n, n) stack and one duality contraction
     # (principal and crossed pairs) equal each selector's own evaluation
-    mats = _special_stack(m, seed)
+    mats = _special_elements(m, seed).matrices
     for size in range(1, m + 1):
         keeps = list(combinations(range(1, m + 1), size))
         sel = np.array(keeps) - 1
@@ -144,7 +137,7 @@ def test_stacked_coefficient_values_equal_their_slices_bit_for_bit():
     pairs = list(product(combinations(range(1, m + 1), 3), repeat=2))
     cms = [coefficient_matrix(m, p, k, q) for k, q in pairs]
     cols = np.unique(np.concatenate([cm.col_index for cm in cms]))
-    elements = [UnitaryElement(mat) for mat in _special_stack(m, 7)]
+    elements = _special_elements(m, 7)
     [lifts] = lift_batch([SUIrrepLabel(m, (2, 1, 0, 0))], elements, [cols])
     rows = np.arange(lifts.shape[1])  # every row
     for cm in cms:

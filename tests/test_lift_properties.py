@@ -27,7 +27,7 @@ from immdfun.dualspace import _block, state_weight
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
-    UnitaryElement,
+    UnitaryElements,
     givens_factors,
     haar_random_unitaries,
     submatrix,
@@ -75,29 +75,29 @@ seeds = st.integers(0, 2**32 - 1)
 FEW = settings(max_examples=20, deadline=None)
 
 
-def _element(m: int, kind: str, seed: int) -> UnitaryElement:
-    """An SU(m) element: a Haar sample, the identity, a phase-normalised
-    mode permutation, a diagonal of signs, diag(-1, -1, 1, ...), or a Haar
-    SU(2) block on two modes (zeros in the lower triangle and a degenerate
-    spectrum)."""
+def _element(m: int, kind: str, seed: int) -> UnitaryElements:
+    """A one-slice stack of an SU(m) element: a Haar sample, the identity,
+    a phase-normalised mode permutation, a diagonal of signs,
+    diag(-1, -1, 1, ...), or a Haar SU(2) block on two modes (zeros in the
+    lower triangle and a degenerate spectrum)."""
     rng = np.random.default_rng(seed)
     if kind == "haar":
         return haar_random_unitary(m, seed)
     if kind == "identity":
-        return UnitaryElement(np.eye(m))
+        return from_matrix(np.eye(m))
     if kind == "minus_pair":
-        return UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (m - 2)))
+        return from_matrix(np.diag([-1.0, -1.0] + [1.0] * (m - 2)))
     if kind == "permutation":
         perms = all_permutations(m)
         return from_matrix(permutation_matrix(perms[rng.integers(len(perms))]))
     if kind == "signs":
         signs = rng.choice([-1.0, 1.0], size=m)
         signs[-1] = np.prod(signs[:-1])
-        return UnitaryElement(np.diag(signs))
+        return from_matrix(np.diag(signs))
     a, b = sorted(rng.choice(m, size=2, replace=False))
     mat = np.eye(m, dtype=np.complex128)
-    mat[np.ix_([a, b], [a, b])] = haar_random_unitary(2, seed).matrix
-    return UnitaryElement(mat)
+    mat[np.ix_([a, b], [a, b])] = haar_random_unitary(2, seed).matrices[0]
+    return from_matrix(mat)
 
 
 elements = st.tuples(st.sampled_from(("haar", "permutation", "signs", "block")), seeds)
@@ -119,7 +119,7 @@ def test_columns_are_the_full_lifts_columns(irrep, seed, data):
 @given(irreps, elements, elements)
 def test_homomorphism(irrep, first, second):
     u, v = (_element(irrep.m, kind, seed) for kind, seed in (first, second))
-    uv = from_matrix(u.matrix @ v.matrix)
+    uv = from_matrix(u.matrices[0] @ v.matrices[0])
     lhs = lift(irrep, uv)
     assert np.abs(lhs - lift(irrep, u) @ lift(irrep, v)).max() < 1e-12
 
@@ -127,7 +127,7 @@ def test_homomorphism(irrep, first, second):
 @pytest.mark.parametrize("row", ROWS)
 def test_identity_lifts_exactly(row):
     irrep = SUIrrepLabel(len(row), row)
-    lifted = lift(irrep, UnitaryElement(np.eye(irrep.m)))
+    lifted = lift(irrep, from_matrix(np.eye(irrep.m)))
     assert np.array_equal(lifted, np.eye(dim_weyl(irrep)))
 
 
@@ -136,7 +136,7 @@ def test_minus_one_pair_lifts_to_signs(row):
     # diag(-1, -1, 1, ...) has no rotation to null: its lift is the sign
     # (-1)^(n_1 + n_2) on each basis state
     irrep = SUIrrepLabel(len(row), row)
-    u = UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (irrep.m - 2)))
+    u = from_matrix(np.diag([-1.0, -1.0] + [1.0] * (irrep.m - 2)))
     signs = [(-1.0) ** (occ[0] + occ[1]) for occ in occupations(irrep)]
     assert np.abs(lift(irrep, u) - np.diag(signs)).max() < 1e-14
 
@@ -156,7 +156,7 @@ def test_permutation_matrices(row, seed):
         moved = occ[:, [s.inverse()(j) - 1 for j in range(1, irrep.m + 1)]]
         allowed = (moved[:, None, :] == occ[None, :, :]).all(axis=2)  # [t, r]
         assert np.abs(t_p.T[~allowed]).max(initial=0.0) < 1e-14
-        pv = from_matrix(p.matrix @ v.matrix)
+        pv = from_matrix(p.matrices[0] @ v.matrices[0])
         assert np.abs(lift(irrep, pv) - t_p @ t_v).max() < 1e-12
 
 
@@ -172,7 +172,7 @@ def test_columns_match_chain_vectors(row, seed, data):
     u = haar_random_unitary(m, seed)
     start = np.zeros(m**n, dtype=np.complex128)
     start[_block(m, occ[t])] = vecs[t][:, 0]
-    moved = apply_tensor_power(u.matrix, start, n)
+    moved = apply_tensor_power(u.matrices[0], start, n)
     want = [np.vdot(vecs[r][:, 0], moved[_block(m, occ[r])]) for r in range(len(vecs))]
     assert np.abs(lift(irrep, u, [t])[:, 0] - want).max() < 1e-12
 
@@ -193,7 +193,7 @@ def test_rotation_tables_are_read_only(row):
 def test_bad_column_is_domain_error(cols):
     irrep = SUIrrepLabel(3, (2, 1, 0))
     with pytest.raises(DomainError, match="columns must be"):
-        lift(irrep, UnitaryElement(np.eye(3)), cols)
+        lift(irrep, from_matrix(np.eye(3)), cols)
 
 
 def test_column_lift_cap(monkeypatch):
@@ -201,7 +201,7 @@ def test_column_lift_cap(monkeypatch):
     # size refuses even one column
     monkeypatch.setattr(sunrep, "ENTRY_CAP", sunrep.LIFT_BATCH_ENTRIES)
     with pytest.raises(ResourceLimitError, match=r"takes 8 returned \+ 32768 working entries"):
-        lift(SUIrrepLabel(3, (2, 1, 0)), UnitaryElement(np.eye(3)), [0])
+        lift(SUIrrepLabel(3, (2, 1, 0)), from_matrix(np.eye(3)), [0])
 
 
 def test_non_orthogonal_eigenbasis_is_refused(monkeypatch):
@@ -271,7 +271,7 @@ def test_set_cap_boundary(monkeypatch, chunk, cols, rows, returned, widest):
         monkeypatch.setattr(sunrep, name, forbidden)
     monkeypatch.setattr(sunrep, "LIFT_BATCH_ENTRIES", chunk)
     irreps = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))]
-    batch = [UnitaryElement(np.eye(3)) for _ in range(2)]
+    batch = UnitaryElements([np.eye(3)] * 2)
     working = max(chunk, widest)
     monkeypatch.setattr(sunrep, "ENTRY_CAP", returned + working)
     with pytest.raises(AssertionError, match="a table or product was built"):  # admitted
@@ -316,20 +316,20 @@ def test_nan_product_is_refused(monkeypatch):
             lift(SUIrrepLabel(3, (2, 1, 0)), u, cols)
 
 
-def _mixed_batch(m: int, seed: int) -> list[UnitaryElement]:
+def _mixed_batch(m: int, seed: int) -> UnitaryElements:
     """Haar samples, the identity, mode permutations, a diagonal of signs,
     diag(-1, -1, 1, ...) and Haar SU(2) blocks with exact zeros: elements
     with several rotation sequences in one batch."""
     kinds = ("haar", "permutation", "signs", "block", "haar", "permutation", "block", "haar")
-    batch = [_element(m, kind, seed + i) for i, kind in enumerate(kinds)]
-    batch.insert(2, UnitaryElement(np.eye(m)))
-    batch.append(UnitaryElement(np.diag([-1.0, -1.0] + [1.0] * (m - 2))))
-    return batch
+    mats = [_element(m, kind, seed + i).matrices[0] for i, kind in enumerate(kinds)]
+    mats.insert(2, np.eye(m))
+    mats.append(np.diag([-1.0, -1.0] + [1.0] * (m - 2)))
+    return UnitaryElements(mats)
 
 
-def _factors(elements) -> list:
+def _factors(elements: UnitaryElements) -> list:
     """The Givens factors of each element, factored as one stack."""
-    return givens_factors(np.array([e.matrix for e in elements]))
+    return givens_factors(elements.matrices)
 
 
 def _rotation_groups(batch) -> int:
@@ -371,8 +371,7 @@ def test_stacked_factors_are_single_factors(m):
     # each slice is the one-slice stack bit for bit, and within a few
     # roundings of the scalar loop, whose branches it must take
     for seed in (1, 2):
-        batch = _mixed_batch(m, seed)
-        mats = np.array([u.matrix for u in batch])
+        mats = _mixed_batch(m, seed).matrices
         stacked = givens_factors(mats)
         assert len({kinds for kinds, _, _ in stacked}) >= 2
         for s, (kinds, thetas, phases) in enumerate(stacked):
@@ -398,8 +397,8 @@ def test_batch_slices_are_single_lifts(irrep, seed, data):
     [got] = lift_batch([irrep], batch, [cols])
     width = d if cols is None else len(cols)
     assert got.shape == (len(batch), d, width)
-    for lifted, u in zip(got, batch):
-        assert np.abs(lifted - lift(irrep, u, cols)).max() <= 1e-15
+    for lifted, mat in zip(got, batch.matrices):
+        assert np.abs(lifted - lift(irrep, from_matrix(mat), cols)).max() <= 1e-15
     # exact inputs stay exact: the identity lifts to unit columns
     assert np.array_equal(got[2], np.eye(d)[:, slice(None) if cols is None else cols])
 
@@ -429,7 +428,7 @@ def test_lift_working_memory_is_bounded_by_its_chunk():
     # SU(5), 10 rotations each, lifted at one column of (5, 0, 0, 0, 0)
     irrep = SUIrrepLabel(5, (5, 0, 0, 0, 0))
     elements = haar_random_unitaries(5, range(600))
-    lift_batch([irrep], elements[:1], [[0]])  # builds the tables
+    lift_batch([irrep], haar_random_unitaries(5, [0]), [[0]])  # builds the tables
     tracemalloc.start()
     try:
         [lifted] = lift_batch([irrep], elements, [[0]])
@@ -444,20 +443,18 @@ def test_lift_working_memory_is_bounded_by_its_chunk():
 def test_batch_of_phases_is_single_lifts(row):
     # diagonal elements have no rotation: their lifts are the stacked phases alone
     irrep, rng = SUIrrepLabel(len(row), row), np.random.default_rng(3)
-    batch = []
-    for _ in range(6):
-        angles = rng.uniform(-np.pi, np.pi, irrep.m)
-        batch.append(UnitaryElement(np.diag(np.exp(1j * (angles - angles.mean())))))
+    angles = rng.uniform(-np.pi, np.pi, (6, irrep.m))
+    batch = UnitaryElements([np.diag(np.exp(1j * (a - a.mean()))) for a in angles])
     [got] = lift_batch([irrep], batch)
-    for lifted, u in zip(got, batch):
-        assert np.array_equal(lifted, lift(irrep, u))
+    for lifted, mat in zip(got, batch.matrices):
+        assert np.array_equal(lifted, lift(irrep, from_matrix(mat)))
 
 
 @pytest.mark.parametrize("entries", [1, 150])
 def test_chunked_batch_is_the_whole_batch(monkeypatch, entries):
     # a budget of 1 lifts each element alone, 150 two at a time (d = 8)
     irrep = SUIrrepLabel(3, (2, 1, 0))
-    batch = _mixed_batch(3, 5) + _mixed_batch(3, 6)
+    batch = UnitaryElements(np.concatenate([_mixed_batch(3, s).matrices for s in (5, 6)]))
     [whole] = lift_batch([irrep], batch)
     monkeypatch.setattr(sunrep, "LIFT_BATCH_ENTRIES", entries)
     assert np.abs(lift_batch([irrep], batch)[0] - whole).max() <= 1e-15
@@ -547,17 +544,18 @@ def test_principal_identities_on_special_elements(m, kind, seed):
             label = SUIrrepLabel.from_partition(p, m, normalize=False)
             lifted = lift(label, u)
             for keep in keeps:
-                direct = immanant(p, submatrix(u.matrix, SubmatrixSelector(keep, keep)))
+                direct = immanant(p, submatrix(u.matrices[0], SubmatrixSelector(keep, keep)))
                 idx = weight_block(label, state_weight(m, keep))
                 assert abs(direct - np.trace(lifted[np.ix_(idx, idx)])) <= 1e-12
-                assert abs(direct - immanant_via_duality(m, p, keep, keep, u)) <= 1e-12
+                assert abs(direct - immanant_via_duality(m, p, keep, keep, u.matrices[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("cols", [None, [], [0, 4]])
 def test_empty_batch(cols):
     irrep = SUIrrepLabel(3, (2, 1, 0))
     width = 8 if cols is None else len(cols)
-    assert lift_batch([irrep], [], [cols])[0].shape == (0, 8, width)
+    empty = UnitaryElements(np.empty((0, 3, 3)))
+    assert lift_batch([irrep], empty, [cols])[0].shape == (0, 8, width)
 
 
 def test_batch_refusals_come_before_any_product(monkeypatch):
@@ -568,20 +566,34 @@ def test_batch_refusals_come_before_any_product(monkeypatch):
     for name in ("rotation_tables", "_block_times"):
         monkeypatch.setattr(sunrep, name, forbidden)
     irrep = SUIrrepLabel(3, (2, 1, 0))
-    good = haar_random_unitary(3, 2)
+    good = haar_random_unitaries(3, [2, 2])
     with pytest.raises(DomainError, match="columns must be"):
-        lift_batch([irrep], [good, good], [[0, 8]])
+        lift_batch([irrep], good, [[0, 8]])
     with pytest.raises(DomainError, match="columns must be distinct"):
-        lift_batch([irrep], [good], [[1, 1]])
-    with pytest.raises(DomainError, match="UnitaryElement"):
-        lift_batch([irrep], [good, np.eye(3)])
+        lift_batch([irrep], good, [[1, 1]])
     with pytest.raises(DomainError, match="modes"):
-        lift_batch([irrep], [good, haar_random_unitary(4, 2)])
+        lift_batch([irrep], haar_random_unitaries(4, [2]))
     monkeypatch.setattr(sunrep, "ENTRY_CAP", sunrep.LIFT_BATCH_ENTRIES)
     with pytest.raises(ResourceLimitError, match=r"takes 16 returned \+ 32768 working entries"):
-        lift_batch([irrep], [good, good], [[0]])
+        lift_batch([irrep], good, [[0]])
     # an empty batch allocates nothing, so no cap refuses it
-    assert lift_batch([irrep], [], [[0]])[0].shape == (0, 8, 1)
+    assert lift_batch([irrep], UnitaryElements(np.empty((0, 3, 3))), [[0]])[0].shape == (0, 8, 1)
+
+
+def test_only_a_checked_stack_is_lifted(monkeypatch):
+    # a list of elements, a bare stack or a list of matrices is refused
+    # before the stack is factored
+    def forbidden(*args):
+        raise AssertionError("the stack was factored before the refusal")
+
+    monkeypatch.setattr(sunrep, "givens_factors", forbidden)
+    good = haar_random_unitaries(3, [2, 3])
+    irrep = SUIrrepLabel(3, (2, 1, 0))
+    for elements in ([good], good.matrices, list(good.matrices), []):
+        with pytest.raises(DomainError, match="lift_batch expects UnitaryElements"):
+            lift_batch([irrep], elements)
+    with pytest.raises(AssertionError, match="factored"):
+        lift_batch([irrep], good)
 
 
 # Sets of distinct irreps of one m: a d = 1 irrep first, then irreps whose
@@ -638,18 +650,17 @@ def test_a_set_lift_factors_its_stack_once_per_call(monkeypatch):
     monkeypatch.setattr(
         sunrep, "rotation_tables", lambda irreps: sums.append(irreps) or real_tables(irreps)
     )
-    batch = _mixed_batch(3, 3)
-    batch.append(batch[1])
-    before = [dict(vars(u)) for u in batch]
+    mixed = _mixed_batch(3, 3).matrices
+    batch = UnitaryElements(np.concatenate([mixed, mixed[1:2]]))
+    before = dict(vars(batch))
     irreps = [SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))]
     for call in (1, 2):
         lift_batch(irreps, batch, [None, [0]])
         assert len(stacks) == call and len(sums) == 2 * call
-        assert np.array_equal(stacks[-1], np.array([u.matrix for u in batch]))
+        assert np.array_equal(stacks[-1], batch.matrices)
     assert sums[:2] == [(irreps[0],), (irreps[1],)]
-    for u, was in zip(batch, before):
-        assert vars(u).keys() == was.keys()
-        assert all(vars(u)[key] is value for key, value in was.items())
+    assert vars(batch).keys() == before.keys()
+    assert all(vars(batch)[key] is value for key, value in before.items())
 
 
 @pytest.mark.parametrize("row", ROWS)
@@ -675,23 +686,24 @@ def test_set_refusals_come_before_any_product(monkeypatch):
     a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
     good = haar_random_unitary(3, 2)
     with pytest.raises(DomainError, match=r"columns must be integers in 0..9 for SU\(3\)\(3, 0, 0\)"):
-        lift_batch([a, b], [good], [None, [0, 10]])
+        lift_batch([a, b], good, [None, [0, 10]])
     with pytest.raises(DomainError, match="columns must be distinct"):
-        lift_batch([a, b], [good], [[0], [2, 2]])
+        lift_batch([a, b], good, [[0], [2, 2]])
     with pytest.raises(DomainError, match="1 column lists for 2 irreps"):
-        lift_batch([a, b], [good], [None])
+        lift_batch([a, b], good, [None])
     with pytest.raises(DomainError, match="must share m"):
-        lift_batch([a, SUIrrepLabel(4, (1, 0, 0, 0))], [good])
+        lift_batch([a, SUIrrepLabel(4, (1, 0, 0, 0))], good)
     with pytest.raises(DomainError, match="irreps of a set lift must be distinct"):
-        lift_batch([a, b, a], [good])
+        lift_batch([a, b, a], good)
     with pytest.raises(DomainError, match="modes"):
-        lift_batch([a, b], [good, haar_random_unitary(4, 2)])
+        lift_batch([a, b], haar_random_unitary(4, 2))
     monkeypatch.setattr(sunrep, "ENTRY_CAP", sunrep.LIFT_BATCH_ENTRIES)
     message = r"dimensions \[8, 10\] takes 74 returned \+ 32768 working entries"
     with pytest.raises(ResourceLimitError, match=message):
-        lift_batch([a, b], [good], [None, [0]])
+        lift_batch([a, b], good, [None, [0]])
     # an empty batch allocates nothing, so no cap refuses it
-    assert [x.shape for x in lift_batch([a, b], [], [None, [0]])] == [(0, 8, 8), (0, 10, 1)]
+    empty = UnitaryElements(np.empty((0, 3, 3)))
+    assert [x.shape for x in lift_batch([a, b], empty, [None, [0]])] == [(0, 8, 8), (0, 10, 1)]
 
 
 @pytest.mark.parametrize("scale", [1.001, np.nan])
@@ -747,18 +759,18 @@ def test_row_refusals_come_before_any_table_or_product(monkeypatch):
     a, b = SUIrrepLabel(3, (2, 1, 0)), SUIrrepLabel(3, (3, 0, 0))
     good = haar_random_unitary(3, 2)
     with pytest.raises(DomainError, match=r"rows must be integers in 0..9 for SU\(3\)\(3, 0, 0\)"):
-        lift_batch([a, b], [good], None, [None, [0, 10]])
+        lift_batch([a, b], good, None, [None, [0, 10]])
     with pytest.raises(DomainError, match=r"rows must be integers in 0..7 for SU\(3\)\(2, 1, 0\)"):
-        lift_batch([a, b], [good], [[0], [1]], [[-1], None])
+        lift_batch([a, b], good, [[0], [1]], [[-1], None])
     for bad in ([1.0], [True], ["0"], [np.float64(2)]):
         with pytest.raises(DomainError, match="rows must be integers"):
-            lift_batch([a], [good, good], None, [bad])
+            lift_batch([a], haar_random_unitaries(3, [2, 2]), None, [bad])
     with pytest.raises(DomainError, match="rows must be distinct"):
-        lift_batch([a, b], [good], [[0], [1]], [[0], [2, 2]])
+        lift_batch([a, b], good, [[0], [1]], [[0], [2, 2]])
     with pytest.raises(DomainError, match="1 row lists for 2 irreps"):
-        lift_batch([a, b], [good], None, [None])
+        lift_batch([a, b], good, None, [None])
     with pytest.raises(DomainError, match="3 row lists for 2 irreps"):
-        lift_batch([a, b], [], None, [[0], [0], [0]])
+        lift_batch([a, b], UnitaryElements(np.empty((0, 3, 3))), None, [[0], [0], [0]])
 
 
 def test_a_fault_outside_the_requested_row_is_refused(monkeypatch):
@@ -803,12 +815,12 @@ def test_nothing_to_lift_or_check():
     assert corollary4_suite(m=4, sizes=(4, 5)) == []
 
 
-def _dense_lift(irrep: SUIrrepLabel, element: UnitaryElement) -> np.ndarray:
+def _dense_lift(irrep: SUIrrepLabel, element: UnitaryElements) -> np.ndarray:
     """The product of the dense lifts of the element's factors: each phase
     as diag(e^{i n.phi}), each rotation B_k(theta) as exp(-i theta S_k)
     through one eigh of the dense S_k scattered from the raising triples."""
     occ = occupations(irrep)
-    [(kinds, thetas, phases)] = _factors([element])
+    [(kinds, thetas, phases)] = _factors(element)
     out = np.diag(np.exp(1j * (occ @ phases[:, 0])))
     for t, (k, theta) in enumerate(zip(kinds, thetas)):
         raising = generator_matrix(irrep, k + 1, k + 2)

@@ -3,11 +3,13 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immdfun.errors import DomainError, ResourceLimitError
 from immdfun.linalgimm import (
     SubmatrixSelector,
-    UnitaryElement,
+    UnitaryElements,
     haar_random_unitaries,
     permanent_ryser_batch,
     su2_euler,
@@ -15,7 +17,7 @@ from immdfun.linalgimm import (
 )
 from immdfun.symgroup import Partition, character, dim_sym, partitions_of
 
-from _generators import Permutation, permutation_matrix
+from _generators import Permutation, all_permutations, permutation_matrix
 from _single import from_matrix, haar_random_unitary, immanant, permanent_ryser
 
 P = Partition
@@ -41,8 +43,8 @@ def random_complex(rng, n):
 class TestImmanant:
     def test_su2_closed_forms(self):
         u = su2_euler(0.7, 1.9, -0.4)
-        assert immanant(P(2), u.matrix) == pytest.approx(math.cos(1.9), abs=1e-12)
-        assert immanant(P(1, 1), u.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert immanant(P(2), u.matrices[0]) == pytest.approx(math.cos(1.9), abs=1e-12)
+        assert immanant(P(1, 1), u.matrices[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_gives_dimension(self):
         for p in partitions_of(4):
@@ -114,7 +116,7 @@ class TestPermanentDeterminant:
 
     def test_unitary_determinant_modulus(self):
         u = haar_random_unitary(5, 2)
-        assert abs(abs(np.linalg.det(u.matrix)) - 1.0) < 1e-10
+        assert abs(abs(np.linalg.det(u.matrices[0])) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n,count", [(1, 1), (3, 5), (6, 7), (17, 2)])
     def test_batch_slices_are_single_permanents(self, n, count):
@@ -162,8 +164,9 @@ class TestSubmatrix:
         assert sub[0, 0] == mat[0, 2] and sub[0, 1] == mat[0, 0]
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            SubmatrixSelector((2, 1), (1, 2))  # rows not increasing
+        assert SubmatrixSelector((2, 1), (1, 2)).rows == (2, 1)  # rows in any order
+        with pytest.raises(DomainError, match="row indices must be distinct"):
+            SubmatrixSelector((1, 1), (1, 2))
         with pytest.raises(DomainError):
             SubmatrixSelector((1, 2), (1, 1))  # repeated column
         with pytest.raises(DomainError):
@@ -174,8 +177,8 @@ class TestUnitaryElement:
     def test_haar_determinism(self):
         a = haar_random_unitary(3, 123)
         b = haar_random_unitary(3, 123)
-        assert np.array_equal(a.matrix, b.matrix)
-        assert not np.array_equal(a.matrix, haar_random_unitary(3, 124).matrix)
+        assert np.array_equal(a.matrices[0], b.matrices[0])
+        assert not np.array_equal(a.matrices[0], haar_random_unitary(3, 124).matrices[0])
 
     def test_haar_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed >= 0, got -1"):
@@ -186,10 +189,10 @@ class TestUnitaryElement:
         for seeds in ([7], list(range(1905, 1930)), [5, 0, 5, 10**6]):
             stack = haar_random_unitaries(m, seeds)
             assert len(stack) == len(seeds)
-            for element, seed in zip(stack, seeds):
-                assert np.array_equal(element.matrix, haar_random_unitary(m, seed).matrix)
-                assert not element.matrix.flags.writeable
-        assert haar_random_unitaries(m, []) == []
+            assert not stack.matrices.flags.writeable
+            for mat, seed in zip(stack.matrices, seeds):
+                assert np.array_equal(mat, haar_random_unitary(m, seed).matrices[0])
+        assert haar_random_unitaries(m, []).matrices.shape == (0, m, m)
 
     def test_negative_seed_in_a_stack_is_refused_before_any_draw(self, monkeypatch):
         def forbidden(seed):
@@ -201,57 +204,99 @@ class TestUnitaryElement:
                 haar_random_unitaries(3, seeds)
 
     def test_one_bad_slice_refuses_the_stack(self):
-        good = haar_random_unitary(3, 1).matrix
+        good = haar_random_unitary(3, 1).matrices[0]
         shear = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)  # det 1
         with pytest.raises(DomainError, match="not unitary"):
-            UnitaryElement.from_matrices([good, good, shear])
+            UnitaryElements([good, good, shear])
         with pytest.raises(DomainError, match="cannot be phase-normalized"):
-            UnitaryElement.from_matrices([good, 2 * good])
+            UnitaryElements([good, 2 * good])
         with pytest.raises(DomainError, match="stack of square"):
-            UnitaryElement.from_matrices(good)
+            UnitaryElements(good)
 
     def test_stack_is_phase_fixed_slice_by_slice(self):
-        mats = np.array([haar_random_unitary(3, s).matrix for s in range(4)])
+        mats = np.array([haar_random_unitary(3, s).matrices[0] for s in range(4)])
         mats[1] *= np.exp(0.4j)
         mats[3] *= np.exp(-2.0j)
-        stack = UnitaryElement.from_matrices(mats)
-        for mat, element in zip(mats, stack):
-            single = from_matrix(mat)
-            assert np.array_equal(element.matrix, single.matrix)
-            assert element.unitarity_tol == single.unitarity_tol
+        stack = UnitaryElements(mats)
+        for mat, fixed in zip(mats, stack.matrices):
+            assert np.array_equal(fixed, from_matrix(mat).matrices[0])
         mats[0] = 0.0  # the stack holds a copy
-        assert np.array_equal(stack[0].matrix, haar_random_unitary(3, 0).matrix)
+        assert np.array_equal(stack.matrices[0], haar_random_unitary(3, 0).matrices[0])
 
     def test_haar_unitarity(self):
-        u = haar_random_unitary(4, 9).matrix
+        u = haar_random_unitary(4, 9).matrices[0]
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
     def test_phase_normalization_flag(self):
-        u = haar_random_unitary(3, 4).matrix * np.exp(0.4j)
+        u = haar_random_unitary(3, 4).matrices[0] * np.exp(0.4j)
         elem = from_matrix(u)
-        assert abs(np.linalg.det(elem.matrix) - 1.0) < 1e-10
+        assert abs(np.linalg.det(elem.matrices[0]) - 1.0) < 1e-10
 
     def test_rejects_nonunitary(self):
         with pytest.raises(DomainError):
             from_matrix(np.diag([2.0, 0.5]))
 
     def test_overflowing_matrix_is_a_domain_error(self):
-        # det and U^H U overflow: the refusal comes with no numpy warning
+        # det or U^H U overflows: the refusal comes with no numpy warning
         big = np.full((2, 2), 1e308, dtype=np.complex128)
         with pytest.raises(DomainError, match="phase-normalized"):
-            UnitaryElement.from_matrices(big[None])
+            from_matrix(big)
         with pytest.raises(DomainError, match="not unitary"):
-            UnitaryElement(big)
+            from_matrix(np.diag([1e308, 1e-308]))  # det 1
 
     def test_matrix_is_a_read_only_copy(self):
-        # the element caches its factors, so its matrix must not change
+        # a lift reads the stack it was given, so the stack must not change
         mat = np.eye(3, dtype=np.complex128)
-        elem = UnitaryElement(mat)
-        assert elem.matrix is not mat and mat.flags.writeable
+        elem = from_matrix(mat)
+        assert not np.shares_memory(elem.matrices, mat) and mat.flags.writeable
         with pytest.raises(ValueError):
-            elem.matrix[0, 0] = -1.0
+            elem.matrices[0, 0, 0] = -1.0
+        with pytest.raises(AttributeError):
+            elem.matrices = mat[None]
 
     def test_su2_euler_is_special_unitary(self):
-        u = su2_euler(1.0, 2.0, 3.0).matrix
+        u = su2_euler(1.0, 2.0, 3.0).matrices[0]
         assert abs(np.linalg.det(u) - 1.0) < 1e-14
+
+
+def _slice(m: int, kind: str, seed: int) -> np.ndarray:
+    """A unitary m x m matrix: a Haar SU(m) sample, one times a random
+    global phase, one with a negated column (det = -1), or an exact mode
+    permutation (det = +-1)."""
+    u = haar_random_unitary(m, seed).matrices[0]
+    if kind == "phase":
+        return u * np.exp(1j * np.random.default_rng(seed).uniform(-np.pi, np.pi))
+    if kind == "minus":
+        return u * np.array([-1.0] + [1.0] * (m - 1))
+    if kind == "permutation":
+        perms = all_permutations(m)
+        return permutation_matrix(perms[seed % len(perms)])
+    return u
+
+
+slices = st.tuples(
+    st.sampled_from(("haar", "phase", "minus", "permutation")), st.integers(0, 2**32 - 1)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.lists(slices, max_size=4), st.data())
+def test_stack_slices_are_one_slice_stacks(m, kinds, data):
+    # each slice is fixed to det = 1 as if alone; the stack is a read-only
+    # copy held by an attribute that cannot be rebound; one bad slice
+    # refuses the whole stack, and an empty stack is a stack
+    mats = np.array([_slice(m, kind, seed) for kind, seed in kinds]).reshape(-1, m, m)
+    stack = UnitaryElements(mats)
+    assert (len(stack), stack.m, stack.matrices.shape) == (len(kinds), m, mats.shape)
+    for mat, fixed in zip(mats, stack.matrices):
+        assert fixed.tobytes() == UnitaryElements(mat[None]).matrices.tobytes()
+        assert abs(np.linalg.det(fixed) - 1.0) < 1e-10
+    assert not stack.matrices.flags.writeable and not np.shares_memory(stack.matrices, mats)
+    with pytest.raises(AttributeError):
+        stack.matrices = mats
+    if kinds:
+        bad = mats.copy()
+        bad[data.draw(st.integers(0, len(kinds) - 1))] = np.eye(m) + np.eye(m, k=1)  # det 1
+        with pytest.raises(DomainError, match="not unitary"):
+            UnitaryElements(bad)

@@ -148,7 +148,8 @@ class TestFitMachinery:
 
         def counted(irs, us, cols=None, rows=None):
             sets.append(len(irs))
-            calls.extend((ir, c is None) for ir, c in zip(irs, cols or [None] * len(irs)) for _ in us)
+            for ir, c in zip(irs, cols or [None] * len(irs)):
+                calls.extend([(ir, c is None)] * len(us))
             lifts = real(irs, us, cols, rows)
             if rows is not None:  # each candidate irrep comes back as (S, r_i, c_i)
                 for r, c, lifted in zip(rows, cols, lifts):

@@ -8,7 +8,7 @@ import pytest
 from immdfun import sunrep
 from immdfun.cli import main
 from immdfun.errors import DomainError, ResourceLimitError
-from immdfun.linalgimm import UnitaryElement, su2_euler
+from immdfun.linalgimm import su2_euler
 from immdfun.symgroup import Partition
 from immdfun.sunrep import (
     SUIrrepLabel,
@@ -361,7 +361,7 @@ class TestLift:
     def test_fundamental_returns_element(self):
         u = haar_random_unitary(3, 8)
         lifted = lift(SUIrrepLabel(3, (1, 0, 0)), u)
-        assert np.abs(lifted - u.matrix).max() < 1e-12
+        assert np.abs(lifted - u.matrices[0]).max() < 1e-12
 
     def test_su2_middle_entry_is_cos_beta(self):
         beta = 1.234
@@ -370,7 +370,7 @@ class TestLift:
 
     def test_identity_lifts_to_identity(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        lifted = lift(ir, UnitaryElement(np.eye(3)))
+        lifted = lift(ir, from_matrix(np.eye(3)))
         assert np.abs(lifted - np.eye(8)).max() < 1e-12
 
     @pytest.mark.parametrize("row", [(2, 0), (2, 1, 0), (2, 1, 1, 0)])
@@ -380,7 +380,7 @@ class TestLift:
         for i in range(50):
             u1 = haar_random_unitary(m, 100 + i)
             u2 = haar_random_unitary(m, 200 + i)
-            prod = from_matrix(u1.matrix @ u2.matrix, tol=1e-9)
+            prod = from_matrix(u1.matrices[0] @ u2.matrices[0], tol=1e-9)
             lhs = lift(ir, prod)
             rhs = lift(ir, u1) @ lift(ir, u2)
             assert np.abs(lhs - rhs).max() < 1e-9
@@ -394,7 +394,7 @@ class TestLift:
     def test_weight_covariance_on_torus(self):
         ir = SUIrrepLabel(3, (3, 1, 0))
         theta = np.array([0.7, -0.2, -0.5])
-        u = UnitaryElement(np.diag(np.exp(1j * theta)))
+        u = from_matrix(np.diag(np.exp(1j * theta)))
         lifted = lift(ir, u)
         expect = np.diag(np.exp(1j * (occupations(ir) @ theta)))
         assert np.abs(lifted - expect).max() < 1e-10
@@ -403,7 +403,7 @@ class TestLift:
         # eigenvalue -1 is not refused: diag(-1,-1,1) is an involution, so its
         # lift is one too
         ir = SUIrrepLabel(3, (2, 1, 0))
-        u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
+        u = from_matrix(np.diag([-1.0, -1.0, 1.0]))
         t = lift(ir, u)
         eye = np.eye(dim_weyl(ir))
         assert np.abs(t @ t - eye).max() < 1e-12
@@ -412,8 +412,8 @@ class TestLift:
     def test_branch_shift(self):
         # the lift of diag(-1,-1,1) is the cube of its cube root's lift
         ir = SUIrrepLabel(3, (2, 1, 0))
-        u = UnitaryElement(np.diag([-1.0, -1.0, 1.0]))
-        root = UnitaryElement(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
+        u = from_matrix(np.diag([-1.0, -1.0, 1.0]))
+        root = from_matrix(np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 3, -2 * np.pi / 3]))))
         cube = np.linalg.matrix_power(lift(ir, root), 3)
         assert np.abs(lift(ir, u) - cube).max() < 1e-12
 
@@ -428,8 +428,8 @@ class TestLift:
         for s in all_permutations(m):
             p = from_matrix(permutation_matrix(s))
             t_p = lift(ir, p)
-            pv = from_matrix(p.matrix @ v.matrix)
-            vp = from_matrix(v.matrix @ p.matrix)
+            pv = from_matrix(p.matrices[0] @ v.matrices[0])
+            vp = from_matrix(v.matrices[0] @ p.matrices[0])
             assert np.abs(lift(ir, pv) - t_p @ t_v).max() < 1e-12
             assert np.abs(lift(ir, vp) - t_v @ t_p).max() < 1e-12
 
@@ -438,8 +438,8 @@ class TestLift:
         big = SUIrrepLabel(3, (40, 20, 0))
         assert dim_weyl(big) == 9261
         with pytest.raises(ResourceLimitError, match="takes 85766121 returned"):
-            lift(big, UnitaryElement(np.eye(3)))
-        column = lift(big, UnitaryElement(np.eye(3)), [0])
+            lift(big, from_matrix(np.eye(3)))
+        column = lift(big, from_matrix(np.eye(3)), [0])
         assert np.array_equal(column, np.eye(9261, 1))
         # a GT array over the cap is refused before any pattern is enumerated
         huge = SUIrrepLabel(2, (3_000_000, 0))
@@ -466,10 +466,10 @@ class TestLift:
         u = haar_random_unitary(3, 66)
         th_l = np.array([0.4, -0.1, -0.3])
         th_r = np.array([-0.6, 0.5, 0.1])
-        left = UnitaryElement(np.diag(np.exp(1j * th_l)))
-        right = UnitaryElement(np.diag(np.exp(1j * th_r)))
+        left = from_matrix(np.diag(np.exp(1j * th_l)))
+        right = from_matrix(np.diag(np.exp(1j * th_r)))
         sandwiched = from_matrix(
-            left.matrix @ u.matrix @ right.matrix, tol=1e-9
+            left.matrices[0] @ u.matrices[0] @ right.matrices[0], tol=1e-9
         )
         got = lift(ir, sandwiched)
         base = lift(ir, u)
@@ -481,7 +481,7 @@ class TestLift:
 class TestDFunction:
     def test_identity_is_delta(self):
         ir = SUIrrepLabel(3, (2, 1, 0))
-        u = UnitaryElement(np.eye(3))
+        u = from_matrix(np.eye(3))
         assert lift(ir, u, [0])[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert lift(ir, u, [3])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -490,7 +490,7 @@ class TestDFunction:
         ir = SUIrrepLabel(3, (1, 0, 0))
         u = haar_random_unitary(3, 10)
         table = np.array([[lift(ir, u, [t])[r, 0] for t in range(3)] for r in range(3)])
-        assert np.abs(table - u.matrix).max() < 1e-12
+        assert np.abs(table - u.matrices[0]).max() < 1e-12
 
     def test_records_identity(self, capsys):
         assert main(["dump-dfunctions", "--row", "2,1,0", "--identity", "3"]) == 0
